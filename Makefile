@@ -1,7 +1,7 @@
 .PHONY: verify lint commcheck numcheck p2pcheck shapecheck faultcheck obscheck alloccheck servecheck determinism race race-mpi test bench bench_obs bench_fault bench_alloc bench_serve
 
 # Full gate: compile, vet, the repo-specific static analyzers (including
-# the collective-protocol checker, the point-to-point protocol family —
+# the rank-conditional collective check, the point-to-point protocol family —
 # tag space, opcode state machine, send/recv pairing — the
 # determinism/numerical-safety quartet, and the interprocedural shape
 # verifier; `go run ./cmd/repolint -list` documents the full set), the
@@ -10,23 +10,25 @@
 # (-tags commcheck), the invariant-checked build of the numeric core
 # (which also arms the check.Dims/check.Layout guards the shape analyzer
 # leans on), the compiler-truth allocation and bounds-check gates on the
-# hot paths, and the bit-reproducible replay gate on both fabrics.
+# hot paths, the bit-reproducible replay gate on both fabrics, and the
+# benchmark module's own unit tests (its own go.mod, so ./... above does
+# not reach it; < 1 s, runs no workload).
 verify:
-	go build ./... && go vet ./... && go run ./cmd/repolint && go test -race ./... && go test -tags commcheck ./internal/mpi ./internal/core && go test -tags checkinvariants ./internal/check ./internal/blas ./internal/nn ./internal/hf ./internal/core && $(MAKE) shapecheck && $(MAKE) p2pcheck && $(MAKE) faultcheck && $(MAKE) obscheck && $(MAKE) alloccheck && $(MAKE) servecheck && $(MAKE) determinism
+	go build ./... && go vet ./... && go run ./cmd/repolint && go test -race ./... && go test -tags commcheck ./internal/mpi ./internal/core && go test -tags checkinvariants ./internal/check ./internal/blas ./internal/nn ./internal/hf ./internal/core && $(MAKE) shapecheck && $(MAKE) p2pcheck && $(MAKE) faultcheck && $(MAKE) obscheck && $(MAKE) alloccheck && $(MAKE) servecheck && $(MAKE) determinism && go test -C benchmark ./...
 
 # Repo-specific static analysis: unchecked mpi.Comm/IO errors, float
 # equality, locks copied by value, allocations in //lint:hotpath kernels,
-# unguarded obs.Observer field access, master/worker collective-protocol
-# conformance, and the point-to-point protocol family (tag space, opcode
+# unguarded obs.Observer field access, collectives under rank-dependent
+# branches, and the point-to-point protocol family (tag space, opcode
 # state machine, send/recv pairing). Zero findings is the shipping bar.
 # Machine-readable output: -json, or -sarif for code-scanning upload.
 lint:
 	go vet ./... && go run ./cmd/repolint
 
-# Static collective-protocol verification only: checks every worker
-# dispatch arm against its master sender for kind/root/dtype/length and
-# sequence agreement, flags collectives under rank-dependent branches and
-# orphaned opcode arms. See DESIGN.md, "Collective protocol".
+# Static collective-protocol verification only: flags collectives (direct
+# or through same-package calls) under rank-dependent branches. The
+# master/worker arms themselves are derived from one ops table and need
+# no diffing. See DESIGN.md, "Collective protocol".
 commcheck:
 	go run ./cmd/repolint -only commcheck
 
@@ -37,10 +39,10 @@ numcheck:
 	go run ./cmd/repolint -only maporderfloat,reduceorder,rngsource,divguard
 
 # Static point-to-point protocol verification only: the module-wide tag
-# map (collisions, dynamic-block overlaps, orphans), the elastic opcode
-# state machine (master senders vs worker dispatch arms, reply-length
-# agreement, opName coverage) and send/recv pairing (blocking recvs with
-# no counterpart send). See DESIGN.md, "P2P protocol verification".
+# map (collisions, dynamic-block overlaps, orphans), the p2p opcode
+# state machines (master senders vs worker dispatch arms, awaited
+# replies, name-table coverage) and send/recv pairing (blocking recvs
+# with no counterpart send). See DESIGN.md, "P2P protocol verification".
 p2pcheck:
 	go run ./cmd/repolint -only tagspace,opproto,sendrecvpair
 

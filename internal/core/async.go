@@ -89,16 +89,12 @@ func RunAsyncMaster(comm *mpi.Comm, p Problem, cfg AsyncSGDConfig, part corpus.P
 		part = corpus.SortedGreedy{}
 	}
 	cfg = cfg.filled()
-	if _, _, err := shipShards(comm, p, part); err != nil {
+	if _, err := shipShards(comm, p, part); err != nil {
 		return nil, err
 	}
 
 	net := nn.New(p.Topo)
-	if p.InitParams != nil {
-		net.SetParams(p.InitParams)
-	} else {
-		net.InitGlorot(p.InitRNG())
-	}
+	p.initParams(net)
 	theta := net.Params
 	grad := make(tensor.Vector, len(theta))
 

@@ -89,6 +89,16 @@ func (p Problem) InitRNG() *rand.Rand {
 	return rand.New(rand.NewSource(p.Seed))
 }
 
+// initParams gives net its starting weights: InitParams when set, else
+// a Glorot draw from InitRNG.
+func (p Problem) initParams(net *nn.Network) {
+	if p.InitParams != nil {
+		net.SetParams(p.InitParams)
+	} else {
+		net.InitGlorot(p.InitRNG())
+	}
+}
+
 func (p Problem) filled() Problem {
 	if p.SampleFraction <= 0 {
 		p.SampleFraction = 0.03

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"time"
 
@@ -17,26 +16,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Master/worker protocol: the master broadcasts a 2-element command
-// [opcode, arg], then the per-op payload collectives follow. Workers loop
-// on commands until opStop. Rank 0 is always the master.
-const (
-	opSetParams float32 = 1 + iota
-	opGradient
-	opSample
-	opGNProduct
-	opHeldLoss
-	opAccuracy
-	opFisherDiag
-	opStop
-	// opClockSync runs the telemetry clock-offset handshake: arg is the
-	// ping round count; the pings themselves travel point-to-point on
-	// mpi.TagClockSync (see internal/obs/telemetry).
-	opClockSync
-	// opTelemetry asks every worker to ship its drained span/metric
-	// bundle to the master on mpi.TagTelemetry.
-	opTelemetry
-)
+// The distributed trainer's master: one run loop that is also the one
+// hf.Objective, written against the ops table (ops.go) and a carrier
+// (carrier.go). Rank 0 is always the master; it owns θ and computes
+// nothing itself.
 
 // tagShard carries the initial point-to-point data distribution
 // (the paper's load_data phase).
@@ -59,156 +42,6 @@ type wireShard struct {
 	HeldUtts       []*corpus.Utterance
 }
 
-// distObjective implements hf.Objective on the master by delegating all
-// data-parallel computation to the workers. The master contributes zero
-// vectors to reductions, mirroring the paper's coordinate-only master.
-type distObjective struct {
-	comm  *mpi.Comm
-	dim   int
-	theta tensor.Vector
-	ob    *obs.Observer // nil disables spans; methods stay allocation-free
-	err   error         // first communication error; surfaces at Err()
-}
-
-func (o *distObjective) fail(err error) {
-	if err != nil && o.err == nil {
-		o.err = err
-	}
-}
-
-// Err returns the first communication error encountered, if any.
-func (o *distObjective) Err() error { return o.err }
-
-func (o *distObjective) cmd(op, arg float32) {
-	o.fail(o.comm.Bcast(0, []float32{op, arg}))
-}
-
-// Dim implements hf.Objective.
-func (o *distObjective) Dim() int { return o.dim }
-
-// Params implements hf.Objective.
-func (o *distObjective) Params() tensor.Vector { return o.theta.Clone() }
-
-// SetParams implements hf.Objective: synchronizes θ to all workers via
-// broadcast, the §V-B sync_weights path.
-func (o *distObjective) SetParams(p tensor.Vector) {
-	defer o.ob.Span(0, "sync_weights").End()
-	if check.Enabled {
-		// θ is about to be broadcast to every worker; a non-finite
-		// parameter here corrupts all subsequent shard computations.
-		check.Dims("core.master.params", len(p), o.dim)
-		check.Finite("core.master.params", p)
-	}
-	copy(o.theta, p)
-	o.comm.SetPhase("sync_weights")
-	o.cmd(opSetParams, 0)
-	o.fail(o.comm.Bcast(0, o.theta))
-}
-
-// Gradient implements hf.Objective: workers compute shard gradients; a
-// tree reduction combines them at the master.
-func (o *distObjective) Gradient() tensor.Vector {
-	defer o.ob.Span(0, "gradient_loss").End()
-	o.comm.SetPhase("gradient_loss")
-	o.cmd(opGradient, 0)
-	grad := tensor.NewVector(o.dim)
-	o.fail(o.comm.Reduce(0, mpi.OpSum, grad))
-	stats := []float64{0, 0}
-	o.fail(o.comm.ReduceF64(0, mpi.OpSum, stats))
-	if stats[1] > 0 {
-		grad.Scale(float32(1 / stats[1]))
-	}
-	if check.Enabled {
-		// The reduced gradient is what Algorithm 1 hands to CG.
-		check.Finite("core.master.gradient", grad)
-		check.FiniteScalar("core.master.train_loss_sum", stats[0])
-	}
-	return grad
-}
-
-// NewCurvatureSample implements hf.Objective.
-func (o *distObjective) NewCurvatureSample(iter int) {
-	o.comm.SetPhase("cg_minimize")
-	o.cmd(opSample, float32(iter))
-}
-
-// GNProduct implements hf.Objective: broadcast the direction, reduce the
-// per-shard Gauss-Newton products — the two collectives per CG iteration
-// that dominate worker MPI time in the paper's Figure 5.
-func (o *distObjective) GNProduct(v, out tensor.Vector) {
-	defer o.ob.Span(0, "cg_minimize").End()
-	o.comm.SetPhase("cg_minimize")
-	o.cmd(opGNProduct, 0)
-	if check.Enabled {
-		check.Dims("core.master.cg_direction", len(v), o.dim)
-		check.Finite("core.master.cg_direction", v)
-	}
-	o.fail(o.comm.Bcast(0, v))
-	out.Zero()
-	o.fail(o.comm.Reduce(0, mpi.OpSum, out))
-	stats := []float64{0}
-	o.fail(o.comm.ReduceF64(0, mpi.OpSum, stats))
-	if stats[0] > 0 {
-		out.Scale(float32(1 / stats[0]))
-	}
-	if check.Enabled {
-		// The reduced Gauss-Newton product feeds the CG α recurrence.
-		check.Finite("core.master.gnproduct", out)
-	}
-}
-
-// HeldOutLoss implements hf.Objective.
-func (o *distObjective) HeldOutLoss(p tensor.Vector) float64 {
-	defer o.ob.Span(0, "loss_eval").End()
-	o.comm.SetPhase("loss_eval")
-	o.cmd(opHeldLoss, 0)
-	o.fail(o.comm.Bcast(0, p))
-	stats := []float64{0, 0}
-	o.fail(o.comm.ReduceF64(0, mpi.OpSum, stats))
-	if stats[1] <= 0 {
-		return 0
-	}
-	return stats[0] / stats[1]
-}
-
-// CurvatureDiag implements hf.Preconditioned for the distributed
-// objective: workers sum their shard's Fisher diagonals over the current
-// curvature sample; the master normalizes and applies the Martens
-// exponent.
-func (o *distObjective) CurvatureDiag(lambda float64) tensor.Vector {
-	defer o.ob.Span(0, "cg_minimize").End()
-	o.comm.SetPhase("cg_minimize")
-	o.cmd(opFisherDiag, 0)
-	diag := tensor.NewVector(o.dim)
-	o.fail(o.comm.Reduce(0, mpi.OpSum, diag))
-	stats := []float64{0}
-	o.fail(o.comm.ReduceF64(0, mpi.OpSum, stats))
-	frames := int(stats[0])
-	if frames < 1 {
-		frames = 1
-	}
-	return finishPreconditioner(diag, frames, lambda)
-}
-
-// heldOutAccuracy gathers frame accuracy at the current parameters.
-func (o *distObjective) heldOutAccuracy() float64 {
-	defer o.ob.Span(0, "loss_eval").End()
-	o.comm.SetPhase("loss_eval")
-	o.cmd(opAccuracy, 0)
-	stats := []float64{0, 0}
-	o.fail(o.comm.ReduceF64(0, mpi.OpSum, stats))
-	if stats[1] <= 0 {
-		return 0
-	}
-	return stats[0] / stats[1]
-}
-
-// stop terminates the worker loops.
-func (o *distObjective) stop() {
-	o.comm.SetPhase("shutdown")
-	o.cmd(opStop, 0)
-}
-
 // MasterResult reports a distributed training run.
 type MasterResult struct {
 	// Params is the final trained parameter vector.
@@ -224,176 +57,447 @@ type MasterResult struct {
 	Fault *FaultReport
 }
 
-// syncWorkerClocks runs the telemetry clock-offset handshake over the
-// classic protocol: one opClockSync broadcast arms every worker's
-// ServeClockSync loop, then each worker is pinged in turn and its
-// measured offset recorded in the merger. Best-effort: a failed
-// handshake leaves that rank's offset at zero and logs an event.
-func syncWorkerClocks(comm *mpi.Comm, obj *distObjective, plane *telemetry.Plane, ob *obs.Observer) {
-	tcfg := plane.Config()
-	comm.SetPhase("telemetry")
-	obj.cmd(opClockSync, float32(tcfg.ClockSyncRounds))
-	for w := 1; w < comm.Size(); w++ {
-		offset, rtt, err := telemetry.SyncClocks(comm, w, tcfg.ClockSyncRounds, tcfg.Deadline)
-		if err != nil {
-			ob.Eventf(0, "telemetry: clock sync with rank %d: %v", w, err)
-			continue
+// master drives one distributed HF run from rank 0 and is its
+// hf.Objective.
+type master struct {
+	comm *mpi.Comm
+	c    carrier
+	p    Problem
+	cfg  hf.Config
+	part corpus.Partitioner
+	ob   *obs.Observer
+
+	dim   int
+	theta tensor.Vector
+
+	// The run's trace, stitched across attempts: a rewind (star carrier
+	// only) restarts hf.Optimize, whose iteration numbers are then offset
+	// by iterBase, the iterations completed before the attempt.
+	iterBase  int
+	curIter   int // global iteration in flight
+	iters     []hf.IterStats
+	totalCG   int
+	finalLoss float64
+	lastWall  time.Time
+	lastLoss  float64 // held-out loss of the latest recorded iteration
+
+	// The telemetry plane and the master's own shipper, both nil without
+	// telemetry. Telemetry traffic never fails a run or evicts a rank.
+	plane *telemetry.Plane
+	local *telemetry.Shipper
+
+	// Fault tolerance (elastic.go). star is the carrier again, typed; on
+	// the tree it is nil and every field below stays zero.
+	star *star
+	pol  FaultPolicy
+	ckpt CheckpointPolicy
+	// plan[w-1] is what worker rank w holds; an evicted rank's utterances
+	// wait in pending until the next resync redistributes them.
+	plan    []shardSupplement
+	pending shardSupplement
+	lastCK  *Checkpoint // carries the post-update λ and CG warm-start direction
+	report  FaultReport
+	pingSeq uint32
+	// epochHook advances fault-injection epochs on the master's own
+	// transport (spawn mode wires it to FaultTransport.SetEpoch).
+	epochHook func(int)
+}
+
+// runMaster drives a distributed HF training run from rank 0 for
+// Session.Run, which has validated the problem and the options: it ships
+// shards to the workers (load_data), runs the HF optimizer with all
+// heavy computation delegated to them, and shuts them down. Without
+// o.faults the carrier is the tree and any communication failure ends
+// the run; with it the carrier is the star, which adds heartbeats,
+// eviction, re-sharding and checkpoint rewinds (elastic.go).
+func runMaster(comm *mpi.Comm, p Problem, cfg hf.Config, o *sessionOptions, plane *telemetry.Plane, epochHook func(int)) (*MasterResult, error) {
+	comm.SetMetrics(o.ob.Registry())
+	m := &master{comm: comm, c: tree{comm}, p: p.filled(), cfg: cfg, part: o.part, ob: o.ob, plane: plane}
+	if o.faults != nil {
+		m.tolerateFaults(*o.faults, o.ckpt, epochHook)
+	}
+	return m.run()
+}
+
+// loadData ships each worker its shard point-to-point (the
+// master-serialized phase of Figures 2/4) and initializes θ.
+func (m *master) loadData() error {
+	sp := m.ob.Span(0, "load_data")
+	plan, err := shipShards(m.comm, m.p, m.part)
+	sp.End()
+	if err != nil {
+		return err
+	}
+	net := nn.New(m.p.Topo)
+	m.p.initParams(net)
+	m.dim = net.NumParams()
+	m.theta = net.Params.Clone()
+	if m.star != nil {
+		// Retained for post-eviction re-partitioning.
+		m.plan, m.star.dim, m.star.live = plan, m.dim, tree{m.comm}.workers()
+		m.report.FinalWorkers = len(plan)
+	}
+	return nil
+}
+
+func (m *master) run() (*MasterResult, error) {
+	if err := m.loadData(); err != nil {
+		return nil, err
+	}
+	if m.plane != nil {
+		m.local = telemetry.NewShipper(0, m.ob)
+		m.plane.Merger().BindLocal(0, m.ob.Registry())
+		m.plane.Health().SetState("training")
+		for _, w := range m.c.workers() {
+			m.plane.Health().SetWorker(w, telemetry.WorkerLive)
 		}
-		plane.Merger().SetOffset(w, offset)
-		if reg := ob.Registry(); reg != nil {
-			reg.Histogram("telemetry.clock_rtt_ns").Observe(rtt.Nanoseconds())
+		m.syncClocks()
+	}
+	// Mirror hf.Config's MaxIterations default so the remaining-
+	// iterations arithmetic matches what Optimize will run.
+	if m.cfg.MaxIterations <= 0 {
+		m.cfg.MaxIterations = 50
+	}
+
+	err := m.attempt()
+	for err != nil {
+		// Only a failure that names ranks can be recovered from; every
+		// tree failure, and anything else, ends the run.
+		var rf *rankFailure
+		if !errors.As(err, &rf) {
+			return m.fail(err)
+		}
+		if err := m.evict(rf); err != nil {
+			return nil, err
+		}
+		// A further fault during resync evicts again and loops here.
+		if err = m.resync(); err == nil {
+			err = m.attempt()
+		}
+	}
+
+	acc, err := m.accuracy()
+	if err != nil {
+		return m.fail(err)
+	}
+	// Final flush while the workers still serve: the trace covers the tail.
+	m.collectTelemetry()
+	m.plane.Health().SetState("done")
+	m.stop()
+	out := &MasterResult{
+		Params:          m.theta.Clone(),
+		HF:              hf.Result{Iters: m.iters, FinalLoss: m.finalLoss, TotalCGIters: m.totalCG},
+		HeldOutAccuracy: acc,
+		MPIProfile:      m.comm.Profiler().Snapshot(),
+	}
+	if m.star != nil {
+		out.Fault = &m.report
+	}
+	return out, nil
+}
+
+// fail ends the run on an unrecoverable error without waiting on the
+// possibly wedged workers: only the master's own telemetry is merged.
+func (m *master) fail(err error) (*MasterResult, error) {
+	m.drainLocalTelemetry()
+	m.plane.Health().SetState("failed")
+	m.stop()
+	return nil, err
+}
+
+// faultUnwind aborts hf.Optimize when the carrier fails: the optimizer
+// has no error path, so master.call unwinds it with this typed panic.
+type faultUnwind struct{ cause error }
+
+// recoverUnwind turns a faultUnwind panic back into the carrier's
+// error, re-panicking anything else. Use in a defer:
+//
+//	defer func() { recoverUnwind(recover(), &err) }()
+func recoverUnwind(r any, err *error) {
+	if r == nil {
+		return
+	}
+	fu, ok := r.(faultUnwind)
+	if !ok {
+		panic(r)
+	}
+	*err = fu.cause
+}
+
+// attempt runs hf.Optimize over the iterations still to do, turning a
+// carrier failure anywhere inside it into the returned error.
+func (m *master) attempt() (err error) {
+	remaining := m.cfg.MaxIterations - m.iterBase
+	if remaining <= 0 {
+		// Nothing left to do (fault landed after the final iteration).
+		return nil
+	}
+	defer func() { recoverUnwind(recover(), &err) }()
+	m.curIter = m.iterBase
+
+	cfg := m.cfg
+	cfg.MaxIterations = remaining
+	if ck := m.lastCK; ck != nil && ck.Lambda > 0 {
+		// Resume with the exact optimizer state the checkpoint captured
+		// (post-update λ, CG warm-start direction), so a rewound run
+		// retraces the uninterrupted trajectory up to reduction-order
+		// float noise from the re-partitioned shards.
+		cfg.Lambda0, cfg.InitDirection = ck.Lambda, ck.Dir
+	}
+	// Optimize numbers iterations from 1 every attempt; hooks see global.
+	if log := cfg.Log; log != nil {
+		cfg.Log = func(s hf.IterStats) {
+			s.Iter += m.iterBase
+			log(s)
+		}
+	}
+	m.lastWall = time.Now()
+	tel := cfg.Telemetry
+	cfg.Telemetry = func(s hf.IterStats) {
+		s.Iter += m.iterBase
+		m.onIter(s)
+		if tel != nil {
+			tel(s)
+		}
+	}
+	if m.star != nil {
+		// State fires after Telemetry with the post-update λ and warm-start
+		// direction, the exact state the next iteration resumes from.
+		cfg.State = func(iter int, lambda float64, dir tensor.Vector) {
+			if global := m.iterBase + iter; global%m.ckpt.Every == 0 {
+				m.snapshot(global, m.lastLoss, lambda, dir)
+			}
+		}
+	}
+
+	m.SetParams(m.theta)
+	if m.star != nil && m.lastCK == nil {
+		// Seed a checkpoint so the first rewind has somewhere to land.
+		m.snapshot(0, m.HeldOutLoss(m.theta), 0, nil)
+	}
+	res := hf.Optimize(m, cfg)
+	m.iterBase += len(res.Iters)
+	m.finalLoss = res.FinalLoss
+	return nil
+}
+
+// onIter ingests one globally-numbered iteration: the stitched trace,
+// CG accounting, the iteration wall histogram and telemetry cadence.
+func (m *master) onIter(s hf.IterStats) {
+	m.curIter = s.Iter
+	m.iters = append(m.iters, s)
+	m.totalCG += s.CGIters
+	now := time.Now()
+	m.ob.Registry().Histogram("core.hf.iter_wall_ns").Observe(now.Sub(m.lastWall).Nanoseconds())
+	m.lastWall = now
+	// The State hook (which snapshots) fires next and needs this loss.
+	m.lastLoss = s.Loss
+	if m.plane != nil {
+		m.plane.Health().SetProgress(s.Iter, s.Loss)
+		if fe := m.plane.Config().FlushEvery; fe > 0 && s.Iter%fe == 0 {
+			m.collectTelemetry()
 		}
 	}
 }
 
-// collectTelemetry asks every worker for its drained telemetry bundle
-// (one opTelemetry broadcast, one point-to-point shipment back per
-// worker) and folds the shipments plus the master's own drained
-// observer into the merger. Runs at iteration boundaries — off the
-// collective critical path — and is best-effort: failures are logged,
-// never fatal.
-func collectTelemetry(comm *mpi.Comm, obj *distObjective, plane *telemetry.Plane, local *telemetry.Shipper, ob *obs.Observer) {
-	start := time.Now()
-	defer func() {
-		if reg := ob.Registry(); reg != nil {
-			reg.Histogram("telemetry.collect_ns").Observe(time.Since(start).Nanoseconds())
+// issue runs one op of the table on every worker under the row's phase
+// and span. Under the checkinvariants build the vector going out must be
+// dim-long and finite (a bad θ or CG direction corrupts every shard
+// computation) and so must the fold that comes back (it feeds CG).
+func (m *master) issue(op int, arg float32, down, up tensor.Vector, sc []float64) error {
+	row := &ops[op]
+	if row.span {
+		defer m.ob.Span(0, row.phase).End()
+	}
+	m.comm.SetPhase(row.phase)
+	if check.Enabled && row.down {
+		check.Dims("core.master."+row.name+".payload", len(down), m.dim)
+		check.Finite("core.master."+row.name+".payload", down)
+	}
+	err := m.c.issue(op, arg, down, up, sc)
+	if check.Enabled && err == nil {
+		check.Finite("core.master."+row.name, up)
+		for _, v := range sc {
+			check.FiniteScalar("core.master."+row.name, v)
 		}
-	}()
-	tcfg := plane.Config()
-	comm.SetPhase("telemetry")
-	obj.cmd(opTelemetry, 0)
-	for w := 1; w < comm.Size(); w++ {
-		msg, err := comm.RecvBytesTimeout(w, mpi.TagTelemetry, tcfg.Deadline)
+	}
+	return err
+}
+
+// call is issue for the objective: a failure unwinds hf.Optimize at
+// once instead of feeding it zeros until its own stopping rules fire.
+func (m *master) call(op int, arg float32, down, up tensor.Vector, sc []float64) {
+	if err := m.issue(op, arg, down, up, sc); err != nil {
+		panic(faultUnwind{err})
+	}
+}
+
+// accuracy gathers held-out frame accuracy at the final θ. Training is
+// over, so a rankFailure here evicts nobody: the failed ranks' shards
+// are absent from the figure and the failure is one event.
+func (m *master) accuracy() (float64, error) {
+	var sc [2]float64
+	if err := m.issue(opAccuracy, 0, nil, nil, sc[:]); err != nil {
+		var rf *rankFailure
+		if !errors.As(err, &rf) {
+			return 0, err
+		}
+		m.ob.Eventf(0, "elastic: %v", err)
+	}
+	if sc[1] <= 0 {
+		return 0, nil
+	}
+	return sc[0] / sc[1], nil
+}
+
+// stop shuts the workers down, best-effort.
+func (m *master) stop() {
+	if err := m.issue(opStop, 0, nil, nil, nil); err != nil {
+		m.ob.Eventf(0, "core: %v", err)
+	}
+}
+
+// syncClocks runs the telemetry clock-offset handshake: one clock_sync
+// op arms every worker's ServeClockSync loop, then each worker is
+// pinged in turn. A failed handshake leaves that rank's offset at zero.
+func (m *master) syncClocks() {
+	tcfg := m.plane.Config()
+	if err := m.issue(opClockSync, float32(tcfg.ClockSyncRounds), nil, nil, nil); err != nil {
+		m.ob.Eventf(0, "telemetry: clock sync: %v", err)
+	}
+	for _, w := range m.c.workers() {
+		offset, rtt, err := telemetry.SyncClocks(m.comm, w, tcfg.ClockSyncRounds, tcfg.Deadline)
 		if err != nil {
-			ob.Eventf(0, "telemetry: collect from rank %d: %v", w, err)
+			m.ob.Eventf(0, "telemetry: clock sync with rank %d: %v", w, err)
+			continue
+		}
+		m.plane.Merger().SetOffset(w, offset)
+		m.ob.Registry().Histogram("telemetry.clock_rtt_ns").Observe(rtt.Nanoseconds())
+	}
+}
+
+// collectTelemetry asks every worker to ship its drained telemetry
+// bundle (one telemetry op, one point-to-point shipment back each) and
+// folds them plus the master's own into the merger. Runs at iteration
+// boundaries and around faults; a straggling shipment is merged by the
+// next collection (bundles carry absolute timestamps).
+func (m *master) collectTelemetry() {
+	if m.plane == nil {
+		return
+	}
+	collect := m.ob.Registry().Histogram("telemetry.collect_ns")
+	defer func(start time.Time) { collect.Observe(time.Since(start).Nanoseconds()) }(time.Now())
+	if err := m.issue(opTelemetry, 0, nil, nil, nil); err != nil {
+		m.ob.Eventf(0, "telemetry: collect: %v", err)
+	}
+	deadline := m.plane.Config().Deadline
+	for _, w := range m.c.workers() {
+		msg, err := m.comm.RecvBytesTimeout(w, mpi.TagTelemetry, deadline)
+		if err != nil {
+			m.ob.Eventf(0, "telemetry: collect from rank %d: %v", w, err)
 			continue
 		}
 		b, err := telemetry.DecodeBundle(msg.Data)
 		if err != nil {
-			ob.Eventf(0, "telemetry: decode from rank %d: %v", w, err)
+			m.ob.Eventf(0, "telemetry: decode from rank %d: %v", w, err)
 			continue
 		}
-		plane.Merger().Ingest(b)
+		m.plane.Merger().Ingest(b)
 	}
-	plane.Merger().Ingest(local.Bundle())
+	m.plane.Merger().Ingest(m.local.Bundle())
 }
 
-// runMaster drives a distributed HF training run from rank 0 over the
-// classic collective protocol: it partitions the data, ships shards to
-// workers (load_data), runs the HF optimizer with all heavy computation
-// delegated to the workers, and shuts the workers down. part defaults to
-// the paper's sorted-greedy equal-frame partitioner. A non-nil observer
-// adds phase spans on rank 0, per-collective metrics routed through the
-// communicator, and a per-iteration wall-time histogram
-// ("core.hf.iter_wall_ns"). A non-nil telemetry plane additionally runs
-// the clock-offset handshake at start and collects every rank's
-// span/metric bundles at iteration boundaries into the plane's merger.
-// Entry point: Session.Run.
-func runMaster(comm *mpi.Comm, p Problem, cfg hf.Config, part corpus.Partitioner, ob *obs.Observer, plane *telemetry.Plane) (*MasterResult, error) {
-	if comm.Rank() != 0 {
-		return nil, fmt.Errorf("core: master run on rank %d", comm.Rank())
+// drainLocalTelemetry is collectTelemetry's failure-path complement:
+// only the master's own bundle, without contacting any worker.
+func (m *master) drainLocalTelemetry() {
+	if m.plane == nil {
+		return
 	}
-	if comm.Size() < 2 {
-		return nil, fmt.Errorf("core: distributed training needs ≥2 ranks, have %d", comm.Size())
-	}
-	p = p.filled()
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	if part == nil {
-		part = corpus.SortedGreedy{}
-	}
-	comm.SetMetrics(ob.Registry())
+	m.plane.Merger().Ingest(m.local.Bundle())
+}
 
-	// load_data: partition utterances over workers and ship each shard
-	// point-to-point, the master-serialized phase of Figures 2/4.
-	sp := ob.Span(0, "load_data")
-	_, _, err := shipShards(comm, p, part)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
+// The master as hf.Objective and hf.Preconditioned: workers compute
+// shard sums, the carrier adds them, the normalization happens here.
 
-	// The master owns θ; workers receive it by broadcast.
-	net := nn.New(p.Topo)
-	if p.InitParams != nil {
-		net.SetParams(p.InitParams)
-	} else {
-		net.InitGlorot(p.InitRNG())
-	}
-	obj := &distObjective{comm: comm, dim: net.NumParams(), theta: net.Params.Clone(), ob: ob}
+// Dim implements hf.Objective.
+func (m *master) Dim() int { return m.dim }
 
-	var local *telemetry.Shipper
-	if plane != nil {
-		local = telemetry.NewShipper(0, ob)
-		plane.Merger().BindLocal(0, ob.Registry())
-		plane.Health().SetState("training")
-		for w := 1; w < comm.Size(); w++ {
-			plane.Health().SetWorker(w, telemetry.WorkerLive)
-		}
-		syncWorkerClocks(comm, obj, plane, ob)
-	}
-	obj.SetParams(obj.theta)
+// Params implements hf.Objective.
+func (m *master) Params() tensor.Vector { return m.theta.Clone() }
 
-	var iterWall *obs.Histogram
-	if reg := ob.Registry(); reg != nil {
-		// Epoch accounting: the wall time of each outer HF iteration,
-		// observed from the telemetry hook (chained, not replaced).
-		iterWall = reg.Histogram("core.hf.iter_wall_ns")
-	}
-	if iterWall != nil || plane != nil {
-		prev := cfg.Telemetry
-		last := time.Now()
-		flushEvery := plane.Config().FlushEvery
-		cfg.Telemetry = func(s hf.IterStats) {
-			now := time.Now()
-			iterWall.Observe(now.Sub(last).Nanoseconds())
-			last = now
-			if plane != nil {
-				plane.Health().SetProgress(s.Iter, s.Loss)
-				if flushEvery > 0 && s.Iter%flushEvery == 0 {
-					collectTelemetry(comm, obj, plane, local, ob)
-				}
-			}
-			if prev != nil {
-				prev(s)
-			}
-		}
-	}
+// SetParams implements hf.Objective: synchronizes θ to all workers, the
+// §V-B sync_weights path.
+func (m *master) SetParams(p tensor.Vector) {
+	copy(m.theta, p)
+	m.call(opSetParams, 0, p, nil, nil)
+}
 
-	res := hf.Optimize(obj, cfg)
-	acc := obj.heldOutAccuracy()
-	if plane != nil {
-		// Final flush while the workers are still in their command loop,
-		// so the merged trace covers the run's tail.
-		collectTelemetry(comm, obj, plane, local, ob)
+// Gradient implements hf.Objective: workers compute shard gradients,
+// the carrier sums them. It opens every HF iteration.
+func (m *master) Gradient() tensor.Vector {
+	m.curIter++
+	if m.star != nil {
+		m.beginIter()
 	}
-	obj.stop()
-	if err := obj.Err(); err != nil {
-		plane.Health().SetState("failed")
-		return nil, err
+	grad := tensor.NewVector(m.dim)
+	var sc [2]float64 // summed loss, frames
+	m.call(opGradient, 0, nil, grad, sc[:])
+	if sc[1] > 0 {
+		grad.Scale(float32(1 / sc[1]))
 	}
-	plane.Health().SetState("done")
-	return &MasterResult{
-		Params:          obj.theta.Clone(),
-		HF:              res,
-		HeldOutAccuracy: acc,
-		MPIProfile:      comm.Profiler().Snapshot(),
-	}, nil
+	return grad
+}
+
+// NewCurvatureSample implements hf.Objective. Workers draw from the
+// global iteration, so a rewound run sees the same sample streams.
+func (m *master) NewCurvatureSample(iter int) {
+	m.call(opSample, float32(m.iterBase+iter), nil, nil, nil)
+}
+
+// GNProduct implements hf.Objective: the direction goes out, the
+// per-shard Gauss-Newton products come back summed — the two transfers
+// per CG iteration that dominate worker MPI time in the paper's Figure 5.
+func (m *master) GNProduct(v, out tensor.Vector) {
+	var frames [1]float64
+	m.call(opGNProduct, 0, v, out, frames[:])
+	if frames[0] > 0 {
+		out.Scale(float32(1 / frames[0]))
+	}
+}
+
+// HeldOutLoss implements hf.Objective.
+func (m *master) HeldOutLoss(p tensor.Vector) float64 {
+	var sc [2]float64 // summed loss, frames
+	m.call(opHeldLoss, 0, p, nil, sc[:])
+	if sc[1] <= 0 {
+		return 0
+	}
+	return sc[0] / sc[1]
+}
+
+// CurvatureDiag implements hf.Preconditioned: workers sum their shard's
+// Fisher diagonals over the current curvature sample.
+func (m *master) CurvatureDiag(lambda float64) tensor.Vector {
+	diag := tensor.NewVector(m.dim)
+	var frames [1]float64
+	m.call(opFisherDiag, 0, nil, diag, frames[:])
+	return finishPreconditioner(diag, int(frames[0]), lambda)
 }
 
 // shipShards partitions the problem's data over the workers and sends
-// each worker its gob-encoded shard point-to-point (the load_data phase),
-// shared by the HF, elastic and async-SGD masters. It returns the train
-// and held-out shard plans (indexed by worker, rank w+1) so the elastic
-// master can re-partition a dead worker's retained shard on eviction.
-func shipShards(comm *mpi.Comm, p Problem, part corpus.Partitioner) ([][]*corpus.Utterance, [][]*corpus.Utterance, error) {
+// each its gob-encoded shard point-to-point (the load_data phase),
+// shared by the HF and async-SGD masters. It returns the plan, indexed
+// by worker (rank w+1), so the elastic master can re-partition a dead
+// worker's retained utterances.
+func shipShards(comm *mpi.Comm, p Problem, part corpus.Partitioner) ([]shardSupplement, error) {
 	workers := comm.Size() - 1
 	trainShards := part.Partition(p.Train.Utts, workers)
 	heldShards := part.Partition(p.Heldout.Utts, workers)
+	plan := make([]shardSupplement, workers)
 	comm.SetPhase("load_data")
-	for w := 0; w < workers; w++ {
-		shard := wireShard{
+	for w := range plan {
+		plan[w] = shardSupplement{TrainUtts: trainShards[w], HeldUtts: heldShards[w]}
+		data, err := encodeGob(&wireShard{
 			Sizes:          p.Topo.Sizes,
 			Criterion:      p.Criterion,
 			Trans:          p.Trans,
@@ -405,21 +509,21 @@ func shipShards(comm *mpi.Comm, p Problem, part corpus.Partitioner) ([][]*corpus
 			NumStates:      p.Train.NumStates,
 			TrainUtts:      trainShards[w],
 			HeldUtts:       heldShards[w],
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: encode shard for worker %d: %w", w+1, err)
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&shard); err != nil {
-			return nil, nil, fmt.Errorf("core: encode shard for worker %d: %w", w+1, err)
-		}
-		if err := comm.SendBytes(w+1, tagShard, buf.Bytes()); err != nil {
-			return nil, nil, fmt.Errorf("core: send shard to worker %d: %w", w+1, err)
+		if err := comm.SendBytes(w+1, tagShard, data); err != nil {
+			return nil, fmt.Errorf("core: send shard to worker %d: %w", w+1, err)
 		}
 	}
-	return trainShards, heldShards, nil
+	return plan, nil
 }
 
-// shardProblem reconstructs the worker-local Problem a shard describes.
-func shardProblem(shard *wireShard) Problem {
-	return Problem{
+// engineFromShard builds (or, after a re-shard supplement, rebuilds) the
+// worker's compute engine from its current shard.
+func engineFromShard(shard *wireShard) *engine {
+	return newEngine(Problem{
 		Topo:           nn.NewTopology(shard.Sizes...),
 		Train:          &corpus.Corpus{Utts: shard.TrainUtts, FeatDim: shard.FeatDim, NumStates: shard.NumStates, Context: shard.Context},
 		Heldout:        &corpus.Corpus{Utts: shard.HeldUtts, FeatDim: shard.FeatDim, NumStates: shard.NumStates, Context: shard.Context},
@@ -428,13 +532,7 @@ func shardProblem(shard *wireShard) Problem {
 		SampleFraction: shard.SampleFraction,
 		BatchFrames:    shard.BatchFrames,
 		Seed:           shard.Seed,
-	}
-}
-
-// engineFromShard builds (or, after a re-shard supplement, rebuilds) the
-// worker's compute engine from its current shard.
-func engineFromShard(shard *wireShard) *engine {
-	return newEngine(shardProblem(shard), shard.TrainUtts, shard.HeldUtts)
+	}, shard.TrainUtts, shard.HeldUtts)
 }
 
 // recvShard receives and decodes this worker's shard and builds its
@@ -447,167 +545,8 @@ func recvShard(comm *mpi.Comm) (*engine, *wireShard, error) {
 		return nil, nil, fmt.Errorf("core: worker %d receive shard: %w", comm.Rank(), err)
 	}
 	var shard wireShard
-	if err := gob.NewDecoder(bytes.NewReader(msg.Data)).Decode(&shard); err != nil {
+	if err := decodeGob(msg.Data, &shard); err != nil {
 		return nil, nil, fmt.Errorf("core: worker %d decode shard: %w", comm.Rank(), err)
 	}
 	return engineFromShard(&shard), &shard, nil
 }
-
-// runWorker executes the classic worker command loop on a non-zero rank
-// until the master sends opStop. It receives its data shard, then serves
-// gradient, curvature-product and loss requests over collectives. A
-// non-nil observer adds per-phase spans labelled with this worker's
-// rank, shard-size gauges, and a counter of time spent blocked on the
-// master's command broadcast ("core.worker.<rank>.wait_ns" — the
-// straggler/idle signal of the paper's Figure 5). A non-nil shipper
-// answers the master's opClockSync/opTelemetry commands by serving
-// clock pings and shipping drained span/metric bundles (a nil shipper
-// still answers with empty bundles, keeping the protocol matched).
-// Entry point: Session.Run.
-func runWorker(comm *mpi.Comm, ob *obs.Observer, ship *telemetry.Shipper) error {
-	rank := comm.Rank()
-	if rank == 0 {
-		return fmt.Errorf("core: worker run on rank 0")
-	}
-	comm.SetMetrics(ob.Registry())
-
-	sp := ob.Span(rank, "load_data")
-	eng, _, err := recvShard(comm)
-	sp.End()
-	if err != nil {
-		return err
-	}
-
-	var wait *obs.Counter
-	if reg := ob.Registry(); reg != nil {
-		reg.Gauge(fmt.Sprintf("core.worker.%d.train_frames", rank)).Set(float64(eng.train.frames()))
-		reg.Gauge(fmt.Sprintf("core.worker.%d.held_frames", rank)).Set(float64(eng.heldout.frames()))
-		wait = reg.Counter(fmt.Sprintf("core.worker.%d.wait_ns", rank))
-	}
-
-	dim := eng.net.NumParams()
-	cmd := make([]float32, 2)
-	paramBuf := make(tensor.Vector, dim)
-
-	for {
-		comm.SetPhase("ctrl")
-		var t0 time.Time
-		if wait != nil {
-			t0 = time.Now()
-		}
-		if err := comm.Bcast(0, cmd); err != nil {
-			return fmt.Errorf("core: worker %d command: %w", rank, err)
-		}
-		if wait != nil {
-			wait.Add(time.Since(t0).Nanoseconds())
-		}
-		done, err := workerStep(comm, eng, ob, ship, cmd[0], cmd[1], paramBuf)
-		if done || err != nil {
-			return err
-		}
-	}
-}
-
-// workerStep serves one master command on a worker rank; done reports
-// opStop. Split out of the command loop so every opcode's span can End
-// by defer regardless of how the case exits.
-func workerStep(comm *mpi.Comm, eng *engine, ob *obs.Observer, ship *telemetry.Shipper, op, arg float32, paramBuf tensor.Vector) (done bool, err error) {
-	rank := comm.Rank()
-	dim := len(paramBuf)
-	switch op {
-	case opSetParams:
-		defer ob.Span(rank, "sync_weights").End()
-		comm.SetPhase("sync_weights")
-		if err := comm.Bcast(0, paramBuf); err != nil {
-			return false, err
-		}
-		if check.Enabled {
-			check.Finite("core.worker.params", paramBuf)
-		}
-		eng.setParams(paramBuf)
-	case opGradient:
-		defer ob.Span(rank, "gradient_loss").End()
-		comm.SetPhase("gradient_loss")
-		grad := tensor.NewVector(dim)
-		loss, frames := eng.gradient(grad)
-		if check.Enabled {
-			// Each shard's contribution must be finite before it enters
-			// the deterministic reduction tree.
-			check.Finite("core.worker.gradient", grad)
-			check.FiniteScalar("core.worker.loss", loss)
-		}
-		if err := comm.Reduce(0, mpi.OpSum, grad); err != nil {
-			return false, err
-		}
-		if err := comm.ReduceF64(0, mpi.OpSum, []float64{loss, float64(frames)}); err != nil {
-			return false, err
-		}
-	case opSample:
-		eng.drawSample(int(arg))
-	case opGNProduct:
-		defer ob.Span(rank, "cg_minimize").End()
-		comm.SetPhase("worker_curvature_product")
-		v := make(tensor.Vector, dim)
-		if err := comm.Bcast(0, v); err != nil {
-			return false, err
-		}
-		out := tensor.NewVector(dim)
-		inner := ob.Span(rank, "worker_curvature_product")
-		frames := eng.gnProduct(v, out)
-		inner.End()
-		if check.Enabled {
-			check.Finite("core.worker.gnproduct", out)
-		}
-		if err := comm.Reduce(0, mpi.OpSum, out); err != nil {
-			return false, err
-		}
-		if err := comm.ReduceF64(0, mpi.OpSum, []float64{float64(frames)}); err != nil {
-			return false, err
-		}
-	case opHeldLoss:
-		defer ob.Span(rank, "loss_eval").End()
-		comm.SetPhase("loss_eval")
-		trial := make(tensor.Vector, dim)
-		if err := comm.Bcast(0, trial); err != nil {
-			return false, err
-		}
-		loss, frames := eng.heldLossAt(trial)
-		if err := comm.ReduceF64(0, mpi.OpSum, []float64{loss, float64(frames)}); err != nil {
-			return false, err
-		}
-	case opAccuracy:
-		defer ob.Span(rank, "loss_eval").End()
-		comm.SetPhase("loss_eval")
-		correct, frames := eng.heldAccuracy()
-		if err := comm.ReduceF64(0, mpi.OpSum, []float64{float64(correct), float64(frames)}); err != nil {
-			return false, err
-		}
-	case opFisherDiag:
-		defer ob.Span(rank, "cg_minimize").End()
-		comm.SetPhase("cg_minimize")
-		diag := tensor.NewVector(dim)
-		frames := eng.fisherDiag(diag)
-		if err := comm.Reduce(0, mpi.OpSum, diag); err != nil {
-			return false, err
-		}
-		if err := comm.ReduceF64(0, mpi.OpSum, []float64{float64(frames)}); err != nil {
-			return false, err
-		}
-	case opClockSync:
-		comm.SetPhase("telemetry")
-		if err := telemetry.ServeClockSync(comm, 0, int(arg)); err != nil {
-			return false, err
-		}
-	case opTelemetry:
-		comm.SetPhase("telemetry")
-		if err := ship.Ship(comm, 0); err != nil {
-			return false, err
-		}
-	case opStop:
-		return true, nil
-	default:
-		return false, fmt.Errorf("core: worker %d unknown opcode %v", rank, op)
-	}
-	return false, nil
-}
-

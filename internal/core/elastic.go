@@ -1,29 +1,16 @@
 package core
 
-// Elastic fault-tolerant master/worker runtime.
-//
-// The classic protocol (distributed.go) drives workers with tree
-// collectives; a dead rank deadlocks the tree, and even detection
-// (commcheck's watchdog) can only diagnose, not recover. The elastic
-// runtime instead uses a master-centric star of point-to-point ops:
-//
-//   - every command is ONE master→worker message on tagElastic
-//     ([type][round][op][arg][payload], the payload folded inline so a
-//     worker is never blocked waiting for a second message that will
-//     never arrive);
-//   - every contribution is ONE worker→master reply tagged
-//     tagElasticReply+round, collected in ascending rank order (a
-//     deterministic fold, mirroring the fixed reduction-tree order);
-//   - failures are therefore directly attributable: a send error, a
-//     reply deadline miss (FaultPolicy.OpDeadline) or a peer-down
-//     observation names the rank, which is evicted on the spot.
-//
-// On eviction the master unwinds hf.Optimize (typed panic recovered in
-// run), re-partitions the dead worker's retained shard across survivors
-// via workload.Reshard, rewinds θ to the last Checkpoint, bumps the
-// round (orphaning every stale in-flight reply), and resumes with
-// exponential backoff — up to FaultPolicy.MaxEvictions evictions before
-// surrendering with a structured FaultReport.
+// Elastic fault tolerance: what the star carrier's failure report makes
+// possible. A dead rank breaks the tree carrier for good. The star
+// carrier (carrier.go) speaks to each worker point-to-point, so a send
+// error, a missed reply deadline (FaultPolicy.OpDeadline), a malformed
+// reply or a missed heartbeat names the rank. That rankFailure is the
+// only door into this file: the master unwinds hf.Optimize, evicts the
+// named ranks, re-partitions their shards across the survivors
+// (corpus.Reshard), rewinds θ to the last Checkpoint, bumps the round
+// (orphaning stale in-flight replies) and resumes after an exponential
+// backoff — up to FaultPolicy.MaxEvictions times before surrendering
+// with a structured FaultReport.
 
 import (
 	"bytes"
@@ -31,34 +18,13 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"time"
 
-	"repro/internal/check"
 	"repro/internal/corpus"
-	"repro/internal/hf"
 	"repro/internal/mpi"
-	"repro/internal/nn"
-	"repro/internal/obs"
 	"repro/internal/obs/telemetry"
 	"repro/internal/tensor"
-)
-
-// tagElastic carries every master→worker elastic message, in FIFO
-// order on one tag so workers can never block on an out-of-order match.
-const tagElastic = 9500
-
-// tagElasticReply is the base tag of worker→master contributions; the
-// elastic round number is added, so replies from before an eviction can
-// never be mistaken for current ones.
-const tagElasticReply = 16 << 24
-
-// Elastic message types (first byte of every tagElastic message).
-const (
-	emOp    byte = 1 // one objective op: [op][arg f32][payload]
-	emShard byte = 2 // re-shard supplement: gob shardSupplement
-	emPing  byte = 3 // heartbeat: [replyTag u32][seq u32]
-	emStop  byte = 4 // shut the worker down
 )
 
 // Defaults for FaultPolicy zero fields.
@@ -191,35 +157,9 @@ func (e *SurrenderError) Error() string {
 
 func (e *SurrenderError) Unwrap() error { return e.Cause }
 
-// faultUnwind aborts hf.Optimize mid-iteration after an eviction: the
-// optimizer has no error path, so the elastic objective unwinds the
-// stack with a typed panic that elasticMaster.attempt recovers.
-type faultUnwind struct{ cause error }
-
-// errFaultUnwind carries a recovered faultUnwind through the error
-// returns of attempt and recoverAndResync so run can branch on it.
-type errFaultUnwind struct{ cause error }
-
-func (e *errFaultUnwind) Error() string { return "core: elastic fault unwind: " + e.cause.Error() }
-func (e *errFaultUnwind) Unwrap() error { return e.cause }
-
-// recoverUnwind converts a faultUnwind panic into *errFaultUnwind,
-// re-panicking anything else. Use in a defer:
-//
-//	defer func() { recoverUnwind(recover(), &err) }()
-func recoverUnwind(r any, err *error) {
-	if r == nil {
-		return
-	}
-	fu, ok := r.(faultUnwind)
-	if !ok {
-		panic(r)
-	}
-	*err = &errFaultUnwind{cause: fu.cause}
-}
-
 // shardSupplement is the gob payload of an emShard message: utterances
-// from an evicted worker's shard now assigned to this survivor.
+// from an evicted worker's shard now assigned to this survivor. The
+// master's shard plan is kept in the same shape.
 type shardSupplement struct {
 	TrainUtts []*corpus.Utterance
 	HeldUtts  []*corpus.Utterance
@@ -237,63 +177,6 @@ func decodeGob(data []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
 
-// --- wire helpers ---
-
-// emEncode frames one elastic message: [type][round u32][body].
-func emEncode(typ byte, round int, body []byte) []byte {
-	b := make([]byte, 0, 5+len(body))
-	b = append(b, typ)
-	var r [4]byte
-	binary.LittleEndian.PutUint32(r[:], uint32(round))
-	b = append(b, r[:]...)
-	return append(b, body...)
-}
-
-// emDecode splits an elastic message into type, round and body.
-func emDecode(data []byte) (typ byte, round int, body []byte, err error) {
-	if len(data) < 5 {
-		return 0, 0, nil, fmt.Errorf("core: elastic message %d bytes, want >= 5", len(data))
-	}
-	return data[0], int(binary.LittleEndian.Uint32(data[1:5])), data[5:], nil
-}
-
-// emOpBody builds the body of an emOp message: [op][arg f32][payload].
-func emOpBody(op float32, arg float32, payload []byte) []byte {
-	b := make([]byte, 0, 5+len(payload))
-	b = append(b, byte(op))
-	var a [4]byte
-	binary.LittleEndian.PutUint32(a[:], math.Float32bits(arg))
-	b = append(b, a[:]...)
-	return append(b, payload...)
-}
-
-// opName names elastic ops for FaultReport and event-log entries.
-func opName(op float32) string {
-	switch op {
-	case opSetParams:
-		return "sync_weights"
-	case opGradient:
-		return "gradient"
-	case opSample:
-		return "sample"
-	case opGNProduct:
-		return "gnproduct"
-	case opHeldLoss:
-		return "held_loss"
-	case opAccuracy:
-		return "accuracy"
-	case opFisherDiag:
-		return "fisher_diag"
-	case opStop:
-		return "stop"
-	case opClockSync:
-		return "clock_sync"
-	case opTelemetry:
-		return "telemetry"
-	}
-	return fmt.Sprintf("op%v", op)
-}
-
 // causeOf classifies a detection error for the FaultReport.
 func causeOf(err error) string {
 	switch {
@@ -308,386 +191,62 @@ func causeOf(err error) string {
 	}
 }
 
-// --- master ---
-
-// elasticMaster owns the live worker set, the shard plan, the rewind
-// checkpoint and the fault report for one elastic run.
-type elasticMaster struct {
-	comm *mpi.Comm
-	p    Problem
-	cfg  hf.Config
-	part corpus.Partitioner
-	ob   *obs.Observer
-	pol  FaultPolicy
-	ckpt CheckpointPolicy
-
-	dim   int
-	theta tensor.Vector
-	round int
-	live  []int // live worker ranks, ascending
-
-	// Current shard plan by worker rank; an evicted rank's entry moves
-	// to pendingReshard until the next resync redistributes it.
-	trainShards  map[int][]*corpus.Utterance
-	heldShards   map[int][]*corpus.Utterance
-	pendingTrain []*corpus.Utterance
-	pendingHeld  []*corpus.Utterance
-
-	lastCK   *Checkpoint
-	ckLambda float64       // post-update λ at the checkpoint (exact resume)
-	ckDir    tensor.Vector // CG warm-start direction at the checkpoint
-
-	iterBase int // completed global iterations at current attempt start
-	curIter  int // global iteration in flight
-	iters    []hf.IterStats
-	totalCG  int
-	lastWall time.Time
-	lastLoss float64 // held-out loss of the latest recorded iteration
-
-	report  FaultReport
-	pingSeq uint32
-
-	// plane/local are the telemetry plane and the master's own shipper;
-	// both nil when the run has no telemetry. Telemetry traffic is
-	// best-effort and never evicts.
-	plane *telemetry.Plane
-	local *telemetry.Shipper
-
-	// epochHook advances fault-injection epochs on the master's own
-	// transport (spawn mode wires it to FaultTransport.SetEpoch).
-	epochHook func(int)
+// tolerateFaults switches the master to the star carrier and arms the
+// fault machinery below; a nil ckpt is the zero CheckpointPolicy.
+func (m *master) tolerateFaults(pol FaultPolicy, ckpt *CheckpointPolicy, epochHook func(int)) {
+	if ckpt != nil {
+		m.ckpt = *ckpt
+	}
+	m.pol, m.ckpt, m.epochHook = pol.filled(), m.ckpt.filled(), epochHook
+	m.report = FaultReport{MaxEvictions: m.pol.MaxEvictions}
+	m.star = &star{comm: m.comm, deadline: m.pol.OpDeadline}
+	m.c = m.star
 }
 
-// suspectRank is a worker that failed an op this round.
-type suspectRank struct {
-	rank  int
-	cause error
-}
-
-func newElasticMaster(comm *mpi.Comm, p Problem, cfg hf.Config, part corpus.Partitioner, ob *obs.Observer, pol FaultPolicy, ckpt CheckpointPolicy, plane *telemetry.Plane, epochHook func(int)) *elasticMaster {
-	filled := pol.filled()
-	return &elasticMaster{
-		comm:        comm,
-		p:           p,
-		cfg:         cfg,
-		part:        part,
-		ob:          ob,
-		pol:         filled,
-		ckpt:        ckpt.filled(),
-		report:      FaultReport{MaxEvictions: filled.MaxEvictions},
-		trainShards: map[int][]*corpus.Utterance{},
-		heldShards:  map[int][]*corpus.Utterance{},
-		plane:       plane,
-		epochHook:   epochHook,
+// beginIter opens a global HF iteration on the star carrier: the
+// master-side fault injector (if any) learns the iteration, as workers
+// do on the sample op, and the workers are pinged on cadence.
+func (m *master) beginIter() {
+	if m.epochHook != nil {
+		m.epochHook(m.curIter)
 	}
-}
-
-// runElastic is the rank-0 entry point of the fault-tolerant runtime.
-func runElastic(comm *mpi.Comm, p Problem, cfg hf.Config, part corpus.Partitioner, ob *obs.Observer, pol FaultPolicy, ckpt CheckpointPolicy, plane *telemetry.Plane, epochHook func(int)) (*MasterResult, error) {
-	if comm.Rank() != 0 {
-		return nil, fmt.Errorf("core: master run on rank %d", comm.Rank())
-	}
-	if comm.Size() < 2 {
-		return nil, fmt.Errorf("core: distributed training needs ≥2 ranks, have %d", comm.Size())
-	}
-	p = p.filled()
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	if part == nil {
-		part = corpus.SortedGreedy{}
-	}
-	comm.SetMetrics(ob.Registry())
-
-	m := newElasticMaster(comm, p, cfg, part, ob, pol, ckpt, plane, epochHook)
-	return m.run()
-}
-
-func (m *elasticMaster) run() (*MasterResult, error) {
-	// load_data: same wireShard handshake as the classic runtime, but
-	// the master retains the plan for post-eviction re-partitioning.
-	sp := m.ob.Span(0, "load_data")
-	trainShards, heldShards, err := shipShards(m.comm, m.p, m.part)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	for w := 0; w < m.comm.Size()-1; w++ {
-		rank := w + 1
-		m.live = append(m.live, rank)
-		m.trainShards[rank] = trainShards[w]
-		m.heldShards[rank] = heldShards[w]
-	}
-
-	// The master owns θ; workers receive it per-op.
-	net := nn.New(m.p.Topo)
-	if m.p.InitParams != nil {
-		net.SetParams(m.p.InitParams)
-	} else {
-		net.InitGlorot(m.p.InitRNG())
-	}
-	m.dim = net.NumParams()
-	m.theta = net.Params.Clone()
-
-	if m.plane != nil {
-		m.local = telemetry.NewShipper(0, m.ob)
-		m.plane.Merger().BindLocal(0, m.ob.Registry())
-		m.plane.Health().SetState("training")
-		for _, w := range m.live {
-			m.plane.Health().SetWorker(w, telemetry.WorkerLive)
-		}
-		m.syncClocks()
-	}
-
-	// Mirror hf.Config's MaxIterations default so the resume loop's
-	// remaining-iterations arithmetic matches what Optimize will run.
-	if m.cfg.MaxIterations <= 0 {
-		m.cfg.MaxIterations = 50
-	}
-	total := m.cfg.MaxIterations
-
-	obj := &elasticObjective{m: m}
-	var res hf.Result
-	for {
-		// Protected region: any eviction inside unwinds to here.
-		err := m.attempt(obj, total-m.iterBase, &res)
-		if err == nil {
-			break // ran to completion (or converged early)
-		}
-		for err != nil {
-			var fu *errFaultUnwind
-			if !errors.As(err, &fu) {
-				m.drainLocalTelemetry()
-				m.plane.Health().SetState("failed")
-				m.stopAll()
-				return nil, err
-			}
-			m.report.FinalWorkers = len(m.live)
-			m.captureFlight(m.flightReason(fu.cause))
-			if len(m.live) == 0 || len(m.report.Evictions) > m.pol.MaxEvictions {
-				m.report.Surrendered = true
-				m.captureFlight("surrender: " + m.flightReason(fu.cause))
-				m.plane.Health().SetState("failed")
-				m.stopAll()
-				return nil, &SurrenderError{Report: &m.report, Cause: fu.cause}
-			}
-			m.backoff()
-			// A further fault during resync evicts again and loops here.
-			err = m.recoverAndResync()
-		}
-	}
-
-	acc := m.accuracy()
-	m.collectTelemetry()
-	m.plane.Health().SetState("done")
-	m.stopAll()
-	m.report.FinalWorkers = len(m.live)
-	return &MasterResult{
-		Params: m.theta.Clone(),
-		HF: hf.Result{
-			Iters:        m.iters,
-			FinalLoss:    res.FinalLoss,
-			TotalCGIters: m.totalCG,
-		},
-		HeldOutAccuracy: acc,
-		MPIProfile:      m.comm.Profiler().Snapshot(),
-		Fault:           &m.report,
-	}, nil
-}
-
-// attempt runs one hf.Optimize attempt over the current live set,
-// recovering eviction unwinds into an error. remaining bounds the
-// iterations left to run; telemetry renumbers them globally.
-func (m *elasticMaster) attempt(obj *elasticObjective, remaining int, out *hf.Result) (err error) {
-	if remaining <= 0 {
-		// Nothing left to do (fault landed after the final iteration).
-		return nil
-	}
-	defer func() { recoverUnwind(recover(), &err) }()
-	obj.gradCalls = 0
-
-	cfg := m.cfg
-	cfg.MaxIterations = remaining
-	if m.ckLambda > 0 {
-		// Resume with the exact cross-iteration optimizer state the
-		// checkpoint captured: the post-update λ and the CG warm-start
-		// direction the interrupted iteration would have used. This makes
-		// a rewound run retrace the uninterrupted trajectory (up to
-		// reduction-order float noise from the re-partitioned shards).
-		cfg.Lambda0 = m.ckLambda
-		cfg.InitDirection = m.ckDir
-	}
-	userLog, userTel := cfg.Log, cfg.Telemetry
-	renumber := func(fn func(hf.IterStats)) func(hf.IterStats) {
-		if fn == nil {
-			return nil
-		}
-		return func(s hf.IterStats) {
-			s.Iter += m.iterBase
-			fn(s)
-		}
-	}
-	cfg.Log = renumber(userLog)
-	var iterWall *obs.Histogram
-	if reg := m.ob.Registry(); reg != nil {
-		iterWall = reg.Histogram("core.hf.iter_wall_ns")
-	}
-	m.lastWall = time.Now()
-	tel := renumber(userTel)
-	cfg.Telemetry = func(s hf.IterStats) {
-		// s still carries the attempt-local Iter here; onIter makes it
-		// global and records it in the stitched trace.
-		m.onIter(s, iterWall)
-		if tel != nil {
-			tel(s)
-		}
-	}
-	// The State hook fires after Telemetry with the post-update λ and
-	// warm-start direction — the exact state the next iteration resumes
-	// from — so checkpoint cadence lives here, not in Telemetry.
-	cfg.State = func(iter int, lambda float64, dir tensor.Vector) {
-		global := m.iterBase + iter
-		if global%m.ckpt.Every == 0 {
-			m.snapshot(global, m.lastLoss, lambda, dir)
-		}
-	}
-
-	// Push the (possibly rewound) θ and seed the initial checkpoint so
-	// the first rewind has somewhere to land.
-	obj.SetParams(m.theta)
-	if m.lastCK == nil {
-		loss0 := obj.HeldOutLoss(m.theta)
-		m.snapshot(0, loss0, 0, nil)
-	}
-
-	*out = hf.Optimize(obj, cfg)
-	m.iterBase += len(out.Iters)
-	return nil
-}
-
-// onIter ingests one globally-renumbered iteration: the stitched trace,
-// CG accounting, the iteration wall histogram and checkpoint cadence.
-func (m *elasticMaster) onIter(s hf.IterStats, iterWall *obs.Histogram) {
-	s.Iter += m.iterBase
-	m.curIter = s.Iter
-	m.iters = append(m.iters, s)
-	m.totalCG += s.CGIters
-	if iterWall != nil {
-		now := time.Now()
-		iterWall.Observe(now.Sub(m.lastWall).Nanoseconds())
-		m.lastWall = now
-	}
-	// The State hook (which snapshots) fires right after this and needs
-	// the iteration's held-out loss; IterStats is the only carrier.
-	m.lastLoss = s.Loss
-	if m.plane != nil {
-		m.plane.Health().SetProgress(s.Iter, s.Loss)
-		if fe := m.plane.Config().FlushEvery; fe > 0 && s.Iter%fe == 0 {
-			m.collectTelemetry()
+	if m.pol.HeartbeatEvery > 0 && (m.curIter-1)%m.pol.HeartbeatEvery == 0 {
+		if err := m.heartbeat(); err != nil {
+			panic(faultUnwind{err})
 		}
 	}
 }
 
-// syncClocks runs the telemetry clock-offset handshake against every
-// live worker over the star protocol; best-effort, never evicts.
-func (m *elasticMaster) syncClocks() {
-	tcfg := m.plane.Config()
-	m.comm.SetPhase("telemetry")
-	for _, w := range m.live {
-		body := emEncode(emOp, m.round, emOpBody(opClockSync, float32(tcfg.ClockSyncRounds), nil))
-		if err := m.comm.SendBytes(w, tagElastic, body); err != nil {
-			m.ob.Eventf(0, "telemetry: clock sync send to rank %d: %v", w, err)
+// heartbeat pings every live worker and records RTTs; a miss is a
+// rankFailure like any failed op.
+func (m *master) heartbeat() error {
+	defer m.ob.Span(0, "heartbeat").End()
+	m.comm.SetPhase("heartbeat")
+	s := m.star
+	replyTag := m.pol.HeartbeatTag + s.round
+	rtt := m.ob.Registry().Histogram("core.elastic.heartbeat_rtt_ns")
+	errs := make([]error, len(s.live))
+	for i, w := range s.live {
+		m.pingSeq++
+		body := binary.LittleEndian.AppendUint32(nil, uint32(replyTag))
+		body = binary.LittleEndian.AppendUint32(body, m.pingSeq)
+		start := time.Now()
+		if errs[i] = m.comm.SendBytes(w, tagElastic, emEncode(emPing, s.round, body)); errs[i] != nil {
 			continue
 		}
-		offset, rtt, err := telemetry.SyncClocks(m.comm, w, tcfg.ClockSyncRounds, tcfg.Deadline)
-		if err != nil {
-			m.ob.Eventf(0, "telemetry: clock sync with rank %d: %v", w, err)
-			continue
+		msg, err := m.comm.RecvBytesTimeout(w, replyTag, m.pol.OpDeadline)
+		if err == nil && (len(msg.Data) != 4 || binary.LittleEndian.Uint32(msg.Data) != m.pingSeq) {
+			err = fmt.Errorf("malformed pong (%d bytes)", len(msg.Data))
 		}
-		m.plane.Merger().SetOffset(w, offset)
-		if reg := m.ob.Registry(); reg != nil {
-			reg.Histogram("telemetry.clock_rtt_ns").Observe(rtt.Nanoseconds())
+		if errs[i] = err; err == nil {
+			rtt.Observe(time.Since(start).Nanoseconds())
 		}
 	}
-}
-
-// collectTelemetry asks every live worker to ship its drained telemetry
-// bundle and folds the shipments plus the master's own drained observer
-// into the merger. Runs at iteration boundaries and around faults;
-// best-effort, never evicts — a straggling shipment is merged by the
-// next collection instead (bundles carry absolute timestamps, so
-// late merges are harmless).
-func (m *elasticMaster) collectTelemetry() {
-	if m.plane == nil {
-		return
-	}
-	start := time.Now()
-	defer func() {
-		if reg := m.ob.Registry(); reg != nil {
-			reg.Histogram("telemetry.collect_ns").Observe(time.Since(start).Nanoseconds())
-		}
-	}()
-	tcfg := m.plane.Config()
-	m.comm.SetPhase("telemetry")
-	body := emEncode(emOp, m.round, emOpBody(opTelemetry, 0, nil))
-	for _, w := range m.live {
-		if err := m.comm.SendBytes(w, tagElastic, body); err != nil {
-			m.ob.Eventf(0, "telemetry: collect send to rank %d: %v", w, err)
-			continue
-		}
-		msg, err := m.comm.RecvBytesTimeout(w, mpi.TagTelemetry, tcfg.Deadline)
-		if err != nil {
-			m.ob.Eventf(0, "telemetry: collect from rank %d: %v", w, err)
-			continue
-		}
-		b, err := telemetry.DecodeBundle(msg.Data)
-		if err != nil {
-			m.ob.Eventf(0, "telemetry: decode from rank %d: %v", w, err)
-			continue
-		}
-		m.plane.Merger().Ingest(b)
-	}
-	m.plane.Merger().Ingest(m.local.Bundle())
-}
-
-// drainLocalTelemetry folds the master's own drained shipper bundle
-// into the merger without contacting any worker. It is the failure-path
-// complement of collectTelemetry: on a non-fault error the workers may
-// be wedged, and the exit path must not wait out per-worker deadlines —
-// but the master's spans, metrics and events recorded up to the error
-// must still survive into /trace and any post-mortem flight bundle.
-func (m *elasticMaster) drainLocalTelemetry() {
-	if m.plane == nil {
-		return
-	}
-	m.plane.Merger().Ingest(m.local.Bundle())
-}
-
-// flightReason names a fault for the flight-recorder bundle, preferring
-// the structured eviction record over the raw cause.
-func (m *elasticMaster) flightReason(cause error) string {
-	if n := len(m.report.Evictions); n > 0 {
-		ev := m.report.Evictions[n-1]
-		return fmt.Sprintf("eviction rank %d during %s (round %d, iter %d): %s",
-			ev.Rank, ev.Op, ev.Round, ev.HFIter, ev.Cause)
-	}
-	return causeOf(cause)
-}
-
-// captureFlight snapshots the last telemetry window into the fault
-// report's post-mortem bundle. Survivors ship their freshest spans
-// first; the evicted rank's pre-fault activity is already in the merger
-// from the iteration-boundary flushes before it died.
-func (m *elasticMaster) captureFlight(reason string) {
-	if m.plane == nil {
-		return
-	}
-	m.collectTelemetry()
-	m.report.Flight = m.plane.Recorder().Capture(m.plane.Merger(), reason)
+	return s.failure("heartbeat", errs)
 }
 
 // snapshot records the rewind point at the current θ.
-func (m *elasticMaster) snapshot(iter int, loss, lambda float64, dir tensor.Vector) {
+func (m *master) snapshot(iter int, loss, lambda float64, dir tensor.Vector) {
 	ck := &Checkpoint{
 		Sizes:       m.p.Topo.Sizes,
 		Params:      m.theta.Clone(),
@@ -701,8 +260,6 @@ func (m *elasticMaster) snapshot(iter int, loss, lambda float64, dir tensor.Vect
 		ck.Dir = dir.Clone()
 	}
 	m.lastCK = ck
-	m.ckLambda = lambda
-	m.ckDir = ck.Dir
 	if m.ckpt.Path != "" {
 		if err := SaveCheckpoint(m.ckpt.Path, ck); err != nil {
 			m.ob.Eventf(0, "elastic: checkpoint mirror to %s failed: %v", m.ckpt.Path, err)
@@ -710,38 +267,73 @@ func (m *elasticMaster) snapshot(iter int, loss, lambda float64, dir tensor.Vect
 	}
 }
 
-// backoff sleeps the exponential post-eviction backoff.
-func (m *elasticMaster) backoff() {
-	rewinds := len(m.report.Evictions) - 1
-	if rewinds < 0 {
-		rewinds = 0
+// evict takes the ranks a failure names out of the live set, records
+// them and captures the flight bundle; then it either surrenders (a
+// *SurrenderError: budget exhausted or no survivors) or sleeps the
+// exponential backoff before the caller resyncs.
+func (m *master) evict(rf *rankFailure) error {
+	s := m.star
+	for _, sus := range rf.suspects {
+		s.live = slices.DeleteFunc(s.live, func(w int) bool { return w == sus.rank })
+		// The dead worker's current shard is orphaned until resync.
+		held := &m.plan[sus.rank-1]
+		m.pending.TrainUtts = append(m.pending.TrainUtts, held.TrainUtts...)
+		m.pending.HeldUtts = append(m.pending.HeldUtts, held.HeldUtts...)
+		*held = shardSupplement{}
+		m.report.Evictions = append(m.report.Evictions,
+			Eviction{Rank: sus.rank, Round: s.round, HFIter: m.curIter, Op: rf.op, Cause: causeOf(sus.cause)})
+		m.ob.Registry().Counter("core.elastic.evictions").Inc()
+		m.ob.Registry().Gauge("core.elastic.live_workers").Set(float64(len(s.live)))
+		m.plane.Health().SetWorker(sus.rank, telemetry.WorkerEvicted)
+		m.plane.Health().SetState("degraded")
+		m.ob.Eventf(0, "elastic: evicted rank %d during %s (round %d, iter %d): %v",
+			sus.rank, rf.op, s.round, m.curIter, sus.cause)
 	}
-	d := m.pol.Backoff << rewinds
-	if d > maxFaultBackoff {
-		d = maxFaultBackoff
+	m.report.FinalWorkers = len(s.live)
+
+	// Survivors ship their freshest spans; the evicted rank's pre-fault
+	// activity reached the merger at earlier iteration boundaries.
+	ev := m.report.Evictions[len(m.report.Evictions)-1]
+	reason := fmt.Sprintf("eviction rank %d during %s (round %d, iter %d): %s",
+		ev.Rank, ev.Op, ev.Round, ev.HFIter, ev.Cause)
+	m.captureFlight(reason)
+	if len(s.live) == 0 || len(m.report.Evictions) > m.pol.MaxEvictions {
+		m.report.Surrendered = true
+		m.captureFlight("surrender: " + reason)
+		m.plane.Health().SetState("failed")
+		m.stop()
+		return &SurrenderError{Report: &m.report, Cause: rf.suspects[0].cause}
 	}
-	time.Sleep(d)
+	time.Sleep(min(m.pol.Backoff<<(len(m.report.Evictions)-1), maxFaultBackoff))
+	return nil
 }
 
-// recoverAndResync rewinds θ to the last checkpoint, re-partitions the
-// evicted workers' shards across the survivors, pushes the supplements
-// and θ, re-measures the resumed loss and confirms survivor liveness.
-// Further faults during resync evict and unwind again, surfacing as the
-// errFaultUnwind the caller loops on.
-func (m *elasticMaster) recoverAndResync() (err error) {
+// captureFlight snapshots the last telemetry window into the fault
+// report's post-mortem bundle.
+func (m *master) captureFlight(reason string) {
+	if m.plane == nil {
+		return
+	}
+	m.collectTelemetry()
+	m.report.Flight = m.plane.Recorder().Capture(m.plane.Merger(), reason)
+}
+
+// resync rewinds θ to the last checkpoint, re-partitions the evicted
+// workers' shards across the survivors, pushes the supplements and θ,
+// confirms survivor liveness and re-measures the resumed loss. A
+// further fault on the way comes back as another rankFailure.
+func (m *master) resync() (err error) {
 	defer func() { recoverUnwind(recover(), &err) }()
 	start := time.Now()
-	sp := m.ob.Span(0, "elastic_rewind")
-	defer sp.End()
+	defer m.ob.Span(0, "elastic_rewind").End()
+	s := m.star
 
-	// Rewind to the last snapshot.
+	// Rewind to the last snapshot; with none yet (fault before the first
+	// op completed) keep the initial θ.
 	rewindIter := 0
 	if m.lastCK != nil {
 		copy(m.theta, m.lastCK.Params)
 		rewindIter = m.lastCK.Iteration
-	} else {
-		// No snapshot yet (fault before the first op completed): keep
-		// the initial θ.
 	}
 	m.iterBase = rewindIter
 	m.curIter = rewindIter
@@ -751,15 +343,18 @@ func (m *elasticMaster) recoverAndResync() (err error) {
 	}
 
 	// New round: every stale in-flight reply is orphaned by its tag.
-	m.round++
+	s.round++
 
 	// Re-partition the orphaned shards across survivors and ship the
-	// supplements. Frames are counted before shipping for the report.
-	supTrain := corpus.Reshard(m.pendingTrain, len(m.live), m.part)
-	supHeld := corpus.Reshard(m.pendingHeld, len(m.live), m.part)
-	reshardUtts := len(m.pendingTrain) + len(m.pendingHeld)
+	// supplements. One that cannot be delivered stays in its survivor's
+	// plan, so evicting that survivor orphans it again.
+	supTrain := corpus.Reshard(m.pending.TrainUtts, len(s.live), m.part)
+	supHeld := corpus.Reshard(m.pending.HeldUtts, len(s.live), m.part)
+	reshardUtts := len(m.pending.TrainUtts) + len(m.pending.HeldUtts)
 	reshardFrames := corpus.ReshardFrames(supTrain) + corpus.ReshardFrames(supHeld)
-	for i, w := range append([]int(nil), m.live...) {
+	m.pending = shardSupplement{}
+	errs := make([]error, len(s.live))
+	for i, w := range s.live {
 		sup := shardSupplement{}
 		if i < len(supTrain) {
 			sup.TrainUtts = supTrain[i]
@@ -770,28 +365,26 @@ func (m *elasticMaster) recoverAndResync() (err error) {
 		if len(sup.TrainUtts) == 0 && len(sup.HeldUtts) == 0 {
 			continue
 		}
-		m.trainShards[w] = append(m.trainShards[w], sup.TrainUtts...)
-		m.heldShards[w] = append(m.heldShards[w], sup.HeldUtts...)
+		m.plan[w-1].TrainUtts = append(m.plan[w-1].TrainUtts, sup.TrainUtts...)
+		m.plan[w-1].HeldUtts = append(m.plan[w-1].HeldUtts, sup.HeldUtts...)
 		body, err := encodeGob(&sup)
 		if err != nil {
 			return fmt.Errorf("core: encode re-shard supplement: %w", err)
 		}
-		if err := m.comm.SendBytes(w, tagElastic, emEncode(emShard, m.round, body)); err != nil {
-			m.evict([]suspectRank{{w, err}}, "reshard")
-		}
+		errs[i] = m.comm.SendBytes(w, tagElastic, emEncode(emShard, s.round, body))
 	}
-	m.pendingTrain, m.pendingHeld = nil, nil
-	if reg := m.ob.Registry(); reg != nil {
-		reg.Counter("core.elastic.reshard_utterances").Add(int64(reshardUtts))
-		reg.Counter("core.elastic.reshard_frames").Add(int64(reshardFrames))
+	m.ob.Registry().Counter("core.elastic.reshard_utterances").Add(int64(reshardUtts))
+	m.ob.Registry().Counter("core.elastic.reshard_frames").Add(int64(reshardFrames))
+	if err := s.failure("reshard", errs); err != nil {
+		return err
 	}
 
-	// Push the rewound θ, confirm liveness, and re-measure the loss at
-	// the rewind point over the re-partitioned shards.
-	obj := &elasticObjective{m: m}
-	obj.SetParams(m.theta)
-	m.heartbeat()
-	resumeLoss := obj.HeldOutLoss(m.theta)
+	// Push the rewound θ, confirm liveness, re-measure the loss.
+	m.SetParams(m.theta)
+	if err := m.heartbeat(); err != nil {
+		return err
+	}
+	resumeLoss := m.HeldOutLoss(m.theta)
 
 	wall := time.Since(start)
 	for i := range m.report.Evictions {
@@ -804,507 +397,8 @@ func (m *elasticMaster) recoverAndResync() (err error) {
 			ev.RewindWall = wall
 		}
 	}
-	if reg := m.ob.Registry(); reg != nil {
-		reg.Histogram("core.elastic.rewind_ns").Observe(wall.Nanoseconds())
-	}
+	m.ob.Registry().Histogram("core.elastic.rewind_ns").Observe(wall.Nanoseconds())
 	m.ob.Eventf(0, "elastic: resumed at iter %d with %d workers (loss %.4f, rewind %v)",
-		rewindIter, len(m.live), resumeLoss, wall.Round(time.Millisecond))
+		rewindIter, len(s.live), resumeLoss, wall.Round(time.Millisecond))
 	return nil
-}
-
-// evict removes the suspects from the live set, records them, and
-// unwinds the optimizer.
-func (m *elasticMaster) evict(suspects []suspectRank, op string) {
-	if len(suspects) == 0 {
-		return
-	}
-	for _, s := range suspects {
-		kept := m.live[:0]
-		for _, w := range m.live {
-			if w != s.rank {
-				kept = append(kept, w)
-			}
-		}
-		m.live = kept
-		// The dead worker's current shard is orphaned until resync.
-		m.pendingTrain = append(m.pendingTrain, m.trainShards[s.rank]...)
-		m.pendingHeld = append(m.pendingHeld, m.heldShards[s.rank]...)
-		delete(m.trainShards, s.rank)
-		delete(m.heldShards, s.rank)
-		m.report.Evictions = append(m.report.Evictions, Eviction{
-			Rank:   s.rank,
-			Round:  m.round,
-			HFIter: m.curIter,
-			Op:     op,
-			Cause:  causeOf(s.cause),
-		})
-		if reg := m.ob.Registry(); reg != nil {
-			reg.Counter("core.elastic.evictions").Inc()
-			reg.Gauge("core.elastic.live_workers").Set(float64(len(m.live)))
-		}
-		m.plane.Health().SetWorker(s.rank, telemetry.WorkerEvicted)
-		m.plane.Health().SetState("degraded")
-		m.ob.Eventf(0, "elastic: evicted rank %d during %s (round %d, iter %d): %v",
-			s.rank, op, m.round, m.curIter, s.cause)
-	}
-	panic(faultUnwind{cause: suspects[0].cause})
-}
-
-// advanceEpoch tells the master-side fault injector (if any) the global
-// iteration, mirroring what workers do on opSample.
-func (m *elasticMaster) advanceEpoch(iter int) {
-	if m.epochHook != nil {
-		m.epochHook(iter)
-	}
-}
-
-// bcastOp issues a reply-less op (sync_weights, sample) to every live
-// worker; send failures evict and unwind.
-func (m *elasticMaster) bcastOp(span string, op, arg float32, payload []byte) {
-	defer m.ob.Span(0, span).End()
-	m.comm.SetPhase(span)
-	body := emEncode(emOp, m.round, emOpBody(op, arg, payload))
-	var suspects []suspectRank
-	for _, w := range m.live {
-		if err := m.comm.SendBytes(w, tagElastic, body); err != nil {
-			suspects = append(suspects, suspectRank{w, err})
-		}
-	}
-	m.evict(suspects, opName(op))
-}
-
-// gatherOp issues an op to every live worker and collects one reply per
-// worker in ascending rank order — the deterministic fold order. Send
-// errors, deadline misses and malformed replies evict and unwind; on
-// return, replies[i] corresponds to m.live[i] and is well-formed if
-// wantLen >= 0.
-func (m *elasticMaster) gatherOp(span string, op, arg float32, payload []byte, wantLen int) [][]byte {
-	defer m.ob.Span(0, span).End()
-	m.comm.SetPhase(span)
-	body := emEncode(emOp, m.round, emOpBody(op, arg, payload))
-	dead := map[int]error{}
-	for _, w := range m.live {
-		if err := m.comm.SendBytes(w, tagElastic, body); err != nil {
-			dead[w] = err
-		}
-	}
-	replies := make([][]byte, 0, len(m.live))
-	for _, w := range m.live {
-		if _, down := dead[w]; down {
-			continue
-		}
-		msg, err := m.comm.RecvBytesTimeout(w, tagElasticReply+m.round, m.pol.OpDeadline)
-		if err != nil {
-			dead[w] = err
-			continue
-		}
-		if wantLen >= 0 && len(msg.Data) != wantLen {
-			dead[w] = fmt.Errorf("malformed %s reply: %d bytes, want %d", opName(op), len(msg.Data), wantLen)
-			continue
-		}
-		replies = append(replies, msg.Data)
-	}
-	if len(dead) > 0 {
-		var suspects []suspectRank
-		for _, w := range m.live {
-			if err, down := dead[w]; down {
-				suspects = append(suspects, suspectRank{w, err})
-			}
-		}
-		m.evict(suspects, opName(op))
-	}
-	return replies
-}
-
-// heartbeat pings every live worker and records RTTs; misses evict.
-func (m *elasticMaster) heartbeat() {
-	defer m.ob.Span(0, "heartbeat").End()
-	m.comm.SetPhase("heartbeat")
-	replyTag := m.pol.HeartbeatTag + m.round
-	var rtt *obs.Histogram
-	if reg := m.ob.Registry(); reg != nil {
-		rtt = reg.Histogram("core.elastic.heartbeat_rtt_ns")
-	}
-	var suspects []suspectRank
-	for _, w := range m.live {
-		m.pingSeq++
-		body := make([]byte, 8)
-		binary.LittleEndian.PutUint32(body, uint32(replyTag))
-		binary.LittleEndian.PutUint32(body[4:], m.pingSeq)
-		start := time.Now()
-		if err := m.comm.SendBytes(w, tagElastic, emEncode(emPing, m.round, body)); err != nil {
-			suspects = append(suspects, suspectRank{w, err})
-			continue
-		}
-		msg, err := m.comm.RecvBytesTimeout(w, replyTag, m.pol.OpDeadline)
-		if err != nil {
-			suspects = append(suspects, suspectRank{w, err})
-			continue
-		}
-		if len(msg.Data) != 4 || binary.LittleEndian.Uint32(msg.Data) != m.pingSeq {
-			suspects = append(suspects, suspectRank{w, fmt.Errorf("malformed pong (%d bytes)", len(msg.Data))})
-			continue
-		}
-		if rtt != nil {
-			rtt.Observe(time.Since(start).Nanoseconds())
-		}
-	}
-	m.evict(suspects, "heartbeat")
-}
-
-// accuracy gathers held-out frame accuracy; unlike mid-training ops a
-// failure here evicts nothing — training is already complete, so the
-// contribution of a dead rank's shard is simply absent from the final
-// figure and the error is recorded as an event.
-func (m *elasticMaster) accuracy() float64 {
-	defer m.ob.Span(0, "loss_eval").End()
-	m.comm.SetPhase("loss_eval")
-	body := emEncode(emOp, m.round, emOpBody(opAccuracy, 0, nil))
-	correct, frames := 0.0, 0.0
-	for _, w := range m.live {
-		if err := m.comm.SendBytes(w, tagElastic, body); err != nil {
-			m.ob.Eventf(0, "elastic: accuracy send to rank %d: %v", w, err)
-			continue
-		}
-		msg, err := m.comm.RecvBytesTimeout(w, tagElasticReply+m.round, m.pol.OpDeadline)
-		if err != nil || len(msg.Data) != 16 {
-			m.ob.Eventf(0, "elastic: accuracy reply from rank %d: %v", w, err)
-			continue
-		}
-		var pair [2]float64
-		if err := decodeF64Pair(msg.Data, &pair); err != nil {
-			continue
-		}
-		correct += pair[0]
-		frames += pair[1]
-	}
-	if frames <= 0 {
-		return 0
-	}
-	return correct / frames
-}
-
-// stopAll shuts down the surviving workers, best-effort.
-func (m *elasticMaster) stopAll() {
-	m.comm.SetPhase("shutdown")
-	body := emEncode(emStop, m.round, nil)
-	for _, w := range m.live {
-		if err := m.comm.SendBytes(w, tagElastic, body); err != nil {
-			m.ob.Eventf(0, "elastic: stop send to rank %d: %v", w, err)
-		}
-	}
-}
-
-// --- the elastic objective ---
-
-// elasticObjective implements hf.Objective (and hf.Preconditioned) over
-// the star protocol. Any fault inside a method unwinds via evict.
-type elasticObjective struct {
-	m *elasticMaster
-	// gradCalls counts Gradient calls this run: the global iteration in
-	// flight, which drives heartbeat cadence and fault epochs.
-	gradCalls int
-}
-
-func (o *elasticObjective) Dim() int { return o.m.dim }
-
-func (o *elasticObjective) Params() tensor.Vector { return o.m.theta.Clone() }
-
-func (o *elasticObjective) SetParams(p tensor.Vector) {
-	if check.Enabled {
-		check.Dims("core.master.params", len(p), o.m.dim)
-		check.Finite("core.master.params", p)
-	}
-	copy(o.m.theta, p)
-	o.m.bcastOp("sync_weights", opSetParams, 0, encodeVec(o.m.theta))
-}
-
-func (o *elasticObjective) Gradient() tensor.Vector {
-	m := o.m
-	// Gradient opens every HF iteration, so the call count IS the
-	// attempt-local iteration; add iterBase for the global number.
-	o.gradCalls++
-	m.curIter = m.iterBase + o.gradCalls
-	m.advanceEpoch(m.curIter)
-	if m.pol.HeartbeatEvery > 0 && (m.curIter-1)%m.pol.HeartbeatEvery == 0 {
-		m.heartbeat()
-	}
-	replies := m.gatherOp("gradient_loss", opGradient, 0, nil, 4*m.dim+16)
-	grad := tensor.NewVector(m.dim)
-	buf := tensor.NewVector(m.dim)
-	frames := 0.0
-	for _, rep := range replies {
-		if err := decodeInto(rep[:4*m.dim], buf); err != nil {
-			continue // length already validated; unreachable
-		}
-		grad.AddScaled(1, buf)
-		var pair [2]float64
-		if err := decodeF64Pair(rep[4*m.dim:], &pair); err == nil {
-			frames += pair[1]
-			if check.Enabled {
-				check.FiniteScalar("core.worker.loss_sum", pair[0])
-			}
-		}
-	}
-	if frames > 0 {
-		grad.Scale(float32(1 / frames))
-	}
-	if check.Enabled {
-		check.Finite("core.master.gradient", grad)
-	}
-	return grad
-}
-
-func (o *elasticObjective) NewCurvatureSample(iter int) {
-	// Workers draw from the global iteration so fault epochs and sample
-	// streams line up with "kill rank R at iteration N" schedules.
-	o.m.bcastOp("cg_minimize", opSample, float32(o.m.iterBase+iter), nil)
-}
-
-func (o *elasticObjective) GNProduct(v, out tensor.Vector) {
-	m := o.m
-	if check.Enabled {
-		check.Dims("core.master.cg_direction", len(v), m.dim)
-		check.Finite("core.master.cg_direction", v)
-	}
-	replies := m.gatherOp("cg_minimize", opGNProduct, 0, encodeVec(v), 4*m.dim+16)
-	out.Zero()
-	buf := tensor.NewVector(m.dim)
-	frames := 0.0
-	for _, rep := range replies {
-		if err := decodeInto(rep[:4*m.dim], buf); err != nil {
-			continue
-		}
-		out.AddScaled(1, buf)
-		var pair [2]float64
-		if err := decodeF64Pair(rep[4*m.dim:], &pair); err == nil {
-			frames += pair[0]
-		}
-	}
-	if frames > 0 {
-		out.Scale(float32(1 / frames))
-	}
-	if check.Enabled {
-		check.Finite("core.master.gnproduct", out)
-	}
-}
-
-func (o *elasticObjective) HeldOutLoss(p tensor.Vector) float64 {
-	m := o.m
-	replies := m.gatherOp("loss_eval", opHeldLoss, 0, encodeVec(p), 16)
-	loss, frames := 0.0, 0.0
-	for _, rep := range replies {
-		var pair [2]float64
-		if err := decodeF64Pair(rep, &pair); err == nil {
-			loss += pair[0]
-			frames += pair[1]
-		}
-	}
-	if frames <= 0 {
-		return 0
-	}
-	return loss / frames
-}
-
-func (o *elasticObjective) CurvatureDiag(lambda float64) tensor.Vector {
-	m := o.m
-	replies := m.gatherOp("cg_minimize", opFisherDiag, 0, nil, 4*m.dim+16)
-	diag := tensor.NewVector(m.dim)
-	buf := tensor.NewVector(m.dim)
-	frames := 0.0
-	for _, rep := range replies {
-		if err := decodeInto(rep[:4*m.dim], buf); err != nil {
-			continue
-		}
-		diag.AddScaled(1, buf)
-		var pair [2]float64
-		if err := decodeF64Pair(rep[4*m.dim:], &pair); err == nil {
-			frames += pair[0]
-		}
-	}
-	f := int(frames)
-	if f < 1 {
-		f = 1
-	}
-	return finishPreconditioner(diag, f, lambda)
-}
-
-// --- worker ---
-
-// runElasticWorker is the non-zero-rank side of the elastic runtime: a
-// loop over single-message commands. epochHook, when non-nil, receives
-// the global HF iteration as the worker learns it (opSample), advancing
-// fault-injection epochs in drills. A non-nil shipper answers the
-// master's opClockSync/opTelemetry commands (nil still answers with
-// empty bundles, keeping the protocol matched). Entry point:
-// Session.Run.
-func runElasticWorker(comm *mpi.Comm, ob *obs.Observer, ship *telemetry.Shipper, epochHook func(int)) error {
-	rank := comm.Rank()
-	if rank == 0 {
-		return fmt.Errorf("core: worker run on rank 0")
-	}
-	comm.SetMetrics(ob.Registry())
-
-	sp := ob.Span(rank, "load_data")
-	eng, shard, err := recvShard(comm)
-	sp.End()
-	if err != nil {
-		return err
-	}
-	updateGauges := func() {
-		if reg := ob.Registry(); reg != nil {
-			reg.Gauge(fmt.Sprintf("core.worker.%d.train_frames", rank)).Set(float64(eng.train.frames()))
-			reg.Gauge(fmt.Sprintf("core.worker.%d.held_frames", rank)).Set(float64(eng.heldout.frames()))
-		}
-	}
-	updateGauges()
-
-	var wait *obs.Counter
-	if reg := ob.Registry(); reg != nil {
-		wait = reg.Counter(fmt.Sprintf("core.worker.%d.wait_ns", rank))
-	}
-
-	dim := eng.net.NumParams()
-	paramBuf := make(tensor.Vector, dim)
-
-	for {
-		comm.SetPhase("ctrl")
-		var t0 time.Time
-		if wait != nil {
-			t0 = time.Now()
-		}
-		msg, err := comm.RecvBytes(0, tagElastic)
-		if err != nil {
-			return fmt.Errorf("core: worker %d command: %w", rank, err)
-		}
-		if wait != nil {
-			wait.Add(time.Since(t0).Nanoseconds())
-		}
-		typ, round, body, err := emDecode(msg.Data)
-		if err != nil {
-			return err
-		}
-		switch typ {
-		case emStop:
-			return nil
-		case emPing:
-			if len(body) != 8 {
-				return fmt.Errorf("core: worker %d: malformed ping (%d bytes)", rank, len(body))
-			}
-			replyTag := int(binary.LittleEndian.Uint32(body))
-			if err := comm.SendBytes(0, replyTag, body[4:8]); err != nil {
-				return fmt.Errorf("core: worker %d pong: %w", rank, err)
-			}
-		case emShard:
-			sp := ob.Span(rank, "elastic_reshard")
-			var sup shardSupplement
-			if err := decodeGob(body, &sup); err != nil {
-				sp.End()
-				return fmt.Errorf("core: worker %d re-shard: %w", rank, err)
-			}
-			// Append the supplement and rebuild the engine; θ arrives in
-			// the sync_weights op that follows every resync.
-			shard.TrainUtts = append(shard.TrainUtts, sup.TrainUtts...)
-			shard.HeldUtts = append(shard.HeldUtts, sup.HeldUtts...)
-			eng = engineFromShard(shard)
-			updateGauges()
-			sp.End()
-		case emOp:
-			if len(body) < 5 {
-				return fmt.Errorf("core: worker %d: malformed op (%d bytes)", rank, len(body))
-			}
-			op := float32(body[0])
-			arg := math.Float32frombits(binary.LittleEndian.Uint32(body[1:5]))
-			payload := body[5:]
-			if err := elasticWorkerOp(comm, eng, ob, ship, round, op, arg, payload, paramBuf, epochHook); err != nil {
-				return fmt.Errorf("core: worker %d %s: %w", rank, opName(op), err)
-			}
-		default:
-			return fmt.Errorf("core: worker %d: unknown elastic message type %d", rank, typ)
-		}
-	}
-}
-
-// elasticWorkerOp serves one emOp command: compute locally, then send
-// exactly one reply (for ops that have one) tagged with the round.
-func elasticWorkerOp(comm *mpi.Comm, eng *engine, ob *obs.Observer, ship *telemetry.Shipper, round int, op, arg float32, payload []byte, paramBuf tensor.Vector, epochHook func(int)) error {
-	rank := comm.Rank()
-	dim := len(paramBuf)
-	reply := func(data []byte) error {
-		return comm.SendBytes(0, tagElasticReply+round, data)
-	}
-	switch op {
-	case opSetParams:
-		defer ob.Span(rank, "sync_weights").End()
-		comm.SetPhase("sync_weights")
-		if err := decodeInto(payload, paramBuf); err != nil {
-			return err
-		}
-		if check.Enabled {
-			check.Finite("core.worker.params", paramBuf)
-		}
-		eng.setParams(paramBuf)
-		return nil
-	case opSample:
-		iter := int(arg)
-		eng.drawSample(iter)
-		if epochHook != nil {
-			epochHook(iter)
-		}
-		return nil
-	case opGradient:
-		defer ob.Span(rank, "gradient_loss").End()
-		comm.SetPhase("gradient_loss")
-		grad := tensor.NewVector(dim)
-		loss, frames := eng.gradient(grad)
-		if check.Enabled {
-			check.Finite("core.worker.gradient", grad)
-			check.FiniteScalar("core.worker.loss", loss)
-		}
-		return reply(append(encodeVec(grad), encodeF64Pair(loss, float64(frames))...))
-	case opGNProduct:
-		defer ob.Span(rank, "cg_minimize").End()
-		comm.SetPhase("worker_curvature_product")
-		v := make(tensor.Vector, dim)
-		if err := decodeInto(payload, v); err != nil {
-			return err
-		}
-		out := tensor.NewVector(dim)
-		inner := ob.Span(rank, "worker_curvature_product")
-		frames := eng.gnProduct(v, out)
-		inner.End()
-		if check.Enabled {
-			check.Finite("core.worker.gnproduct", out)
-		}
-		return reply(append(encodeVec(out), encodeF64Pair(float64(frames), 0)...))
-	case opHeldLoss:
-		defer ob.Span(rank, "loss_eval").End()
-		comm.SetPhase("loss_eval")
-		trial := make(tensor.Vector, dim)
-		if err := decodeInto(payload, trial); err != nil {
-			return err
-		}
-		loss, frames := eng.heldLossAt(trial)
-		return reply(encodeF64Pair(loss, float64(frames)))
-	case opAccuracy:
-		defer ob.Span(rank, "loss_eval").End()
-		comm.SetPhase("loss_eval")
-		correct, frames := eng.heldAccuracy()
-		return reply(encodeF64Pair(float64(correct), float64(frames)))
-	case opFisherDiag:
-		defer ob.Span(rank, "cg_minimize").End()
-		comm.SetPhase("cg_minimize")
-		diag := tensor.NewVector(dim)
-		frames := eng.fisherDiag(diag)
-		return reply(append(encodeVec(diag), encodeF64Pair(float64(frames), 0)...))
-	case opClockSync:
-		// Telemetry traffic replies on its own fixed tags, not the
-		// round-tagged reply stream.
-		comm.SetPhase("telemetry")
-		return telemetry.ServeClockSync(comm, 0, int(arg))
-	case opTelemetry:
-		comm.SetPhase("telemetry")
-		return ship.Ship(comm, 0)
-	}
-	return fmt.Errorf("unknown opcode %v", op)
 }

@@ -40,6 +40,10 @@ func FuzzEmDecode(f *testing.F) {
 	f.Add(emEncode(emPing, 1<<24-1, []byte{1, 2, 3, 4, 5, 6, 7, 8}))
 	f.Add(emEncode(emStop, 7, nil))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}) // unknown type, garbage round
+	const dim = 3
+	for _, frame := range hostileFrames {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, round, body, err := emDecode(data)
 		if err != nil {
@@ -54,13 +58,17 @@ func FuzzEmDecode(f *testing.F) {
 		if redone := emEncode(typ, round, body); !bytes.Equal(redone, data) {
 			t.Fatalf("accepted frame does not round-trip: got %x, want %x", redone, data)
 		}
-		// The worker's emOp body parse must hold for any accepted frame
-		// that is long enough; shorter op bodies are the worker's
-		// "malformed op" error path, never a panic.
-		if typ == emOp && len(body) >= 5 {
-			_ = float32(body[0])
-			_ = math.Float32frombits(binary.LittleEndian.Uint32(body[1:5]))
-			_ = body[5:]
+		// The worker's emOp body parse must never panic, and what it
+		// accepts names a row of the table with a payload of exactly the
+		// length that row's decodeInto needs.
+		if typ == emOp {
+			row, _, err := decodeOp(body, make([]float32, dim))
+			if err != nil {
+				return
+			}
+			if want := map[bool]int{true: 4 * dim}[row.down]; row.serve == nil || len(body)-5 != want {
+				t.Fatalf("decodeOp accepted %x as %+v with a %d-byte payload, want %d", body, row, len(body)-5, want)
+			}
 		}
 	})
 }

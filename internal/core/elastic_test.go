@@ -357,7 +357,7 @@ func TestElasticHeartbeatNoGoroutineLeak(t *testing.T) {
 func TestElasticDrainLocalTelemetryOnFailure(t *testing.T) {
 	ob := &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(), Events: obs.NewEventLog(0)}
 	plane := telemetry.NewPlane(telemetry.Config{}, ob.Tracer().Epoch())
-	m := &elasticMaster{ob: ob, plane: plane, local: telemetry.NewShipper(0, ob)}
+	m := &master{ob: ob, plane: plane, local: telemetry.NewShipper(0, ob)}
 
 	ob.Span(0, "doomed_iteration").End()
 	m.drainLocalTelemetry()
@@ -369,5 +369,5 @@ func TestElasticDrainLocalTelemetryOnFailure(t *testing.T) {
 
 	// The nil-plane master (telemetry disabled) must be a no-op, not a
 	// panic, on the same path.
-	(&elasticMaster{ob: ob}).drainLocalTelemetry()
+	(&master{ob: ob}).drainLocalTelemetry()
 }

@@ -1,10 +1,19 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/corpus"
 	"repro/internal/mpi"
+	"repro/internal/nn"
+	"repro/internal/obs"
+	"repro/internal/obs/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -54,70 +63,200 @@ func TestReservedTagPlan(t *testing.T) {
 	}
 }
 
-// TestOpNameCoverage keeps opName total over the objective opcode set:
-// a newly added opcode that falls through to the numeric default would
-// ship unreadable FaultReports and event-log entries.
-func TestOpNameCoverage(t *testing.T) {
-	ops := []float32{
-		opSetParams, opGradient, opSample, opGNProduct, opHeldLoss,
-		opAccuracy, opFisherDiag, opStop, opClockSync, opTelemetry,
-	}
-	if last := opSetParams + float32(len(ops)) - 1; last != opTelemetry {
-		t.Errorf("opcode range [%v, %v] does not cover %d contiguous ops — update this test's op list",
-			opSetParams, opTelemetry, len(ops))
-	}
-	seen := map[string]float32{}
-	for _, op := range ops {
-		name := opName(op)
-		if strings.HasPrefix(name, "op") {
-			t.Errorf("opName(%v) fell through to the numeric default %q", op, name)
+// rig starts real workers on ranks 1.. of a fresh fabric; it returns
+// rank 0's comm and the channel their exit errors land on.
+func rig(t *testing.T, fabric FabricKind, ranks int, starWire bool) (*mpi.Comm, chan error) {
+	ts := make([]mpi.Transport, ranks)
+	if fabric == FabricTCP {
+		var err error
+		if ts, err = mpi.ConnectTCPLocal(ranks); err != nil {
+			t.Fatal(err)
 		}
-		if prev, dup := seen[name]; dup {
-			t.Errorf("opName maps both %v and %v to %q", prev, op, name)
+	} else {
+		f := mpi.NewInprocFabric(ranks)
+		t.Cleanup(func() { f.Close() })
+		for r := range ts {
+			ts[r] = f.Transport(r)
 		}
-		seen[name] = op
 	}
-	// One past the last opcode has no name and must fall through.
-	if got := opName(opTelemetry + 1); !strings.HasPrefix(got, "op") {
-		t.Errorf("opName(%v) = %q, want the numeric default", opTelemetry+1, got)
+	exits := make(chan error, ranks-1)
+	for r := 1; r < ranks; r++ {
+		go func(c *mpi.Comm) {
+			defer c.Close()
+			exits <- runWorker(c, nil, nil, starWire, nil)
+		}(mpi.NewComm(ts[r]))
+	}
+	comm := mpi.NewComm(ts[0])
+	t.Cleanup(func() { comm.Close() })
+	return comm, exits
+}
+
+// flat is an op's fold as one list: the vector, then the scalars.
+func flat(vec tensor.Vector, sc []float64) []float64 {
+	out := make([]float64, 0, len(vec)+len(sc))
+	for _, v := range vec {
+		out = append(out, float64(v))
+	}
+	return append(out, sc...)
+}
+
+// relDiff is max|a-b| / max|b|.
+func relDiff(a, b []float64) float64 {
+	var diff, scale float64
+	for i, y := range b {
+		diff, scale = math.Max(diff, math.Abs(a[i]-y)), math.Max(scale, math.Abs(y))
+	}
+	return diff / math.Max(scale, math.SmallestNonzeroFloat64)
+}
+
+// TestOpsTable runs every row end to end on both carriers and both
+// fabrics: the fold is bit-equal across fabrics per carrier, within 1e-6
+// between carriers, and matches the row served once by an engine over
+// the union shard. It also pins the table's own invariants.
+func TestOpsTable(t *testing.T) {
+	numOps := len(ops) - 1
+	names := map[string]int{}
+	var order []int // every row once, stop last
+	for op := 1; op <= numOps; op++ {
+		row, ok := lookupOp(float32(op))
+		if !ok || row != &ops[op] || row.serve == nil || row.phase == "" || op != int(byte(op)) {
+			t.Fatalf("opcode %d: lookup ok=%v row=%+v, want a complete row whose opcode fits the star frame's byte", op, ok, row)
+		}
+		_, numeric := strconv.ParseFloat(strings.TrimPrefix(row.name, "op"), 64)
+		if prev, dup := names[row.name]; dup || numeric == nil || row.name == "" {
+			t.Errorf("opcode %d: name %q is empty, numeric or shared with opcode %d", op, row.name, prev)
+		}
+		names[row.name] = op
+		if op != opStop {
+			order = append(order, op)
+		}
+	}
+	order = append(order, opStop)
+
+	p := testProblem(t, CrossEntropy).filled()
+	net := nn.New(p.Topo)
+	p.initParams(net)
+	union := &worker{eng: newEngine(p, p.Train.Utts, p.Heldout.Utts), in: net.Params}
+	union.eng.setParams(net.Params)
+	union.eng.drawSample(2)
+
+	run := func(fabric FabricKind, starWire bool) map[int][]float64 {
+		comm, exits := rig(t, fabric, 3, starWire)
+		m := &master{comm: comm, c: tree{comm}, p: p, part: corpus.SortedGreedy{}}
+		if starWire {
+			m.tolerateFaults(FaultPolicy{}, nil, nil)
+		}
+		if err := m.loadData(); err != nil {
+			t.Fatal(err)
+		}
+		got := map[int][]float64{}
+		for _, op := range order {
+			row, sc := &ops[op], make([]float64, ops[op].scalars)
+			var vec tensor.Vector
+			if row.up {
+				vec = tensor.NewVector(m.dim)
+				vec[0] = 42 // the carrier must zero before folding
+			}
+			if err := m.issue(op, 2, m.theta, vec, sc); err != nil {
+				t.Fatalf("%s: %v", row.name, err)
+			}
+			got[op] = flat(vec, sc)
+			for _, w := range m.c.workers() {
+				var err error
+				switch op { // the side conversations the two telemetry rows arm
+				case opClockSync:
+					_, _, err = telemetry.SyncClocks(comm, w, 2, 5*time.Second)
+				case opTelemetry:
+					_, err = comm.RecvBytesTimeout(w, mpi.TagTelemetry, 5*time.Second)
+				}
+				if err != nil {
+					t.Errorf("%s with rank %d: %v", row.name, w, err)
+				}
+			}
+		}
+		for range m.c.workers() {
+			if err := <-exits; err != nil {
+				t.Errorf("worker exit: %v", err)
+			}
+		}
+		return got
+	}
+
+	onTree, onStar := run(FabricInproc, false), run(FabricInproc, true)
+	treeTCP, starTCP := run(FabricTCP, false), run(FabricTCP, true)
+	for op := 1; op <= numOps; op++ {
+		name := ops[op].name
+		if !reflect.DeepEqual(onTree[op], treeTCP[op]) || !reflect.DeepEqual(onStar[op], starTCP[op]) {
+			t.Errorf("%s: inproc and tcp folds differ", name)
+		}
+		if d := relDiff(onStar[op], onTree[op]); d > 1e-6 {
+			t.Errorf("%s: star and tree folds differ by %g, want ≤ 1e-6", name, d)
+		}
+		if len(onTree[op]) > 0 { // the row has a reply
+			vec, sc, _ := union.serve(&ops[op], 2, net.Params)
+			if d := relDiff(onTree[op], flat(vec, sc)); d > 1e-4 {
+				t.Errorf("%s: fold differs from the union shard's answer by %g", name, d)
+			}
+		}
+	}
+
+	// Hostile input, the commands no master sends: either receive loop
+	// must exit with an error naming its rank and the opcode, never panic.
+	hostile := map[string]func(c *mpi.Comm) error{"tree short payload": func(c *mpi.Comm) error {
+		_ = c.Bcast(0, []float32{opSetParams, 0}) // best-effort: the worker's exit is the assertion
+		return c.Bcast(0, make([]float32, len(net.Params)-1))
+	}}
+	for _, code := range []float32{0, -1, 1.5, float32(len(ops)), 255, float32(math.NaN())} {
+		hostile[fmt.Sprintf("tree opcode %v", code)] = func(c *mpi.Comm) error { return c.Bcast(0, []float32{code, 0}) }
+	}
+	for name, frame := range hostileFrames {
+		hostile["star "+name] = func(c *mpi.Comm) error { return c.SendBytes(1, tagElastic, frame) }
+	}
+	for name, send := range hostile {
+		t.Run(name, func(t *testing.T) {
+			master, exits := rig(t, FabricInproc, 2, strings.HasPrefix(name, "star"))
+			if _, err := shipShards(master, p, corpus.SortedGreedy{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := send(master); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-exits:
+				if err == nil || !strings.Contains(err.Error(), "worker 1") || !strings.Contains(err.Error(), "opcode") {
+					t.Fatalf("worker exit = %v, want an error naming worker 1 and the opcode", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("worker still serving after a hostile command")
+			}
+		})
+	}
+	// And on the master: a wrong-length accuracy reply is one event naming
+	// rank, op, got and want bytes, and — training being over — evicts nobody.
+	fabric := newTestFabric(2)
+	defer fabric.Close()
+	go func() {
+		c := newTestComm(fabric, 1)
+		if _, err := c.RecvBytes(0, tagElastic); err == nil {
+			_ = c.SendBytes(0, tagElasticReply, []byte{1, 2, 3}) // best-effort: the master side asserts
+		}
+	}()
+	s := &star{comm: newTestComm(fabric, 0), deadline: 5 * time.Second, live: []int{1}}
+	m := &master{comm: s.comm, c: s, star: s, ob: &obs.Observer{Events: obs.NewEventLog(0)}}
+	acc, err := m.accuracy()
+	log := m.ob.EventLog().Entries()
+	if err != nil || acc != 0 || len(log) != 1 || len(s.live) != 1 || len(m.report.Evictions) != 0 ||
+		!strings.Contains(log[0].Text, "accuracy failed on rank 1: malformed accuracy reply: 3 bytes, want 16") {
+		t.Errorf("accuracy = %v, %v; events %+v; live %v: want 0, nil, one event naming the reply, nobody evicted", acc, err, log, s.live)
 	}
 }
 
-// TestReplyLengthAgreement ties the worker's reply encoders to the
-// lengths the elastic master demands in gatherOp: vector-bearing ops
-// (gradient, gnproduct, fisher_diag) reply with 4·dim+16 bytes, scalar
-// ops (held_loss, accuracy) with exactly 16. Drift on either side makes
-// the master evict healthy workers for "malformed reply".
-func TestReplyLengthAgreement(t *testing.T) {
-	const dim = 7
-	v := make(tensor.Vector, dim)
-	for i := range v {
-		v[i] = float32(i) - 2.5
-	}
-
-	vecReply := append(encodeVec(v), encodeF64Pair(3.25, 11)...)
-	if len(vecReply) != 4*dim+16 {
-		t.Errorf("vector reply = %d bytes, want 4*dim+16 = %d", len(vecReply), 4*dim+16)
-	}
-	if pair := encodeF64Pair(0.5, 2); len(pair) != 16 {
-		t.Errorf("scalar reply = %d bytes, want 16", len(pair))
-	}
-
-	// The master's split of a vector reply must recover both halves.
-	out := make(tensor.Vector, dim)
-	if err := decodeInto(vecReply[:4*dim], out); err != nil {
-		t.Fatalf("decodeInto: %v", err)
-	}
-	for i := range v {
-		if out[i] != v[i] {
-			t.Fatalf("vector half out[%d] = %v, want %v", i, out[i], v[i])
-		}
-	}
-	var pair [2]float64
-	if err := decodeF64Pair(vecReply[4*dim:], &pair); err != nil {
-		t.Fatalf("decodeF64Pair: %v", err)
-	}
-	if pair != [2]float64{3.25, 11} {
-		t.Fatalf("scalar half = %v, want [3.25 11]", pair)
-	}
+// hostileFrames are the star frames no master sends: opcodes outside
+// the table and payloads of the wrong length for their row at any dim.
+var hostileFrames = map[string][]byte{
+	"opcode 0":        emEncode(emOp, 0, emOpBody(0, 0, nil)),
+	"opcode past end": emEncode(emOp, 0, emOpBody(len(ops), 0, nil)),
+	"opcode 255":      emEncode(emOp, 0, emOpBody(255, 0, nil)),
+	"short payload":   emEncode(emOp, 0, emOpBody(opSetParams, 0, make([]byte, 3))),
+	"stray payload":   emEncode(emOp, 0, emOpBody(opGradient, 0, make([]byte, 4))),
 }

@@ -25,11 +25,7 @@ func NewSerialObjective(p Problem) (*SerialObjective, error) {
 		return nil, err
 	}
 	eng := newEngine(p, p.Train.Utts, p.Heldout.Utts)
-	if p.InitParams != nil {
-		eng.net.SetParams(p.InitParams)
-	} else {
-		eng.net.InitGlorot(p.InitRNG())
-	}
+	p.initParams(eng.net)
 	return &SerialObjective{eng: eng, totalTrainFrames: eng.train.frames()}, nil
 }
 

@@ -1,9 +1,7 @@
 package core
 
-// Session is the single front door to distributed training. It replaces
-// the old five-way cross-product of entry points
-// (TrainDistributedHF{,Obs,Checked,TCP,TCPChecked} × Run{Master,Worker}{,Obs})
-// with one options-based constructor:
+// Session is the single front door to distributed training, one
+// options-based constructor:
 //
 //	sess, err := core.NewSession(p,
 //		core.WithRanks(8),
@@ -27,8 +25,10 @@ package core
 //     the comm's rank: rank 0 trains and returns the result; other
 //     ranks serve the worker loop and return (nil, nil).
 //
-// WithFaults switches both modes from the classic collective protocol
-// to the elastic fault-tolerant runtime (elastic.go).
+// Both modes run the same master loop and worker over the one ops table
+// (ops.go). WithFaults changes the carrier (carrier.go) from tree
+// collectives to the point-to-point star, which can name a failed rank
+// and so evict, re-shard and rewind (elastic.go).
 
 import (
 	"errors"
@@ -237,14 +237,6 @@ func (s *Session) Telemetry() *telemetry.Plane {
 	return s.plane
 }
 
-// ckptPolicy resolves the effective checkpoint policy for elastic runs.
-func (s *Session) ckptPolicy() CheckpointPolicy {
-	if s.opt.ckpt != nil {
-		return *s.opt.ckpt
-	}
-	return CheckpointPolicy{}
-}
-
 // Run executes the session: spawn mode trains to completion and returns
 // the master's result; attach mode returns the result on rank 0 and
 // (nil, nil) on worker ranks after their loop drains.
@@ -258,20 +250,13 @@ func (s *Session) Run(cfg hf.Config) (*MasterResult, error) {
 func (s *Session) runAttached(cfg hf.Config) (*MasterResult, error) {
 	comm, o := s.opt.comm, &s.opt
 	if comm.Rank() == 0 {
-		if o.faults != nil {
-			return runElastic(comm, s.p, cfg, o.part, o.ob, *o.faults, s.ckptPolicy(), s.plane, nil)
-		}
-		//lint:ignore commcheck rank dispatch is the protocol: rank 0 runs the master sender, every other rank runs the matching worker loop below
-		return runMaster(comm, s.p, cfg, o.part, o.ob, s.plane)
+		return runMaster(comm, s.p, cfg, o, s.plane, nil)
 	}
 	var ship *telemetry.Shipper
 	if o.tele != nil {
 		ship = telemetry.NewShipper(comm.Rank(), o.ob)
 	}
-	if o.faults != nil {
-		return nil, runElasticWorker(comm, o.ob, ship, nil)
-	}
-	return nil, runWorker(comm, o.ob, ship)
+	return nil, runWorker(comm, o.ob, ship, o.faults != nil, nil)
 }
 
 // rankErr pairs a worker error with its rank so elastic joins can
@@ -342,25 +327,13 @@ func (s *Session) runSpawned(cfg hf.Config) (*MasterResult, error) {
 				wob = &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(), Events: obs.NewEventLog(0)}
 				ship = telemetry.NewShipper(r, wob)
 			}
-			var err error
-			if o.faults != nil {
-				err = runElasticWorker(comm, wob, ship, epochHooks[r])
-			} else {
-				err = runWorker(comm, wob, ship)
-			}
-			workerErrs <- rankErr{rank: r, err: err}
+			workerErrs <- rankErr{rank: r, err: runWorker(comm, wob, ship, o.faults != nil, epochHooks[r])}
 		}(r)
 	}
 
 	master := comms[0]
 	defer master.Close()
-	var res *MasterResult
-	var err error
-	if o.faults != nil {
-		res, err = runElastic(master, s.p, cfg, o.part, o.ob, *o.faults, s.ckptPolicy(), s.plane, epochHooks[0])
-	} else {
-		res, err = runMaster(master, s.p, cfg, o.part, o.ob, s.plane)
-	}
+	res, err := runMaster(master, s.p, cfg, o, s.plane, epochHooks[0])
 	if err != nil {
 		if s.plane != nil {
 			s.plane.Health().SetState("failed")

@@ -1,44 +1,24 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
-	"go/constant"
-	"go/token"
 	"go/types"
-	"path/filepath"
-	"strings"
 )
 
-// CommCheck statically verifies the master/worker collective protocol
-// built on repro/internal/mpi. MPI-style collectives are only correct
-// when every rank executes the same sequence of operations with
-// compatible arguments; a master that broadcasts where its workers
-// reduce (or disagrees on root, element type or buffer length)
-// deadlocks the job or silently folds mismatched buffers. The analyzer
-// extracts a per-path summary of collective calls — kind, payload
-// dtype, root, and element count where statically resolvable — from
-// every function, propagates summaries through same-package calls, and
-// checks three protocol properties:
+// CommCheck statically guards the collective protocol built on
+// repro/internal/mpi. MPI-style collectives are only correct when every
+// rank executes the same sequence of operations; a collective executed
+// under a conditional that depends on Comm.Rank() runs on a subset of
+// ranks and deadlocks the rest. Collective calls are found directly and
+// through same-package calls. Legitimate uses (root-only payload staging
+// around a collective, not the collective itself; the session's rank
+// dispatch into the master and worker loops) are rare and must carry a
+// //lint:ignore justification.
 //
-//  1. Op-dispatch conformance. A switch whose case labels are
-//     package-level constants and whose arms execute collectives is an
-//     op-dispatch switch (the worker side of a command protocol). For
-//     each arm, the analyzer locates the master-side sender — a use of
-//     the same opcode constant outside any dispatch switch that is
-//     accompanied by collective traffic — and compares the collectives
-//     following the send against the arm's, element by element:
-//     mismatched kind, dtype, root, sequence length, or (when both
-//     resolve) buffer length is an error.
-//  2. Orphan arms. A dispatch arm whose opcode constant no sender ever
-//     uses is dead protocol: the master can never drive that arm, and
-//     a master-side refactor that dropped the send has desynchronized
-//     the opcode table. Reported as an error.
-//  3. Rank-divergent collectives. A collective executed under a
-//     conditional that depends on Comm.Rank() runs on a subset of
-//     ranks and deadlocks the rest. Legitimate uses (root-only
-//     payload staging around a collective, not the collective itself)
-//     are rare and must carry a //lint:ignore justification.
+// Worker arms are not diffed against their master senders: the one
+// master/worker collective protocol, internal/core's, derives both
+// sides from a single ops-table row, and mpi.CheckedComm verifies every
+// collective across ranks at run time.
 //
 // The mpi package itself is exempt: its tree implementations are
 // intentionally rank-asymmetric below the collective boundary.
@@ -49,91 +29,26 @@ func (CommCheck) Name() string { return "commcheck" }
 
 // Doc implements Analyzer.
 func (CommCheck) Doc() string {
-	return "cross-rank collective-protocol conformance: op-dispatch arms must mirror their " +
-		"master sender's collective sequence (kind/dtype/root/length), every arm needs a live " +
-		"sender, and collectives must not sit under Rank()-dependent conditionals"
+	return "cross-rank collective-protocol conformance: collectives (direct or through " +
+		"same-package calls) must not sit under Rank()-dependent conditionals"
 }
 
 // mpiPkgPath is the package whose collective surface this analyzer
 // understands.
 const mpiPkgPath = "repro/internal/mpi"
 
-// collSig describes one mpi.Comm collective method: the abstract
-// operation it performs and where its root and payload sit in the
-// argument list (-1: not present).
-type collSig struct {
-	kind    string
-	dtype   string
-	rootArg int
-	bufArg  int
-}
-
-// collSigs maps mpi.Comm method names to their protocol signatures.
-var collSigs = map[string]collSig{
-	"Bcast":        {"bcast", "f32", 0, 1},
-	"Reduce":       {"reduce", "f32", 0, 2},
-	"ReduceF64":    {"reduce", "f64", 0, 2},
-	"Allreduce":    {"allreduce", "f32", -1, 1},
-	"AllreduceF64": {"allreduce", "f64", -1, 1},
-	"Barrier":      {"barrier", "none", -1, -1},
-	"Gather":       {"gather", "f32", 0, 1},
-	"Scatter":      {"scatter", "f32", 0, 2},
-	"Allgather":    {"allgather", "f32", -1, 0},
-}
-
-// commEvent is one collective in a summarized execution path.
-type commEvent struct {
-	kind  string
-	dtype string
-	// root is the resolved root rank; rootKnown reports whether the
-	// root argument was a constant. Rootless collectives have
-	// rootKnown=true, root=-1.
-	root      int
-	rootKnown bool
-	// count is the payload element count, or -1 when not statically
-	// resolvable.
-	count int
-	// node anchors findings about this event (the collective call for
-	// direct events; the local call expression for spliced events).
-	node ast.Node
-	// site is the collective call's file:line, for cross-references in
-	// messages about the *other* side of the protocol.
-	site string
-	// conditional marks events reached under branching control flow
-	// (within their function), which makes a summary non-comparable.
-	conditional bool
-}
-
-// desc renders the event like the runtime checker: "kind[dtype n=.. root=..]".
-func (e commEvent) desc() string {
-	var b strings.Builder
-	b.WriteString(e.kind)
-	b.WriteString("[")
-	b.WriteString(e.dtype)
-	if e.count >= 0 {
-		fmt.Fprintf(&b, " n=%d", e.count)
-	}
-	if e.rootKnown && e.root >= 0 {
-		fmt.Fprintf(&b, " root=%d", e.root)
-	}
-	b.WriteString("]")
-	return b.String()
-}
-
-// funcSummary is the ordered collective trace of one function body.
-type funcSummary struct {
-	events []commEvent
-}
-
-// linear reports whether the summary is a single unconditional path
-// (the precondition for sequence comparison).
-func (s *funcSummary) linear() bool {
-	for _, e := range s.events {
-		if e.conditional {
-			return false
-		}
-	}
-	return true
+// collKinds maps mpi.Comm collective method names to the operation
+// named in findings.
+var collKinds = map[string]string{
+	"Bcast":        "bcast",
+	"Reduce":       "reduce",
+	"ReduceF64":    "reduce",
+	"Allreduce":    "allreduce",
+	"AllreduceF64": "allreduce",
+	"Barrier":      "barrier",
+	"Gather":       "gather",
+	"Scatter":      "scatter",
+	"Allgather":    "allgather",
 }
 
 // commAnalysis carries one package's analysis state.
@@ -141,16 +56,13 @@ type commAnalysis struct {
 	p     *Package
 	check CommCheck
 
-	// decls maps function objects to their declarations, for summary
-	// splicing across same-package calls.
+	// decls maps function objects to their declarations, for counting
+	// collectives across same-package calls.
 	decls map[*types.Func]*ast.FuncDecl
-	// summaries memoizes per-function collective traces; inProgress
-	// guards recursion so cycles poison to "unknown" instead of looping.
-	summaries  map[*types.Func]*funcSummary
+	// counts memoizes per-function collective counts; inProgress guards
+	// recursion so cycles count as zero instead of looping.
+	counts     map[*types.Func]int
 	inProgress map[*types.Func]bool
-	// varDef maps a variable object to the expression it was defined
-	// with (single-assignment := and var forms), for length resolution.
-	varDef map[types.Object]ast.Expr
 
 	findings []Finding
 }
@@ -164,70 +76,26 @@ func (c CommCheck) Run(p *Package) []Finding {
 		p:          p,
 		check:      c,
 		decls:      map[*types.Func]*ast.FuncDecl{},
-		summaries:  map[*types.Func]*funcSummary{},
+		counts:     map[*types.Func]int{},
 		inProgress: map[*types.Func]bool{},
-		varDef:     map[types.Object]ast.Expr{},
 	}
-	a.collectDecls()
-	if len(a.decls) == 0 {
-		return nil
+	for _, fd := range a.orderedDecls() {
+		if fn, ok := a.p.Info.Defs[fd.Name].(*types.Func); ok {
+			a.decls[fn] = fd
+		}
 	}
 	a.checkRankConditionals()
-	a.checkDispatch()
 	return a.findings
 }
 
-// collectDecls indexes function declarations and single-assignment
-// variable definitions across the package.
-func (a *commAnalysis) collectDecls() {
-	for _, file := range a.p.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fn, ok := a.p.Info.Defs[fd.Name].(*types.Func); ok {
-				a.decls[fn] = fd
-			}
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.AssignStmt:
-				if st.Tok != token.DEFINE || len(st.Lhs) != len(st.Rhs) {
-					return true
-				}
-				for i, lhs := range st.Lhs {
-					id, ok := lhs.(*ast.Ident)
-					if !ok {
-						continue
-					}
-					if obj := a.p.Info.Defs[id]; obj != nil {
-						a.varDef[obj] = st.Rhs[i]
-					}
-				}
-			case *ast.ValueSpec:
-				if len(st.Names) != len(st.Values) {
-					return true
-				}
-				for i, id := range st.Names {
-					if obj := a.p.Info.Defs[id]; obj != nil {
-						a.varDef[obj] = st.Values[i]
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// collectiveSig resolves a call to an mpi collective method, or ok=false.
-func (a *commAnalysis) collectiveSig(call *ast.CallExpr) (collSig, bool) {
+// collectiveKind resolves a call to an mpi collective method, or ok=false.
+func (a *commAnalysis) collectiveKind(call *ast.CallExpr) (string, bool) {
 	fn := a.p.calleeFunc(call)
 	if fn == nil || pkgPath(fn) != mpiPkgPath {
-		return collSig{}, false
+		return "", false
 	}
-	sig, ok := collSigs[fn.Name()]
-	return sig, ok
+	kind, ok := collKinds[fn.Name()]
+	return kind, ok
 }
 
 // localCallee resolves a call to a function declared in this package.
@@ -242,239 +110,32 @@ func (a *commAnalysis) localCallee(call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// eventFor builds the commEvent for one collective call.
-func (a *commAnalysis) eventFor(call *ast.CallExpr, sig collSig, conditional bool) commEvent {
-	e := commEvent{
-		kind:        sig.kind,
-		dtype:       sig.dtype,
-		root:        -1,
-		rootKnown:   sig.rootArg < 0, // rootless collectives have a known (absent) root
-		count:       -1,
-		node:        call,
-		site:        a.site(call),
-		conditional: conditional,
+// collectives returns the memoized number of collective calls fn's body
+// makes, directly or through same-package calls (closures included). A
+// recursion cycle or a missing body counts as zero.
+func (a *commAnalysis) collectives(fn *types.Func) int {
+	if n, ok := a.counts[fn]; ok {
+		return n
 	}
-	if sig.rootArg >= 0 && sig.rootArg < len(call.Args) {
-		if v, ok := a.constInt(call.Args[sig.rootArg]); ok {
-			e.root, e.rootKnown = v, true
-		}
-	}
-	if sig.bufArg >= 0 && sig.bufArg < len(call.Args) {
-		e.count = a.resolveCount(call.Args[sig.bufArg], 0)
-	} else if sig.bufArg < 0 {
-		e.count = 0 // payload-free (Barrier)
-	}
-	return e
-}
-
-// site renders node's position as a root-relative file:line.
-func (a *commAnalysis) site(node ast.Node) string {
-	pos := a.p.Fset.Position(node.Pos())
-	file := pos.Filename
-	if rel, err := filepath.Rel(a.p.root, file); err == nil && !strings.HasPrefix(rel, "..") {
-		file = rel
-	}
-	return fmt.Sprintf("%s:%d", filepath.ToSlash(file), pos.Line)
-}
-
-// constInt resolves e to a constant int.
-func (a *commAnalysis) constInt(e ast.Expr) (int, bool) {
-	tv, ok := a.p.Info.Types[e]
-	if !ok || tv.Value == nil {
-		return 0, false
-	}
-	v, ok := constant.Int64Val(constant.ToInt(tv.Value))
-	if !ok {
-		return 0, false
-	}
-	return int(v), true
-}
-
-// resolveCount statically resolves the element count of a payload
-// expression: unkeyed composite literals, make with a constant size,
-// and variables defined once from either.
-func (a *commAnalysis) resolveCount(e ast.Expr, depth int) int {
-	if depth > 4 {
-		return -1
-	}
-	switch e := unparen(e).(type) {
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			if _, keyed := el.(*ast.KeyValueExpr); keyed {
-				return -1
-			}
-		}
-		if _, ok := a.p.Info.TypeOf(e).Underlying().(*types.Slice); ok {
-			return len(e.Elts)
-		}
-	case *ast.CallExpr:
-		if id, ok := unparen(e.Fun).(*ast.Ident); ok && id.Name == "make" && len(e.Args) >= 2 {
-			if v, ok := a.constInt(e.Args[1]); ok {
-				return v
-			}
-		}
-	case *ast.Ident:
-		obj := a.p.Info.Uses[e]
-		if obj == nil {
-			return -1
-		}
-		if def, ok := a.varDef[obj]; ok {
-			return a.resolveCount(def, depth+1)
-		}
-	}
-	return -1
-}
-
-// --- summary extraction ---
-
-// summarize returns fn's memoized collective trace. A recursion cycle
-// or a missing body yields an empty summary.
-func (a *commAnalysis) summarize(fn *types.Func) *funcSummary {
-	if s, ok := a.summaries[fn]; ok {
-		return s
-	}
-	if a.inProgress[fn] {
-		return &funcSummary{}
+	fd := a.decls[fn]
+	if fd == nil || a.inProgress[fn] {
+		return 0
 	}
 	a.inProgress[fn] = true
-	sum := &funcSummary{}
-	if fd := a.decls[fn]; fd != nil {
-		a.collectStmts(fd.Body.List, false, sum)
-	}
-	a.inProgress[fn] = false
-	a.summaries[fn] = sum
-	return sum
-}
-
-// collectStmts appends the collective events of stmts (in source order)
-// to sum. conditional marks the whole region as branch-dependent.
-// Control-flow statements make their contents conditional, except that
-// an if/switch init and condition run unconditionally.
-func (a *commAnalysis) collectStmts(stmts []ast.Stmt, conditional bool, sum *funcSummary) {
-	for _, s := range stmts {
-		a.collectStmt(s, conditional, sum)
-	}
-}
-
-func (a *commAnalysis) collectStmt(s ast.Stmt, conditional bool, sum *funcSummary) {
-	switch s := s.(type) {
-	case *ast.IfStmt:
-		if s.Init != nil {
-			a.collectStmt(s.Init, conditional, sum)
-		}
-		a.collectExpr(s.Cond, conditional, sum)
-		a.collectStmts(s.Body.List, true, sum)
-		if s.Else != nil {
-			a.collectStmt(s.Else, true, sum)
-		}
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			a.collectStmt(s.Init, conditional, sum)
-		}
-		if s.Tag != nil {
-			a.collectExpr(s.Tag, conditional, sum)
-		}
-		a.collectStmts(s.Body.List, true, sum)
-	case *ast.TypeSwitchStmt, *ast.SelectStmt:
-		ast.Inspect(s, func(n ast.Node) bool {
-			if st, ok := n.(*ast.BlockStmt); ok && st != s {
-				a.collectStmts(st.List, true, sum)
-				return false
+	n := 0
+	ast.Inspect(fd.Body, func(node ast.Node) bool {
+		if call, ok := node.(*ast.CallExpr); ok {
+			if _, ok := a.collectiveKind(call); ok {
+				n++
+			} else if callee := a.localCallee(call); callee != nil {
+				n += a.collectives(callee)
 			}
-			return true
-		})
-	case *ast.CaseClause:
-		a.collectStmts(s.Body, conditional, sum)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			a.collectStmt(s.Init, true, sum)
-		}
-		if s.Cond != nil {
-			a.collectExpr(s.Cond, true, sum)
-		}
-		a.collectStmts(s.Body.List, true, sum)
-		if s.Post != nil {
-			a.collectStmt(s.Post, true, sum)
-		}
-	case *ast.RangeStmt:
-		a.collectExpr(s.X, conditional, sum)
-		a.collectStmts(s.Body.List, true, sum)
-	case *ast.BlockStmt:
-		a.collectStmts(s.List, conditional, sum)
-	case *ast.LabeledStmt:
-		a.collectStmt(s.Stmt, conditional, sum)
-	case *ast.GoStmt:
-		a.collectExpr(s.Call, true, sum)
-	case *ast.DeferStmt:
-		a.collectExpr(s.Call, true, sum)
-	case *ast.ExprStmt:
-		a.collectExpr(s.X, conditional, sum)
-	case *ast.AssignStmt:
-		for _, r := range s.Rhs {
-			a.collectExpr(r, conditional, sum)
-		}
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			a.collectExpr(r, conditional, sum)
-		}
-	case *ast.DeclStmt:
-		ast.Inspect(s, func(n ast.Node) bool {
-			if e, ok := n.(ast.Expr); ok {
-				a.collectExpr(e, conditional, sum)
-				return false
-			}
-			return true
-		})
-	case *ast.SendStmt:
-		a.collectExpr(s.Value, conditional, sum)
-	}
-}
-
-// collectExpr scans one expression for collective calls and spliced
-// local calls, in source order.
-func (a *commAnalysis) collectExpr(e ast.Expr, conditional bool, sum *funcSummary) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			// A literal's body runs at some unknowable time; its events
-			// are conditional by construction.
-			a.collectStmts(n.Body.List, true, sum)
-			return false
-		case *ast.CallExpr:
-			// Arguments evaluate before the call.
-			for _, arg := range n.Args {
-				a.collectExpr(arg, conditional, sum)
-			}
-			if sig, ok := a.collectiveSig(n); ok {
-				sum.events = append(sum.events, a.eventFor(n, sig, conditional))
-				return false
-			}
-			if fn := a.localCallee(n); fn != nil {
-				callee := a.summarize(fn)
-				for _, ev := range callee.events {
-					ev.conditional = ev.conditional || conditional
-					// Anchor spliced events at the call site; keep the
-					// callee's site for cross-reference text.
-					ev.node = n
-					sum.events = append(sum.events, ev)
-				}
-				return false
-			}
-			a.collectExpr(n.Fun, conditional, sum)
-			return false
 		}
 		return true
 	})
-}
-
-// stmtSummary summarizes a single statement subtree.
-func (a *commAnalysis) stmtSummary(s ast.Stmt) *funcSummary {
-	sum := &funcSummary{}
-	a.collectStmt(s, false, sum)
-	return sum
+	a.inProgress[fn] = false
+	a.counts[fn] = n
+	return n
 }
 
 // --- rank-divergent collectives ---
@@ -631,279 +292,23 @@ func (a *commAnalysis) reportRankExpr(e ast.Expr, inRank bool, reported map[ast.
 		if !ok {
 			return true
 		}
-		if sig, ok := a.collectiveSig(call); ok {
+		if kind, ok := a.collectiveKind(call); ok {
 			if inRank && !reported[call] {
 				reported[call] = true
 				a.findings = append(a.findings, a.p.finding(a.check, SevWarn, call,
 					"%s executed under a Rank()-dependent conditional: only a subset of ranks reaches this collective, deadlocking the rest",
-					sig.kind))
+					kind))
 			}
 			return true
 		}
 		if fn := a.localCallee(call); fn != nil && inRank && !reported[call] {
-			if sum := a.summarize(fn); len(sum.events) > 0 {
+			if n := a.collectives(fn); n > 0 {
 				reported[call] = true
 				a.findings = append(a.findings, a.p.finding(a.check, SevWarn, call,
 					"call to %s executes %d collective(s) under a Rank()-dependent conditional: only a subset of ranks reaches them, deadlocking the rest",
-					fn.Name(), len(sum.events)))
+					fn.Name(), n))
 			}
 		}
 		return true
 	})
-}
-
-// --- op-dispatch conformance ---
-
-// dispatchArm is one single-opcode arm of a dispatch switch.
-type dispatchArm struct {
-	constObj *types.Const
-	clause   *ast.CaseClause
-	summary  *funcSummary
-}
-
-// dispatchSwitch is a worker-side opcode switch: case labels that are
-// package-level constants, with at least one collective-bearing arm.
-type dispatchSwitch struct {
-	stmt *ast.SwitchStmt
-	arms []dispatchArm
-}
-
-// checkDispatch finds dispatch switches, their master-side senders, and
-// compares the two sides of the protocol.
-func (a *commAnalysis) checkDispatch() {
-	switches, labelIdents := a.findDispatchSwitches()
-	if len(switches) == 0 {
-		return
-	}
-	group := map[*types.Const]bool{}
-	for _, sw := range switches {
-		for _, arm := range sw.arms {
-			group[arm.constObj] = true
-		}
-	}
-	senders := a.findSenders(group, labelIdents)
-	for _, sw := range switches {
-		for _, arm := range sw.arms {
-			uses := senders[arm.constObj]
-			if len(uses) == 0 {
-				a.findings = append(a.findings, a.p.finding(a.check, SevError, arm.clause,
-					"dispatch arm for %s has no master sender: no code path outside this switch issues %s with collective traffic",
-					arm.constObj.Name(), arm.constObj.Name()))
-				continue
-			}
-			if !arm.summary.linear() {
-				continue
-			}
-			for _, u := range uses {
-				a.compareArm(arm, u)
-			}
-		}
-	}
-}
-
-// findDispatchSwitches scans every function for dispatch switches and
-// returns them plus the set of case-label identifiers (which must not
-// count as master-side uses).
-func (a *commAnalysis) findDispatchSwitches() ([]dispatchSwitch, map[*ast.Ident]bool) {
-	var switches []dispatchSwitch
-	labels := map[*ast.Ident]bool{}
-	for _, fd := range a.orderedDecls() {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			sw, ok := n.(*ast.SwitchStmt)
-			if !ok || sw.Tag == nil {
-				return true
-			}
-			var arms []dispatchArm
-			var armLabels []*ast.Ident
-			hasEvents := false
-			for _, stmt := range sw.Body.List {
-				clause := stmt.(*ast.CaseClause)
-				if clause.List == nil {
-					continue // default
-				}
-				var clauseConsts []*types.Const
-				ok := true
-				for _, v := range clause.List {
-					id := labelIdent(v)
-					if id == nil {
-						ok = false
-						break
-					}
-					cobj, isConst := a.p.Info.Uses[id].(*types.Const)
-					if !isConst || cobj.Pkg() != a.p.Types || cobj.Parent() != a.p.Types.Scope() {
-						ok = false
-						break
-					}
-					clauseConsts = append(clauseConsts, cobj)
-					armLabels = append(armLabels, id)
-				}
-				if !ok {
-					return true // not a dispatch switch; keep scanning nested switches
-				}
-				sum := &funcSummary{}
-				a.collectStmts(clause.Body, false, sum)
-				if len(sum.events) > 0 {
-					hasEvents = true
-				}
-				if len(clauseConsts) == 1 {
-					arms = append(arms, dispatchArm{constObj: clauseConsts[0], clause: clause, summary: sum})
-				}
-			}
-			if hasEvents && len(arms) > 0 {
-				switches = append(switches, dispatchSwitch{stmt: sw, arms: arms})
-				for _, id := range armLabels {
-					labels[id] = true
-				}
-			}
-			return true
-		})
-	}
-	return switches, labels
-}
-
-// labelIdent extracts the identifier of a case label (possibly
-// package-qualified), or nil.
-func labelIdent(e ast.Expr) *ast.Ident {
-	switch e := unparen(e).(type) {
-	case *ast.Ident:
-		return e
-	case *ast.SelectorExpr:
-		return e.Sel
-	}
-	return nil
-}
-
-// senderUse is one master-side use of an opcode constant: the
-// collective trace following the issuing statement.
-type senderUse struct {
-	ident *ast.Ident
-	site  string
-	tail  *funcSummary
-}
-
-// findSenders locates every use of a dispatch-group constant outside
-// dispatch-switch labels, and summarizes the collective tail after the
-// issuing statement — up to the next opcode use or the end of the
-// enclosing function. A use with no collective traffic in its statement
-// or tail (e.g. an opcode's String() table) is not a sender.
-func (a *commAnalysis) findSenders(group map[*types.Const]bool, labels map[*ast.Ident]bool) map[*types.Const][]senderUse {
-	senders := map[*types.Const][]senderUse{}
-	a.p.inspectWithStack(func(n ast.Node, stack []ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		cobj, isConst := a.p.Info.Uses[id].(*types.Const)
-		if !isConst || !group[cobj] || labels[id] {
-			return true
-		}
-		fd, body := enclosingFunc(stack)
-		if fd == nil {
-			return true
-		}
-		top := topLevelStmt(body, id)
-		if top == nil {
-			return true
-		}
-		// Tail: statements after the issuing one, stopping at the next
-		// statement that uses any opcode of the group.
-		tail := &funcSummary{}
-		idx := stmtIndex(body, top)
-		for _, s := range body.List[idx+1:] {
-			if a.usesGroupConst(s, group, labels) {
-				break
-			}
-			a.collectStmt(s, false, tail)
-		}
-		if len(a.stmtSummary(top).events) == 0 && len(tail.events) == 0 {
-			return true
-		}
-		senders[cobj] = append(senders[cobj], senderUse{ident: id, site: a.site(id), tail: tail})
-		return true
-	})
-	return senders
-}
-
-// enclosingFunc finds the innermost function declaration or literal in
-// the stack and returns it with its body.
-func enclosingFunc(stack []ast.Node) (ast.Node, *ast.BlockStmt) {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch f := stack[i].(type) {
-		case *ast.FuncDecl:
-			return f, f.Body
-		case *ast.FuncLit:
-			return f, f.Body
-		}
-	}
-	return nil, nil
-}
-
-// topLevelStmt returns the statement of body directly containing node.
-func topLevelStmt(body *ast.BlockStmt, node ast.Node) ast.Stmt {
-	for _, s := range body.List {
-		if s.Pos() <= node.Pos() && node.End() <= s.End() {
-			return s
-		}
-	}
-	return nil
-}
-
-// stmtIndex returns s's index in body.
-func stmtIndex(body *ast.BlockStmt, s ast.Stmt) int {
-	for i, st := range body.List {
-		if st == s {
-			return i
-		}
-	}
-	return len(body.List)
-}
-
-// usesGroupConst reports whether any identifier under s (outside
-// dispatch labels) refers to one of the group's constants.
-func (a *commAnalysis) usesGroupConst(s ast.Stmt, group map[*types.Const]bool, labels map[*ast.Ident]bool) bool {
-	found := false
-	ast.Inspect(s, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && !labels[id] {
-			if cobj, isConst := a.p.Info.Uses[id].(*types.Const); isConst && group[cobj] {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// compareArm checks one dispatch arm against one sender's collective
-// tail, element by element.
-func (a *commAnalysis) compareArm(arm dispatchArm, u senderUse) {
-	if !u.tail.linear() {
-		return
-	}
-	name := arm.constObj.Name()
-	armEv, sendEv := arm.summary.events, u.tail.events
-	if len(armEv) != len(sendEv) {
-		a.findings = append(a.findings, a.p.finding(a.check, SevError, arm.clause,
-			"dispatch arm for %s runs %d collective(s) but its master sender at %s follows with %d: the ranks will desynchronize",
-			name, len(armEv), u.site, len(sendEv)))
-		return
-	}
-	for i := range armEv {
-		w, m := armEv[i], sendEv[i]
-		var what string
-		switch {
-		case w.kind != m.kind:
-			what = "kind"
-		case w.dtype != m.dtype:
-			what = "dtype"
-		case w.rootKnown && m.rootKnown && w.root != m.root:
-			what = "root"
-		case w.count >= 0 && m.count >= 0 && w.count != m.count:
-			what = "length"
-		default:
-			continue
-		}
-		a.findings = append(a.findings, a.p.finding(a.check, SevError, w.node,
-			"dispatch arm for %s: collective %d is %s but the master sender at %s executes %s (at %s) — %s mismatch",
-			name, i+1, w.desc(), u.site, m.desc(), m.site, what))
-	}
 }

@@ -1,27 +1,26 @@
 package lint
 
-// OpProto extracts the elastic opcode state machine and diffs its two
-// sides. The master issues opcodes over point-to-point frames — either
-// directly (heartbeat pings, shard supplements) or through helpers like
-// bcastOp/gatherOp — and the worker dispatches on the opcode in a
-// switch whose case labels are the opcode constants. Four hazards:
+// OpProto extracts a point-to-point opcode state machine and diffs its
+// two sides. The master issues opcodes over point-to-point frames —
+// directly or through helpers — and the worker dispatches on the opcode
+// in a switch whose case labels are the opcode constants
+// (internal/core's em* frame types, internal/serve's sv* opcodes). Three
+// hazards:
 //
 //   - a dispatch arm whose opcode no master path ever sends with p2p
 //     traffic: dead protocol, or a sender that was lost in a refactor;
 //   - an opcode sent with p2p traffic but handled by no dispatch arm:
-//     the worker's default path treats a live opcode as garbage;
-//   - a statically-derivable reply-length mismatch: the master checks
-//     `len(reply) != N` (inline or via a helper's wantLen parameter)
-//     while the arm's reply encoder produces a different length — every
-//     reply is then "malformed" and the worker is evicted while healthy;
+//     the worker's default path treats a live opcode as garbage; or a
+//     sender that waits for a reply its arm never sends;
 //   - an opcode with a dispatch arm but no case in the opcode name
 //     table, so fault reports and event logs show a raw number.
 //
-// Reply lengths compare in k*DIM+c form (DIM = the model dimension);
-// arms or senders whose traffic passes a Comm to another package are
-// opaque and exempt from reply checks. Like commcheck, the opcode group
-// extends to every constant declared in the same const block as an arm
-// label, and the mpi package itself is exempt.
+// Reply lengths are not compared: the one protocol with fixed-length
+// replies, internal/core's, derives both sides from a single ops-table
+// row. Arms or senders whose traffic passes a Comm to another package
+// are opaque and exempt from reply checks. Like commcheck, the
+// opcode group extends to every constant declared in the same const
+// block as an arm label, and the mpi package itself is exempt.
 
 import (
 	"go/ast"
@@ -35,7 +34,7 @@ type OpProto struct{}
 func (OpProto) Name() string { return "opproto" }
 
 func (OpProto) Doc() string {
-	return "elastic opcode state machine: dispatch arms without master senders, p2p-sent opcodes without dispatch arms, reply-length mismatches, and opcodes missing from the name table"
+	return "point-to-point opcode state machine: dispatch arms without master senders, p2p-sent opcodes without dispatch arms, awaited replies no arm sends, and opcodes missing from the name table"
 }
 
 // p2pArm is one opcode case of a worker dispatch switch.
@@ -53,14 +52,12 @@ type p2pDispatch struct {
 
 // opSender is one master-side use of an opcode constant: the p2p
 // conversation written at that site (its statement, spliced, plus the
-// unspliced tail), and the reply expectation derived from it.
+// unspliced tail), and whether it waits for a reply.
 type opSender struct {
 	ident        *ast.Ident
 	site         string
 	expectsReply bool
 	opaque       bool
-	want         affine
-	wantNeg      bool
 }
 
 func (c OpProto) Run(p *Package) []Finding {
@@ -117,32 +114,19 @@ func (c OpProto) Run(p *Package) []Finding {
 					arm.c.Name(), arm.c.Name()))
 				continue
 			}
-			var armSends []p2pEvent
-			armOpaque := false
+			armSends, armOpaque := false, false
 			for _, ev := range arm.summary.events {
 				if ev.opaque {
 					armOpaque = true
 				} else if ev.dir == dirSend {
-					armSends = append(armSends, ev)
+					armSends = true
 				}
 			}
 			for _, u := range uses {
-				if u.opaque || armOpaque {
-					continue
-				}
-				if u.expectsReply && len(armSends) == 0 {
+				if !u.opaque && !armOpaque && u.expectsReply && !armSends {
 					report(p.finding(c, SevError, arm.clause,
 						"master sender at %s waits for a reply to %s but the dispatch arm never sends one",
 						u.site, arm.c.Name()))
-					continue
-				}
-				if u.want.ok && !u.wantNeg && len(armSends) == 1 {
-					ra := z.byteLenAffine(armSends[0].payload, 0)
-					if ra.ok && !ra.equal(u.want) {
-						report(p.finding(c, SevError, armSends[0].node,
-							"dispatch arm for %s replies %s bytes but its master sender at %s expects %s: every reply is rejected as malformed",
-							arm.c.Name(), ra.render(), u.site, u.want.render()))
-					}
 				}
 			}
 		}
@@ -307,7 +291,7 @@ func (z *p2pPass) constBlocks() map[*types.Const]*ast.GenDecl {
 // findOpSenders locates every use of a group constant outside dispatch
 // labels whose site carries p2p send traffic, and derives the reply
 // expectation written there. The issuing statement is summarized with
-// helper splicing (a gatherOp call site is one conversation); the tail
+// helper splicing (a fan-out helper's call site is one conversation); the tail
 // — statements up to the next opcode use — is summarized without
 // splicing, so an adjacent helper call's unrelated conversation cannot
 // masquerade as this site's reply wait.
@@ -334,17 +318,15 @@ func (z *p2pPass) findOpSenders(group map[*types.Const]bool, labels map[*ast.Ide
 		tail := &p2pSummary{}
 		z.noSplice = true
 		idx := stmtIndex(body, top)
-		var tailStmts []ast.Stmt
 		for _, s := range body.List[idx+1:] {
 			if z.usesGroupConst(s, group, labels) {
 				break
 			}
-			tailStmts = append(tailStmts, s)
 			z.collectStmt(s, false, tail)
 		}
 		z.noSplice = false
 
-		u := opSender{ident: id, site: z.site(id), want: affine{}}
+		u := opSender{ident: id, site: z.site(id)}
 		hasSend := false
 		for _, ev := range append(append([]p2pEvent(nil), stmtSum.events...), tail.events...) {
 			switch {
@@ -359,124 +341,10 @@ func (z *p2pPass) findOpSenders(group map[*types.Const]bool, labels map[*ast.Ide
 		if !hasSend {
 			return true
 		}
-		u.want, u.wantNeg = z.senderWant(top, tailStmts)
 		senders[cobj] = append(senders[cobj], u)
 		return true
 	})
 	return senders
-}
-
-// senderWant derives the reply length a sender site checks for: a call
-// to a helper with a wantLen-style parameter (compared against
-// len(reply.Data) in its body) wins; otherwise the first inline
-// len(x.Data) comparison in the site's statements.
-func (z *p2pPass) senderWant(top ast.Stmt, tail []ast.Stmt) (affine, bool) {
-	var want affine
-	ast.Inspect(top, func(n ast.Node) bool {
-		if want.ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := z.localCallee(call)
-		if fn == nil {
-			return true
-		}
-		if w := z.wantLenParam(fn); w >= 0 && w < len(call.Args) && call.Ellipsis == token.NoPos {
-			want = z.intAffine(call.Args[w], 0)
-		}
-		return true
-	})
-	if !want.ok {
-		for _, s := range append([]ast.Stmt{top}, tail...) {
-			if want.ok {
-				break
-			}
-			ast.Inspect(s, func(n ast.Node) bool {
-				if want.ok {
-					return false
-				}
-				if a, ok := z.lenCompare(n); ok {
-					want = a
-					return false
-				}
-				return true
-			})
-		}
-	}
-	neg := want.ok && want.dim == 0 && want.c < 0
-	return want, neg
-}
-
-// lenCompare matches `len(x.Data) ==/!= E` and resolves E.
-func (z *p2pPass) lenCompare(n ast.Node) (affine, bool) {
-	be, ok := n.(*ast.BinaryExpr)
-	if !ok || (be.Op != token.NEQ && be.Op != token.EQL) {
-		return affine{}, false
-	}
-	for _, pair := range [2][2]ast.Expr{{be.X, be.Y}, {be.Y, be.X}} {
-		if !z.isLenOfData(pair[0]) {
-			continue
-		}
-		if a := z.intAffine(pair[1], 0); a.ok {
-			return a, true
-		}
-	}
-	return affine{}, false
-}
-
-// isLenOfData matches len(sel.Data) — the length of a received
-// mpi.Message payload.
-func (z *p2pPass) isLenOfData(e ast.Expr) bool {
-	call, ok := unparen(e).(*ast.CallExpr)
-	if !ok || !z.p.isBuiltin(call, "len") || len(call.Args) != 1 {
-		return false
-	}
-	sel, ok := unparen(call.Args[0]).(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "Data"
-}
-
-// wantLenParam returns the index of fn's parameter that its body
-// compares against a received payload length, or -1.
-func (z *p2pPass) wantLenParam(fn *types.Func) int {
-	if w, ok := z.wantLens[fn]; ok {
-		return w
-	}
-	result := -1
-	if fd := z.decls[fn]; fd != nil {
-		params := z.paramObjects(fd.Type)
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if result >= 0 {
-				return false
-			}
-			be, ok := n.(*ast.BinaryExpr)
-			if !ok || (be.Op != token.NEQ && be.Op != token.EQL) {
-				return true
-			}
-			for _, pair := range [2][2]ast.Expr{{be.X, be.Y}, {be.Y, be.X}} {
-				if !z.isLenOfData(pair[0]) {
-					continue
-				}
-				id, ok := unparen(pair[1]).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := z.p.Info.Uses[id]
-				if obj == nil {
-					continue
-				}
-				if idx, isParam := params[obj]; isParam {
-					result = idx
-					return false
-				}
-			}
-			return true
-		})
-	}
-	z.wantLens[fn] = result
-	return result
 }
 
 // nameTable is a switch mapping opcode constants to string literals
@@ -544,4 +412,50 @@ func (z *p2pPass) findNameTables() []nameTable {
 		})
 	}
 	return tables
+}
+
+// labelIdent extracts the identifier of a case label (possibly
+// package-qualified), or nil.
+func labelIdent(e ast.Expr) *ast.Ident {
+	switch e := unparen(e).(type) {
+	case *ast.Ident:
+		return e
+	case *ast.SelectorExpr:
+		return e.Sel
+	}
+	return nil
+}
+
+// enclosingFunc finds the innermost function declaration or literal in
+// the stack and returns it with its body.
+func enclosingFunc(stack []ast.Node) (ast.Node, *ast.BlockStmt) {
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch f := stack[i].(type) {
+		case *ast.FuncDecl:
+			return f, f.Body
+		case *ast.FuncLit:
+			return f, f.Body
+		}
+	}
+	return nil, nil
+}
+
+// topLevelStmt returns the statement of body directly containing node.
+func topLevelStmt(body *ast.BlockStmt, node ast.Node) ast.Stmt {
+	for _, s := range body.List {
+		if s.Pos() <= node.Pos() && node.End() <= s.End() {
+			return s
+		}
+	}
+	return nil
+}
+
+// stmtIndex returns s's index in body.
+func stmtIndex(body *ast.BlockStmt, s ast.Stmt) int {
+	for i, st := range body.List {
+		if st == s {
+			return i
+		}
+	}
+	return len(body.List)
 }

@@ -6,9 +6,9 @@ package lint
 // Send/Recv/Isend/Irecv, the typed SendBytes/RecvBytes(Timeout)/
 // SendF32/RecvF32/SendInts/RecvInts wrappers and the free RecvTimeout —
 // and extracts per-function ordered traces of p2p events with their
-// statically-resolved tags and payload lengths.
+// statically-resolved tags.
 //
-// Three abstractions carry the analyses:
+// Two abstractions carry the analyses:
 //
 //   - tagForm: a tag argument resolved to a constant, to a named base
 //     constant plus a dynamic offset ("tagElasticReply+round"), to the
@@ -17,18 +17,13 @@ package lint
 //   - p2pEvent traces: the same statement walk as commcheck's summaries
 //     (conditional marking, source order), with same-package calls and
 //     single-assignment closures spliced in. Splicing substitutes tag
-//     and payload arguments through parameter positions, so a wrapper
-//     like mpi's collSend, or the elastic worker's reply closure,
-//     resolves at its call sites.
-//   - affine lengths: payload byte lengths in the form k*DIM+c, where
-//     DIM stands for every non-constant atom (the protocol's single
-//     free dimension). append/make/slice expressions and same-package
-//     encoder helpers fold into this form; anything else is "unknown"
-//     and exempt from comparison.
+//     arguments through parameter positions, so a wrapper like mpi's
+//     collSend, or a reply closure, resolves at its call sites.
 
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"path/filepath"
@@ -44,31 +39,30 @@ const (
 )
 
 // p2pSig describes one mpi point-to-point function: direction, where
-// the tag and payload sit in the argument list (-1: absent), and
-// whether a receive blocks without a deadline bound.
+// the tag sits in the argument list, and whether a receive blocks
+// without a deadline bound.
 type p2pSig struct {
-	dir        p2pDir
-	tagArg     int
-	payloadArg int
-	blocking   bool
+	dir      p2pDir
+	tagArg   int
+	blocking bool
 }
 
 // p2pSigs maps mpi function names (methods and the free RecvTimeout) to
 // their signatures. Timeout-bounded receives are non-blocking for
 // deadlock purposes: they are the eviction path, not a hang.
 var p2pSigs = map[string]p2pSig{
-	"Send":             {dirSend, 1, 2, false},
-	"Recv":             {dirRecv, 1, -1, true},
-	"SendBytes":        {dirSend, 1, 2, false},
-	"RecvBytes":        {dirRecv, 1, -1, true},
-	"RecvBytesTimeout": {dirRecv, 1, -1, false},
-	"SendF32":          {dirSend, 1, 2, false},
-	"RecvF32":          {dirRecv, 1, -1, true},
-	"SendInts":         {dirSend, 1, 2, false},
-	"RecvInts":         {dirRecv, 1, -1, true},
-	"Isend":            {dirSend, 1, 2, false},
-	"Irecv":            {dirRecv, 1, -1, false},
-	"RecvTimeout":      {dirRecv, 2, -1, false},
+	"Send":             {dirSend, 1, false},
+	"Recv":             {dirRecv, 1, true},
+	"SendBytes":        {dirSend, 1, false},
+	"RecvBytes":        {dirRecv, 1, true},
+	"RecvBytesTimeout": {dirRecv, 1, false},
+	"SendF32":          {dirSend, 1, false},
+	"RecvF32":          {dirRecv, 1, true},
+	"SendInts":         {dirSend, 1, false},
+	"RecvInts":         {dirRecv, 1, true},
+	"Isend":            {dirSend, 1, false},
+	"Irecv":            {dirRecv, 1, false},
+	"RecvTimeout":      {dirRecv, 2, false},
 }
 
 // tagBlockWidth is the span a base constant used with a dynamic offset
@@ -109,39 +103,6 @@ func (t tagForm) render() string {
 	return s
 }
 
-// affine is a payload byte length of the form dim*DIM + c, where DIM is
-// the protocol's free dimension (any non-constant atom).
-type affine struct {
-	dim, c int
-	ok     bool
-}
-
-func (a affine) add(b affine) affine {
-	return affine{a.dim + b.dim, a.c + b.c, a.ok && b.ok}
-}
-
-func (a affine) sub(b affine) affine {
-	return affine{a.dim - b.dim, a.c - b.c, a.ok && b.ok}
-}
-
-func (a affine) scale(k int) affine { return affine{a.dim * k, a.c * k, a.ok} }
-
-func (a affine) equal(b affine) bool { return a.dim == b.dim && a.c == b.c }
-
-// render shows the length like the protocol comments: "4*dim+16", "16".
-func (a affine) render() string {
-	switch {
-	case !a.ok:
-		return "?"
-	case a.dim == 0:
-		return fmt.Sprintf("%d", a.c)
-	case a.c == 0:
-		return fmt.Sprintf("%d*dim", a.dim)
-	default:
-		return fmt.Sprintf("%d*dim+%d", a.dim, a.c)
-	}
-}
-
 // p2pEvent is one point-to-point operation (or an opacity marker) in a
 // summarized execution path.
 type p2pEvent struct {
@@ -152,13 +113,6 @@ type p2pEvent struct {
 	// aliases when unresolved (-1 otherwise); splicing substitutes the
 	// call-site argument through it.
 	tagParam int
-	// payload is the send's payload expression after substitution (nil
-	// for receives); payloadParam propagates like tagParam.
-	payload      ast.Expr
-	payloadParam int
-	// payloadPkg is the package whose varDef/encoder context resolves
-	// payload (substitution can move the expression across splices).
-	payloadPkg *Package
 	// opaque marks a call that hands an mpi.Comm/Transport to another
 	// package: its traffic is invisible, so sequence claims about the
 	// surrounding path are off.
@@ -195,8 +149,7 @@ type p2pPass struct {
 	p *Package
 
 	// decls maps function objects to declarations for summary splicing;
-	// varDef resolves single-assignment variables (closure values,
-	// payload buffers).
+	// varDef resolves single-assignment variables (closure values).
 	decls  map[*types.Func]*ast.FuncDecl
 	varDef map[types.Object]ast.Expr
 
@@ -212,12 +165,6 @@ type p2pPass struct {
 	// noSplice disables local-call and closure splicing while set: tail
 	// collection wants only the traffic written at the site itself.
 	noSplice bool
-
-	// funcLens memoizes []byte-returning encoder length summaries;
-	// wantLens memoizes reply-length parameter positions.
-	funcLens    map[*types.Func]affine
-	funcLenBusy map[*types.Func]bool
-	wantLens    map[*types.Func]int
 }
 
 func newP2PPass(p *Package) *p2pPass {
@@ -229,9 +176,6 @@ func newP2PPass(p *Package) *p2pPass {
 		inProgress:    map[*types.Func]bool{},
 		litSummaries:  map[*ast.FuncLit]*p2pSummary{},
 		litInProgress: map[*ast.FuncLit]bool{},
-		funcLens:      map[*types.Func]affine{},
-		funcLenBusy:   map[*types.Func]bool{},
-		wantLens:      map[*types.Func]int{},
 	}
 	z.collectDecls()
 	return z
@@ -356,8 +300,15 @@ func (z *p2pPass) closureCallee(call *ast.CallExpr) *ast.FuncLit {
 
 // constInt resolves e to a constant int via go/types.
 func (z *p2pPass) constInt(e ast.Expr) (int, bool) {
-	a := &commAnalysis{p: z.p}
-	return a.constInt(e)
+	tv, ok := z.p.Info.Types[e]
+	if !ok || tv.Value == nil {
+		return 0, false
+	}
+	v, ok := constant.Int64Val(constant.ToInt(tv.Value))
+	if !ok {
+		return 0, false
+	}
+	return int(v), true
 }
 
 // namedConst returns the package-level constant e names, or nil.
@@ -652,14 +603,13 @@ func (z *p2pPass) collectExpr(e ast.Expr, conditional bool, sum *p2pSummary) {
 // eventFor builds the event for one direct p2p call.
 func (z *p2pPass) eventFor(call *ast.CallExpr, sig p2pSig, conditional bool) p2pEvent {
 	ev := p2pEvent{
-		dir:          sig.dir,
-		blocking:     sig.blocking,
-		tagParam:     -1,
-		payloadParam: -1,
-		report:       true,
-		node:         call,
-		site:         z.site(call),
-		conditional:  conditional,
+		dir:         sig.dir,
+		blocking:    sig.blocking,
+		tagParam:    -1,
+		report:      true,
+		node:        call,
+		site:        z.site(call),
+		conditional: conditional,
 	}
 	if sig.tagArg < len(call.Args) {
 		tagExpr := call.Args[sig.tagArg]
@@ -669,16 +619,11 @@ func (z *p2pPass) eventFor(call *ast.CallExpr, sig p2pSig, conditional bool) p2p
 			ev.report = false // a splice that supplies the tag reports
 		}
 	}
-	if sig.dir == dirSend && sig.payloadArg >= 0 && sig.payloadArg < len(call.Args) {
-		ev.payload = call.Args[sig.payloadArg]
-		ev.payloadPkg = z.p
-		ev.payloadParam = z.paramIndex(ev.payload)
-	}
 	return ev
 }
 
 // splice copies a callee summary into sum at a call site, substituting
-// tag and payload arguments through parameter positions. The copy whose
+// tag arguments through parameter positions. The copy whose
 // substitution resolves a previously-unknown tag becomes the reporting
 // copy; deeper copies keep the trace but stay silent.
 func (z *p2pPass) splice(call *ast.CallExpr, callee *p2pSummary, conditional bool, sum *p2pSummary) {
@@ -697,161 +642,6 @@ func (z *p2pPass) splice(call *ast.CallExpr, callee *p2pSummary, conditional boo
 				ev.tagParam = z.paramIndex(arg)
 			}
 		}
-		if ev.payloadParam >= 0 && ev.payloadParam < len(call.Args) && call.Ellipsis == token.NoPos {
-			arg := call.Args[ev.payloadParam]
-			ev.payload = arg
-			ev.payloadPkg = z.p
-			ev.payloadParam = z.paramIndex(arg)
-		}
 		sum.events = append(sum.events, ev)
 	}
-}
-
-// --- affine payload lengths ---
-
-// byteLenAffine resolves the byte length of a []byte-valued expression
-// into k*DIM+c form.
-func (z *p2pPass) byteLenAffine(e ast.Expr, depth int) affine {
-	if depth > 6 {
-		return affine{}
-	}
-	switch e := unparen(e).(type) {
-	case *ast.Ident:
-		if e.Name == "nil" {
-			return affine{0, 0, true}
-		}
-		obj := z.p.Info.Uses[e]
-		if obj == nil {
-			return affine{}
-		}
-		if def, ok := z.varDef[obj]; ok {
-			return z.byteLenAffine(def, depth+1)
-		}
-		return affine{}
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			if _, keyed := el.(*ast.KeyValueExpr); keyed {
-				return affine{}
-			}
-		}
-		return affine{0, len(e.Elts), true}
-	case *ast.SliceExpr:
-		lo := affine{0, 0, true}
-		if e.Low != nil {
-			lo = z.intAffine(e.Low, depth+1)
-		}
-		if e.High == nil {
-			return affine{}
-		}
-		return z.intAffine(e.High, depth+1).sub(lo)
-	case *ast.CallExpr:
-		if z.p.isBuiltin(e, "append") && len(e.Args) >= 1 {
-			base := z.byteLenAffine(e.Args[0], depth+1)
-			if e.Ellipsis != token.NoPos {
-				if len(e.Args) != 2 {
-					return affine{}
-				}
-				return base.add(z.byteLenAffine(e.Args[1], depth+1))
-			}
-			return base.add(affine{0, len(e.Args) - 1, true})
-		}
-		if z.p.isBuiltin(e, "make") && len(e.Args) >= 2 {
-			return z.intAffine(e.Args[1], depth+1)
-		}
-		if fn := z.localCallee(e); fn != nil {
-			return z.funcByteLen(fn, depth+1)
-		}
-		return affine{}
-	}
-	return affine{}
-}
-
-// intAffine resolves an int-valued expression into k*DIM+c form, where
-// every non-constant atom (len calls, fields, variables) is DIM. Sound
-// only because the protocols here have a single free dimension; a
-// mismatch is reported only when both sides resolve.
-func (z *p2pPass) intAffine(e ast.Expr, depth int) affine {
-	if depth > 8 {
-		return affine{}
-	}
-	e = unparen(e)
-	if v, ok := z.constInt(e); ok {
-		return affine{0, v, true}
-	}
-	switch e := e.(type) {
-	case *ast.BinaryExpr:
-		x, y := z.intAffine(e.X, depth+1), z.intAffine(e.Y, depth+1)
-		switch e.Op {
-		case token.ADD:
-			return x.add(y)
-		case token.SUB:
-			return x.sub(y)
-		case token.MUL:
-			if x.ok && x.dim == 0 {
-				return y.scale(x.c)
-			}
-			if y.ok && y.dim == 0 {
-				return x.scale(y.c)
-			}
-			return affine{}
-		}
-		return affine{}
-	case *ast.CallExpr:
-		if z.p.isBuiltin(e, "len") {
-			return affine{1, 0, true}
-		}
-		return affine{}
-	case *ast.Ident, *ast.SelectorExpr:
-		return affine{1, 0, true}
-	}
-	return affine{}
-}
-
-// funcByteLen summarizes the byte length of a local []byte-returning
-// function (the wire encoders): resolvable only when every return path
-// agrees on one affine form.
-func (z *p2pPass) funcByteLen(fn *types.Func, depth int) affine {
-	if a, ok := z.funcLens[fn]; ok {
-		return a
-	}
-	if z.funcLenBusy[fn] || depth > 6 {
-		return affine{}
-	}
-	z.funcLenBusy[fn] = true
-	defer func() { z.funcLenBusy[fn] = false }()
-	fd := z.decls[fn]
-	result := affine{}
-	if fd != nil {
-		first := true
-		agree := true
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-			ret, ok := n.(*ast.ReturnStmt)
-			if !ok {
-				return true
-			}
-			if len(ret.Results) != 1 {
-				agree = false
-				return true
-			}
-			a := z.byteLenAffine(ret.Results[0], depth+1)
-			if !a.ok {
-				agree = false
-				return true
-			}
-			if first {
-				result, first = a, false
-			} else if !result.equal(a) {
-				agree = false
-			}
-			return true
-		})
-		if first || !agree {
-			result = affine{}
-		}
-	}
-	z.funcLens[fn] = result
-	return result
 }

@@ -1,122 +1,16 @@
-// Package commcheck is a lint fixture seeding master/worker collective
-// protocol defects: dispatch arms whose collectives disagree with their
-// master sender in kind, root, dtype, length or sequence length, an
-// orphaned opcode arm, and collectives under rank-dependent branches.
+// Package commcheck is a lint fixture seeding collectives under
+// rank-dependent branches, directly and through a same-package call.
 package commcheck
 
 import "repro/internal/mpi"
 
-const (
-	opGood float32 = 1 + iota // matched protocol: not flagged
-	opKind                    // worker reduces where master broadcasts
-	opRoot                    // sides disagree on the reduction root
-	opDtype                   // f32 on one side, f64 on the other
-	opLen                     // 3 elements sent, 2 expected
-	opSeq                     // master runs 1 collective, worker 2
-	opOrphan                  // dispatch arm with no master sender
-	opStop                    // matched no-payload opcode: not flagged
-)
-
-// cmd issues one opcode to the workers, like the trainer's command
-// broadcast.
-func cmd(c *mpi.Comm, op float32) error {
-	return c.Bcast(0, []float32{op, 0})
-}
-
-func masterGood(c *mpi.Comm, grad []float32) error {
-	if err := cmd(c, opGood); err != nil {
-		return err
-	}
-	if err := c.Reduce(0, mpi.OpSum, grad); err != nil {
-		return err
-	}
-	return c.ReduceF64(0, mpi.OpSum, []float64{0, 0})
-}
-
-func masterKind(c *mpi.Comm, buf []float32) error {
-	if err := cmd(c, opKind); err != nil {
-		return err
-	}
-	return c.Bcast(0, buf)
-}
-
-func masterRoot(c *mpi.Comm, buf []float32) error {
-	if err := cmd(c, opRoot); err != nil {
+// sync runs two collectives; calling it under a rank branch is as
+// divergent as calling them there directly.
+func sync(c *mpi.Comm, buf []float32) error {
+	if err := c.Bcast(0, buf); err != nil {
 		return err
 	}
 	return c.Reduce(0, mpi.OpSum, buf)
-}
-
-func masterDtype(c *mpi.Comm) error {
-	if err := cmd(c, opDtype); err != nil {
-		return err
-	}
-	return c.Reduce(0, mpi.OpSum, []float32{0, 0})
-}
-
-func masterLen(c *mpi.Comm) error {
-	if err := cmd(c, opLen); err != nil {
-		return err
-	}
-	return c.ReduceF64(0, mpi.OpSum, []float64{1, 2, 3})
-}
-
-func masterSeq(c *mpi.Comm, buf []float32) error {
-	if err := cmd(c, opSeq); err != nil {
-		return err
-	}
-	return c.Bcast(0, buf)
-}
-
-func stop(c *mpi.Comm) error { return cmd(c, opStop) }
-
-// worker is the op-dispatch loop the analyzer compares against the
-// masters above.
-func worker(c *mpi.Comm, buf []float32) error {
-	cmdBuf := make([]float32, 2)
-	for {
-		if err := c.Bcast(0, cmdBuf); err != nil {
-			return err
-		}
-		switch cmdBuf[0] {
-		case opGood:
-			if err := c.Reduce(0, mpi.OpSum, buf); err != nil {
-				return err
-			}
-			if err := c.ReduceF64(0, mpi.OpSum, []float64{0, 0}); err != nil {
-				return err
-			}
-		case opKind:
-			if err := c.Reduce(0, mpi.OpSum, buf); err != nil { // want kind mismatch
-				return err
-			}
-		case opRoot:
-			if err := c.Reduce(1, mpi.OpSum, buf); err != nil { // want root mismatch
-				return err
-			}
-		case opDtype:
-			if err := c.ReduceF64(0, mpi.OpSum, []float64{0, 0}); err != nil { // want dtype mismatch
-				return err
-			}
-		case opLen:
-			if err := c.ReduceF64(0, mpi.OpSum, []float64{1, 2}); err != nil { // want length mismatch
-				return err
-			}
-		case opSeq: // want sequence-length mismatch
-			if err := c.Bcast(0, buf); err != nil {
-				return err
-			}
-			if err := c.Reduce(0, mpi.OpSum, buf); err != nil {
-				return err
-			}
-		case opOrphan: // want orphan-arm error
-			if err := c.Reduce(0, mpi.OpSum, buf); err != nil {
-				return err
-			}
-		case opStop:
-			return nil
-		}
-	}
 }
 
 // rankCond seeds collectives under rank-dependent conditionals.
@@ -129,6 +23,9 @@ func rankCond(c *mpi.Comm, buf []float32) error {
 		if err := c.Barrier(); err != nil { // want rank-divergent collective (derived var)
 			return err
 		}
+	}
+	if rank != 0 {
+		return sync(c, buf) // want rank-divergent call (2 collectives)
 	}
 	return c.Barrier() // outside the branch: not flagged
 }

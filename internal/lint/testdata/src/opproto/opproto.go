@@ -1,7 +1,7 @@
 // Package opproto seeds every opproto hazard: a dispatch arm with no
-// master sender, an opcode sent but dispatched nowhere, a reply-length
-// mismatch, an arm that never sends the awaited reply, and an opcode
-// missing from the name table.
+// master sender, an opcode sent but dispatched nowhere, an arm that
+// never sends the awaited reply, and an opcode missing from the name
+// table.
 package opproto
 
 import (
@@ -11,8 +11,7 @@ import (
 )
 
 const (
-	opGood   float32 = 1 + iota // sent, handled, named, 16-byte reply both sides
-	opShort                     // master wants 16 bytes, arm replies 8
+	opGood   float32 = 1 + iota // sent, handled, named, replied to
 	opDead                      // arm exists, master never sends it
 	opLost                      // master sends it, no arm handles it
 	opMute                      // master waits for a reply the arm never sends
@@ -33,7 +32,6 @@ func encodePair(a, b float64) []byte {
 // master issues each opcode and gathers fixed-size replies.
 func master(c *mpi.Comm) {
 	gather(c, opGood, 16)
-	gather(c, opShort, 16)
 	gather(c, opLost, 16) // sent with p2p traffic, dispatched nowhere
 	gather(c, opMute, 16)
 	gather(c, opNoName, 16)
@@ -68,10 +66,6 @@ func worker(c *mpi.Comm) error {
 			if err := reply(encodePair(1, 2)); err != nil {
 				return err
 			}
-		case opShort:
-			if err := reply(make([]byte, 8)); err != nil { // 8 bytes against a 16-byte check
-				return err
-			}
 		case opDead: // no master path issues opDead
 			if err := reply(encodePair(0, 0)); err != nil {
 				return err
@@ -91,8 +85,6 @@ func opLabel(op float32) string {
 	switch op {
 	case opGood:
 		return "good"
-	case opShort:
-		return "short"
 	case opDead:
 		return "dead"
 	case opMute:
