@@ -1,11 +1,12 @@
 package repro
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -17,7 +18,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/obs/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/workload"
 )
@@ -300,134 +300,6 @@ func BenchmarkRealDistributedHF(b *testing.B) {
 	}
 }
 
-// BenchmarkObsOverhead measures what the observability layer costs the
-// real distributed trainer: identical 3-rank runs with instrumentation
-// disabled (nil observer — hot paths pay only pointer checks), fully
-// enabled (metrics registry + span tracer), and with the telemetry
-// plane shipping spans and metric snapshots to the master at every
-// iteration boundary. The comparison is written to BENCH_obs.json; if a
-// previous BENCH_obs.json exists, the benchmark fails when telemetry
-// shipping regresses past the recorded baseline by more than the
-// obsOverheadMargin.
-func BenchmarkObsOverhead(b *testing.B) {
-	c := corpus.Generate(corpus.Config{
-		Seed: 7, NumUtterances: 40, MeanSeconds: 0.3, FeatDim: 10, Context: 1, NumStates: 6,
-	})
-	train, held := c.Split(8)
-	prob := core.Problem{
-		Topo:           nn.NewTopology(c.InputDim(), 24, c.NumStates),
-		Train:          train,
-		Heldout:        held,
-		Criterion:      core.CrossEntropy,
-		SampleFraction: 1,
-		Seed:           3,
-	}
-	cfg := hf.Config{MaxIterations: 3, CG: hf.CGOpts{MaxIters: 15, MinIters: 3}}
-	// Each variant takes the minimum wall time over a few repetitions —
-	// the noise-robust estimator for the short runs `-benchtime 1x`
-	// produces — so the percentages below compare floors, not jitter.
-	const reps = 3
-	run := func(b *testing.B, ob *obs.Observer, opts ...core.Option) (best, total time.Duration) {
-		sess, err := core.NewSession(prob, append([]core.Option{core.WithRanks(3), core.WithObserver(ob)}, opts...)...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N*reps; i++ {
-			start := time.Now()
-			if _, err := sess.Run(cfg); err != nil {
-				b.Fatal(err)
-			}
-			d := time.Since(start)
-			total += d
-			if best == 0 || d < best {
-				best = d
-			}
-		}
-		return best, total
-	}
-	var disabled, enabled, shipped time.Duration
-	var spansPerRun int
-	// telemetryPct is the shipping share measured on the master's
-	// critical path: the summed telemetry.collect_ns histogram over the
-	// variant's total wall time. Unlike the disabled-vs-enabled wall
-	// comparison it does not difference two separate noisy runs, so it
-	// is stable enough to gate on.
-	var telemetryPct float64
-	b.Run("disabled", func(b *testing.B) {
-		disabled, _ = run(b, nil)
-	})
-	b.Run("enabled", func(b *testing.B) {
-		ob := &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTracer()}
-		enabled, _ = run(b, ob)
-		spansPerRun = len(ob.Trace.Events()) / (b.N * reps)
-		b.ReportMetric(float64(spansPerRun), "spans/run")
-	})
-	b.Run("telemetry", func(b *testing.B) {
-		ob := &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(), Events: obs.NewEventLog(0)}
-		var total time.Duration
-		shipped, total = run(b, ob, core.WithTelemetry(telemetry.Config{}))
-		for _, h := range ob.Registry().Snapshot().Histograms {
-			if h.Name == "telemetry.collect_ns" && total > 0 {
-				telemetryPct = float64(h.Sum) / float64(total) * 100
-			}
-		}
-		b.ReportMetric(telemetryPct, "telemetry_pct")
-	})
-	if disabled <= 0 || enabled <= 0 || shipped <= 0 {
-		return
-	}
-	overheadPct := (float64(enabled)/float64(disabled) - 1) * 100
-	b.ReportMetric(overheadPct, "overhead_pct")
-
-	baseline, haveBaseline := readObsBaseline(b)
-	out, err := json.MarshalIndent(map[string]any{
-		"disabled_ns_per_run":  disabled.Nanoseconds(),
-		"enabled_ns_per_run":   enabled.Nanoseconds(),
-		"telemetry_ns_per_run": shipped.Nanoseconds(),
-		"overhead_pct":         overheadPct,
-		"telemetry_pct":        telemetryPct,
-		"spans_per_run":        spansPerRun,
-	}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_obs.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	if haveBaseline {
-		if limit := baseline + obsOverheadMargin; telemetryPct > limit {
-			b.Fatalf("telemetry shipping overhead %.1f%% regressed past baseline %.1f%% + %.0f-point margin",
-				telemetryPct, baseline, obsOverheadMargin)
-		}
-	}
-}
-
-// obsOverheadMargin is how many percentage points the telemetry
-// shipping share may drift above the recorded BENCH_obs.json baseline
-// before BenchmarkObsOverhead fails. The share measures the summed
-// collect time against total wall, so it is stable (~0.25% on the
-// reference box); the margin absorbs VM jitter while keeping the gate
-// under the 2% budget — it catches structural regressions like an
-// accidental sync on the collective path.
-const obsOverheadMargin float64 = 1.5
-
-// readObsBaseline loads the telemetry overhead recorded by the previous
-// BenchmarkObsOverhead run, if any.
-func readObsBaseline(b *testing.B) (float64, bool) {
-	b.Helper()
-	data, err := os.ReadFile("BENCH_obs.json")
-	if err != nil {
-		return 0, false
-	}
-	var prev struct {
-		TelemetryPct *float64 `json:"telemetry_pct"`
-	}
-	if json.Unmarshal(data, &prev) != nil || prev.TelemetryPct == nil {
-		return 0, false
-	}
-	return *prev.TelemetryPct, true
-}
-
 // BenchmarkFaultEviction measures what surviving a worker death costs the
 // elastic runtime: identical 4-rank runs with and without a kill injected
 // at HF iteration 2, plus the rewind latency and heartbeat RTT telemetry
@@ -608,29 +480,38 @@ func BenchmarkRealTrainingMethods(b *testing.B) {
 	})
 }
 
-// allocGateMargin is how many extra allocations per op any
-// BenchmarkAllocGate case may show over its recorded BENCH_alloc.json
-// baseline before the gate fails. The measured counts are exactly
-// deterministic (fixed shapes, single-threaded kernels, seeded inputs),
-// so the margin only absorbs Go-release drift in library internals; a
-// structural regression — boxing per CG step, a per-panel buffer in the
-// packed GEMM — adds allocations proportional to the iteration count and
-// blows past it immediately.
+// allocGateMargin is how many extra allocations per op any alloc-gate
+// case may show over its recorded BENCH_alloc.json baseline before
+// TestAllocGate fails. The measured counts are exactly deterministic
+// (fixed shapes, single-threaded kernels, seeded inputs), so the margin
+// only absorbs Go-release drift in library internals; a structural
+// regression — boxing per CG step, a per-panel buffer in the packed
+// GEMM — adds allocations proportional to the iteration count and blows
+// past it immediately.
 const allocGateMargin float64 = 4
 
-// BenchmarkAllocGate pins the steady-state allocation behavior of the
-// numeric hot paths as allocs/op and bytes/op: the packed GEMM under the
-// paper's three DNN shape classes (square, minibatch×layer, small-K
-// output layer) and a full CG inner solve. Counts are written to
-// BENCH_alloc.json and gated against the previous run. The GEMM cases
-// run the single-threaded Blocked kernel so the counts are
-// machine-independent (the Parallel driver sizes its worker pool from
-// GOMAXPROCS); per-call allocations there are the blocking driver's
-// packing buffers, which is why the count must not scale with shape.
-// The per-step zero-allocation property of the CG kernel itself is
-// pinned separately by the white-box TestZeroAlloc tests in
-// internal/blas and internal/hf.
-func BenchmarkAllocGate(b *testing.B) {
+// allocBaselineFile is the checked-in baseline. TestAllocGate only reads
+// it; `make bench_alloc` is its only writer, so a regressed run can never
+// replace the numbers it is judged against.
+const allocBaselineFile = "BENCH_alloc.json"
+
+// allocCase is one measured hot path of the allocation gate.
+type allocCase struct {
+	name string
+	fn   func()
+}
+
+// allocGateCases pins the steady-state allocation behavior of the
+// numeric hot paths: the packed GEMM under the paper's three DNN shape
+// classes (square, minibatch×layer, small-K output layer) and a full CG
+// inner solve. The GEMM cases run the single-threaded Blocked kernel so
+// the counts are machine-independent (the Parallel driver sizes its
+// worker pool from GOMAXPROCS); per-call allocations there are the
+// blocking driver's packing buffers, which is why the count must not
+// scale with shape. The per-step zero-allocation property of the CG
+// kernel itself is pinned separately by the white-box TestZeroAlloc
+// tests in internal/blas and internal/hf.
+func allocGateCases() []allocCase {
 	gemmCase := func(m, n, k int) func() {
 		rng := rand.New(rand.NewSource(1))
 		a := tensor.RandMatrix(rng, m, k, 1)
@@ -657,91 +538,100 @@ func BenchmarkAllocGate(b *testing.B) {
 			hf.CGMinimize(apply, g, d0, hf.CGOpts{MaxIters: 20, MinIters: 3})
 		}
 	}
-	cases := []struct {
-		name string
-		fn   func()
-	}{
+	return []allocCase{
 		{"gemm_square_256x256x256", gemmCase(256, 256, 256)},
 		{"gemm_layer_512x1024x1024", gemmCase(512, 1024, 1024)},
 		{"gemm_smallk_512x512x40", gemmCase(512, 512, 40)},
 		{"cg_minimize_dim4096", cgCase(4096)},
 	}
+}
 
-	type allocStat struct {
-		AllocsPerOp float64 `json:"allocs_per_op"`
-		BytesPerOp  float64 `json:"bytes_per_op"`
+// checkAllocGate measures every case and compares its allocs/op with
+// the baseline recorded in file. It fails closed: a missing or
+// unparseable file, or a case the file has no value for, is an error,
+// and nothing is ever written.
+func checkAllocGate(file string, cases []allocCase) error {
+	data, err := os.ReadFile(file)
+	if err != nil {
+		return fmt.Errorf("alloc gate: no baseline (regenerate with `make bench_alloc`): %w", err)
 	}
-	results := map[string]allocStat{}
+	var baseline map[string]map[string]float64
+	if err := json.Unmarshal(data, &baseline); err != nil {
+		return fmt.Errorf("alloc gate: %s: %w", file, err)
+	}
 	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			allocs, bytes := measureAllocs(3, tc.fn)
-			results[tc.name] = allocStat{AllocsPerOp: allocs, BytesPerOp: bytes}
-			b.ReportMetric(allocs, "allocs/op-measured")
-			b.ReportMetric(bytes, "B/op-measured")
-		})
+		prev, ok := baseline[tc.name]["allocs_per_op"]
+		if !ok {
+			return fmt.Errorf("alloc gate: %s records no allocs_per_op for %s", file, tc.name)
+		}
+		if got := testing.AllocsPerRun(3, tc.fn); got > prev+allocGateMargin {
+			return fmt.Errorf("alloc gate: %s: %.0f allocs/op regressed past baseline %.0f + %.0f margin",
+				tc.name, got, prev, allocGateMargin)
+		}
 	}
-	if len(results) < len(cases) {
-		return // sub-benchmark filtered out; don't rewrite a partial baseline
+	return nil
+}
+
+// TestAllocGate holds the hot paths to the checked-in allocation
+// baseline (tier-1 and `make verify` both run it), then pins the gate's
+// two safety properties: every way of having no usable baseline is a
+// failure, not a silent pass, and a regressed run leaves the baseline
+// file byte-identical.
+func TestAllocGate(t *testing.T) {
+	cases := allocGateCases()
+	if err := checkAllocGate(allocBaselineFile, cases); err != nil {
+		t.Fatal(err)
 	}
 
-	baseline, haveBaseline := readAllocBaseline(b)
+	small := cases[2]
+	dir := t.TempDir()
+	for name, content := range map[string]string{
+		"unparseable": "{not json",
+		"novalue":     `{"` + small.name + `": {}}`,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"moved-away", "unparseable", "novalue"} {
+		if checkAllocGate(filepath.Join(dir, name), []allocCase{small}) == nil {
+			t.Errorf("baseline %s: gate passed, want failure", name)
+		}
+	}
+
+	before, err := os.ReadFile(allocBaselineFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink [][]byte
+	regressed := allocCase{small.name, func() {
+		small.fn()
+		sink = sink[:0]
+		for i := 0; i <= int(allocGateMargin); i++ {
+			sink = append(sink, make([]byte, 64)) // the regression: extra allocations per call
+		}
+	}}
+	if checkAllocGate(allocBaselineFile, []allocCase{regressed}) == nil {
+		t.Error("regressed case passed the gate")
+	}
+	if after, _ := os.ReadFile(allocBaselineFile); !bytes.Equal(before, after) {
+		t.Errorf("%s changed under a failing gate run", allocBaselineFile)
+	}
+}
+
+// BenchmarkAllocGate re-measures every alloc-gate case and rewrites
+// BENCH_alloc.json (`make bench_alloc`); review the diff before
+// committing it — TestAllocGate judges later runs against it.
+func BenchmarkAllocGate(b *testing.B) {
+	results := map[string]map[string]float64{}
+	for _, tc := range allocGateCases() {
+		results[tc.name] = map[string]float64{"allocs_per_op": testing.AllocsPerRun(3, tc.fn)}
+	}
 	out, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_alloc.json", append(out, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(allocBaselineFile, append(out, '\n'), 0o644); err != nil {
 		b.Fatal(err)
 	}
-	if !haveBaseline {
-		return
-	}
-	for name, got := range results {
-		prev, ok := baseline[name]
-		if !ok {
-			continue // new case: its first run records the baseline
-		}
-		if limit := prev + allocGateMargin; got.AllocsPerOp > limit {
-			b.Errorf("%s: %.0f allocs/op regressed past baseline %.0f + %.0f margin",
-				name, got.AllocsPerOp, prev, allocGateMargin)
-		}
-	}
-}
-
-// measureAllocs reports the mean allocations and bytes allocated per call
-// of fn — testing.AllocsPerRun extended with the TotalAlloc delta, since
-// the gate wants bytes/op in the baseline file too.
-func measureAllocs(runs int, fn func()) (allocsPerOp, bytesPerOp float64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	fn() // warm up: one-time lazy initialization is not steady-state cost
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		fn()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs),
-		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
-}
-
-// readAllocBaseline loads the allocs/op recorded per case by the previous
-// BenchmarkAllocGate run, if any.
-func readAllocBaseline(b *testing.B) (map[string]float64, bool) {
-	b.Helper()
-	data, err := os.ReadFile("BENCH_alloc.json")
-	if err != nil {
-		return nil, false
-	}
-	var prev map[string]struct {
-		AllocsPerOp *float64 `json:"allocs_per_op"`
-	}
-	if json.Unmarshal(data, &prev) != nil {
-		return nil, false
-	}
-	base := map[string]float64{}
-	for name, s := range prev {
-		if s.AllocsPerOp != nil {
-			base[name] = *s.AllocsPerOp
-		}
-	}
-	return base, len(base) > 0
 }

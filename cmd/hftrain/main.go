@@ -73,7 +73,7 @@ func main() {
 	flightOut := flag.String("flight", "", "dist mode: write the fault flight recorder's post-mortem bundle as JSON to this path after a faulted run")
 	shuffle := flag.Bool("shuffle", false, "shuffle utterances (seeded) before the train/held-out split")
 	replayVerify := flag.Bool("replay-verify", false, "run the training twice per fabric in -transport (comma-separated) and fail unless the per-iteration hash streams are bit-identical")
-	replayJSON := flag.String("replay-json", "", "with -replay-verify: write the replay reports and gate wall time as JSON to this path")
+	replayJSON := flag.String("replay-json", "", "with -replay-verify: write what must repeat of the replay reports (losses, record counts, verdict) as JSON to this path")
 	flag.Parse()
 
 	var ob *obs.Observer
@@ -319,13 +319,29 @@ func writeFlight(path string, plane *telemetry.Plane) {
 	log.Printf("flight bundle written to %s", path)
 }
 
+// replayEntry is one fabric's record in the -replay-json file. It holds
+// only what must repeat from run to run (no wall times), so while the
+// gate holds the file is byte-identical and `git diff --exit-code` on
+// the checked-in BENCH_determinism.json is the whole baseline check.
+type replayEntry struct {
+	Fabric     string `json:"fabric"`
+	Ranks      int    `json:"ranks"`
+	Iterations int    `json:"iterations"`
+	Runs       [2]struct {
+		FinalLoss float64 `json:"final_loss"`
+		Records   int     `json:"records"`
+	} `json:"runs"`
+	Divergent bool   `json:"divergent"`
+	Detail    string `json:"detail,omitempty"`
+}
+
 // runReplayGate runs core.ReplayVerify on every fabric in the
 // comma-separated transport list, prints each report, optionally writes
-// the reports plus total gate wall time as JSON (the BENCH_determinism
+// the repeatable part of the reports as JSON (the BENCH_determinism
 // entry), and returns an error if any fabric diverged.
 func runReplayGate(prob core.Problem, cfg hf.Config, ranks int, transports, jsonPath string) error {
 	cfg.Log = nil // keep the doubled runs quiet; hashes are the output
-	var reports []*core.ReplayReport
+	var reports []replayEntry
 	divergent := false
 	gateStart := time.Now()
 	for _, fabric := range strings.Split(transports, ",") {
@@ -338,7 +354,11 @@ func runReplayGate(prob core.Problem, cfg hf.Config, ranks int, transports, json
 			return err
 		}
 		fmt.Println(rep)
-		reports = append(reports, rep)
+		e := replayEntry{Fabric: rep.Fabric, Ranks: rep.Ranks, Iterations: rep.Iterations, Divergent: rep.Divergent, Detail: rep.Detail}
+		for i, run := range rep.Runs {
+			e.Runs[i].FinalLoss, e.Runs[i].Records = run.FinalLoss, run.Records
+		}
+		reports = append(reports, e)
 		divergent = divergent || rep.Divergent
 	}
 	gateWall := time.Since(gateStart)
@@ -347,10 +367,9 @@ func runReplayGate(prob core.Problem, cfg hf.Config, ranks int, transports, json
 	}
 	if jsonPath != "" {
 		out := struct {
-			Bench      string               `json:"bench"`
-			Reports    []*core.ReplayReport `json:"reports"`
-			GateWallNs int64                `json:"gate_wall_ns"`
-		}{Bench: "determinism_replay_gate", Reports: reports, GateWallNs: gateWall.Nanoseconds()}
+			Bench   string        `json:"bench"`
+			Reports []replayEntry `json:"reports"`
+		}{Bench: "determinism_replay_gate", Reports: reports}
 		data, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
 			return err

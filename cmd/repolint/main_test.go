@@ -71,8 +71,8 @@ func TestSelectAnalyzers(t *testing.T) {
 	if _, err = selectAnalyzers("nosuchanalyzer"); err == nil {
 		t.Fatal("unknown analyzer accepted")
 	}
-	// The numcheck quartet resolves as a group — the `make numcheck`
-	// invocation — and in suite order regardless of request order.
+	// The numcheck quartet resolves as a group, in suite order
+	// regardless of request order.
 	sel, err = selectAnalyzers("divguard,maporderfloat,reduceorder,rngsource")
 	if err != nil || len(sel.analyzers) != 4 {
 		t.Fatalf("selectAnalyzers(numcheck quartet) = %+v, err %v", sel, err)
@@ -83,20 +83,19 @@ func TestSelectAnalyzers(t *testing.T) {
 			t.Errorf("numcheck quartet[%d] = %s, want %s (suite order)", i, a.Name(), want[i])
 		}
 	}
-	// The concurrency quartet is part of the suite.
-	sel, err = selectAnalyzers("goroutineleak,lockacrossblock,deferinloop,tickerstop")
-	if err != nil || len(sel.analyzers) != 4 {
-		t.Fatalf("selectAnalyzers(concurrency quartet) = %+v, err %v", sel, err)
+	// The concurrency pair is part of the suite.
+	sel, err = selectAnalyzers("goroutineleak,lockacrossblock")
+	if err != nil || len(sel.analyzers) != 2 {
+		t.Fatalf("selectAnalyzers(concurrency pair) = %+v, err %v", sel, err)
 	}
-	// The p2pcheck family resolves as a group — the `make p2pcheck`
-	// invocation — with tagspace landing in the module-analyzer set.
+	// The p2pcheck family resolves as a group, with tagspace landing in
+	// the module-analyzer set.
 	sel, err = selectAnalyzers("tagspace,opproto,sendrecvpair")
 	if err != nil || len(sel.analyzers) != 2 || len(sel.mods) != 1 ||
 		sel.mods[0].Name() != "tagspace" || sel.runEscape || sel.runBCE {
 		t.Fatalf("selectAnalyzers(p2pcheck family) = %+v, err %v", sel, err)
 	}
-	// The compiler-truth gates resolve alone (the `make alloccheck`
-	// invocation) and alongside analyzers.
+	// The compiler-truth gates resolve alone and alongside analyzers.
 	sel, err = selectAnalyzers("escape,bce")
 	if err != nil || len(sel.analyzers) != 0 || len(sel.mods) != 0 || !sel.runEscape || !sel.runBCE {
 		t.Fatalf("selectAnalyzers(escape,bce) = %+v, err %v", sel, err)
@@ -105,11 +104,12 @@ func TestSelectAnalyzers(t *testing.T) {
 	if err != nil || len(sel.analyzers) != 1 || sel.analyzers[0].Name() != "hotpathalloc" || !sel.runEscape || sel.runBCE {
 		t.Fatalf("selectAnalyzers(escape,hotpathalloc) = %+v, err %v", sel, err)
 	}
-	// shape is a module analyzer (the `make shapecheck` invocation).
-	sel, err = selectAnalyzers("shape")
-	if err != nil || len(sel.analyzers) != 0 || len(sel.mods) != 1 ||
-		sel.mods[0].Name() != "shape" || sel.runEscape || sel.runBCE {
-		t.Fatalf("selectAnalyzers(shape) = %+v, err %v", sel, err)
+	// The four analyzers the DESIGN.md §11 audit retired are gone from
+	// the -only surface too: no alias keeps a dead name selectable.
+	for _, name := range []string{"shape", "locksbyvalue", "deferinloop", "tickerstop"} {
+		if _, err = selectAnalyzers(name); err == nil {
+			t.Errorf("retired analyzer %q still selectable", name)
+		}
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"repro/internal/check"
 	"repro/internal/tensor"
 )
 
@@ -96,12 +95,6 @@ func (c Config) filled() Config {
 //
 //lint:shape a=(m,k) b=(k,n) c=(m,n) tA:swap=a tB:swap=b
 func Gemm(tA, tB Transpose, alpha float32, a, b *tensor.Matrix, beta float32, c *tensor.Matrix) {
-	if check.Enabled {
-		m, k := opDims(a, tA)
-		k2, n := opDims(b, tB)
-		check.Dims("blas.Gemm.inner", k2, k)
-		check.Layout("blas.Gemm.c", c.Rows, c.Cols, m, n)
-	}
 	GemmWith(Config{}, tA, tB, alpha, a, b, beta, c)
 }
 

@@ -3,8 +3,6 @@ package blas
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/check"
 )
 
 // Level-1 routines operate on raw float32 slices. They back the vector
@@ -31,9 +29,6 @@ func lenMismatch(op string, nx, ny int) {
 //lint:shape x=n y=n
 //lint:hotpath
 func Axpy(alpha float32, x, y []float32) {
-	if check.Enabled {
-		check.Dims("blas.Axpy.y", len(y), len(x))
-	}
 	if len(x) == len(y) {
 		for i, v := range x {
 			y[i] += alpha * v
@@ -49,9 +44,6 @@ func Axpy(alpha float32, x, y []float32) {
 //lint:shape x=n y=n
 //lint:hotpath
 func Dot(x, y []float32) float64 {
-	if check.Enabled {
-		check.Dims("blas.Dot.y", len(y), len(x))
-	}
 	if len(x) == len(y) {
 		var s float64
 		for i, v := range x {
@@ -88,9 +80,6 @@ func Asum(x []float32) float64 {
 //
 //lint:shape x=n y=n
 func Copy(x, y []float32) {
-	if check.Enabled {
-		check.Dims("blas.Copy.y", len(y), len(x))
-	}
 	if len(x) != len(y) {
 		lenMismatch("Copy", len(x), len(y))
 	}
@@ -103,9 +92,6 @@ func Copy(x, y []float32) {
 //lint:shape x=n y=n
 //lint:hotpath
 func Axpby(alpha float32, x []float32, beta float32, y []float32) {
-	if check.Enabled {
-		check.Dims("blas.Axpby.y", len(y), len(x))
-	}
 	if len(x) == len(y) {
 		for i, v := range x {
 			y[i] = alpha*v + beta*y[i]

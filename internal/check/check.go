@@ -4,10 +4,11 @@
 // master and the workers.
 //
 // The checks compile to no-ops unless the build carries the
-// checkinvariants tag:
+// checked tag (which also turns on fine-grained replay hashing, see
+// Replay, and protocol-checks every mpi communicator):
 //
-//	go test -tags checkinvariants ./...
-//	go build -tags checkinvariants ./cmd/hftrain
+//	go test -tags checked ./...
+//	go build -tags checked ./cmd/hftrain
 //
 // With the tag set, a violated invariant panics with the instrument name
 // and the offending index/value — a NaN that leaks into a CG direction is

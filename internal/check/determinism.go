@@ -4,7 +4,7 @@ package check
 // two runs with the same seed and shard plan can be diffed tensor by
 // tensor. The HF optimizer records weights, gradients and CG iterates
 // into a HashStream each outer iteration (per-CG-application granularity
-// under the determinism build tag — see Replay); core.ReplayVerify runs
+// under the checked build tag — see Replay); core.ReplayVerify runs
 // a short train twice and reports the first divergent record. Hashing is
 // always compiled (it is cheap and allocation-light); only the
 // fine-grained CG recording is tag-gated.

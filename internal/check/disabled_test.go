@@ -1,4 +1,4 @@
-//go:build !checkinvariants
+//go:build !checked
 
 package check
 
@@ -11,11 +11,10 @@ import (
 // false constant (so `if check.Enabled` blocks are dead-code-eliminated)
 // and every check accepts violating inputs without panicking.
 func TestDisabledIsNoop(t *testing.T) {
-	if Enabled {
-		t.Fatal("Enabled must be false without the checkinvariants tag")
+	if Enabled || Replay {
+		t.Fatal("Enabled and Replay must both be false without the checked tag")
 	}
 	Finite("noop", []float32{float32(math.NaN())})
 	FiniteScalar("noop", math.Inf(1))
 	Dims("noop", 3, 7)
-	Layout("noop", 2, 3, 4, 5)
 }

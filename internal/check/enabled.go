@@ -1,12 +1,19 @@
-//go:build checkinvariants
+//go:build checked
 
 package check
 
 import "fmt"
 
 // Enabled reports whether invariant checks are compiled in; this build
-// has the checkinvariants tag, so violations panic.
+// has the checked tag, so violations panic.
 const Enabled = true
+
+// Replay reports whether fine-grained replay hashing is compiled in;
+// under the checked tag the HF optimizer additionally hashes every CG
+// curvature application (direction and product), not just the
+// per-iteration summaries. That pins divergence to the exact CG step
+// at the cost of one hash pass per collective pair.
+const Replay = true
 
 // Finite panics if any element of x is NaN or ±Inf. name identifies the
 // handoff point (e.g. "core.master.gradient") in the panic message.
@@ -28,14 +35,5 @@ func FiniteScalar(name string, v float64) {
 func Dims(name string, got, want int) {
 	if got != want {
 		panic(fmt.Sprintf("check: %s has %d elements, want %d", name, got, want))
-	}
-}
-
-// Layout panics when a matrix's dimensions differ from the expected
-// shape — the two-dimensional sibling of Dims, mirroring the static
-// //lint:shape contracts at run time.
-func Layout(name string, rows, cols, wantRows, wantCols int) {
-	if rows != wantRows || cols != wantCols {
-		panic(fmt.Sprintf("check: %s is %d×%d, want %d×%d", name, rows, cols, wantRows, wantCols))
 	}
 }

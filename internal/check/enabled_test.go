@@ -1,4 +1,4 @@
-//go:build checkinvariants
+//go:build checked
 
 package check
 
@@ -29,8 +29,8 @@ func mustPanic(t *testing.T, f func()) string {
 }
 
 func TestEnabledPanics(t *testing.T) {
-	if !Enabled {
-		t.Fatal("Enabled must be true under the checkinvariants tag")
+	if !Enabled || !Replay {
+		t.Fatal("Enabled and Replay must both be true under the checked tag")
 	}
 
 	msg := mustPanic(t, func() {
@@ -53,18 +53,10 @@ func TestEnabledPanics(t *testing.T) {
 			t.Errorf("Dims panic %q missing %q", msg, want)
 		}
 	}
-
-	msg = mustPanic(t, func() { Layout("blas.Gemm.c", 3, 5, 3, 6) })
-	for _, want := range []string{"blas.Gemm.c", "3×5", "3×6"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("Layout panic %q missing %q", msg, want)
-		}
-	}
 }
 
 func TestEnabledAcceptsValidInputs(t *testing.T) {
 	Finite("ok", []float32{0, -1, 2.5})
 	FiniteScalar("ok", 1e300)
 	Dims("ok", 5, 5)
-	Layout("ok", 4, 7, 4, 7)
 }

@@ -301,7 +301,7 @@ func (m *master) onIter(s hf.IterStats) {
 }
 
 // issue runs one op of the table on every worker under the row's phase
-// and span. Under the checkinvariants build the vector going out must be
+// and span. Under the checked build the vector going out must be
 // dim-long and finite (a bad θ or CG direction corrupts every shard
 // computation) and so must the fold that comes back (it feeds CG).
 func (m *master) issue(op int, arg float32, down, up tensor.Vector, sc []float64) error {

@@ -207,7 +207,7 @@ func (w *worker) begin(row *opRow) obs.Span {
 // serve runs one op against the engine: given the row, its arg and its
 // payload it returns the dim-vector and the scalars the row promises.
 // It is the only place a worker acts on an opcode. Under the
-// checkinvariants build everything that enters or leaves must be
+// checked build everything that enters or leaves must be
 // finite: a bad shard contribution would poison the reduction.
 func (w *worker) serve(row *opRow, arg float32, payload tensor.Vector) (tensor.Vector, []float64, error) {
 	var out tensor.Vector

@@ -1,4 +1,4 @@
-//go:build determinism
+//go:build checked
 
 package core
 
@@ -14,7 +14,7 @@ import (
 // transport must be bit-identical across two seeded runs.
 func TestReplayVerifyTCPGranular(t *testing.T) {
 	if !check.Replay {
-		t.Fatal("determinism build tag not in effect")
+		t.Fatal("checked build tag not in effect")
 	}
 	p := testProblem(t, CrossEntropy)
 	rep, err := ReplayVerify(p, replayConfig(2), 3, nil, "tcp")

@@ -79,7 +79,7 @@ type Config struct {
 	// Hash, when non-nil, receives FNV hashes of the optimizer's float
 	// state each iteration (gradient, CG result, accepted θ, and the
 	// scalar decisions; every CG curvature application too under the
-	// determinism build tag). core.ReplayVerify diffs two runs' streams
+	// checked build tag). core.ReplayVerify diffs two runs' streams
 	// to certify bit-reproducibility; see DESIGN.md, "Determinism".
 	Hash *check.HashStream
 	// InitDirection, when non-nil, seeds the CG warm start d0 (copied,

@@ -83,7 +83,6 @@ func Analyzers() []Analyzer {
 	return []Analyzer{
 		UncheckedErr{},
 		FloatEq{},
-		LocksByValue{},
 		HotPathAlloc{},
 		ObsNilGuard{},
 		CommCheck{},
@@ -96,8 +95,6 @@ func Analyzers() []Analyzer {
 		DeprecatedAPI{},
 		GoroutineLeak{},
 		LockAcrossBlock{},
-		DeferInLoop{},
-		TickerStop{},
 	}
 }
 
@@ -118,7 +115,6 @@ type ModuleAnalyzer interface {
 // ModuleAnalyzers returns the module-scoped suite in stable order.
 func ModuleAnalyzers() []ModuleAnalyzer {
 	return []ModuleAnalyzer{
-		Shape{},
 		TagSpace{},
 	}
 }

@@ -14,7 +14,6 @@ import (
 var fixtureDirs = []string{
 	"uncheckederr",
 	"floateq",
-	"locksbyvalue",
 	"hotpathalloc",
 	"obsnilguard",
 	"commcheck",
@@ -25,12 +24,9 @@ var fixtureDirs = []string{
 	"deprecatedapi",
 	"goroutineleak",
 	"lockacrossblock",
-	"deferinloop",
-	"tickerstop",
 	"opproto",
 	"sendrecvpair",
 	"tagspace",
-	"shape",
 	"clean",
 }
 
@@ -79,14 +75,6 @@ func TestFixtureFindings(t *testing.T) {
 		"floateq.go": {
 			"5:5 floateq warn",
 			"8:5 floateq warn",
-		},
-		"locksbyvalue.go": {
-			"19:9 locksbyvalue error",
-			"26:7 locksbyvalue error",
-			"28:9 locksbyvalue error",
-			"31:10 locksbyvalue error",
-			"32:9 locksbyvalue error",
-			"36:9 locksbyvalue error",
 		},
 		"hotpathalloc.go": {
 			"19:11 hotpathalloc warn",
@@ -148,16 +136,6 @@ func TestFixtureFindings(t *testing.T) {
 			"44:2 lockacrossblock error",  // no-default select under mu
 			"57:12 lockacrossblock error", // net.Conn.Write under deferred unlock
 		},
-		"deferinloop.go": {
-			"17:3 deferinloop warn", // defer f.Close() per loop iteration
-			"27:3 deferinloop warn", // defer mu.Unlock() per loop iteration
-		},
-		"tickerstop.go": {
-			"12:8 tickerstop error",  // NewTicker never stopped
-			"26:8 tickerstop warn",   // NewTimer never stopped
-			"37:8 tickerstop warn",   // AfterFunc never stopped
-			"49:10 tickerstop error", // time.Tick (unstoppable by construction)
-		},
 		"opproto.go": {
 			"35:12 opproto error", // opLost sent but dispatched nowhere
 			"69:3 opproto error",  // opDead arm has no master sender
@@ -169,13 +147,11 @@ func TestFixtureFindings(t *testing.T) {
 			"46:14 sendrecvpair error", // masterCross side of the recv-before-send deadlock
 			"54:14 sendrecvpair error", // workerCross side of the recv-before-send deadlock
 		},
-		"tagspace.go":    nil, // module-scoped: asserted in TestTagSpaceFixture
-		"shape.go":       nil, // module-scoped: asserted in TestShapeFixture
-		"clean.go":       nil,
-		"clean_comm.go":  nil,
-		"clean_num.go":   nil,
-		"clean_p2p.go":   nil,
-		"clean_shape.go": nil,
+		"tagspace.go":   nil, // module-scoped: asserted in TestTagSpaceFixture
+		"clean.go":      nil,
+		"clean_comm.go": nil,
+		"clean_num.go":  nil,
+		"clean_p2p.go":  nil,
 	}
 
 	got := map[string][]string{}

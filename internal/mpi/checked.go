@@ -25,7 +25,7 @@ import (
 // that dumps the rank's recent protocol history through internal/obs.
 //
 // Checking is off by default and costs a single nil pointer test per
-// collective operation; see CheckedComm and the commcheck build tag.
+// collective operation; see CheckedComm and the checked build tag.
 
 // CollKind identifies a collective operation in the checked protocol.
 type CollKind uint8
@@ -430,7 +430,7 @@ func (k *protoChecker) recvDeadline(t Transport, src, tag int, cur ProtoEvent) (
 // headers and a blocking-receive watchdog — the runtime half of
 // commcheck. All ranks of a communicator must agree on checking (the
 // header changes the collective wire format), so enable it either on
-// every rank explicitly or process-wide with the commcheck build tag.
+// every rank explicitly or process-wide with the checked build tag.
 //
 // The embedded Comm is the working communicator: pass cc.Comm anywhere a
 // *Comm is expected. Point-to-point operations are unaffected.

@@ -237,7 +237,7 @@ func TestCheckedCommWatchdog(t *testing.T) {
 // decode of garbage.
 func TestCheckedCommMixedHeaderDetected(t *testing.T) {
 	if checkedByDefault {
-		t.Skip("commcheck build: every comm is checked, no mixed configuration possible")
+		t.Skip("checked build: every comm is checked, no mixed configuration possible")
 	}
 	f := NewInprocFabric(2)
 	defer f.Close()
@@ -266,12 +266,12 @@ func TestUncheckedCommHasNoChecker(t *testing.T) {
 	c := NewComm(f.Transport(0))
 	if checkedByDefault {
 		if !c.Checked() {
-			t.Fatal("commcheck build: NewComm not checked")
+			t.Fatal("checked build: NewComm not checked")
 		}
 		return
 	}
 	if c.Checked() {
-		t.Fatal("NewComm is checked without the commcheck tag")
+		t.Fatal("NewComm is checked without the checked tag")
 	}
 	if h := c.ProtocolHistory(); h != nil {
 		t.Fatalf("ProtocolHistory = %v on unchecked comm", h)

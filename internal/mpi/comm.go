@@ -76,7 +76,7 @@ type Comm struct {
 }
 
 // NewComm wraps a transport endpoint in a communicator. Under the
-// commcheck build tag the communicator is protocol-checked with the
+// checked build tag the communicator is protocol-checked with the
 // default CheckConfig; see CheckedComm.
 func NewComm(t Transport) *Comm {
 	c := &Comm{t: t, prof: NewProfiler()}

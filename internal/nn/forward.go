@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/blas"
-	"repro/internal/check"
 	"repro/internal/tensor"
 )
 
@@ -54,9 +53,6 @@ func (n *Network) Forward(x *tensor.Matrix) *Forward {
 //
 //lint:shape b=z.Cols
 func addBiasRows(z *tensor.Matrix, b tensor.Vector) {
-	if check.Enabled {
-		check.Dims("nn.addBiasRows.b", len(b), z.Cols)
-	}
 	for i := 0; i < z.Rows; i++ {
 		blas.Axpy(1, b, z.Row(i))
 	}

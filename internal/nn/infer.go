@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/blas"
-	"repro/internal/check"
 	"repro/internal/tensor"
 )
 
@@ -78,10 +77,6 @@ func inferMismatch(what string, got, want int) {
 //lint:hotpath
 func (n *Network) ForwardInto(buf *InferBuffers, x *tensor.Matrix) *tensor.Matrix {
 	weights, biases, acts := n.Weights, n.Biases, buf.acts
-	if check.Enabled {
-		check.Dims("nn.ForwardInto.topo", len(acts), n.Topo.NumLayers())
-		check.Dims("nn.ForwardInto.x", x.Cols, n.Topo.InputDim())
-	}
 	// The loop runs inside the equal-length branch (the blas.Axpy idiom)
 	// so the prove pass sees len(weights) == len(biases) == len(acts) on
 	// the hot path and drops the per-layer bounds checks.
@@ -117,9 +112,6 @@ func (n *Network) ForwardInto(buf *InferBuffers, x *tensor.Matrix) *tensor.Matri
 //
 //lint:shape p=(logits.Rows,logits.Cols)
 func SoftmaxInto(logits, p *tensor.Matrix) {
-	if check.Enabled {
-		check.Layout("nn.SoftmaxInto.p", p.Rows, p.Cols, logits.Rows, logits.Cols)
-	}
 	if p.Rows != logits.Rows || p.Cols != logits.Cols {
 		panic(fmt.Sprintf("nn: SoftmaxInto dst %d×%d, want %d×%d",
 			p.Rows, p.Cols, logits.Rows, logits.Cols))
