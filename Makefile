@@ -2,12 +2,11 @@
 
 # Full gate; each property is proved once, by the cheapest thing that
 # proves it (DESIGN.md §11 has the audit behind the list):
-#   - compile, vet (copylocks included), and the 15 repo-specific
+#   - compile, vet (copylocks included), and the 14 repo-specific
 #     analyzers + 2 compiler-truth gates, zero findings being the bar
 #     (`go run ./cmd/repolint -list` documents the set);
 #   - the whole suite once, armed: race detector plus the `checked`
-#     build, which puts a conformance header and watchdog on every mpi
-#     collective, turns on the check.Finite/check.Dims invariants of the
+#     build, which turns on the check.Finite/check.Dims invariants of the
 #     numeric core and hashes every CG curvature application for replay;
 #   - what only the plain build can show: the zero-alloc probes and the
 #     allocs/op gate against BENCH_alloc.json;

@@ -12,9 +12,7 @@
 //
 // -trace writes a Chrome trace-event JSON file of the run's per-rank
 // phase spans (open in chrome://tracing or ui.perfetto.dev); -metrics
-// appends one JSON line per HF iteration; -commcheck verifies cross-rank
-// collective-protocol conformance in dist mode, failing fast with both
-// call sites on divergence instead of deadlocking or corrupting state.
+// appends one JSON line per HF iteration.
 //
 // In dist mode, -trace/-http/-flight enable the distributed telemetry
 // plane: every rank ships its spans and metrics to the master at
@@ -65,8 +63,6 @@ func main() {
 	load := flag.String("load", "", "resume from a model checkpoint")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of per-rank phase spans to this path")
 	metricsOut := flag.String("metrics", "", "write per-HF-iteration telemetry as JSONL to this path")
-	commcheck := flag.Bool("commcheck", false, "dist mode: verify cross-rank collective-protocol conformance on every collective (fails fast on divergence)")
-	commcheckDeadline := flag.Duration("commcheck-deadline", 0, "with -commcheck: per-collective watchdog deadline (0 = default, negative disables)")
 	faultInject := flag.String("fault-inject", "", "dist mode: fault schedule to inject, e.g. \"kill:rank=2,epoch=3; delay:rank=1,epoch=2,d=50ms\" (enables the elastic fault-tolerant runtime)")
 	maxEvictions := flag.Int("max-evictions", 0, "dist mode: worker evictions tolerated before surrendering (enables the elastic runtime; 0 = library default of 2 when elastic, negative = none)")
 	httpAddr := flag.String("http", "", "dist mode: serve the live monitoring endpoint on this address (e.g. :9090): /metrics, /trace, /healthz, /flight, /debug/pprof/")
@@ -194,9 +190,6 @@ func main() {
 			core.WithRanks(*ranks),
 			core.WithFabric(fabric),
 			core.WithObserver(ob),
-		}
-		if *commcheck {
-			opts = append(opts, core.WithCheck(mpi.CheckConfig{Deadline: *commcheckDeadline, Obs: ob}))
 		}
 		if *faultInject != "" || *maxEvictions != 0 {
 			pol := core.FaultPolicy{MaxEvictions: *maxEvictions}

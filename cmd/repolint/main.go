@@ -1,17 +1,16 @@
 // Command repolint runs the repo-specific static-analysis suite of
 // internal/lint over the module — unchecked MPI/IO errors, float
 // equality, allocations in //lint:hotpath kernels, unguarded
-// obs.Observer field access, collective-protocol conformance
-// (commcheck), the determinism quartet (maporderfloat, reduceorder,
-// rngsource, divguard), the concurrency-lifecycle pair (goroutineleak,
-// lockacrossblock), the retired-API ban (deprecatedapi), and the
-// point-to-point protocol family (opproto, sendrecvpair, plus the
-// module-scoped tagspace map of the wire-tag plan) — plus the two
-// compiler-truth gates: escape, which compiles hot-path packages with
-// -gcflags=-m=2 and fails any //lint:hotpath function containing a
-// compiler-reported heap escape, and bce, which compiles them with
-// -gcflags=-d=ssa/check_bce and fails any hot function still carrying a
-// bounds check.
+// obs.Observer field access, the determinism quartet (maporderfloat,
+// reduceorder, rngsource, divguard), the concurrency-lifecycle pair
+// (goroutineleak, lockacrossblock), the retired-API ban
+// (deprecatedapi), and the point-to-point protocol family (opproto,
+// sendrecvpair, plus the module-scoped tagspace map of the wire-tag
+// plan) — plus the two compiler-truth gates: escape, which compiles
+// hot-path packages with -gcflags=-m=2 and fails any //lint:hotpath
+// function containing a compiler-reported heap escape, and bce, which
+// compiles them with -gcflags=-d=ssa/check_bce and fails any hot function
+// still carrying a bounds check.
 //
 // Usage:
 //
@@ -22,7 +21,7 @@
 // prints findings as file:line:col text. -json emits the stable
 // machine-readable schema (version 2) consumed by tooling; -sarif emits
 // SARIF 2.1.0 for code-scanning upload; -only restricts the run to the
-// named analyzers (e.g. `-only commcheck`, or `-only escape,bce` for the
+// named analyzers (e.g. `-only opproto`, or `-only escape,bce` for the
 // two compiler-truth gates alone); -list documents
 // the analyzers; -v reports load warnings and per-analyzer timing to
 // stderr. Exit status: 0 clean, 1 findings, 2 usage or load failure.

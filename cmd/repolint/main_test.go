@@ -59,12 +59,12 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Fatalf("selectAnalyzers(\"\") = %d analyzers, %d module analyzers, escape %v, bce %v, err %v; want the full suite",
 			len(sel.analyzers), len(sel.mods), sel.runEscape, sel.runBCE, err)
 	}
-	sel, err = selectAnalyzers("commcheck")
-	if err != nil || len(sel.analyzers) != 1 || sel.analyzers[0].Name() != "commcheck" ||
+	sel, err = selectAnalyzers("opproto")
+	if err != nil || len(sel.analyzers) != 1 || sel.analyzers[0].Name() != "opproto" ||
 		len(sel.mods) != 0 || sel.runEscape || sel.runBCE {
-		t.Fatalf("selectAnalyzers(commcheck) = %+v, err %v", sel, err)
+		t.Fatalf("selectAnalyzers(opproto) = %+v, err %v", sel, err)
 	}
-	sel, err = selectAnalyzers("obsnilguard, commcheck")
+	sel, err = selectAnalyzers("obsnilguard, opproto")
 	if err != nil || len(sel.analyzers) != 2 {
 		t.Fatalf("selectAnalyzers(two) = %+v, err %v", sel, err)
 	}
@@ -104,9 +104,9 @@ func TestSelectAnalyzers(t *testing.T) {
 	if err != nil || len(sel.analyzers) != 1 || sel.analyzers[0].Name() != "hotpathalloc" || !sel.runEscape || sel.runBCE {
 		t.Fatalf("selectAnalyzers(escape,hotpathalloc) = %+v, err %v", sel, err)
 	}
-	// The four analyzers the DESIGN.md §11 audit retired are gone from
+	// The five analyzers the DESIGN.md §11 audit retired are gone from
 	// the -only surface too: no alias keeps a dead name selectable.
-	for _, name := range []string{"shape", "locksbyvalue", "deferinloop", "tickerstop"} {
+	for _, name := range []string{"shape", "locksbyvalue", "deferinloop", "tickerstop", "commcheck"} {
 		if _, err = selectAnalyzers(name); err == nil {
 			t.Errorf("retired analyzer %q still selectable", name)
 		}
@@ -191,7 +191,7 @@ func TestSARIFCleanRun(t *testing.T) {
 	for _, r := range run.Tool.Driver.Rules {
 		ids[r.ID] = true
 	}
-	for _, want := range []string{"commcheck", "opproto", "sendrecvpair", "tagspace", "escape", "bce"} {
+	for _, want := range []string{"opproto", "sendrecvpair", "tagspace", "escape", "bce"} {
 		if !ids[want] {
 			t.Errorf("rule table missing %s", want)
 		}
@@ -248,15 +248,15 @@ func TestReportSeverityTallies(t *testing.T) {
 func TestPrintTimings(t *testing.T) {
 	var buf bytes.Buffer
 	printTimings(&buf, map[string]time.Duration{
-		"floateq":   2 * time.Millisecond,
-		"commcheck": 30 * time.Millisecond,
-		"escape":    2 * time.Millisecond,
+		"floateq": 2 * time.Millisecond,
+		"opproto": 30 * time.Millisecond,
+		"escape":  2 * time.Millisecond,
 	})
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("timing lines = %v", lines)
 	}
-	wantOrder := []string{"commcheck", "escape", "floateq"}
+	wantOrder := []string{"opproto", "escape", "floateq"}
 	for i, name := range wantOrder {
 		if !strings.Contains(lines[i], name) {
 			t.Errorf("timing line %d = %q, want analyzer %s", i, lines[i], name)

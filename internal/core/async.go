@@ -234,7 +234,7 @@ func RunAsyncWorker(comm *mpi.Comm, cfg AsyncSGDConfig) error {
 			grad.Scale(float32(cfg.LearningRate / float64(rows)))
 			eng.net.Params.AddScaled(-1, grad)
 			if pending != nil {
-				if _, err := pending.Wait(); err != nil {
+				if err := pending.Wait(); err != nil {
 					return err
 				}
 			}
@@ -248,7 +248,7 @@ func RunAsyncWorker(comm *mpi.Comm, cfg AsyncSGDConfig) error {
 		}
 	}
 	if pending != nil {
-		if _, err := pending.Wait(); err != nil {
+		if err := pending.Wait(); err != nil {
 			return err
 		}
 	}

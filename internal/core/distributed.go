@@ -17,8 +17,8 @@ import (
 )
 
 // The distributed trainer's master: one run loop that is also the one
-// hf.Objective, written against the ops table (ops.go) and a carrier
-// (carrier.go). Rank 0 is always the master; it owns θ and computes
+// hf.Objective, written against the ops table (ops.go) and the star
+// wire (star.go). Rank 0 is always the master; it owns θ and computes
 // nothing itself.
 
 // tagShard carries the initial point-to-point data distribution
@@ -53,7 +53,7 @@ type MasterResult struct {
 	// MPIProfile is the master rank's per-phase communication snapshot.
 	MPIProfile []mpi.PhaseStat
 	// Fault is the elastic runtime's eviction/rewind record; nil when the
-	// run used the classic (non-fault-tolerant) collective protocol.
+	// run had no FaultPolicy (WithFaults), where any failure is fatal.
 	Fault *FaultReport
 }
 
@@ -61,7 +61,7 @@ type MasterResult struct {
 // hf.Objective.
 type master struct {
 	comm *mpi.Comm
-	c    carrier
+	star *star
 	p    Problem
 	cfg  hf.Config
 	part corpus.Partitioner
@@ -70,9 +70,9 @@ type master struct {
 	dim   int
 	theta tensor.Vector
 
-	// The run's trace, stitched across attempts: a rewind (star carrier
-	// only) restarts hf.Optimize, whose iteration numbers are then offset
-	// by iterBase, the iterations completed before the attempt.
+	// The run's trace, stitched across attempts: a rewind restarts
+	// hf.Optimize, whose iteration numbers are then offset by iterBase,
+	// the iterations completed before the attempt.
 	iterBase  int
 	curIter   int // global iteration in flight
 	iters     []hf.IterStats
@@ -86,10 +86,10 @@ type master struct {
 	plane *telemetry.Plane
 	local *telemetry.Shipper
 
-	// Fault tolerance (elastic.go). star is the carrier again, typed; on
-	// the tree it is nil and every field below stays zero.
-	star *star
-	pol  FaultPolicy
+	// Fault tolerance (elastic.go). pol is nil without WithFaults: no
+	// heartbeat, snapshot, eviction or report, every field below stays
+	// zero and the first rankFailure ends the run.
+	pol  *FaultPolicy
 	ckpt CheckpointPolicy
 	// plan[w-1] is what worker rank w holds; an evicted rank's utterances
 	// wait in pending until the next resync redistributes them.
@@ -107,12 +107,12 @@ type master struct {
 // Session.Run, which has validated the problem and the options: it ships
 // shards to the workers (load_data), runs the HF optimizer with all
 // heavy computation delegated to them, and shuts them down. Without
-// o.faults the carrier is the tree and any communication failure ends
-// the run; with it the carrier is the star, which adds heartbeats,
+// o.faults any communication failure ends the run with an error naming
+// the rank and op; with it the master adds op deadlines, heartbeats,
 // eviction, re-sharding and checkpoint rewinds (elastic.go).
 func runMaster(comm *mpi.Comm, p Problem, cfg hf.Config, o *sessionOptions, plane *telemetry.Plane, epochHook func(int)) (*MasterResult, error) {
 	comm.SetMetrics(o.ob.Registry())
-	m := &master{comm: comm, c: tree{comm}, p: p.filled(), cfg: cfg, part: o.part, ob: o.ob, plane: plane}
+	m := &master{comm: comm, star: &star{comm: comm}, p: p.filled(), cfg: cfg, part: o.part, ob: o.ob, plane: plane}
 	if o.faults != nil {
 		m.tolerateFaults(*o.faults, o.ckpt, epochHook)
 	}
@@ -132,10 +132,11 @@ func (m *master) loadData() error {
 	m.p.initParams(net)
 	m.dim = net.NumParams()
 	m.theta = net.Params.Clone()
-	if m.star != nil {
-		// Retained for post-eviction re-partitioning.
-		m.plan, m.star.dim, m.star.live = plan, m.dim, tree{m.comm}.workers()
-		m.report.FinalWorkers = len(plan)
+	// The plan is retained for post-eviction re-partitioning.
+	m.plan, m.star.dim, m.report.FinalWorkers = plan, m.dim, len(plan)
+	m.star.live = make([]int, len(plan))
+	for i := range m.star.live {
+		m.star.live[i] = i + 1
 	}
 	return nil
 }
@@ -148,7 +149,7 @@ func (m *master) run() (*MasterResult, error) {
 		m.local = telemetry.NewShipper(0, m.ob)
 		m.plane.Merger().BindLocal(0, m.ob.Registry())
 		m.plane.Health().SetState("training")
-		for _, w := range m.c.workers() {
+		for _, w := range m.star.live {
 			m.plane.Health().SetWorker(w, telemetry.WorkerLive)
 		}
 		m.syncClocks()
@@ -161,10 +162,10 @@ func (m *master) run() (*MasterResult, error) {
 
 	err := m.attempt()
 	for err != nil {
-		// Only a failure that names ranks can be recovered from; every
-		// tree failure, and anything else, ends the run.
+		// Only a failure that names ranks can be recovered from, and
+		// only under a policy; anything else ends the run.
 		var rf *rankFailure
-		if !errors.As(err, &rf) {
+		if m.pol == nil || !errors.As(err, &rf) {
 			return m.fail(err)
 		}
 		if err := m.evict(rf); err != nil {
@@ -190,7 +191,7 @@ func (m *master) run() (*MasterResult, error) {
 		HeldOutAccuracy: acc,
 		MPIProfile:      m.comm.Profiler().Snapshot(),
 	}
-	if m.star != nil {
+	if m.pol != nil {
 		out.Fault = &m.report
 	}
 	return out, nil
@@ -205,12 +206,12 @@ func (m *master) fail(err error) (*MasterResult, error) {
 	return nil, err
 }
 
-// faultUnwind aborts hf.Optimize when the carrier fails: the optimizer
-// has no error path, so master.call unwinds it with this typed panic.
+// faultUnwind aborts hf.Optimize when an op fails: the optimizer has no
+// error path, so master.call unwinds it with this typed panic.
 type faultUnwind struct{ cause error }
 
-// recoverUnwind turns a faultUnwind panic back into the carrier's
-// error, re-panicking anything else. Use in a defer:
+// recoverUnwind turns a faultUnwind panic back into the op's error,
+// re-panicking anything else. Use in a defer:
 //
 //	defer func() { recoverUnwind(recover(), &err) }()
 func recoverUnwind(r any, err *error) {
@@ -225,7 +226,7 @@ func recoverUnwind(r any, err *error) {
 }
 
 // attempt runs hf.Optimize over the iterations still to do, turning a
-// carrier failure anywhere inside it into the returned error.
+// failed op anywhere inside it into the returned error.
 func (m *master) attempt() (err error) {
 	remaining := m.cfg.MaxIterations - m.iterBase
 	if remaining <= 0 {
@@ -260,7 +261,7 @@ func (m *master) attempt() (err error) {
 			tel(s)
 		}
 	}
-	if m.star != nil {
+	if m.pol != nil {
 		// State fires after Telemetry with the post-update λ and warm-start
 		// direction, the exact state the next iteration resumes from.
 		cfg.State = func(iter int, lambda float64, dir tensor.Vector) {
@@ -271,7 +272,7 @@ func (m *master) attempt() (err error) {
 	}
 
 	m.SetParams(m.theta)
-	if m.star != nil && m.lastCK == nil {
+	if m.pol != nil && m.lastCK == nil {
 		// Seed a checkpoint so the first rewind has somewhere to land.
 		m.snapshot(0, m.HeldOutLoss(m.theta), 0, nil)
 	}
@@ -314,7 +315,7 @@ func (m *master) issue(op int, arg float32, down, up tensor.Vector, sc []float64
 		check.Dims("core.master."+row.name+".payload", len(down), m.dim)
 		check.Finite("core.master."+row.name+".payload", down)
 	}
-	err := m.c.issue(op, arg, down, up, sc)
+	err := m.star.issue(op, arg, down, up, sc)
 	if check.Enabled && err == nil {
 		check.Finite("core.master."+row.name, up)
 		for _, v := range sc {
@@ -333,13 +334,13 @@ func (m *master) call(op int, arg float32, down, up tensor.Vector, sc []float64)
 }
 
 // accuracy gathers held-out frame accuracy at the final θ. Training is
-// over, so a rankFailure here evicts nobody: the failed ranks' shards
-// are absent from the figure and the failure is one event.
+// over, so under a policy a rankFailure here evicts nobody: the failed
+// ranks' shards are absent from the figure and the failure is one event.
 func (m *master) accuracy() (float64, error) {
 	var sc [2]float64
 	if err := m.issue(opAccuracy, 0, nil, nil, sc[:]); err != nil {
 		var rf *rankFailure
-		if !errors.As(err, &rf) {
+		if m.pol == nil || !errors.As(err, &rf) {
 			return 0, err
 		}
 		m.ob.Eventf(0, "elastic: %v", err)
@@ -365,7 +366,7 @@ func (m *master) syncClocks() {
 	if err := m.issue(opClockSync, float32(tcfg.ClockSyncRounds), nil, nil, nil); err != nil {
 		m.ob.Eventf(0, "telemetry: clock sync: %v", err)
 	}
-	for _, w := range m.c.workers() {
+	for _, w := range m.star.live {
 		offset, rtt, err := telemetry.SyncClocks(m.comm, w, tcfg.ClockSyncRounds, tcfg.Deadline)
 		if err != nil {
 			m.ob.Eventf(0, "telemetry: clock sync with rank %d: %v", w, err)
@@ -391,7 +392,7 @@ func (m *master) collectTelemetry() {
 		m.ob.Eventf(0, "telemetry: collect: %v", err)
 	}
 	deadline := m.plane.Config().Deadline
-	for _, w := range m.c.workers() {
+	for _, w := range m.star.live {
 		msg, err := m.comm.RecvBytesTimeout(w, mpi.TagTelemetry, deadline)
 		if err != nil {
 			m.ob.Eventf(0, "telemetry: collect from rank %d: %v", w, err)
@@ -417,7 +418,7 @@ func (m *master) drainLocalTelemetry() {
 }
 
 // The master as hf.Objective and hf.Preconditioned: workers compute
-// shard sums, the carrier adds them, the normalization happens here.
+// shard sums, the star adds them, the normalization happens here.
 
 // Dim implements hf.Objective.
 func (m *master) Dim() int { return m.dim }
@@ -433,10 +434,10 @@ func (m *master) SetParams(p tensor.Vector) {
 }
 
 // Gradient implements hf.Objective: workers compute shard gradients,
-// the carrier sums them. It opens every HF iteration.
+// the star sums them. It opens every HF iteration.
 func (m *master) Gradient() tensor.Vector {
 	m.curIter++
-	if m.star != nil {
+	if m.pol != nil {
 		m.beginIter()
 	}
 	grad := tensor.NewVector(m.dim)

@@ -1,16 +1,16 @@
 package core
 
-// Elastic fault tolerance: what the star carrier's failure report makes
-// possible. A dead rank breaks the tree carrier for good. The star
-// carrier (carrier.go) speaks to each worker point-to-point, so a send
-// error, a missed reply deadline (FaultPolicy.OpDeadline), a malformed
-// reply or a missed heartbeat names the rank. That rankFailure is the
-// only door into this file: the master unwinds hf.Optimize, evicts the
-// named ranks, re-partitions their shards across the survivors
-// (corpus.Reshard), rewinds θ to the last Checkpoint, bumps the round
-// (orphaning stale in-flight replies) and resumes after an exponential
-// backoff — up to FaultPolicy.MaxEvictions times before surrendering
-// with a structured FaultReport.
+// Elastic fault tolerance: what a FaultPolicy (WithFaults) does with the
+// star's failure report. The star (star.go) speaks to each worker
+// point-to-point, so a send error, a missed reply deadline
+// (FaultPolicy.OpDeadline), a malformed reply or a missed heartbeat
+// names the rank. Without a policy that rankFailure ends the run; with
+// one it is the only door into this file: the master unwinds
+// hf.Optimize, evicts the named ranks, re-partitions their shards across
+// the survivors (corpus.Reshard), rewinds θ to the last Checkpoint, bumps
+// the round (orphaning stale in-flight replies) and resumes after an
+// exponential backoff — up to FaultPolicy.MaxEvictions times before
+// surrendering with a structured FaultReport.
 
 import (
 	"bytes"
@@ -191,19 +191,20 @@ func causeOf(err error) string {
 	}
 }
 
-// tolerateFaults switches the master to the star carrier and arms the
-// fault machinery below; a nil ckpt is the zero CheckpointPolicy.
+// tolerateFaults gives the master a policy: the star's replies get a
+// deadline and the fault machinery below is armed; a nil ckpt is the
+// zero CheckpointPolicy.
 func (m *master) tolerateFaults(pol FaultPolicy, ckpt *CheckpointPolicy, epochHook func(int)) {
 	if ckpt != nil {
 		m.ckpt = *ckpt
 	}
-	m.pol, m.ckpt, m.epochHook = pol.filled(), m.ckpt.filled(), epochHook
-	m.report = FaultReport{MaxEvictions: m.pol.MaxEvictions}
-	m.star = &star{comm: m.comm, deadline: m.pol.OpDeadline}
-	m.c = m.star
+	pol = pol.filled()
+	m.pol, m.ckpt, m.epochHook = &pol, m.ckpt.filled(), epochHook
+	m.report = FaultReport{MaxEvictions: pol.MaxEvictions}
+	m.star.deadline = pol.OpDeadline
 }
 
-// beginIter opens a global HF iteration on the star carrier: the
+// beginIter opens a global HF iteration under a policy: the
 // master-side fault injector (if any) learns the iteration, as workers
 // do on the sample op, and the workers are pinged on cadence.
 func (m *master) beginIter() {

@@ -188,10 +188,10 @@ func TestElasticSurrender(t *testing.T) {
 	}
 }
 
-// TestElasticNoFaultMatchesClassic runs the elastic protocol with no
-// injected faults: it must complete without evictions and land on the
-// same loss as the classic collective protocol (identical algorithm,
-// different transport pattern).
+// TestElasticNoFaultMatchesClassic runs a no-fault session with and
+// without a FaultPolicy: the policy run must complete without evictions
+// and — the wire and its fold being the same, and heartbeats and
+// snapshots touching no number — land on bit-equal losses and parameters.
 func TestElasticNoFaultMatchesClassic(t *testing.T) {
 	p := testProblem(t, CrossEntropy)
 	cfg := fastHF()
@@ -211,13 +211,64 @@ func TestElasticNoFaultMatchesClassic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if classic.Fault != nil {
+		t.Errorf("fault report %+v on a run without a policy, want nil", classic.Fault)
+	}
 	if elastic.Fault == nil || len(elastic.Fault.Evictions) != 0 {
 		t.Fatalf("fault report %+v, want empty eviction list", elastic.Fault)
 	}
-	if d := math.Abs(elastic.HF.FinalLoss - classic.HF.FinalLoss); d > 1e-6 {
-		t.Errorf("elastic final loss %v vs classic %v (|Δ|=%v), want ≤ 1e-6",
-			elastic.HF.FinalLoss, classic.HF.FinalLoss, d)
+	requireSameRun(t, "with a policy", elastic, "without", classic)
+}
+
+// requireSameRun fails unless two runs agree to the bit on every
+// iteration's loss, the final loss and the trained parameters.
+func requireSameRun(t *testing.T, aName string, a *MasterResult, bName string, b *MasterResult) {
+	t.Helper()
+	if len(a.HF.Iters) != len(b.HF.Iters) {
+		t.Fatalf("%d iterations %s, %d %s", len(a.HF.Iters), aName, len(b.HF.Iters), bName)
 	}
+	for i := range a.HF.Iters {
+		if x, y := a.HF.Iters[i].Loss, b.HF.Iters[i].Loss; math.Float64bits(x) != math.Float64bits(y) {
+			t.Errorf("iteration %d loss %v %s, %v %s", i+1, x, aName, y, bName)
+		}
+	}
+	if x, y := a.HF.FinalLoss, b.HF.FinalLoss; math.Float64bits(x) != math.Float64bits(y) {
+		t.Errorf("final loss %v %s, %v %s", x, aName, y, bName)
+	}
+	for i := range a.Params {
+		if math.Float32bits(a.Params[i]) != math.Float32bits(b.Params[i]) {
+			t.Fatalf("parameter %d is %v %s, %v %s", i, a.Params[i], aName, b.Params[i], bName)
+		}
+	}
+}
+
+// TestAttachModeWorkerNeedsNoFaultOption runs a master with WithFaults
+// over attach-mode workers without it: WithFaults is policy, not wire, so
+// the run must train to the same result as when every rank passes it.
+func TestAttachModeWorkerNeedsNoFaultOption(t *testing.T) {
+	p := testProblem(t, CrossEntropy)
+	cfg := fastHF()
+	run := func(workerOpts ...Option) *MasterResult {
+		t.Helper()
+		ts := testTransports(t, FabricInproc, 3)
+		workers := []<-chan runOut{startAttached(ts[1], Problem{}, cfg, workerOpts...), startAttached(ts[2], Problem{}, cfg, workerOpts...)}
+		select {
+		case o := <-startAttached(ts[0], p, cfg, WithFaults(FaultPolicy{})):
+			if o.err != nil {
+				t.Fatal(o.err)
+			}
+			for _, w := range workers {
+				if wo := <-w; wo.err != nil {
+					t.Errorf("worker exit: %v", wo.err)
+				}
+			}
+			return o.res
+		case <-time.After(30 * time.Second):
+			t.Fatal("master and workers disagree on the wire: still running after 30s")
+			return nil
+		}
+	}
+	requireSameRun(t, "workers without WithFaults", run(), "workers with it", run(WithFaults(FaultPolicy{})))
 }
 
 // TestSessionOptionValidation pins the documented illegal combinations.
@@ -233,7 +284,6 @@ func TestSessionOptionValidation(t *testing.T) {
 	}{
 		{"comm+ranks", []Option{WithComm(comm), WithRanks(4)}},
 		{"comm+fabric", []Option{WithComm(comm), WithFabric(FabricTCP)}},
-		{"comm+check", []Option{WithComm(comm), WithCheck(mpi.CheckConfig{})}},
 		{"checkpoint-without-faults", []Option{WithCheckpoint(CheckpointPolicy{Every: 1})}},
 		{"one-rank", []Option{WithRanks(1)}},
 		{"inject-attached", []Option{WithComm(comm), WithFaults(FaultPolicy{Inject: &mpi.FaultSchedule{Events: []mpi.FaultEvent{{Action: mpi.ActKill, Rank: 1}}}})}},

@@ -51,14 +51,15 @@ func TestDistributedObservability(t *testing.T) {
 		t.Error("worker_curvature_product span on the master rank")
 	}
 
-	// Metrics: collectives routed from the profiler, worker wait time and
-	// shard sizes, and one iteration wall-time observation per HF iter.
+	// Metrics: the wire's sends and receives routed from the profiler,
+	// worker wait time and shard sizes, and one iteration wall-time
+	// observation per HF iter.
 	reg := ob.Metrics
-	if n := reg.Histogram("mpi.bcast.latency_ns").Count(); n == 0 {
-		t.Error("no mpi.bcast.latency_ns observations")
+	if n := reg.Histogram("mpi.send.latency_ns").Count(); n == 0 {
+		t.Error("no mpi.send.latency_ns observations")
 	}
-	if n := reg.Histogram("mpi.reduce.latency_ns").Count(); n == 0 {
-		t.Error("no mpi.reduce.latency_ns observations")
+	if n := reg.Histogram("mpi.recv.latency_ns").Count(); n == 0 {
+		t.Error("no mpi.recv.latency_ns observations")
 	}
 	var totalFrames float64
 	for w := 1; w <= 2; w++ {

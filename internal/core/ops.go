@@ -17,14 +17,12 @@ import (
 
 // The distributed trainer is one master/worker loop over a small fixed
 // set of ops (the paper's §V-B phases plus housekeeping), described once
-// in the ops table below. The master's senders (carrier.go), the
-// worker's dispatch, the op names in fault reports and the star wire's
-// reply length are all read off a row: a new op is one row plus its
-// engine function.
+// in the ops table below. The master's sender (star.go), the worker's
+// dispatch, the op names in fault reports and the wire's reply length
+// are all read off a row: a new op is one row plus its engine function.
 //
 // Opcodes are the table's array keys, so a duplicate does not compile.
-// They travel as a float32 in the tree wire's [opcode, arg] command and
-// as one byte in the star wire's emOp frame.
+// They travel as one byte in the wire's emOp frame.
 const (
 	opSetParams = 1 + iota
 	opGradient
@@ -67,18 +65,17 @@ var ops = [...]opRow{
 }
 
 // lookupOp resolves a wire opcode to its row; anything outside the
-// table (0, past the end, fractional, NaN) is rejected, never indexed.
-// Whole-number-ness is an exact bit comparison, not a float ==.
-func lookupOp(code float32) (*opRow, bool) {
-	if !(code >= 1 && code < float32(len(ops))) || math.Float32bits(code) != math.Float32bits(float32(int(code))) {
+// table (0, past the end) is rejected, never indexed.
+func lookupOp(code byte) (*opRow, bool) {
+	if code < 1 || int(code) >= len(ops) {
 		return nil, false
 	}
-	return &ops[int(code)], true
+	return &ops[code], true
 }
 
-// replyLen is the shape of the one reply a worker sends per op on the
-// star wire: vec bytes of vector, then the scalars padded to a float64
-// pair. A total of zero means the op has no reply.
+// replyLen is the shape of the one reply a worker sends per op: vec
+// bytes of vector, then the scalars padded to a float64 pair. A total of
+// zero means the op has no reply.
 func (r *opRow) replyLen(dim int) (vec, total int) {
 	if r.up {
 		vec = 4 * dim
@@ -145,8 +142,8 @@ func (w *worker) telemetry(float32, tensor.Vector, tensor.Vector, []float64) err
 	return w.ship.Ship(w.comm, 0)
 }
 
-// worker is a non-zero rank: its shard's engine and the state both
-// receive loops share.
+// worker is a non-zero rank: its shard's engine and its receive loop's
+// state.
 type worker struct {
 	comm      *mpi.Comm
 	rank      int
@@ -161,13 +158,13 @@ type worker struct {
 
 // runWorker serves the master on a non-zero rank for Session.Run until
 // it is stopped: it receives its data shard, then answers ops off the
-// table over the tree wire, or the star wire when star is set. A non-nil
-// observer adds per-op spans labelled with this rank, shard-size gauges
-// and "core.worker.<rank>.wait_ns", the time blocked on the master's
-// next command (the straggler/idle signal of the paper's Figure 5).
+// table frame by frame (starLoop). A non-nil observer adds per-op spans
+// labelled with this rank, shard-size gauges and
+// "core.worker.<rank>.wait_ns", the time blocked on the master's next
+// command (the straggler/idle signal of the paper's Figure 5).
 // epochHook, when non-nil, receives the global HF iteration as the
 // worker learns it, advancing fault-injection epochs in drills.
-func runWorker(comm *mpi.Comm, ob *obs.Observer, ship *telemetry.Shipper, star bool, epochHook func(int)) error {
+func runWorker(comm *mpi.Comm, ob *obs.Observer, ship *telemetry.Shipper, epochHook func(int)) error {
 	w := &worker{comm: comm, rank: comm.Rank(), ob: ob, ship: ship, epochHook: epochHook}
 	comm.SetMetrics(ob.Registry())
 
@@ -181,10 +178,7 @@ func runWorker(comm *mpi.Comm, ob *obs.Observer, ship *telemetry.Shipper, star b
 	w.in = make(tensor.Vector, eng.net.NumParams())
 	w.shardGauges()
 	w.wait = ob.Registry().Counter(fmt.Sprintf("core.worker.%d.wait_ns", w.rank))
-	if star {
-		return w.starLoop()
-	}
-	return w.treeLoop()
+	return w.starLoop()
 }
 
 // shardGauges publishes the shard's size (nil-safe without a registry).
@@ -230,54 +224,7 @@ func (w *worker) serve(row *opRow, arg float32, payload tensor.Vector) (tensor.V
 	return out, sc, nil
 }
 
-// treeLoop is the tree carrier's receive loop: a 2-element [opcode,
-// arg] command broadcast, then the row's payload broadcast and its
-// reductions, in that order.
-func (w *worker) treeLoop() error {
-	cmd := make([]float32, 2)
-	for {
-		w.comm.SetPhase("ctrl")
-		t0 := time.Now()
-		err := w.comm.Bcast(0, cmd)
-		w.wait.Add(time.Since(t0).Nanoseconds())
-		if err != nil {
-			return fmt.Errorf("core: worker %d command: %w", w.rank, err)
-		}
-		if err := w.treeStep(cmd[0], cmd[1]); errors.Is(err, errStopped) {
-			return nil
-		} else if err != nil {
-			return err
-		}
-	}
-}
-
-func (w *worker) treeStep(code, arg float32) error {
-	row, ok := lookupOp(code)
-	if !ok {
-		return fmt.Errorf("core: worker %d: unknown opcode %v", w.rank, code)
-	}
-	defer w.begin(row).End()
-	if row.down {
-		if err := w.comm.Bcast(0, w.in); err != nil {
-			return fmt.Errorf("core: worker %d opcode %v (%s) payload: %w", w.rank, code, row.name, err)
-		}
-	}
-	vec, sc, err := w.serve(row, arg, w.in)
-	if err != nil {
-		return err
-	}
-	if row.up {
-		if err := w.comm.Reduce(0, mpi.OpSum, vec); err != nil {
-			return err
-		}
-	}
-	if row.scalars > 0 {
-		return w.comm.ReduceF64(0, mpi.OpSum, sc)
-	}
-	return nil
-}
-
-// starLoop is the star carrier's receive loop: one frame per command
+// starLoop is the worker's receive loop: one frame per command
 // on tagElastic, at most one reply per op on tagElasticReply+round.
 func (w *worker) starLoop() error {
 	for {
@@ -342,7 +289,7 @@ func decodeOp(body []byte, in tensor.Vector) (row *opRow, arg float32, err error
 	if len(body) < 5 {
 		return nil, 0, fmt.Errorf("malformed op (%d bytes)", len(body))
 	}
-	row, ok := lookupOp(float32(body[0]))
+	row, ok := lookupOp(body[0])
 	if !ok {
 		return nil, 0, fmt.Errorf("unknown opcode %d", body[0])
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -65,25 +64,13 @@ func TestReservedTagPlan(t *testing.T) {
 
 // rig starts real workers on ranks 1.. of a fresh fabric; it returns
 // rank 0's comm and the channel their exit errors land on.
-func rig(t *testing.T, fabric FabricKind, ranks int, starWire bool) (*mpi.Comm, chan error) {
-	ts := make([]mpi.Transport, ranks)
-	if fabric == FabricTCP {
-		var err error
-		if ts, err = mpi.ConnectTCPLocal(ranks); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		f := mpi.NewInprocFabric(ranks)
-		t.Cleanup(func() { f.Close() })
-		for r := range ts {
-			ts[r] = f.Transport(r)
-		}
-	}
+func rig(t *testing.T, fabric FabricKind, ranks int) (*mpi.Comm, chan error) {
+	ts := testTransports(t, fabric, ranks)
 	exits := make(chan error, ranks-1)
 	for r := 1; r < ranks; r++ {
 		go func(c *mpi.Comm) {
 			defer c.Close()
-			exits <- runWorker(c, nil, nil, starWire, nil)
+			exits <- runWorker(c, nil, nil, nil)
 		}(mpi.NewComm(ts[r]))
 	}
 	comm := mpi.NewComm(ts[0])
@@ -109,18 +96,17 @@ func relDiff(a, b []float64) float64 {
 	return diff / math.Max(scale, math.SmallestNonzeroFloat64)
 }
 
-// TestOpsTable runs every row end to end on both carriers and both
-// fabrics: the fold is bit-equal across fabrics per carrier, within 1e-6
-// between carriers, and matches the row served once by an engine over
-// the union shard. It also pins the table's own invariants.
+// TestOpsTable runs every row end to end on both fabrics: the fold is
+// bit-equal across fabrics and matches the row served once by an engine
+// over the union shard. It also pins the table's own invariants.
 func TestOpsTable(t *testing.T) {
 	numOps := len(ops) - 1
 	names := map[string]int{}
 	var order []int // every row once, stop last
 	for op := 1; op <= numOps; op++ {
-		row, ok := lookupOp(float32(op))
+		row, ok := lookupOp(byte(op))
 		if !ok || row != &ops[op] || row.serve == nil || row.phase == "" || op != int(byte(op)) {
-			t.Fatalf("opcode %d: lookup ok=%v row=%+v, want a complete row whose opcode fits the star frame's byte", op, ok, row)
+			t.Fatalf("opcode %d: lookup ok=%v row=%+v, want a complete row whose opcode fits the frame's byte", op, ok, row)
 		}
 		_, numeric := strconv.ParseFloat(strings.TrimPrefix(row.name, "op"), 64)
 		if prev, dup := names[row.name]; dup || numeric == nil || row.name == "" {
@@ -140,12 +126,9 @@ func TestOpsTable(t *testing.T) {
 	union.eng.setParams(net.Params)
 	union.eng.drawSample(2)
 
-	run := func(fabric FabricKind, starWire bool) map[int][]float64 {
-		comm, exits := rig(t, fabric, 3, starWire)
-		m := &master{comm: comm, c: tree{comm}, p: p, part: corpus.SortedGreedy{}}
-		if starWire {
-			m.tolerateFaults(FaultPolicy{}, nil, nil)
-		}
+	run := func(fabric FabricKind) map[int][]float64 {
+		comm, exits := rig(t, fabric, 3)
+		m := &master{comm: comm, star: &star{comm: comm}, p: p, part: corpus.SortedGreedy{}}
 		if err := m.loadData(); err != nil {
 			t.Fatal(err)
 		}
@@ -155,13 +138,13 @@ func TestOpsTable(t *testing.T) {
 			var vec tensor.Vector
 			if row.up {
 				vec = tensor.NewVector(m.dim)
-				vec[0] = 42 // the carrier must zero before folding
+				vec[0] = 42 // the star must zero before folding
 			}
 			if err := m.issue(op, 2, m.theta, vec, sc); err != nil {
 				t.Fatalf("%s: %v", row.name, err)
 			}
 			got[op] = flat(vec, sc)
-			for _, w := range m.c.workers() {
+			for _, w := range m.star.live {
 				var err error
 				switch op { // the side conversations the two telemetry rows arm
 				case opClockSync:
@@ -174,7 +157,7 @@ func TestOpsTable(t *testing.T) {
 				}
 			}
 		}
-		for range m.c.workers() {
+		for range m.star.live {
 			if err := <-exits; err != nil {
 				t.Errorf("worker exit: %v", err)
 			}
@@ -182,43 +165,29 @@ func TestOpsTable(t *testing.T) {
 		return got
 	}
 
-	onTree, onStar := run(FabricInproc, false), run(FabricInproc, true)
-	treeTCP, starTCP := run(FabricTCP, false), run(FabricTCP, true)
+	inproc, tcp := run(FabricInproc), run(FabricTCP)
 	for op := 1; op <= numOps; op++ {
 		name := ops[op].name
-		if !reflect.DeepEqual(onTree[op], treeTCP[op]) || !reflect.DeepEqual(onStar[op], starTCP[op]) {
+		if !reflect.DeepEqual(inproc[op], tcp[op]) {
 			t.Errorf("%s: inproc and tcp folds differ", name)
 		}
-		if d := relDiff(onStar[op], onTree[op]); d > 1e-6 {
-			t.Errorf("%s: star and tree folds differ by %g, want ≤ 1e-6", name, d)
-		}
-		if len(onTree[op]) > 0 { // the row has a reply
+		if len(inproc[op]) > 0 { // the row has a reply
 			vec, sc, _ := union.serve(&ops[op], 2, net.Params)
-			if d := relDiff(onTree[op], flat(vec, sc)); d > 1e-4 {
+			if d := relDiff(inproc[op], flat(vec, sc)); d > 1e-4 {
 				t.Errorf("%s: fold differs from the union shard's answer by %g", name, d)
 			}
 		}
 	}
 
-	// Hostile input, the commands no master sends: either receive loop
-	// must exit with an error naming its rank and the opcode, never panic.
-	hostile := map[string]func(c *mpi.Comm) error{"tree short payload": func(c *mpi.Comm) error {
-		_ = c.Bcast(0, []float32{opSetParams, 0}) // best-effort: the worker's exit is the assertion
-		return c.Bcast(0, make([]float32, len(net.Params)-1))
-	}}
-	for _, code := range []float32{0, -1, 1.5, float32(len(ops)), 255, float32(math.NaN())} {
-		hostile[fmt.Sprintf("tree opcode %v", code)] = func(c *mpi.Comm) error { return c.Bcast(0, []float32{code, 0}) }
-	}
+	// Hostile input, the frames no master sends: the receive loop must
+	// exit with an error naming its rank and the opcode, never panic.
 	for name, frame := range hostileFrames {
-		hostile["star "+name] = func(c *mpi.Comm) error { return c.SendBytes(1, tagElastic, frame) }
-	}
-	for name, send := range hostile {
-		t.Run(name, func(t *testing.T) {
-			master, exits := rig(t, FabricInproc, 2, strings.HasPrefix(name, "star"))
+		t.Run("star "+name, func(t *testing.T) {
+			master, exits := rig(t, FabricInproc, 2)
 			if _, err := shipShards(master, p, corpus.SortedGreedy{}); err != nil {
 				t.Fatal(err)
 			}
-			if err := send(master); err != nil {
+			if err := master.SendBytes(1, tagElastic, frame); err != nil {
 				t.Fatal(err)
 			}
 			select {
@@ -231,22 +200,29 @@ func TestOpsTable(t *testing.T) {
 			}
 		})
 	}
-	// And on the master: a wrong-length accuracy reply is one event naming
-	// rank, op, got and want bytes, and — training being over — evicts nobody.
+	// And on the master: a wrong-length accuracy reply names rank, op, got
+	// and want bytes. Without a policy it is the run's error; under one it
+	// is one event and — training being over — evicts nobody.
 	fabric := newTestFabric(2)
 	defer fabric.Close()
 	go func() {
 		c := newTestComm(fabric, 1)
-		if _, err := c.RecvBytes(0, tagElastic); err == nil {
-			_ = c.SendBytes(0, tagElasticReply, []byte{1, 2, 3}) // best-effort: the master side asserts
+		for range 2 {
+			if _, err := c.RecvBytes(0, tagElastic); err == nil {
+				_ = c.SendBytes(0, tagElasticReply, []byte{1, 2, 3}) // best-effort: the master side asserts
+			}
 		}
 	}()
+	const want = "accuracy failed on rank 1: malformed accuracy reply: 3 bytes, want 16"
 	s := &star{comm: newTestComm(fabric, 0), deadline: 5 * time.Second, live: []int{1}}
-	m := &master{comm: s.comm, c: s, star: s, ob: &obs.Observer{Events: obs.NewEventLog(0)}}
+	m := &master{comm: s.comm, star: s, ob: &obs.Observer{Events: obs.NewEventLog(0)}}
+	if _, err := m.accuracy(); err == nil || !strings.Contains(err.Error(), want) || len(m.ob.EventLog().Entries()) != 0 {
+		t.Errorf("accuracy without a policy: err %v, events %+v: want the error naming the reply and no event", err, m.ob.EventLog().Entries())
+	}
+	m.pol = &FaultPolicy{}
 	acc, err := m.accuracy()
 	log := m.ob.EventLog().Entries()
-	if err != nil || acc != 0 || len(log) != 1 || len(s.live) != 1 || len(m.report.Evictions) != 0 ||
-		!strings.Contains(log[0].Text, "accuracy failed on rank 1: malformed accuracy reply: 3 bytes, want 16") {
+	if err != nil || acc != 0 || len(log) != 1 || len(s.live) != 1 || len(m.report.Evictions) != 0 || !strings.Contains(log[0].Text, want) {
 		t.Errorf("accuracy = %v, %v; events %+v; live %v: want 0, nil, one event naming the reply, nobody evicted", acc, err, log, s.live)
 	}
 }

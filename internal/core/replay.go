@@ -57,7 +57,7 @@ func (r *ReplayReport) String() string {
 // same shard plan, same fabric — and diffs the per-iteration hash
 // streams the optimizer records (weights, gradients, CG iterates). Zero
 // divergence certifies the whole pipeline is bit-reproducible: shard
-// partitioning, the deterministic reduction trees, CG, backtracking and
+// partitioning, the rank-ordered reduction fold, CG, backtracking and
 // the λ updates. The first divergent record names the iteration and
 // tensor where reproducibility broke. fabric is "inproc" or "tcp".
 func ReplayVerify(p Problem, cfg hf.Config, ranks int, part corpus.Partitioner, fabric string) (*ReplayReport, error) {

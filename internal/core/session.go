@@ -26,9 +26,11 @@ package core
 //     ranks serve the worker loop and return (nil, nil).
 //
 // Both modes run the same master loop and worker over the one ops table
-// (ops.go). WithFaults changes the carrier (carrier.go) from tree
-// collectives to the point-to-point star, which can name a failed rank
-// and so evict, re-shard and rewind (elastic.go).
+// (ops.go) and the one wire (star.go), whose failures name a rank.
+// WithFaults supplies the policy for that report — deadlines, heartbeats,
+// evict, re-shard and rewind (elastic.go) — and is a master-side option
+// only: a worker serves the same loop with or without it. Without it
+// the first failure ends the run.
 
 import (
 	"errors"
@@ -83,7 +85,6 @@ type sessionOptions struct {
 	comm     *mpi.Comm
 	part     corpus.Partitioner
 	ob       *obs.Observer
-	check    *mpi.CheckConfig
 	faults   *FaultPolicy
 	ckpt     *CheckpointPolicy
 	tele     *telemetry.Config
@@ -106,10 +107,8 @@ func WithFabric(k FabricKind) Option {
 
 // WithComm attaches the session to an externally built communicator
 // instead of spawning a fabric: the caller runs one Session per rank and
-// Run dispatches on comm.Rank(). Incompatible with WithRanks, WithFabric
-// and WithCheck (wrap the comm with mpi.NewCheckedComm yourself — the
-// session cannot retrofit protocol checking onto a transport it does not
-// own).
+// Run dispatches on comm.Rank(). Incompatible with WithRanks and
+// WithFabric.
 func WithComm(comm *mpi.Comm) Option {
 	return func(o *sessionOptions) { o.comm = comm }
 }
@@ -126,15 +125,9 @@ func WithObserver(ob *obs.Observer) Option {
 	return func(o *sessionOptions) { o.ob = ob }
 }
 
-// WithCheck enables the cross-rank collective-protocol checker on every
-// spawned rank's communicator. Spawn mode only.
-func WithCheck(cfg mpi.CheckConfig) Option {
-	return func(o *sessionOptions) { o.check = &cfg }
-}
-
-// WithFaults switches the session to the elastic fault-tolerant runtime:
+// WithFaults gives the master a fault policy, the elastic runtime:
 // per-op deadlines, heartbeats, worker eviction, shard re-partitioning
-// and checkpoint rewinds per pol.
+// and checkpoint rewinds per pol. It changes nothing on a worker rank.
 func WithFaults(pol FaultPolicy) Option {
 	return func(o *sessionOptions) { o.faults = &pol }
 }
@@ -167,8 +160,8 @@ type Session struct {
 
 // NewSession validates the option set against the problem and returns a
 // runnable session. See the package-level Option docs for the legal
-// combinations; the zero option set spawns 4 inproc ranks running the
-// classic collective protocol.
+// combinations; the zero option set spawns 4 inproc ranks with no fault
+// policy.
 func NewSession(p Problem, opts ...Option) (*Session, error) {
 	o := sessionOptions{ranks: 4, fabric: FabricInproc}
 	for _, opt := range opts {
@@ -177,9 +170,6 @@ func NewSession(p Problem, opts ...Option) (*Session, error) {
 	if o.comm != nil {
 		if o.ranksSet || o.fabSet {
 			return nil, errors.New("core: WithComm is incompatible with WithRanks/WithFabric (the attached comm fixes both)")
-		}
-		if o.check != nil {
-			return nil, errors.New("core: WithCheck is incompatible with WithComm; wrap the comm with mpi.NewCheckedComm instead")
 		}
 		if o.comm.Size() < 2 {
 			return nil, fmt.Errorf("core: distributed training needs ≥2 ranks, have %d", o.comm.Size())
@@ -256,7 +246,7 @@ func (s *Session) runAttached(cfg hf.Config) (*MasterResult, error) {
 	if o.tele != nil {
 		ship = telemetry.NewShipper(comm.Rank(), o.ob)
 	}
-	return nil, runWorker(comm, o.ob, ship, o.faults != nil, nil)
+	return nil, runWorker(comm, o.ob, ship, nil)
 }
 
 // rankErr pairs a worker error with its rank so elastic joins can
@@ -288,7 +278,7 @@ func (s *Session) runSpawned(cfg hf.Config) (*MasterResult, error) {
 	}
 
 	// Per-rank wrapping: fault injection first (so injected kills close
-	// the real transport), then deadlines, then the protocol checker.
+	// the real transport), then deadlines.
 	epochHooks := make([]func(int), ranks)
 	comms := make([]*mpi.Comm, ranks)
 	for r := 0; r < ranks; r++ {
@@ -304,11 +294,7 @@ func (s *Session) runSpawned(cfg hf.Config) (*MasterResult, error) {
 				wd.SetWriteDeadline(o.faults.FaultConfig.Filled().WriteDeadline)
 			}
 		}
-		if o.check != nil {
-			comms[r] = mpi.NewCheckedComm(t, *o.check).Comm
-		} else {
-			comms[r] = mpi.NewComm(t)
-		}
+		comms[r] = mpi.NewComm(t)
 	}
 
 	workerErrs := make(chan rankErr, ranks-1)
@@ -327,7 +313,7 @@ func (s *Session) runSpawned(cfg hf.Config) (*MasterResult, error) {
 				wob = &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(), Events: obs.NewEventLog(0)}
 				ship = telemetry.NewShipper(r, wob)
 			}
-			workerErrs <- rankErr{rank: r, err: runWorker(comm, wob, ship, o.faults != nil, epochHooks[r])}
+			workerErrs <- rankErr{rank: r, err: runWorker(comm, wob, ship, epochHooks[r])}
 		}(r)
 	}
 

@@ -11,58 +11,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// carrier is how the master gets one op of the table (ops.go) to the
-// workers and their summed answer back. There are exactly two:
-//
-//   - tree: the paper's collectives. Command and payload go down by
-//     Bcast, vector and scalars come back by Reduce, along mpi's fixed
-//     binomial tree. Any failure is fatal: a dead rank breaks the tree.
-//   - star: one point-to-point frame per worker and one reply each,
-//     folded in ascending rank order under a deadline. A failure names
-//     its ranks, which is what lets elastic.go evict and rewind.
-//
-// Session picks star when a FaultPolicy is present, tree otherwise.
-type carrier interface {
-	// issue runs op on every worker: arg and, for a payload row, down
-	// travel out; the row's vector and scalars come back summed into up
-	// and sc. A nil error means every worker answered.
-	issue(op int, arg float32, down, up tensor.Vector, sc []float64) error
-	// workers lists the ranks issue reaches, ascending.
-	workers() []int
-}
-
-// tree carries ops over mpi collectives rooted at the master, which
-// contributes zeros to every reduction (the paper's coordinate-only
-// master).
-type tree struct{ comm *mpi.Comm }
-
-func (t tree) workers() []int {
-	ranks := make([]int, t.comm.Size()-1)
-	for i := range ranks {
-		ranks[i] = i + 1
-	}
-	return ranks
-}
-
-func (t tree) issue(op int, arg float32, down, up tensor.Vector, sc []float64) error {
-	row := &ops[op]
-	err := t.comm.Bcast(0, []float32{float32(op), arg})
-	if err == nil && row.down {
-		err = t.comm.Bcast(0, down)
-	}
-	if err == nil && row.up {
-		up.Zero()
-		err = t.comm.Reduce(0, mpi.OpSum, up)
-	}
-	if err == nil && row.scalars > 0 {
-		clear(sc)
-		err = t.comm.ReduceF64(0, mpi.OpSum, sc[:row.scalars])
-	}
-	if err != nil {
-		return fmt.Errorf("core: %s: %w", row.name, err)
-	}
-	return nil
-}
+// The wire. The master gets one op of the table (ops.go) to the workers
+// as one point-to-point frame each and folds their one reply each in
+// ascending rank order, so a send error, a missed deadline or a malformed
+// reply names its rank. Under a FaultPolicy that rankFailure is the door
+// into eviction and rewind (elastic.go); without one it ends the run.
 
 // tagElastic carries every master→worker star frame, in FIFO order on
 // one tag so workers can never block on an out-of-order match.
@@ -111,8 +64,8 @@ type suspectRank struct {
 	cause error
 }
 
-// rankFailure is the star carrier's failure report: which ranks failed
-// which op. It is the only way into eviction and rewind.
+// rankFailure is the star's failure report: which ranks failed which
+// op. It is the only way into eviction and rewind.
 type rankFailure struct {
 	op       string
 	suspects []suspectRank // ascending rank
@@ -131,14 +84,15 @@ func (f *rankFailure) Unwrap() error { return f.suspects[0].cause }
 
 // star carries ops as point-to-point frames to the live workers.
 type star struct {
-	comm     *mpi.Comm
-	deadline time.Duration // per-reply wait (FaultPolicy.OpDeadline)
+	comm *mpi.Comm
+	// deadline bounds the wait for each reply (FaultPolicy.OpDeadline).
+	// Zero, the no-policy value, blocks until the reply or the
+	// transport's peer-down error.
+	deadline time.Duration
 	dim      int
 	round    int   // bumped on every resync; orphans stale replies
 	live     []int // live worker ranks, ascending
 }
-
-func (s *star) workers() []int { return s.live }
 
 // issue sends one frame per live worker — payload inline, so a worker
 // never waits for a second message — then, for a row with a reply,

@@ -72,9 +72,7 @@ func TestDistributedHFOverTCP(t *testing.T) {
 		case "load_data":
 			sawLoadData = s.Cat == mpi.CatP2P && s.Stat.Bytes > 0
 		case "sync_weights":
-			if s.Cat == mpi.CatCollective {
-				sawSync = true
-			}
+			sawSync = s.Cat == mpi.CatP2P && s.Stat.Bytes > 0
 		}
 	}
 	if !sawLoadData || !sawSync {
@@ -116,8 +114,8 @@ func TestMasterDetectsDeadWorker(t *testing.T) {
 	}
 	p := testProblem(t, CrossEntropy)
 	cfg := fastHF()
-	// A carrier failure must unwind hf.Optimize at once; a master that
-	// kept issuing collectives would run most of these 50 iterations.
+	// A failed op must unwind hf.Optimize at once; a master that kept
+	// issuing ops would run most of these 50 iterations.
 	cfg.MaxIterations = 50
 
 	// Worker 1 behaves; worker 2 dies right after receiving its shard.

@@ -24,7 +24,7 @@ func (DeprecatedAPI) Doc() string {
 	return "occurrence of a retired core training entry-point name " +
 		"(TrainDistributedHF*, Run{Master,Worker}*); the shims are deleted and the " +
 		"names reserved — build a core.NewSession with options (WithRanks/WithFabric/" +
-		"WithComm/WithObserver/WithCheck/WithFaults) and call Run instead"
+		"WithComm/WithObserver/WithFaults) and call Run instead"
 }
 
 // deprecatedCoreFuncs maps each retired entry-point name to the option
@@ -32,9 +32,9 @@ func (DeprecatedAPI) Doc() string {
 var deprecatedCoreFuncs = map[string]string{
 	"TrainDistributedHF":           "core.NewSession(p, core.WithRanks(n))",
 	"TrainDistributedHFObs":        "core.NewSession with core.WithObserver",
-	"TrainDistributedHFChecked":    "core.NewSession with core.WithCheck",
+	"TrainDistributedHFChecked":    "core.NewSession(p, core.WithRanks(n)); the protocol checker is deleted",
 	"TrainDistributedHFTCP":        "core.NewSession with core.WithFabric(core.FabricTCP)",
-	"TrainDistributedHFTCPChecked": "core.NewSession with core.WithFabric and core.WithCheck",
+	"TrainDistributedHFTCPChecked": "core.NewSession with core.WithFabric(core.FabricTCP); the protocol checker is deleted",
 	"RunMaster":                    "core.NewSession with core.WithComm",
 	"RunMasterObs":                 "core.NewSession with core.WithComm and core.WithObserver",
 	"RunWorker":                    "core.NewSession with core.WithComm",

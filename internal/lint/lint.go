@@ -85,7 +85,6 @@ func Analyzers() []Analyzer {
 		FloatEq{},
 		HotPathAlloc{},
 		ObsNilGuard{},
-		CommCheck{},
 		OpProto{},
 		SendRecvPair{},
 		MapOrderFloat{},

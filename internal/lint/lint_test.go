@@ -16,7 +16,6 @@ var fixtureDirs = []string{
 	"floateq",
 	"hotpathalloc",
 	"obsnilguard",
-	"commcheck",
 	"maporderfloat",
 	"reduceorder",
 	"rngsource",
@@ -90,11 +89,6 @@ func TestFixtureFindings(t *testing.T) {
 			"79:6 obsnilguard error",
 			"80:6 obsnilguard error",
 		},
-		"commcheck.go": {
-			"19:10 commcheck warn", // collective under Rank() conditional
-			"23:13 commcheck warn", // collective under rank-derived conditional
-			"28:10 commcheck warn", // same-package call running 2 collectives under one
-		},
 		"maporderfloat.go": {
 			"10:3 maporderfloat error", // float accumulation in map order
 			"24:3 maporderfloat error", // float-carrying slice built in map order
@@ -132,7 +126,7 @@ func TestFixtureFindings(t *testing.T) {
 		"lockacrossblock.go": {
 			"22:2 lockacrossblock error",  // channel send under mu
 			"29:12 lockacrossblock error", // channel receive under rw.RLock
-			"38:9 lockacrossblock error",  // mpi Allreduce under deferred unlock
+			"38:9 lockacrossblock error",  // mpi Reduce under deferred unlock
 			"44:2 lockacrossblock error",  // no-default select under mu
 			"57:12 lockacrossblock error", // net.Conn.Write under deferred unlock
 		},

@@ -213,11 +213,9 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 // peer: collectives synchronize every rank, point-to-point sends and
 // receives wait for the other side.
 var mpiBlocking = map[string]bool{
-	"Bcast": true, "Reduce": true, "ReduceF64": true,
-	"Allreduce": true, "AllreduceF64": true, "Barrier": true,
-	"Gather": true, "Scatter": true, "Allgather": true,
+	"Bcast": true, "Reduce": true, "Barrier": true,
 	"SendBytes": true, "RecvBytes": true, "RecvBytesTimeout": true,
-	"SendF32": true, "RecvF32": true, "SendInts": true, "RecvInts": true,
+	"SendF32": true, "RecvF32": true,
 	"Send": true, "Recv": true, "RecvTimeout": true,
 }
 

@@ -18,9 +18,9 @@ package lint
 // Reply lengths are not compared: the one protocol with fixed-length
 // replies, internal/core's, derives both sides from a single ops-table
 // row. Arms or senders whose traffic passes a Comm to another package
-// are opaque and exempt from reply checks. Like commcheck, the
-// opcode group extends to every constant declared in the same const
-// block as an arm label, and the mpi package itself is exempt.
+// are opaque and exempt from reply checks. The opcode group extends to
+// every constant declared in the same const block as an arm label, and
+// the mpi package itself is exempt.
 
 import (
 	"go/ast"

@@ -1,12 +1,11 @@
 package lint
 
 // Shared machinery for the p2pcheck analyzer family (tagspace, opproto,
-// sendrecvpair). Where commcheck models the collective surface of
-// repro/internal/mpi, this file models the point-to-point surface —
-// Send/Recv/Isend/Irecv, the typed SendBytes/RecvBytes(Timeout)/
-// SendF32/RecvF32/SendInts/RecvInts wrappers and the free RecvTimeout —
-// and extracts per-function ordered traces of p2p events with their
-// statically-resolved tags.
+// sendrecvpair). This file models the point-to-point surface of
+// repro/internal/mpi — Send/Recv/Isend, the typed
+// SendBytes/RecvBytes(Timeout)/SendF32/RecvF32 wrappers and the free
+// RecvTimeout — and extracts per-function ordered traces of p2p events
+// with their statically-resolved tags.
 //
 // Two abstractions carry the analyses:
 //
@@ -14,11 +13,11 @@ package lint
 //     constant plus a dynamic offset ("tagElasticReply+round"), to the
 //     AnyTag wildcard, or to "unknown". Unknown tags are dropped, so
 //     every check errs toward silence on dynamic protocols.
-//   - p2pEvent traces: the same statement walk as commcheck's summaries
-//     (conditional marking, source order), with same-package calls and
+//   - p2pEvent traces: one statement walk per function (conditional
+//     marking, source order), with same-package calls and
 //     single-assignment closures spliced in. Splicing substitutes tag
-//     arguments through parameter positions, so a wrapper like mpi's
-//     collSend, or a reply closure, resolves at its call sites.
+//     arguments through parameter positions, so a send wrapper, or a
+//     reply closure, resolves at its call sites.
 
 import (
 	"fmt"
@@ -29,6 +28,10 @@ import (
 	"path/filepath"
 	"strings"
 )
+
+// mpiPkgPath is the package whose point-to-point surface these
+// analyzers understand.
+const mpiPkgPath = "repro/internal/mpi"
 
 // p2pDir is the direction of one point-to-point operation.
 type p2pDir int
@@ -58,10 +61,7 @@ var p2pSigs = map[string]p2pSig{
 	"RecvBytesTimeout": {dirRecv, 1, false},
 	"SendF32":          {dirSend, 1, false},
 	"RecvF32":          {dirRecv, 1, true},
-	"SendInts":         {dirSend, 1, false},
-	"RecvInts":         {dirRecv, 1, true},
 	"Isend":            {dirSend, 1, false},
-	"Irecv":            {dirRecv, 1, false},
 	"RecvTimeout":      {dirRecv, 2, false},
 }
 
@@ -182,7 +182,7 @@ func newP2PPass(p *Package) *p2pPass {
 }
 
 // collectDecls indexes function declarations and single-assignment
-// variable definitions across the package (same contract as commcheck).
+// variable definitions across the package.
 func (z *p2pPass) collectDecls() {
 	for _, file := range z.p.Files {
 		for _, decl := range file.Decls {
@@ -244,7 +244,7 @@ func (z *p2pPass) site(node ast.Node) string {
 }
 
 // sitePos renders any position in p's FileSet as a root-relative
-// file:line, matching commcheck's cross-reference style.
+// file:line, the cross-reference style of findings.
 func sitePos(p *Package, tp token.Pos) string {
 	pos := p.Fset.Position(tp)
 	file := pos.Filename
@@ -470,8 +470,7 @@ func (z *p2pPass) usesGroupConst(s ast.Stmt, group map[*types.Const]bool, labels
 	return found
 }
 
-// collectStmts appends the p2p events of stmts in source order; the
-// statement-shape handling mirrors commcheck's walker exactly.
+// collectStmts appends the p2p events of stmts in source order.
 func (z *p2pPass) collectStmts(stmts []ast.Stmt, conditional bool, sum *p2pSummary) {
 	for _, s := range stmts {
 		z.collectStmt(s, conditional, sum)

@@ -1,22 +1,22 @@
 package lint
 
-// SendRecvPair does per-path pairing of the point-to-point surface,
-// the p2p analogue of commcheck's collective diffing. Two hazards:
+// SendRecvPair does per-path pairing of the point-to-point surface.
+// Two hazards:
 //
-//   - a blocking receive (Recv/RecvBytes/RecvF32/RecvInts — no
-//     deadline) on a statically-known tag that no code path in the
-//     package ever sends: the counterpart role's send is missing and
-//     the receiver hangs forever;
+//   - a blocking receive (Recv/RecvBytes/RecvF32 — no deadline) on a
+//     statically-known tag that no code path in the package ever sends:
+//     the counterpart role's send is missing and the receiver hangs
+//     forever;
 //   - the recv-before-send deadlock between two straight-line role
 //     functions: f blocks receiving tag T1 and only later sends T2,
 //     while g blocks receiving T2 and only later sends T1 — each side
 //     waits for a message the other sends only after its own receive.
 //
-// Deadline-bounded receives (RecvBytesTimeout, RecvTimeout, Irecv) are
+// Deadline-bounded receives (RecvBytesTimeout, RecvTimeout) are
 // exempt: they are the eviction path, not a hang. Ordering claims are
 // made only for functions whose p2p trace is linear — unconditional
 // and free of opaque comm-escaping calls. The mpi package itself is
-// exempt, as for commcheck.
+// exempt.
 
 import (
 	"go/types"

@@ -25,7 +25,7 @@ func (s *server) bump() {
 }
 
 func reduce(c *mpi.Comm, buf []float32) error {
-	if err := c.Allreduce(mpi.OpSum, buf); err != nil {
+	if err := c.Reduce(0, mpi.OpSum, buf); err != nil {
 		return err
 	}
 	return c.Barrier()

@@ -35,7 +35,7 @@ func (m *master) recvUnderLock(ch chan int) {
 func (m *master) collectiveUnderDeferredLock(c *mpi.Comm, buf []float32) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return c.Allreduce(mpi.OpSum, buf)
+	return c.Reduce(0, mpi.OpSum, buf)
 }
 
 // selectUnderLock parks on a no-default select with the lock held.

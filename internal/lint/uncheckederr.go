@@ -8,7 +8,7 @@ import (
 
 // UncheckedErr flags statement-level calls that silently discard an error
 // result from an error-critical package: the MPI layer (a dropped
-// Send/Recv/Bcast/Allreduce/Reduce error leaves ranks desynchronized and
+// Send/Recv/Bcast/Reduce error leaves ranks desynchronized and
 // poisons every later bitwise-deterministic reduction) and the
 // serialization/IO paths used by the wire protocol and checkpointing.
 //

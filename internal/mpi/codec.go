@@ -26,40 +26,3 @@ func decodeF32Into(buf []byte, x []float32) error {
 	}
 	return nil
 }
-
-func encodeF64(x []float64) []byte {
-	buf := make([]byte, 8*len(x))
-	for i, v := range x {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	return buf
-}
-
-func decodeF64Into(buf []byte, x []float64) error {
-	if len(buf) != 8*len(x) {
-		return fmt.Errorf("mpi: payload %d bytes, want %d", len(buf), 8*len(x))
-	}
-	for i := range x {
-		x[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return nil
-}
-
-func encodeInts(x []int) []byte {
-	buf := make([]byte, 8*len(x))
-	for i, v := range x {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(int64(v)))
-	}
-	return buf
-}
-
-func decodeInts(buf []byte) ([]int, error) {
-	if len(buf)%8 != 0 {
-		return nil, fmt.Errorf("mpi: int payload %d bytes not a multiple of 8", len(buf))
-	}
-	x := make([]int, len(buf)/8)
-	for i := range x {
-		x[i] = int(int64(binary.LittleEndian.Uint64(buf[8*i:])))
-	}
-	return x, nil
-}

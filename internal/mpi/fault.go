@@ -2,13 +2,9 @@ package mpi
 
 // Fault layer: detection knobs for the elastic runtime (FaultConfig,
 // deadline-bounded receives) and a schedule-driven fault-injecting
-// Transport wrapper for tests and failure drills.
-//
-// This is deliberately distinct from commcheck (checked.go): the
-// commcheck watchdog bounds *collectives* to diagnose protocol
-// divergence between otherwise healthy ranks, while the fault layer
-// bounds individual point-to-point ops so a dead or wedged rank can be
-// detected, evicted and trained around.
+// Transport wrapper for tests and failure drills. The deadlines bound
+// individual point-to-point ops, so a dead or wedged rank is named and
+// can be evicted and trained around; the collectives have none.
 
 import (
 	"errors"
@@ -31,7 +27,7 @@ const (
 	DefaultOpDeadline = 10 * time.Second
 	// DefaultHeartbeatTag is the base tag for heartbeat pong replies;
 	// the elastic round number is added to it. It sits above the
-	// collective tag space (1<<24 … 7<<24) so heartbeats can never
+	// collective tag blocks (1<<24 … 5<<24) so heartbeats can never
 	// match collective or user traffic.
 	DefaultHeartbeatTag = 17 << 24
 	// DefaultTCPWriteDeadline bounds a single TCP frame write so a

@@ -2,8 +2,7 @@
 // the Blue Gene/Q MPI/PAMI stack the paper's application runs on (§V-B).
 //
 // It provides ranks, tagged point-to-point Send/Recv, and tree-based
-// collectives (Bcast, Reduce, Allreduce, Gather, Scatter, Allgather,
-// Barrier) over pluggable transports:
+// collectives (Bcast, Reduce, Barrier) over pluggable transports:
 //
 //   - the in-process fabric (goroutines + channels-free mailboxes), used by
 //     tests, examples and the single-binary distributed trainer; and
@@ -55,16 +54,12 @@ type Transport interface {
 }
 
 // Internal tag space for collectives, above any tag user code should use.
-// Barrier and Allgather add a round index to their base tag, so each base
-// gets its own 2²⁴-wide block.
+// Barrier adds a round index to its base tag, so each base gets its own
+// 2²⁴-wide block.
 const (
-	tagBcast     = 1 << 24
-	tagReduce    = 2 << 24
-	tagGather    = 3 << 24
-	tagScatter   = 4 << 24
-	tagBarrier   = 5 << 24
-	tagAllgather = 6 << 24
-	tagAllredRD  = 7 << 24
+	tagBcast   = 1 << 24
+	tagReduce  = 2 << 24
+	tagBarrier = 5 << 24
 )
 
 // Reserved tags for the telemetry plane (internal/obs/telemetry). They
@@ -82,9 +77,6 @@ const (
 	// at iteration boundaries, off the collective critical path.
 	TagTelemetry = 9601
 )
-
-// isPowerOfTwo reports whether n is a positive power of two.
-func isPowerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // checkRank validates rank ∈ [0, size). Public collective and transport
 // paths return the error so a bad root surfaces as an mpi error on the

@@ -190,61 +190,6 @@ func TestReduceMaxMin(t *testing.T) {
 	})
 }
 
-func TestReduceF64(t *testing.T) {
-	runRanks(t, 5, func(c *Comm) {
-		buf := []float64{1.5, float64(c.Rank())}
-		if err := c.ReduceF64(0, OpSum, buf); err != nil {
-			t.Error(err)
-			return
-		}
-		if c.Rank() == 0 {
-			if buf[0] != 7.5 || buf[1] != 10 {
-				t.Errorf("got %v", buf)
-			}
-		}
-	})
-}
-
-func TestAllreduceEveryRankSameResult(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 6, 7} {
-		results := make([][]float32, n)
-		runRanks(t, n, func(c *Comm) {
-			buf := []float32{float32(c.Rank() + 1), 1}
-			if err := c.Allreduce(OpSum, buf); err != nil {
-				t.Error(err)
-				return
-			}
-			results[c.Rank()] = buf
-		})
-		wantSum := float32(n * (n + 1) / 2)
-		for r, res := range results {
-			if res[0] != wantSum || res[1] != float32(n) {
-				t.Fatalf("n=%d rank %d: %v, want [%v %v]", n, r, res, wantSum, n)
-			}
-		}
-	}
-}
-
-func TestAllreduceF64(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 5, 8} {
-		results := make([][]float64, n)
-		runRanks(t, n, func(c *Comm) {
-			buf := []float64{float64(c.Rank())}
-			if err := c.AllreduceF64(OpSum, buf); err != nil {
-				t.Error(err)
-				return
-			}
-			results[c.Rank()] = buf
-		})
-		want := float64(n*(n-1)) / 2
-		for r, res := range results {
-			if res[0] != want {
-				t.Fatalf("n=%d rank %d: %v, want %v", n, r, res[0], want)
-			}
-		}
-	}
-}
-
 // Property (quick): tree Reduce equals a serial left fold for random
 // vectors and communicator sizes.
 func TestReduceEqualsSerialFoldProperty(t *testing.T) {
@@ -301,118 +246,4 @@ func TestBarrierOrdering(t *testing.T) {
 	if after != n {
 		t.Fatalf("only %d ranks exited", after)
 	}
-}
-
-func TestGather(t *testing.T) {
-	const n = 5
-	runRanks(t, n, func(c *Comm) {
-		send := []float32{float32(c.Rank()), float32(c.Rank() * 10)}
-		var recv []float32
-		if c.Rank() == 2 {
-			recv = make([]float32, 2*n)
-		}
-		if err := c.Gather(2, send, recv); err != nil {
-			t.Error(err)
-			return
-		}
-		if c.Rank() == 2 {
-			for r := 0; r < n; r++ {
-				if recv[2*r] != float32(r) || recv[2*r+1] != float32(r*10) {
-					t.Errorf("gathered %v", recv)
-					return
-				}
-			}
-		}
-	})
-}
-
-func TestScatter(t *testing.T) {
-	const n = 4
-	runRanks(t, n, func(c *Comm) {
-		var send []float32
-		if c.Rank() == 1 {
-			send = make([]float32, 3*n)
-			for i := range send {
-				send[i] = float32(i)
-			}
-		}
-		recv := make([]float32, 3)
-		if err := c.Scatter(1, send, recv); err != nil {
-			t.Error(err)
-			return
-		}
-		for i := 0; i < 3; i++ {
-			if recv[i] != float32(3*c.Rank()+i) {
-				t.Errorf("rank %d got %v", c.Rank(), recv)
-				return
-			}
-		}
-	})
-}
-
-func TestScatterSizeMismatch(t *testing.T) {
-	// Root detects the bad send-buffer size before communicating, so only
-	// the root participates here.
-	runRanks(t, 2, func(c *Comm) {
-		if c.Rank() != 0 {
-			return
-		}
-		send := make([]float32, 3) // wrong: needs 2*2
-		recv := make([]float32, 2)
-		if err := c.Scatter(0, send, recv); err == nil {
-			t.Error("expected size mismatch error at root")
-		}
-	})
-}
-
-func TestGatherSizeMismatch(t *testing.T) {
-	runRanks(t, 2, func(c *Comm) {
-		if c.Rank() == 1 {
-			// Non-root just sends; it cannot detect the root's bad buffer.
-			if err := c.Gather(0, []float32{1}, nil); err != nil {
-				t.Error(err)
-			}
-			return
-		}
-		recv := make([]float32, 3) // wrong: needs 2
-		if err := c.Gather(0, []float32{0}, recv); err == nil {
-			t.Error("expected size mismatch error at root")
-		}
-	})
-}
-
-func TestAllgather(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8} {
-		runRanks(t, n, func(c *Comm) {
-			send := []float32{float32(c.Rank() + 100)}
-			recv := make([]float32, n)
-			if err := c.Allgather(send, recv); err != nil {
-				t.Error(err)
-				return
-			}
-			for r := 0; r < n; r++ {
-				if recv[r] != float32(r+100) {
-					t.Errorf("n=%d rank %d got %v", n, c.Rank(), recv)
-					return
-				}
-			}
-		})
-	}
-}
-
-func TestSendIntsRoundTrip(t *testing.T) {
-	runRanks(t, 2, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.SendInts(1, 3, []int{-5, 0, 1 << 40})
-		} else {
-			got, err := c.RecvInts(0, 3)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if len(got) != 3 || got[0] != -5 || got[2] != 1<<40 {
-				t.Errorf("got %v", got)
-			}
-		}
-	})
 }

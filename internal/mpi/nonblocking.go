@@ -1,34 +1,21 @@
 package mpi
 
-// Nonblocking point-to-point operations in the style of MPI_Isend /
-// MPI_Irecv / MPI_Wait. The paper's application is bulk-synchronous, but
-// overlap of computation and communication is one of the §V-C levers
-// ("efficiently overlapping computation and communication helps"), and
-// these primitives let library users express it.
+// Nonblocking send in the style of MPI_Isend / MPI_Wait. The paper's
+// application is bulk-synchronous, but overlap of computation and
+// communication is one of the §V-C levers ("efficiently overlapping
+// computation and communication helps"); the async-SGD worker pushes a
+// gradient while it computes the next one.
 
 // Request is a handle to a pending nonblocking operation.
 type Request struct {
 	done chan struct{}
-	msg  Message
 	err  error
 }
 
-// Wait blocks until the operation completes and returns the received
-// message (zero Message for sends) and any error.
-func (r *Request) Wait() (Message, error) {
+// Wait blocks until the operation completes and returns its error.
+func (r *Request) Wait() error {
 	<-r.done
-	return r.msg, r.err
-}
-
-// Done reports without blocking whether the operation has completed
-// (MPI_Test).
-func (r *Request) Done() bool {
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
-	}
+	return r.err
 }
 
 // Isend starts a nonblocking send. The data is copied before Isend
@@ -42,26 +29,4 @@ func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 		close(r.done)
 	}()
 	return r
-}
-
-// Irecv starts a nonblocking receive matching (src, tag); src may be
-// AnySource and tag AnyTag.
-func (c *Comm) Irecv(src, tag int) *Request {
-	r := &Request{done: make(chan struct{})}
-	go func() {
-		r.msg, r.err = c.RecvBytes(src, tag)
-		close(r.done)
-	}()
-	return r
-}
-
-// WaitAll waits for every request and returns the first error.
-func WaitAll(reqs ...*Request) error {
-	var first error
-	for _, r := range reqs {
-		if _, err := r.Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

@@ -1,26 +1,6 @@
 package mpi
 
-import (
-	"testing"
-	"time"
-)
-
-func TestIsendIrecvRoundTrip(t *testing.T) {
-	runRanks(t, 2, func(c *Comm) {
-		if c.Rank() == 0 {
-			req := c.Isend(1, 5, []byte{1, 2, 3})
-			if _, err := req.Wait(); err != nil {
-				t.Error(err)
-			}
-		} else {
-			req := c.Irecv(0, 5)
-			msg, err := req.Wait()
-			if err != nil || len(msg.Data) != 3 || msg.Data[2] != 3 {
-				t.Errorf("msg %v err %v", msg, err)
-			}
-		}
-	})
-}
+import "testing"
 
 func TestIsendBufferReuse(t *testing.T) {
 	runRanks(t, 2, func(c *Comm) {
@@ -28,108 +8,14 @@ func TestIsendBufferReuse(t *testing.T) {
 			buf := []byte{42}
 			req := c.Isend(1, 1, buf)
 			buf[0] = 99 // mutate immediately: Isend must have copied
-			req.Wait()
+			if err := req.Wait(); err != nil {
+				t.Error(err)
+			}
 		} else {
 			msg, err := c.RecvBytes(0, 1)
 			if err != nil || msg.Data[0] != 42 {
 				t.Errorf("got %v err %v: Isend did not copy the buffer", msg.Data, err)
 			}
-		}
-	})
-}
-
-func TestIrecvOverlapsCompute(t *testing.T) {
-	runRanks(t, 2, func(c *Comm) {
-		if c.Rank() == 0 {
-			time.Sleep(20 * time.Millisecond)
-			c.SendBytes(1, 2, []byte{7})
-		} else {
-			req := c.Irecv(0, 2)
-			if req.Done() {
-				t.Error("request done before any send")
-			}
-			// "Compute" while the receive is pending.
-			sum := 0
-			for i := 0; i < 1000; i++ {
-				sum += i
-			}
-			msg, err := req.Wait()
-			if err != nil || msg.Data[0] != 7 {
-				t.Errorf("msg %v err %v", msg, err)
-			}
-			if !req.Done() {
-				t.Error("Done false after Wait")
-			}
-			_ = sum
-		}
-	})
-}
-
-func TestWaitAll(t *testing.T) {
-	runRanks(t, 3, func(c *Comm) {
-		if c.Rank() == 0 {
-			reqs := []*Request{
-				c.Isend(1, 1, []byte{1}),
-				c.Isend(2, 1, []byte{2}),
-				c.Irecv(AnySource, 9),
-				c.Irecv(AnySource, 9),
-			}
-			if err := WaitAll(reqs...); err != nil {
-				t.Error(err)
-			}
-		} else {
-			msg, err := c.RecvBytes(0, 1)
-			if err != nil || msg.Data[0] != byte(c.Rank()) {
-				t.Errorf("rank %d: %v %v", c.Rank(), msg, err)
-			}
-			c.SendBytes(0, 9, []byte{byte(c.Rank())})
-		}
-	})
-}
-
-func TestAllreduceRecursiveDoublingPowerOfTwo(t *testing.T) {
-	// Power-of-two sizes take the recursive-doubling path; results must be
-	// identical on every rank and equal to the serial sum.
-	for _, n := range []int{2, 4, 8, 16} {
-		results := make([][]float32, n)
-		runRanks(t, n, func(c *Comm) {
-			buf := []float32{float32(c.Rank() + 1), 0.5}
-			if err := c.Allreduce(OpSum, buf); err != nil {
-				t.Error(err)
-				return
-			}
-			results[c.Rank()] = buf
-		})
-		wantSum := float32(n * (n + 1) / 2)
-		for r := 0; r < n; r++ {
-			if results[r][0] != wantSum || results[r][1] != 0.5*float32(n) {
-				t.Fatalf("n=%d rank %d: %v", n, r, results[r])
-			}
-			// Bitwise identical across ranks.
-			if results[r][0] != results[0][0] || results[r][1] != results[0][1] {
-				t.Fatalf("n=%d: rank %d result differs bitwise from rank 0", n, r)
-			}
-		}
-	}
-}
-
-func TestAllreduceRDMaxMin(t *testing.T) {
-	runRanks(t, 8, func(c *Comm) {
-		buf := []float32{float32(c.Rank())}
-		if err := c.Allreduce(OpMax, buf); err != nil {
-			t.Error(err)
-			return
-		}
-		if buf[0] != 7 {
-			t.Errorf("max %v", buf[0])
-		}
-		buf[0] = float32(c.Rank())
-		if err := c.Allreduce(OpMin, buf); err != nil {
-			t.Error(err)
-			return
-		}
-		if buf[0] != 0 {
-			t.Errorf("min %v", buf[0])
 		}
 	})
 }

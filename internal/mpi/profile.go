@@ -18,7 +18,7 @@ type Category int
 const (
 	// CatP2P covers Send/Recv (e.g. the master's load_data distribution).
 	CatP2P Category = iota
-	// CatCollective covers Bcast/Reduce/... (e.g. sync_weights).
+	// CatCollective covers Bcast/Reduce/Barrier.
 	CatCollective
 	// numCategories counts the defined categories; keep it last.
 	numCategories
@@ -92,8 +92,7 @@ func NewProfiler() *Profiler {
 
 // SetRegistry routes this profiler's per-operation data into the given
 // obs registry as "mpi.<op>.latency_ns" and "mpi.<op>.bytes" histograms
-// (op = send, recv, bcast, reduce, allreduce, barrier, gather, scatter,
-// allgather, ...). A nil registry detaches.
+// (op = send, recv, bcast, reduce, barrier). A nil registry detaches.
 func (p *Profiler) SetRegistry(r *obs.Registry) {
 	p.mu.Lock()
 	p.reg = r

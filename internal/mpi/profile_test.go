@@ -209,32 +209,4 @@ func TestCodecRoundTrips(t *testing.T) {
 	if err := decodeF32Into(buf[:8], out); err == nil {
 		t.Fatal("expected length error")
 	}
-
-	f64 := []float64{1e-300, 2, -7.5}
-	out64 := make([]float64, 3)
-	if err := decodeF64Into(encodeF64(f64), out64); err != nil {
-		t.Fatal(err)
-	}
-	for i := range f64 {
-		if out64[i] != f64[i] {
-			t.Fatalf("f64 roundtrip: %v != %v", out64, f64)
-		}
-	}
-	if err := decodeF64Into(encodeF64(f64)[:8], out64); err == nil {
-		t.Fatal("expected length error")
-	}
-
-	ints := []int{-1, 0, 1 << 50}
-	got, err := decodeInts(encodeInts(ints))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ints {
-		if got[i] != ints[i] {
-			t.Fatalf("ints roundtrip: %v != %v", got, ints)
-		}
-	}
-	if _, err := decodeInts(make([]byte, 7)); err == nil {
-		t.Fatal("expected alignment error")
-	}
 }

@@ -67,11 +67,15 @@ func TestTCPCollectivesMatchInproc(t *testing.T) {
 		for i := range buf {
 			buf[i] = float32(c.Rank()*dim + i)
 		}
-		if err := c.Allreduce(OpSum, buf); err != nil {
+		if err := c.Reduce(0, OpSum, buf); err != nil {
 			t.Error(err)
 			return
 		}
-		if c.Rank() == 0 {
+		if err := c.Bcast(0, buf); err != nil {
+			t.Error(err)
+			return
+		}
+		if c.Rank() == n-1 {
 			copy(inprocResult, buf)
 		}
 	})
@@ -81,11 +85,15 @@ func TestTCPCollectivesMatchInproc(t *testing.T) {
 		for i := range buf {
 			buf[i] = float32(c.Rank()*dim + i)
 		}
-		if err := c.Allreduce(OpSum, buf); err != nil {
+		if err := c.Reduce(0, OpSum, buf); err != nil {
 			t.Error(err)
 			return
 		}
-		if c.Rank() == 0 {
+		if err := c.Bcast(0, buf); err != nil {
+			t.Error(err)
+			return
+		}
+		if c.Rank() == n-1 {
 			copy(tcpResult, buf)
 		}
 	})

@@ -8,8 +8,8 @@ import (
 )
 
 // EventLog is a bounded, concurrency-safe ring of free-form diagnostic
-// lines — the channel failure paths use to leave a trail (e.g. the MPI
-// commcheck watchdog dumping a rank's recent collective history). Unlike
+// lines — the channel failure paths use to leave a trail (e.g. the
+// elastic master recording which rank it evicted during which op). Unlike
 // metrics it keeps full text; unlike spans it needs no matching end.
 // A nil *EventLog is a valid, disabled log.
 type EventLog struct {

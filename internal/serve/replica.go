@@ -119,6 +119,9 @@ type replicaScorer struct {
 	x      *tensor.Matrix // staging for the batch rows
 	logits *tensor.Matrix // decoded reply
 	wire   []byte         // reusable encode buffer
+	// lost is set by the first missed reply: a late one would pair with
+	// the next batch, so the scorer fails every later batch instead.
+	lost error
 }
 
 func newReplicaScorer(comm *mpi.Comm, rank int, topo nn.Topology, maxBatch int) *replicaScorer {
@@ -131,8 +134,17 @@ func newReplicaScorer(comm *mpi.Comm, rank int, topo nn.Topology, maxBatch int) 
 	}
 }
 
+// replyDeadline bounds the wait for one scored batch, so a replica that
+// is connected but wedged fails its batch instead of parking the scoring
+// worker, and every request batched onto it, forever. A variable only so
+// a test can shorten it.
+var replyDeadline = mpi.DefaultOpDeadline
+
 // score ships the batch to the pinned replica and decodes its reply.
 func (sc *replicaScorer) score(batch []*request) (*tensor.Matrix, error) {
+	if sc.lost != nil {
+		return nil, sc.lost
+	}
 	x := sc.x
 	x.Rows = len(batch)
 	for i, r := range batch {
@@ -142,9 +154,10 @@ func (sc *replicaScorer) score(batch []*request) (*tensor.Matrix, error) {
 	if err := sc.comm.SendBytes(sc.rank, tagServeReq, sc.wire); err != nil {
 		return nil, fmt.Errorf("serve: replica %d send: %w", sc.rank, err)
 	}
-	msg, err := sc.comm.RecvBytes(sc.rank, tagServeRes)
+	msg, err := sc.comm.RecvBytesTimeout(sc.rank, tagServeRes, replyDeadline)
 	if err != nil {
-		return nil, fmt.Errorf("serve: replica %d recv: %w", sc.rank, err)
+		sc.lost = fmt.Errorf("serve: replica %d recv: %w", sc.rank, err)
+		return nil, sc.lost
 	}
 	if len(msg.Data) == 0 {
 		return nil, fmt.Errorf("serve: replica %d sent an empty reply", sc.rank)
@@ -196,6 +209,7 @@ func (s *Server) ServeReplica() error {
 		return fmt.Errorf("serve: ServeReplica on the master rank (rank 0 serves the front end)")
 	}
 	for {
+		// An idle replica waits for work as long as the master lives.
 		msg, err := r.comm.RecvBytes(0, tagServeReq)
 		if err != nil {
 			return fmt.Errorf("serve: replica recv: %w", err)

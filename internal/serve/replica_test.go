@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -147,5 +148,46 @@ func TestReplicaShardingMatchesLocal(t *testing.T) {
 		if err := <-repErrs; err != nil {
 			t.Fatalf("ServeReplica: %v", err)
 		}
+	}
+}
+
+// A replica that accepts a batch and never replies must fail that
+// batch's requests with mpi.ErrTimeout, not hang them — and every later
+// batch too, since a late reply would be taken for the next batch's.
+func TestWedgedReplicaTimesOut(t *testing.T) {
+	defer func(d time.Duration) { replyDeadline = d }(replyDeadline)
+	replyDeadline = 100 * time.Millisecond
+
+	ck, _ := testCheckpoint(t, 6, 10, 4)
+	fabric := mpi.NewInprocFabric(2)
+	defer fabric.Close()
+	wedged := mpi.NewComm(fabric.Transport(1))
+	accepted := make(chan error, 1)
+	go func() {
+		_, err := wedged.RecvBytes(0, tagServeReq)
+		accepted <- err
+	}()
+
+	master, err := New(ck, WithReplicas(mpi.NewComm(fabric.Transport(0))), WithMaxBatch(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, which := range []string{"first", "second"} {
+		scored := make(chan error, 1)
+		go func() { scored <- master.Score(make([]float32, 6), make([]float32, 4)) }()
+		select {
+		case err := <-scored:
+			if !errors.Is(err, mpi.ErrTimeout) || !strings.Contains(err.Error(), "replica 1 recv") {
+				t.Errorf("%s Score = %v, want an error wrapping mpi.ErrTimeout that names replica 1", which, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s Score still blocked on a replica that never replies", which)
+		}
+	}
+	if err := <-accepted; err != nil {
+		t.Errorf("replica never saw the batch: %v", err)
+	}
+	if err := master.Close(); err != nil {
+		t.Errorf("Close: %v", err)
 	}
 }
