@@ -2,7 +2,7 @@
 
 # Full gate; each property is proved once, by the cheapest thing that
 # proves it (DESIGN.md §11 has the audit behind the list):
-#   - compile, vet (copylocks included), and the 14 repo-specific
+#   - compile, vet (copylocks included), and the 10 repo-specific
 #     analyzers + 2 compiler-truth gates, zero findings being the bar
 #     (`go run ./cmd/repolint -list` documents the set);
 #   - the whole suite once, armed: race detector plus the `checked`
@@ -12,7 +12,10 @@
 #     allocs/op gate against BENCH_alloc.json;
 #   - the bit-reproducible replay gate on both fabrics;
 #   - the benchmark module's own unit tests (its own go.mod, so ./...
-#     does not reach it; < 1 s, runs no workload).
+#     does not reach it; < 1 s, runs no workload);
+#   - five seconds of real fuzzing each for the two frame codecs a
+#     peer's bytes reach first (a finding is written under testdata/fuzz,
+#     so it also fails CI's clean-tree check).
 # It leaves the tree as it found it; CI checks that.
 verify:
 	go build ./...
@@ -22,6 +25,8 @@ verify:
 	$(MAKE) alloccheck
 	$(MAKE) determinism
 	go test -C benchmark ./...
+	go test -run '^$$' -fuzz '^FuzzEmDecode$$' -fuzztime 5s ./internal/core
+	go test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 5s ./internal/mpi
 
 # Static analysis only. Machine-readable output: `go run ./cmd/repolint
 # -json`, or `-sarif` for code-scanning upload; `-only name,...` narrows

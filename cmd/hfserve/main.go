@@ -100,7 +100,7 @@ func main() {
 		log.Printf("monitoring endpoint on http://%s (/metrics /debug/pprof/)", monSrv.Addr())
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	httpDone := make(chan struct{})
 	go func() {
 		defer close(httpDone)
@@ -126,6 +126,34 @@ func main() {
 	}
 	<-httpDone
 	log.Print("drained; bye")
+}
+
+// Connection bounds of the scoring API, so that a client which sends
+// its headers and then trickles the body, never reads the response or
+// sits idle cannot pin a connection for good. They are sized for the
+// slowest client worth serving: the largest body /score accepts (16 MiB)
+// at about 1 Mbit/s is 134 s.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 3 * time.Minute // headers and body
+	// writeTimeout runs from the end of the headers to the end of the
+	// response, so it covers the body read, the handler — which a drain
+	// may hold for -drain-timeout (default 5 s) — and the write.
+	writeTimeout   = 4 * time.Minute
+	idleTimeout    = 2 * time.Minute // keep-alive connection between requests
+	maxHeaderBytes = 64 << 10
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 }
 
 // spawnReplicated builds an n-rank fabric in this process, starts

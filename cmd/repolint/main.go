@@ -2,15 +2,12 @@
 // internal/lint over the module — unchecked MPI/IO errors, float
 // equality, allocations in //lint:hotpath kernels, unguarded
 // obs.Observer field access, the determinism quartet (maporderfloat,
-// reduceorder, rngsource, divguard), the concurrency-lifecycle pair
-// (goroutineleak, lockacrossblock), the retired-API ban
-// (deprecatedapi), and the point-to-point protocol family (opproto,
-// sendrecvpair, plus the module-scoped tagspace map of the wire-tag
-// plan) — plus the two compiler-truth gates: escape, which compiles
-// hot-path packages with -gcflags=-m=2 and fails any //lint:hotpath
-// function containing a compiler-reported heap escape, and bce, which
-// compiles them with -gcflags=-d=ssa/check_bce and fails any hot function
-// still carrying a bounds check.
+// reduceorder, rngsource, divguard) and the concurrency-lifecycle pair
+// (goroutineleak, lockacrossblock) — plus the two compiler-truth gates:
+// escape, which compiles hot-path packages with -gcflags=-m=2 and fails
+// any //lint:hotpath function containing a compiler-reported heap
+// escape, and bce, which compiles them with -gcflags=-d=ssa/check_bce
+// and fails any hot function still carrying a bounds check.
 //
 // Usage:
 //
@@ -21,7 +18,7 @@
 // prints findings as file:line:col text. -json emits the stable
 // machine-readable schema (version 2) consumed by tooling; -sarif emits
 // SARIF 2.1.0 for code-scanning upload; -only restricts the run to the
-// named analyzers (e.g. `-only opproto`, or `-only escape,bce` for the
+// named analyzers (e.g. `-only floateq`, or `-only escape,bce` for the
 // two compiler-truth gates alone); -list documents
 // the analyzers; -v reports load warnings and per-analyzer timing to
 // stderr. Exit status: 0 clean, 1 findings, 2 usage or load failure.
@@ -54,11 +51,10 @@ type jsonReport struct {
 	Findings []lint.Finding `json:"findings"`
 }
 
-// selection is the resolved -only set: per-package analyzers, module
-// analyzers, and which compiler-truth gates to run.
+// selection is the resolved -only set: analyzers and which
+// compiler-truth gates to run.
 type selection struct {
 	analyzers []lint.Analyzer
-	mods      []lint.ModuleAnalyzer
 	runEscape bool
 	runBCE    bool
 }
@@ -95,8 +91,8 @@ func main() {
 
 	findings := []lint.Finding{}
 	timings := map[string]time.Duration{}
-	if len(sel.analyzers) > 0 || len(sel.mods) > 0 {
-		res, err := lint.RunFull(root, sel.analyzers, sel.mods)
+	if len(sel.analyzers) > 0 {
+		res, err := lint.Run(root, sel.analyzers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "repolint:", err)
 			os.Exit(2)
@@ -163,30 +159,25 @@ func main() {
 }
 
 // writeList renders the -list catalog: every analyzer name the -only
-// flag accepts (per-package suite, module analyzers, compiler-truth
-// gates) with its one-line doc. The snapshot test locks this output, so
-// adding an analyzer deliberately updates the documented surface.
+// flag accepts (the suite, then the compiler-truth gates) with its
+// one-line doc. The snapshot test locks this output, so adding an
+// analyzer deliberately updates the documented surface.
 func writeList(w io.Writer) {
 	for _, a := range lint.Analyzers() {
-		fmt.Fprintf(w, "%-16s %s\n", a.Name(), a.Doc())
-	}
-	for _, a := range lint.ModuleAnalyzers() {
 		fmt.Fprintf(w, "%-16s %s\n", a.Name(), a.Doc())
 	}
 	fmt.Fprintf(w, "%-16s %s\n", escape.Name, escape.Doc)
 	fmt.Fprintf(w, "%-16s %s\n", escape.BCEName, escape.BCEDoc)
 }
 
-// selectAnalyzers resolves a -only list against the suite — per-package
-// analyzers, module analyzers, and the "escape"/"bce" gates, which are
-// not lint.Analyzers (they run the compiler) but share the name
-// namespace — preserving the suite's stable order; an empty list
-// selects everything including both gates.
+// selectAnalyzers resolves a -only list against the suite and the
+// "escape"/"bce" gates, which are not lint.Analyzers (they run the
+// compiler) but share the name namespace, preserving the suite's stable
+// order; an empty list selects everything including both gates.
 func selectAnalyzers(only string) (selection, error) {
 	all := lint.Analyzers()
-	allMods := lint.ModuleAnalyzers()
 	if only == "" {
-		return selection{analyzers: all, mods: allMods, runEscape: true, runBCE: true}, nil
+		return selection{analyzers: all, runEscape: true, runBCE: true}, nil
 	}
 	want := map[string]bool{}
 	for _, n := range strings.Split(only, ",") {
@@ -203,12 +194,6 @@ func selectAnalyzers(only string) (selection, error) {
 			delete(want, a.Name())
 		}
 	}
-	for _, a := range allMods {
-		if want[a.Name()] {
-			sel.mods = append(sel.mods, a)
-			delete(want, a.Name())
-		}
-	}
 	if len(want) > 0 {
 		var unknown []string
 		for n := range want {
@@ -217,7 +202,7 @@ func selectAnalyzers(only string) (selection, error) {
 		sort.Strings(unknown)
 		return selection{}, fmt.Errorf("unknown analyzer(s) %s (see repolint -list)", strings.Join(unknown, ", "))
 	}
-	if len(sel.analyzers) == 0 && len(sel.mods) == 0 && !sel.runEscape && !sel.runBCE {
+	if len(sel.analyzers) == 0 && !sel.runEscape && !sel.runBCE {
 		return selection{}, fmt.Errorf("-only selected no analyzers")
 	}
 	return sel, nil

@@ -50,21 +50,19 @@ func TestJSONSchemaSnapshot(t *testing.T) {
 }
 
 // TestSelectAnalyzers pins the -only flag: names resolve in suite
-// order, unknown names fail, empty selects everything plus the module
-// analyzers and both compiler-truth gates.
+// order, unknown names fail, empty selects everything plus both
+// compiler-truth gates.
 func TestSelectAnalyzers(t *testing.T) {
 	sel, err := selectAnalyzers("")
-	if err != nil || len(sel.analyzers) != len(lint.Analyzers()) ||
-		len(sel.mods) != len(lint.ModuleAnalyzers()) || !sel.runEscape || !sel.runBCE {
-		t.Fatalf("selectAnalyzers(\"\") = %d analyzers, %d module analyzers, escape %v, bce %v, err %v; want the full suite",
-			len(sel.analyzers), len(sel.mods), sel.runEscape, sel.runBCE, err)
+	if err != nil || len(sel.analyzers) != len(lint.Analyzers()) || !sel.runEscape || !sel.runBCE {
+		t.Fatalf("selectAnalyzers(\"\") = %d analyzers, escape %v, bce %v, err %v; want the full suite",
+			len(sel.analyzers), sel.runEscape, sel.runBCE, err)
 	}
-	sel, err = selectAnalyzers("opproto")
-	if err != nil || len(sel.analyzers) != 1 || sel.analyzers[0].Name() != "opproto" ||
-		len(sel.mods) != 0 || sel.runEscape || sel.runBCE {
-		t.Fatalf("selectAnalyzers(opproto) = %+v, err %v", sel, err)
+	sel, err = selectAnalyzers("floateq")
+	if err != nil || len(sel.analyzers) != 1 || sel.analyzers[0].Name() != "floateq" || sel.runEscape || sel.runBCE {
+		t.Fatalf("selectAnalyzers(floateq) = %+v, err %v", sel, err)
 	}
-	sel, err = selectAnalyzers("obsnilguard, opproto")
+	sel, err = selectAnalyzers("obsnilguard, floateq")
 	if err != nil || len(sel.analyzers) != 2 {
 		t.Fatalf("selectAnalyzers(two) = %+v, err %v", sel, err)
 	}
@@ -88,25 +86,19 @@ func TestSelectAnalyzers(t *testing.T) {
 	if err != nil || len(sel.analyzers) != 2 {
 		t.Fatalf("selectAnalyzers(concurrency pair) = %+v, err %v", sel, err)
 	}
-	// The p2pcheck family resolves as a group, with tagspace landing in
-	// the module-analyzer set.
-	sel, err = selectAnalyzers("tagspace,opproto,sendrecvpair")
-	if err != nil || len(sel.analyzers) != 2 || len(sel.mods) != 1 ||
-		sel.mods[0].Name() != "tagspace" || sel.runEscape || sel.runBCE {
-		t.Fatalf("selectAnalyzers(p2pcheck family) = %+v, err %v", sel, err)
-	}
 	// The compiler-truth gates resolve alone and alongside analyzers.
 	sel, err = selectAnalyzers("escape,bce")
-	if err != nil || len(sel.analyzers) != 0 || len(sel.mods) != 0 || !sel.runEscape || !sel.runBCE {
+	if err != nil || len(sel.analyzers) != 0 || !sel.runEscape || !sel.runBCE {
 		t.Fatalf("selectAnalyzers(escape,bce) = %+v, err %v", sel, err)
 	}
 	sel, err = selectAnalyzers("escape,hotpathalloc")
 	if err != nil || len(sel.analyzers) != 1 || sel.analyzers[0].Name() != "hotpathalloc" || !sel.runEscape || sel.runBCE {
 		t.Fatalf("selectAnalyzers(escape,hotpathalloc) = %+v, err %v", sel, err)
 	}
-	// The five analyzers the DESIGN.md §11 audit retired are gone from
+	// The nine analyzers the DESIGN.md §11 audit retired are gone from
 	// the -only surface too: no alias keeps a dead name selectable.
-	for _, name := range []string{"shape", "locksbyvalue", "deferinloop", "tickerstop", "commcheck"} {
+	for _, name := range []string{"shape", "locksbyvalue", "deferinloop", "tickerstop", "commcheck",
+		"tagspace", "opproto", "sendrecvpair", "deprecatedapi"} {
 		if _, err = selectAnalyzers(name); err == nil {
 			t.Errorf("retired analyzer %q still selectable", name)
 		}
@@ -183,15 +175,15 @@ func TestSARIFCleanRun(t *testing.T) {
 	if run.Results == nil || len(run.Results) != 0 {
 		t.Errorf("clean run results = %#v, want empty non-nil", run.Results)
 	}
-	wantRules := len(lint.Analyzers()) + len(lint.ModuleAnalyzers()) + 2
+	wantRules := len(lint.Analyzers()) + 2
 	if len(run.Tool.Driver.Rules) != wantRules {
-		t.Errorf("rule table has %d entries, want %d (suite + tagspace + escape + bce)", len(run.Tool.Driver.Rules), wantRules)
+		t.Errorf("rule table has %d entries, want %d (suite + escape + bce)", len(run.Tool.Driver.Rules), wantRules)
 	}
 	ids := map[string]bool{}
 	for _, r := range run.Tool.Driver.Rules {
 		ids[r.ID] = true
 	}
-	for _, want := range []string{"opproto", "sendrecvpair", "tagspace", "escape", "bce"} {
+	for _, want := range []string{"uncheckederr", "escape", "bce"} {
 		if !ids[want] {
 			t.Errorf("rule table missing %s", want)
 		}
@@ -248,15 +240,15 @@ func TestReportSeverityTallies(t *testing.T) {
 func TestPrintTimings(t *testing.T) {
 	var buf bytes.Buffer
 	printTimings(&buf, map[string]time.Duration{
-		"floateq": 2 * time.Millisecond,
-		"opproto": 30 * time.Millisecond,
-		"escape":  2 * time.Millisecond,
+		"floateq":  2 * time.Millisecond,
+		"divguard": 30 * time.Millisecond,
+		"escape":   2 * time.Millisecond,
 	})
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("timing lines = %v", lines)
 	}
-	wantOrder := []string{"opproto", "escape", "floateq"}
+	wantOrder := []string{"divguard", "escape", "floateq"}
 	for i, name := range wantOrder {
 		if !strings.Contains(lines[i], name) {
 			t.Errorf("timing line %d = %q, want analyzer %s", i, lines[i], name)

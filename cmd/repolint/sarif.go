@@ -77,15 +77,12 @@ func sarifLevel(s lint.Severity) string {
 }
 
 // buildSARIF assembles the log: the full rule table in suite order
-// (per-package analyzers, module analyzers, then the compiler-truth
-// gates) and one result per finding. Results is never null so a clean
-// run still renders `"results": []`.
+// (analyzers, then the compiler-truth gates) and one result per
+// finding. Results is never null so a clean run still renders
+// `"results": []`.
 func buildSARIF(findings []lint.Finding) sarifLog {
 	var rules []sarifRule
 	for _, a := range lint.Analyzers() {
-		rules = append(rules, sarifRule{ID: a.Name(), ShortDescription: sarifMessage{Text: a.Doc()}})
-	}
-	for _, a := range lint.ModuleAnalyzers() {
 		rules = append(rules, sarifRule{ID: a.Name(), ShortDescription: sarifMessage{Text: a.Doc()}})
 	}
 	rules = append(rules,

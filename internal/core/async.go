@@ -19,16 +19,6 @@ import (
 // collectives and no barriers — and, unlike HF, results depend on message
 // arrival order, so runs are not bit-reproducible.
 
-// Async protocol tags (point-to-point only).
-const (
-	tagAsyncGrad  = 9100 // worker → master: scaled minibatch gradient
-	tagAsyncPull  = 9101 // worker → master: parameter request
-	tagAsyncParam = 9102 // master → worker: current parameters
-	tagAsyncDone  = 9103 // worker → master: finished (loss, frames)
-	tagAsyncFinal = 9104 // master → worker: final parameters for evaluation
-	tagAsyncEval  = 9105 // worker → master: held-out loss, frames, correct
-)
-
 // AsyncSGDConfig parameterizes asynchronous parameter-server training.
 type AsyncSGDConfig struct {
 	// LearningRate is the server-side step size. Default 0.1.
@@ -109,18 +99,18 @@ func RunAsyncMaster(comm *mpi.Comm, p Problem, cfg AsyncSGDConfig, part corpus.P
 			return nil, fmt.Errorf("core: parameter server: %w", err)
 		}
 		switch msg.Tag {
-		case tagAsyncGrad:
+		case mpi.TagAsyncGrad:
 			if err := decodeInto(msg.Data, grad); err != nil {
 				return nil, err
 			}
 			// The worker pre-scales by lr/batch; the server just applies.
 			theta.AddScaled(-1, grad)
 			res.Updates++
-		case tagAsyncPull:
-			if err := comm.SendF32(msg.Src, tagAsyncParam, theta); err != nil {
+		case mpi.TagAsyncPull:
+			if err := comm.SendF32(msg.Src, mpi.TagAsyncParam, theta); err != nil {
 				return nil, err
 			}
-		case tagAsyncDone:
+		case mpi.TagAsyncDone:
 			var stats [2]float64
 			if err := decodeF64Pair(msg.Data, &stats); err != nil {
 				return nil, err
@@ -140,12 +130,12 @@ func RunAsyncMaster(comm *mpi.Comm, p Problem, cfg AsyncSGDConfig, part corpus.P
 	comm.SetPhase("loss_eval")
 	var loss, frames, correct float64
 	for w := 1; w <= workers; w++ {
-		if err := comm.SendF32(w, tagAsyncFinal, theta); err != nil {
+		if err := comm.SendF32(w, mpi.TagAsyncFinal, theta); err != nil {
 			return nil, err
 		}
 	}
 	for w := 1; w <= workers; w++ {
-		msg, err := comm.RecvBytes(mpi.AnySource, tagAsyncEval)
+		msg, err := comm.RecvBytes(mpi.AnySource, mpi.TagAsyncEval)
 		if err != nil {
 			return nil, err
 		}
@@ -182,11 +172,11 @@ func RunAsyncWorker(comm *mpi.Comm, cfg AsyncSGDConfig) error {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(comm.Rank())))
 
 	pull := func() error {
-		if err := comm.SendBytes(0, tagAsyncPull, nil); err != nil {
+		if err := comm.SendBytes(0, mpi.TagAsyncPull, nil); err != nil {
 			return err
 		}
 		buf := make(tensor.Vector, dim)
-		if _, err := comm.RecvF32(0, tagAsyncParam, buf); err != nil {
+		if _, err := comm.RecvF32(0, mpi.TagAsyncParam, buf); err != nil {
 			return err
 		}
 		eng.setParams(buf)
@@ -238,7 +228,7 @@ func RunAsyncWorker(comm *mpi.Comm, cfg AsyncSGDConfig) error {
 					return err
 				}
 			}
-			pending = comm.Isend(0, tagAsyncGrad, encodeVec(grad))
+			pending = comm.Isend(0, mpi.TagAsyncGrad, encodeVec(grad))
 			steps++
 			if steps%cfg.FetchEvery == 0 {
 				if err := pull(); err != nil {
@@ -252,20 +242,20 @@ func RunAsyncWorker(comm *mpi.Comm, cfg AsyncSGDConfig) error {
 			return err
 		}
 	}
-	if err := comm.SendBytes(0, tagAsyncDone, encodeF64Pair(lossSum, float64(frames))); err != nil {
+	if err := comm.SendBytes(0, mpi.TagAsyncDone, encodeF64Pair(lossSum, float64(frames))); err != nil {
 		return err
 	}
 
 	// Final evaluation on the server's converged parameters.
 	comm.SetPhase("loss_eval")
 	buf := make(tensor.Vector, dim)
-	if _, err := comm.RecvF32(0, tagAsyncFinal, buf); err != nil {
+	if _, err := comm.RecvF32(0, mpi.TagAsyncFinal, buf); err != nil {
 		return err
 	}
 	eng.setParams(buf)
 	loss, hframes := eng.heldLoss()
 	correct, _ := eng.heldAccuracy()
-	return comm.SendBytes(0, tagAsyncEval, encodeF64Triple(loss, float64(hframes), float64(correct)))
+	return comm.SendBytes(0, mpi.TagAsyncEval, encodeF64Triple(loss, float64(hframes), float64(correct)))
 }
 
 // TrainAsyncSGD runs the parameter server plus workers as goroutines over

@@ -21,10 +21,6 @@ import (
 // wire (star.go). Rank 0 is always the master; it owns θ and computes
 // nothing itself.
 
-// tagShard carries the initial point-to-point data distribution
-// (the paper's load_data phase).
-const tagShard = 9000
-
 // wireShard is the gob-encoded payload the master sends each worker
 // during load_data: the worker's data shard plus everything needed to
 // reconstruct its compute engine.
@@ -514,7 +510,7 @@ func shipShards(comm *mpi.Comm, p Problem, part corpus.Partitioner) ([]shardSupp
 		if err != nil {
 			return nil, fmt.Errorf("core: encode shard for worker %d: %w", w+1, err)
 		}
-		if err := comm.SendBytes(w+1, tagShard, data); err != nil {
+		if err := comm.SendBytes(w+1, mpi.TagShard, data); err != nil {
 			return nil, fmt.Errorf("core: send shard to worker %d: %w", w+1, err)
 		}
 	}
@@ -541,7 +537,7 @@ func engineFromShard(shard *wireShard) *engine {
 // worker can append re-shard supplements and rebuild.
 func recvShard(comm *mpi.Comm) (*engine, *wireShard, error) {
 	comm.SetPhase("load_data")
-	msg, err := comm.RecvBytes(0, tagShard)
+	msg, err := comm.RecvBytes(0, mpi.TagShard)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: worker %d receive shard: %w", comm.Rank(), err)
 	}

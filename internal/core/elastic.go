@@ -224,7 +224,7 @@ func (m *master) heartbeat() error {
 	defer m.ob.Span(0, "heartbeat").End()
 	m.comm.SetPhase("heartbeat")
 	s := m.star
-	replyTag := m.pol.HeartbeatTag + s.round
+	replyTag := mpi.TagHeartbeat + s.round
 	rtt := m.ob.Registry().Histogram("core.elastic.heartbeat_rtt_ns")
 	errs := make([]error, len(s.live))
 	for i, w := range s.live {
@@ -232,7 +232,7 @@ func (m *master) heartbeat() error {
 		body := binary.LittleEndian.AppendUint32(nil, uint32(replyTag))
 		body = binary.LittleEndian.AppendUint32(body, m.pingSeq)
 		start := time.Now()
-		if errs[i] = m.comm.SendBytes(w, tagElastic, emEncode(emPing, s.round, body)); errs[i] != nil {
+		if errs[i] = m.comm.SendBytes(w, mpi.TagStarCmd, emEncode(emPing, s.round, body)); errs[i] != nil {
 			continue
 		}
 		msg, err := m.comm.RecvBytesTimeout(w, replyTag, m.pol.OpDeadline)
@@ -372,7 +372,7 @@ func (m *master) resync() (err error) {
 		if err != nil {
 			return fmt.Errorf("core: encode re-shard supplement: %w", err)
 		}
-		errs[i] = m.comm.SendBytes(w, tagElastic, emEncode(emShard, s.round, body))
+		errs[i] = m.comm.SendBytes(w, mpi.TagStarCmd, emEncode(emShard, s.round, body))
 	}
 	m.ob.Registry().Counter("core.elastic.reshard_utterances").Add(int64(reshardUtts))
 	m.ob.Registry().Counter("core.elastic.reshard_frames").Add(int64(reshardFrames))

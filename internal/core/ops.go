@@ -225,12 +225,12 @@ func (w *worker) serve(row *opRow, arg float32, payload tensor.Vector) (tensor.V
 }
 
 // starLoop is the worker's receive loop: one frame per command
-// on tagElastic, at most one reply per op on tagElasticReply+round.
+// on mpi.TagStarCmd, at most one reply per op on mpi.TagStarReply+round.
 func (w *worker) starLoop() error {
 	for {
 		w.comm.SetPhase("ctrl")
 		t0 := time.Now()
-		msg, err := w.comm.RecvBytes(0, tagElastic)
+		msg, err := w.comm.RecvBytes(0, mpi.TagStarCmd)
 		w.wait.Add(time.Since(t0).Nanoseconds())
 		if err != nil {
 			return fmt.Errorf("core: worker %d command: %w", w.rank, err)
@@ -261,7 +261,7 @@ func (w *worker) starLoop() error {
 				return err
 			}
 		default:
-			return fmt.Errorf("core: worker %d: unknown elastic message type %d", w.rank, typ)
+			return fmt.Errorf("core: worker %d: unknown elastic message %s", w.rank, emName(typ))
 		}
 	}
 }
@@ -317,5 +317,5 @@ func (w *worker) starStep(round int, body []byte) error {
 	}
 	var pair [2]float64
 	copy(pair[:], sc)
-	return w.comm.SendBytes(0, tagElasticReply+round, append(encodeVec(vec), encodeF64Pair(pair[0], pair[1])...))
+	return w.comm.SendBytes(0, mpi.TagStarReply+round, append(encodeVec(vec), encodeF64Pair(pair[0], pair[1])...))
 }

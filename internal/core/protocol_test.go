@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -15,52 +17,6 @@ import (
 	"repro/internal/obs/telemetry"
 	"repro/internal/tensor"
 )
-
-// TestReservedTagPlan pins the trainer's static point-to-point tag plan
-// and its disjointness from the tags the mpi package reserves. The
-// tagspace analyzer proves the uses inside each module are collision-free;
-// this test pins the constant values themselves so perturbing any of them
-// fails make verify even when the perturbed value never appears in a
-// literal tag position (e.g. mpi.DefaultHeartbeatTag, which reaches Send
-// only through FaultPolicy.HeartbeatTag).
-func TestReservedTagPlan(t *testing.T) {
-	pins := []struct {
-		name      string
-		got, want int
-	}{
-		{"tagShard", tagShard, 9000},
-		{"tagAsyncGrad", tagAsyncGrad, 9100},
-		{"tagAsyncPull", tagAsyncPull, 9101},
-		{"tagAsyncParam", tagAsyncParam, 9102},
-		{"tagAsyncDone", tagAsyncDone, 9103},
-		{"tagAsyncFinal", tagAsyncFinal, 9104},
-		{"tagAsyncEval", tagAsyncEval, 9105},
-		{"tagElastic", tagElastic, 9500},
-		{"mpi.TagClockSync", mpi.TagClockSync, 9600},
-		{"mpi.TagTelemetry", mpi.TagTelemetry, 9601},
-		{"tagElasticReply", tagElasticReply, 16 << 24},
-		{"mpi.DefaultHeartbeatTag", mpi.DefaultHeartbeatTag, 17 << 24},
-	}
-	seen := map[int]string{}
-	for _, p := range pins {
-		if p.got != p.want {
-			t.Errorf("%s = %d, want %d", p.name, p.got, p.want)
-		}
-		if prev, dup := seen[p.got]; dup {
-			t.Errorf("%s and %s share tag %d", prev, p.name, p.got)
-		}
-		seen[p.got] = p.name
-	}
-
-	// Both round-offset blocks (elastic replies at tagElasticReply+round,
-	// heartbeat pongs at HeartbeatTag+round) must hold any round below
-	// 2²⁴ without crossing into the neighbouring block.
-	const maxRound = 1<<24 - 1
-	if tagElasticReply+maxRound >= mpi.DefaultHeartbeatTag {
-		t.Errorf("elastic reply block [%d, %d] overlaps the heartbeat block at %d",
-			tagElasticReply, tagElasticReply+maxRound, mpi.DefaultHeartbeatTag)
-	}
-}
 
 // rig starts real workers on ranks 1.. of a fresh fabric; it returns
 // rank 0's comm and the channel their exit errors land on.
@@ -187,7 +143,7 @@ func TestOpsTable(t *testing.T) {
 			if _, err := shipShards(master, p, corpus.SortedGreedy{}); err != nil {
 				t.Fatal(err)
 			}
-			if err := master.SendBytes(1, tagElastic, frame); err != nil {
+			if err := master.SendBytes(1, mpi.TagStarCmd, frame); err != nil {
 				t.Fatal(err)
 			}
 			select {
@@ -208,8 +164,8 @@ func TestOpsTable(t *testing.T) {
 	go func() {
 		c := newTestComm(fabric, 1)
 		for range 2 {
-			if _, err := c.RecvBytes(0, tagElastic); err == nil {
-				_ = c.SendBytes(0, tagElasticReply, []byte{1, 2, 3}) // best-effort: the master side asserts
+			if _, err := c.RecvBytes(0, mpi.TagStarCmd); err == nil {
+				_ = c.SendBytes(0, mpi.TagStarReply, []byte{1, 2, 3}) // best-effort: the master side asserts
 			}
 		}
 	}()
@@ -224,6 +180,75 @@ func TestOpsTable(t *testing.T) {
 	log := m.ob.EventLog().Entries()
 	if err != nil || acc != 0 || len(log) != 1 || len(s.live) != 1 || len(m.report.Evictions) != 0 || !strings.Contains(log[0].Text, want) {
 		t.Errorf("accuracy = %v, %v; events %+v; live %v: want 0, nil, one event naming the reply, nobody evicted", acc, err, log, s.live)
+	}
+}
+
+// TestStarFrameWalk sends every frame type of emNames, well formed, on
+// the star command tag to a real worker: each must reach an arm of
+// starLoop (the worker serves it and is still there for the stop that
+// follows), and a type outside the table must end the worker with an
+// error naming its rank and the type. A type added to the table without
+// an arm, or an arm deleted, fails here by the type's name.
+func TestStarFrameWalk(t *testing.T) {
+	p := testProblem(t, CrossEntropy).filled()
+	sup, err := encodeGob(&shardSupplement{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seq = 7
+	wellFormed := map[byte][]byte{
+		emOp:    emOpBody(opSample, 1, nil),
+		emShard: sup,
+		emPing:  binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, mpi.TagHeartbeat), seq),
+		emStop:  nil,
+	}
+	// serve starts a worker, sends it one frame and then a stop, and
+	// returns what the worker exited with.
+	serve := func(t *testing.T, typ byte, body []byte) error {
+		master, exits := rig(t, FabricInproc, 2)
+		if _, err := shipShards(master, p, corpus.SortedGreedy{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := master.SendBytes(1, mpi.TagStarCmd, emEncode(typ, 0, body)); err != nil {
+			t.Fatal(err)
+		}
+		// Best-effort: a worker the frame already ended cannot take it.
+		_ = master.SendBytes(1, mpi.TagStarCmd, emEncode(emStop, 0, nil))
+		if typ == emPing {
+			pong, err := master.RecvBytesTimeout(1, mpi.TagHeartbeat, 10*time.Second)
+			if err != nil || len(pong.Data) != 4 || binary.LittleEndian.Uint32(pong.Data) != seq {
+				t.Errorf("pong = %v, %v; want seq %d", pong.Data, err, seq)
+			}
+		}
+		select {
+		case err := <-exits:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatal("worker still serving after the stop")
+			return nil
+		}
+	}
+	for typ, name := range emNames {
+		if name == "" {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			body, ok := wellFormed[byte(typ)]
+			if !ok {
+				t.Fatalf("no well-formed %s frame in this test: add one", name)
+			}
+			if err := serve(t, byte(typ), body); err != nil {
+				t.Errorf("worker exit after a %s frame = %v, want the frame served and a clean stop", name, err)
+			}
+		})
+	}
+	for _, typ := range []byte{0, byte(len(emNames)), 255} {
+		t.Run(emName(typ), func(t *testing.T) {
+			err := serve(t, typ, nil)
+			if want := fmt.Sprintf("worker 1: unknown elastic message type(%d)", typ); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("worker exit = %v, want %q", err, want)
+			}
+		})
 	}
 }
 

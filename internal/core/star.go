@@ -17,22 +17,30 @@ import (
 // reply names its rank. Under a FaultPolicy that rankFailure is the door
 // into eviction and rewind (elastic.go); without one it ends the run.
 
-// tagElastic carries every master→worker star frame, in FIFO order on
-// one tag so workers can never block on an out-of-order match.
-const tagElastic = 9500
-
-// tagElasticReply is the base tag of worker→master replies; the round
-// number is added, so replies from before an eviction can never be
-// mistaken for current ones.
-const tagElasticReply = 16 << 24
-
-// Star frame types (first byte of every tagElastic message).
+// Star frame types (first byte of every mpi.TagStarCmd message). Like
+// the opcodes they key an array literal, so a duplicate does not compile.
 const (
 	emOp    byte = 1 // one op of the table: [op][arg f32][payload]
 	emShard byte = 2 // re-shard supplement: gob shardSupplement
 	emPing  byte = 3 // heartbeat: [replyTag u32][seq u32]
 	emStop  byte = 4 // shut the worker down (how opStop travels)
 )
+
+var emNames = [...]string{
+	emOp:    "op",
+	emShard: "shard",
+	emPing:  "ping",
+	emStop:  "stop",
+}
+
+// emName renders a frame type for errors: its name, or the bare number
+// for a byte outside the table.
+func emName(typ byte) string {
+	if int(typ) < len(emNames) && emNames[typ] != "" {
+		return emNames[typ]
+	}
+	return fmt.Sprintf("type(%d)", typ)
+}
 
 // emEncode frames one star message: [type][round u32][body].
 func emEncode(typ byte, round int, body []byte) []byte {
@@ -119,7 +127,7 @@ func (s *star) issue(op int, arg float32, down, up tensor.Vector, sc []float64) 
 			if errs[i] != nil {
 				continue
 			}
-			msg, err := s.comm.RecvBytesTimeout(w, tagElasticReply+s.round, s.deadline)
+			msg, err := s.comm.RecvBytesTimeout(w, mpi.TagStarReply+s.round, s.deadline)
 			if err == nil && len(msg.Data) != want {
 				err = fmt.Errorf("malformed %s reply: %d bytes, want %d", row.name, len(msg.Data), want)
 			}
@@ -145,7 +153,7 @@ func (s *star) issue(op int, arg float32, down, up tensor.Vector, sc []float64) 
 func (s *star) fanOut(frame []byte) []error {
 	errs := make([]error, len(s.live))
 	for i, w := range s.live {
-		errs[i] = s.comm.SendBytes(w, tagElastic, frame)
+		errs[i] = s.comm.SendBytes(w, mpi.TagStarCmd, frame)
 	}
 	return errs
 }

@@ -96,7 +96,7 @@ func TestWorkerRejectsMalformedShard(t *testing.T) {
 		errCh <- err
 	}()
 	master := mpi.NewComm(fabric.Transport(0))
-	if err := master.SendBytes(1, tagShard, []byte("garbage payload")); err != nil {
+	if err := master.SendBytes(1, mpi.TagShard, []byte("garbage payload")); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errCh; err == nil {
@@ -128,7 +128,7 @@ func TestMasterDetectsDeadWorker(t *testing.T) {
 	}()
 	go func() {
 		comm := mpi.NewComm(transports[2])
-		comm.RecvBytes(0, tagShard)
+		comm.RecvBytes(0, mpi.TagShard)
 		comm.Close() // die before serving any command
 	}()
 

@@ -8,8 +8,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// Little-endian wire helpers for the async protocol's raw payloads
-// (vectors and small float64 tuples).
+// Little-endian wire helpers for raw payloads — vectors and small
+// float64 tuples — shared by the star's frames and replies (star.go,
+// ops.go) and the async parameter server (async.go).
 
 func encodeVec(x tensor.Vector) []byte {
 	buf := make([]byte, 4*len(x))

@@ -23,7 +23,7 @@ func rogueWorker(t *testing.T, comm *mpi.Comm) {
 	}
 	w := &worker{comm: comm, rank: comm.Rank(), eng: eng, shard: shard, in: make(tensor.Vector, eng.net.NumParams())}
 	for {
-		msg, err := comm.RecvBytes(0, tagElastic)
+		msg, err := comm.RecvBytes(0, mpi.TagStarCmd)
 		if err != nil {
 			return
 		}

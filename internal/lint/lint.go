@@ -85,42 +85,17 @@ func Analyzers() []Analyzer {
 		FloatEq{},
 		HotPathAlloc{},
 		ObsNilGuard{},
-		OpProto{},
-		SendRecvPair{},
 		MapOrderFloat{},
 		ReduceOrder{},
 		RngSource{},
 		DivGuard{},
-		DeprecatedAPI{},
 		GoroutineLeak{},
 		LockAcrossBlock{},
 	}
 }
 
-// ModuleAnalyzer is a check that needs the whole module at once rather
-// than one package at a time — e.g. tagspace, which pairs point-to-point
-// sends in one package against receives in another. Module analyzers run
-// after the per-package wave, over every loaded package together.
-type ModuleAnalyzer interface {
-	// Name is the analyzer's identifier, used in output and in
-	// //lint:ignore directives.
-	Name() string
-	// Doc is a one-paragraph description of what the analyzer enforces.
-	Doc() string
-	// RunModule inspects all packages of one load and returns findings.
-	RunModule(pkgs []*Package) []Finding
-}
-
-// ModuleAnalyzers returns the module-scoped suite in stable order.
-func ModuleAnalyzers() []ModuleAnalyzer {
-	return []ModuleAnalyzer{
-		TagSpace{},
-	}
-}
-
-// finding is the helper analyzers use to build a Finding at a node. It
-// accepts anything with a Name() — both Analyzer and ModuleAnalyzer.
-func (p *Package) finding(a interface{ Name() string }, sev Severity, node ast.Node, format string, args ...any) Finding {
+// finding is the helper analyzers use to build a Finding at a node.
+func (p *Package) finding(a Analyzer, sev Severity, node ast.Node, format string, args ...any) Finding {
 	pos := p.Fset.Position(node.Pos())
 	file := pos.Filename
 	if rel, err := filepath.Rel(p.root, file); err == nil && !strings.HasPrefix(rel, "..") {
@@ -203,11 +178,6 @@ type Result struct {
 // Run loads the module rooted at root and applies the analyzers to every
 // package in it.
 func Run(root string, analyzers []Analyzer) (*Result, error) {
-	return RunFull(root, analyzers, nil)
-}
-
-// RunFull is Run plus a module-analyzer pass over all loaded packages.
-func RunFull(root string, analyzers []Analyzer, mods []ModuleAnalyzer) (*Result, error) {
 	l, err := NewLoader(root)
 	if err != nil {
 		return nil, err
@@ -216,7 +186,7 @@ func RunFull(root string, analyzers []Analyzer, mods []ModuleAnalyzer) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	return analyze(l, pkgs, analyzers, mods), nil
+	return analyze(l, pkgs, analyzers), nil
 }
 
 // RunDir loads the module rooted at root for import resolution, then
@@ -230,14 +200,6 @@ func RunDir(root, dir string, analyzers []Analyzer) (*Result, error) {
 // RunDirs is RunDir for several fixture packages sharing one loader (and
 // therefore one pass over the standard library's sources).
 func RunDirs(root string, dirs []string, analyzers []Analyzer) (*Result, error) {
-	return RunDirsFull(root, dirs, analyzers, nil)
-}
-
-// RunDirsFull is RunDirs plus a module-analyzer pass over the fixture
-// packages loaded together (module analyzers treat the set as one
-// module, so fixtures exercising cross-package pairing load in one call
-// and unrelated fixtures load in separate calls).
-func RunDirsFull(root string, dirs []string, analyzers []Analyzer, mods []ModuleAnalyzer) (*Result, error) {
 	l, err := NewLoader(root)
 	if err != nil {
 		return nil, err
@@ -254,7 +216,7 @@ func RunDirsFull(root string, dirs []string, analyzers []Analyzer, mods []Module
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	return analyze(l, pkgs, analyzers, mods), nil
+	return analyze(l, pkgs, analyzers), nil
 }
 
 // analyze fans the analyzers out over the packages — one goroutine per
@@ -263,7 +225,7 @@ func RunDirsFull(root string, dirs []string, analyzers []Analyzer, mods []Module
 // type-checked packages and analyzers are stateless value types, so the
 // only shared state is the result set, and the final sort erases
 // scheduling order.
-func analyze(l *Loader, pkgs []*Package, analyzers []Analyzer, mods []ModuleAnalyzer) *Result {
+func analyze(l *Loader, pkgs []*Package, analyzers []Analyzer) *Result {
 	res := &Result{Packages: pkgs, LoadWarnings: l.Warnings(), Timings: map[string]time.Duration{}}
 	var (
 		mu  sync.Mutex
@@ -296,37 +258,6 @@ func analyze(l *Loader, pkgs []*Package, analyzers []Analyzer, mods []ModuleAnal
 		}(p)
 	}
 	wg.Wait()
-	// Module analyzers see every package of the load at once; they run
-	// after the per-package wave so their (cheap) serial phase overlaps
-	// nothing. Suppression is looked up through the package owning the
-	// finding's file.
-	if len(mods) > 0 {
-		pkgIgnores := make(map[*Package][]ignoreDirectives, len(pkgs))
-		for _, p := range pkgs {
-			igs := make([]ignoreDirectives, len(p.Files))
-			for i, f := range p.Files {
-				igs[i] = parseIgnores(p.Fset, f)
-			}
-			pkgIgnores[p] = igs
-		}
-		for _, ma := range mods {
-			start := time.Now()
-			found := ma.RunModule(pkgs)
-			res.Timings[ma.Name()] += time.Since(start)
-			for _, f := range found {
-				drop := false
-				for _, p := range pkgs {
-					if suppressed(p, pkgIgnores[p], f) {
-						drop = true
-						break
-					}
-				}
-				if !drop {
-					res.Findings = append(res.Findings, f)
-				}
-			}
-		}
-	}
 	sort.Slice(res.Findings, func(i, j int) bool {
 		a, b := res.Findings[i], res.Findings[j]
 		if a.File != b.File {

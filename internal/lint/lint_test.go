@@ -20,12 +20,8 @@ var fixtureDirs = []string{
 	"reduceorder",
 	"rngsource",
 	"divguard",
-	"deprecatedapi",
 	"goroutineleak",
 	"lockacrossblock",
-	"opproto",
-	"sendrecvpair",
-	"tagspace",
 	"clean",
 }
 
@@ -111,12 +107,6 @@ func TestFixtureFindings(t *testing.T) {
 			"27:9 divguard warn", // indexed preconditioner entry
 			"32:9 divguard warn", // denominator under math.Abs
 		},
-		"deprecatedapi.go": {
-			"15:6 deprecatedapi error",  // func TrainDistributedHF re-declaration
-			"24:6 deprecatedapi error",  // func RunWorker re-declaration
-			"30:12 deprecatedapi error", // call to TrainDistributedHF
-			"33:9 deprecatedapi error",  // call to RunWorker
-		},
 		"goroutineleak.go": {
 			"16:2 goroutineleak warn", // for{} with no exit in a func literal
 			"31:2 goroutineleak warn", // same loop through a named function
@@ -130,22 +120,8 @@ func TestFixtureFindings(t *testing.T) {
 			"44:2 lockacrossblock error",  // no-default select under mu
 			"57:12 lockacrossblock error", // net.Conn.Write under deferred unlock
 		},
-		"opproto.go": {
-			"35:12 opproto error", // opLost sent but dispatched nowhere
-			"69:3 opproto error",  // opDead arm has no master sender
-			"73:3 opproto error",  // opMute arm never sends the awaited reply
-			"85:2 opproto error",  // opNoName missing from the name table
-		},
-		"sendrecvpair.go": {
-			"36:14 sendrecvpair error", // blocking receive on tagGhost, sent nowhere
-			"46:14 sendrecvpair error", // masterCross side of the recv-before-send deadlock
-			"54:14 sendrecvpair error", // workerCross side of the recv-before-send deadlock
-		},
-		"tagspace.go":   nil, // module-scoped: asserted in TestTagSpaceFixture
-		"clean.go":      nil,
-		"clean_comm.go": nil,
-		"clean_num.go":  nil,
-		"clean_p2p.go":  nil,
+		"clean.go":     nil,
+		"clean_num.go": nil,
 	}
 
 	got := map[string][]string{}
@@ -161,51 +137,6 @@ func TestFixtureFindings(t *testing.T) {
 	}
 	for base, extra := range got {
 		t.Errorf("unexpected findings in %s: %v", base, extra)
-	}
-}
-
-// TestTagSpaceFixture runs the module-scoped tag-map analyzer over its
-// own fixture (plus the clean package, so aggregation spans packages)
-// and asserts golden positions. tagspace runs separately from the
-// shared pass: module-wide orphan matching across unrelated fixture
-// packages would be meaningless.
-func TestTagSpaceFixture(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs := []string{
-		filepath.Join(root, "internal/lint/testdata/src/tagspace"),
-		filepath.Join(root, "internal/lint/testdata/src/clean"),
-	}
-	res, err := RunDirsFull(root, dirs, nil, ModuleAnalyzers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{
-		"41:9 tagspace error",  // tagBeta collides with tagAlpha
-		"53:12 tagspace error", // tagBlockB's block starts inside tagBlockA's
-		"59:12 tagspace error", // static tagInside lands inside tagBlockA's block
-		"73:12 tagspace error", // tagSent received nowhere
-		"76:12 tagspace error", // tagHeard sent nowhere
-	}
-	var got []string
-	for _, f := range res.Findings {
-		if filepath.Base(f.File) != "tagspace.go" {
-			t.Errorf("finding outside tagspace.go: %s", f)
-			continue
-		}
-		got = append(got, fmt.Sprintf("%d:%d %s %s", f.Line, f.Col, f.Analyzer, f.Severity))
-	}
-	if !equalStrings(got, want) {
-		t.Errorf("tagspace findings:\ngot  %v\nwant %v", got, want)
-	}
-	// The suppressed one-way tagQuiet (line 85) must not surface: the
-	// //lint:ignore path for module analyzers.
-	for _, f := range res.Findings {
-		if f.Line >= 83 && f.Line <= 86 {
-			t.Errorf("finding on suppressed tagQuiet send: %s", f)
-		}
 	}
 }
 
@@ -245,19 +176,6 @@ func TestAnalyzerMetadata(t *testing.T) {
 		seen[name] = true
 		if a.Doc() == "" {
 			t.Errorf("analyzer %s has no doc", name)
-		}
-	}
-	for _, a := range ModuleAnalyzers() {
-		name := a.Name()
-		if name == "" || strings.ContainsAny(name, " ,") {
-			t.Errorf("module analyzer name %q must be non-empty and comma/space-free", name)
-		}
-		if seen[name] {
-			t.Errorf("duplicate analyzer name %q", name)
-		}
-		seen[name] = true
-		if a.Doc() == "" {
-			t.Errorf("module analyzer %s has no doc", name)
 		}
 	}
 	if len(seen) < 5 {

@@ -25,11 +25,6 @@ var ErrTimeout = errors.New("mpi: receive timed out")
 const (
 	// DefaultOpDeadline bounds one elastic-op round trip per worker.
 	DefaultOpDeadline = 10 * time.Second
-	// DefaultHeartbeatTag is the base tag for heartbeat pong replies;
-	// the elastic round number is added to it. It sits above the
-	// collective tag blocks (1<<24 … 5<<24) so heartbeats can never
-	// match collective or user traffic.
-	DefaultHeartbeatTag = 17 << 24
 	// DefaultTCPWriteDeadline bounds a single TCP frame write so a
 	// wedged peer surfaces as a send error instead of blocking forever.
 	DefaultTCPWriteDeadline = 30 * time.Second
@@ -41,9 +36,6 @@ type FaultConfig struct {
 	// contribution recv) per worker; a rank that misses it is a
 	// candidate for eviction. Zero selects DefaultOpDeadline.
 	OpDeadline time.Duration
-	// HeartbeatTag is the base tag heartbeat pongs are sent on (the
-	// elastic round number is added). Zero selects DefaultHeartbeatTag.
-	HeartbeatTag int
 	// WriteDeadline bounds a single frame write on transports that
 	// support write deadlines (TCP). Zero selects
 	// DefaultTCPWriteDeadline.
@@ -54,9 +46,6 @@ type FaultConfig struct {
 func (c FaultConfig) Filled() FaultConfig {
 	if c.OpDeadline == 0 {
 		c.OpDeadline = DefaultOpDeadline
-	}
-	if c.HeartbeatTag == 0 {
-		c.HeartbeatTag = DefaultHeartbeatTag
 	}
 	if c.WriteDeadline == 0 {
 		c.WriteDeadline = DefaultTCPWriteDeadline

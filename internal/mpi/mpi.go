@@ -8,6 +8,9 @@
 //     tests, examples and the single-binary distributed trainer; and
 //   - a TCP fabric (net, length-prefixed frames) for multi-process runs.
 //
+// Every tag the module uses — the collectives' blocks and each
+// protocol's point tags — is declared once, in tags.go.
+//
 // Every Comm records wall-clock time, bytes and call counts split into
 // point-to-point and collective categories per named phase — the same
 // split the paper reports in its Figures 4 and 5 MPI breakdowns.
@@ -52,31 +55,6 @@ type Transport interface {
 	// ErrClosed.
 	Close() error
 }
-
-// Internal tag space for collectives, above any tag user code should use.
-// Barrier adds a round index to its base tag, so each base gets its own
-// 2²⁴-wide block.
-const (
-	tagBcast   = 1 << 24
-	tagReduce  = 2 << 24
-	tagBarrier = 5 << 24
-)
-
-// Reserved tags for the telemetry plane (internal/obs/telemetry). They
-// live in the user tag space, above the trainer's shard and async tags
-// (9000-9105) and the elastic command tag (9500 — see internal/core),
-// and below the serving plane's pair (9700/9701 — see internal/serve),
-// so telemetry traffic never collides with training or serving traffic
-// or the collective tag blocks above. The static tag plan is pinned by
-// TestReservedTagPlan in tags_test.go.
-const (
-	// TagClockSync carries the master↔worker RTT ping/pong rounds that
-	// estimate each worker's clock offset at session start.
-	TagClockSync = 9600
-	// TagTelemetry carries worker→master span/metric bundle shipments
-	// at iteration boundaries, off the collective critical path.
-	TagTelemetry = 9601
-)
 
 // checkRank validates rank ∈ [0, size). Public collective and transport
 // paths return the error so a bad root surfaces as an mpi error on the

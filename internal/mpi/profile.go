@@ -1,9 +1,7 @@
 package mpi
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -108,17 +106,6 @@ func (p *Profiler) SetPhase(name string) {
 	p.mu.Unlock()
 }
 
-// Phase returns the current phase label.
-func (p *Profiler) Phase() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.phase
-}
-
-func (p *Profiler) add(cat Category, d time.Duration, bytes int64) {
-	p.addOp(cat, "", d, bytes)
-}
-
 // addOp records one call of the named MPI operation: into the per-phase
 // per-category table always, and into the attached registry's
 // per-operation histograms when one is set.
@@ -140,7 +127,7 @@ func (p *Profiler) addOp(cat Category, op string, d time.Duration, bytes int64) 
 	s.Bytes += bytes
 	s.Calls++
 	var m *opMetrics
-	if p.reg != nil && op != "" {
+	if p.reg != nil {
 		m = p.ops[op]
 		if m == nil {
 			m = &opMetrics{
@@ -182,46 +169,6 @@ func (p *Profiler) Snapshot() []PhaseStat {
 	return out
 }
 
-// phaseStatJSON is the export shape of one snapshot row.
-type phaseStatJSON struct {
-	Phase    string  `json:"phase"`
-	Category string  `json:"category"`
-	TimeNs   int64   `json:"time_ns"`
-	Bytes    int64   `json:"bytes"`
-	Calls    int64   `json:"calls"`
-	MinNs    int64   `json:"min_ns"`
-	MaxNs    int64   `json:"max_ns"`
-	MeanNs   int64   `json:"mean_ns"`
-	MeanMBps float64 `json:"mean_mb_per_s"`
-}
-
-// WriteJSON exports the profiler snapshot as indented JSON, one record
-// per (phase, category) cell with total/min/max/mean latency and
-// throughput.
-func (p *Profiler) WriteJSON(w io.Writer) error {
-	snap := p.Snapshot()
-	rows := make([]phaseStatJSON, 0, len(snap))
-	for _, ps := range snap {
-		r := phaseStatJSON{
-			Phase:    ps.Phase,
-			Category: ps.Cat.String(),
-			TimeNs:   ps.Stat.Time.Nanoseconds(),
-			Bytes:    ps.Stat.Bytes,
-			Calls:    ps.Stat.Calls,
-			MinNs:    ps.Stat.Min.Nanoseconds(),
-			MaxNs:    ps.Stat.Max.Nanoseconds(),
-			MeanNs:   ps.Stat.MeanLatency().Nanoseconds(),
-		}
-		if sec := ps.Stat.Time.Seconds(); sec > 0 {
-			r.MeanMBps = float64(ps.Stat.Bytes) / 1e6 / sec
-		}
-		rows = append(rows, r)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
-
 // WeightedMeanLatency returns the Calls-weighted mean per-call latency
 // across the given snapshot rows: total time over total calls. This is
 // the aggregate a report row should show — a plain average of per-cell
@@ -237,23 +184,4 @@ func WeightedMeanLatency(stats []PhaseStat) time.Duration {
 		return 0
 	}
 	return total / time.Duration(calls)
-}
-
-// TotalByCategory sums the recorded time per category across phases.
-func (p *Profiler) TotalByCategory() map[Category]time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[Category]time.Duration)
-	for k, s := range p.stats {
-		out[k.Cat] += s.Time
-	}
-	return out
-}
-
-// Reset clears all accumulated statistics but keeps the current phase
-// and the attached registry.
-func (p *Profiler) Reset() {
-	p.mu.Lock()
-	p.stats = make(map[statKey]*Stat)
-	p.mu.Unlock()
 }

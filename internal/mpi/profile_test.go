@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -43,40 +42,13 @@ func TestProfilerRecordsCategories(t *testing.T) {
 	})
 }
 
-func TestProfilerTotalsAndReset(t *testing.T) {
-	p := NewProfiler()
-	p.SetPhase("a")
-	p.add(CatP2P, 2*time.Millisecond, 100)
-	p.SetPhase("b")
-	p.add(CatP2P, 3*time.Millisecond, 200)
-	p.add(CatCollective, 5*time.Millisecond, 300)
-
-	totals := p.TotalByCategory()
-	if totals[CatP2P] != 5*time.Millisecond {
-		t.Fatalf("p2p total %v", totals[CatP2P])
-	}
-	if totals[CatCollective] != 5*time.Millisecond {
-		t.Fatalf("collective total %v", totals[CatCollective])
-	}
-	if p.Phase() != "b" {
-		t.Fatalf("phase %q", p.Phase())
-	}
-	p.Reset()
-	if len(p.Snapshot()) != 0 {
-		t.Fatal("Reset did not clear stats")
-	}
-	if p.Phase() != "b" {
-		t.Fatal("Reset must keep the phase")
-	}
-}
-
 func TestProfilerSnapshotSorted(t *testing.T) {
 	p := NewProfiler()
 	p.SetPhase("z")
-	p.add(CatCollective, time.Millisecond, 1)
+	p.addOp(CatCollective, "bcast", time.Millisecond, 1)
 	p.SetPhase("a")
-	p.add(CatCollective, time.Millisecond, 1)
-	p.add(CatP2P, time.Millisecond, 1)
+	p.addOp(CatCollective, "bcast", time.Millisecond, 1)
+	p.addOp(CatP2P, "send", time.Millisecond, 1)
 	snap := p.Snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("len %d", len(snap))
@@ -112,9 +84,9 @@ func TestCategoryString(t *testing.T) {
 func TestStatMinMaxMean(t *testing.T) {
 	p := NewProfiler()
 	p.SetPhase("x")
-	p.add(CatP2P, 4*time.Millisecond, 10)
-	p.add(CatP2P, 2*time.Millisecond, 10)
-	p.add(CatP2P, 6*time.Millisecond, 10)
+	p.addOp(CatP2P, "send", 4*time.Millisecond, 10)
+	p.addOp(CatP2P, "send", 2*time.Millisecond, 10)
+	p.addOp(CatP2P, "send", 6*time.Millisecond, 10)
 	s := p.Snapshot()[0].Stat
 	if s.Min != 2*time.Millisecond || s.Max != 6*time.Millisecond {
 		t.Fatalf("min=%v max=%v", s.Min, s.Max)
@@ -139,32 +111,6 @@ func TestWeightedMeanLatency(t *testing.T) {
 	}
 	if WeightedMeanLatency(nil) != 0 {
 		t.Fatal("empty snapshot weighted mean must be 0")
-	}
-}
-
-func TestProfilerWriteJSON(t *testing.T) {
-	p := NewProfiler()
-	p.SetPhase("sync_weights")
-	p.add(CatCollective, 2*time.Millisecond, 4096)
-	var sb strings.Builder
-	if err := p.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var rows []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &rows); err != nil {
-		t.Fatalf("snapshot JSON invalid: %v\n%s", err, sb.String())
-	}
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	r := rows[0]
-	if r["phase"] != "sync_weights" || r["category"] != "collective" {
-		t.Fatalf("row: %+v", r)
-	}
-	for _, k := range []string{"time_ns", "bytes", "calls", "min_ns", "max_ns", "mean_ns"} {
-		if _, ok := r[k]; !ok {
-			t.Fatalf("row missing %q: %+v", k, r)
-		}
 	}
 }
 

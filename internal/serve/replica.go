@@ -10,47 +10,31 @@ import (
 	"repro/internal/tensor"
 )
 
-// Reserved tags for the serving plane. They live in the user tag space
-// above the telemetry tags (9600/9601 — see internal/mpi), below the
-// collective blocks at 1<<24, so serving traffic can share a fabric
-// with a training run without aliasing either; TestServeTagPlan pins
-// the values and the tagspace analyzer proves the uses collision-free.
+// The replica protocol's opcodes: the first byte of every message on
+// mpi.TagServeReq (master→replica, routed by ServeReplica's switch) and
+// mpi.TagServeRes (replica→master, consumed by replicaScorer.score).
+// Request and reply values are distinct so a misrouted frame is
+// diagnosable by opcode alone, and all four key svNames, so a duplicate
+// does not compile.
 const (
-	// tagServeReq carries master→replica batch requests. Each scoring
-	// worker is pinned to one replica rank and a replica serves one
-	// batch at a time, so a single FIFO tag per direction suffices.
-	tagServeReq = 9700
-	// tagServeRes carries replica→master scored batches.
-	tagServeRes = 9701
+	svScore byte = 1 // request: score a batch: [rows u32][cols u32][rows*cols f32]
+	svStop  byte = 2 // request: drain and exit the replica loop
+	svOK    byte = 3 // reply: scored logits: [rows u32][cols u32][rows*cols f32]
+	svErr   byte = 4 // reply: replica-side failure: [error string]
 )
 
-// Request opcodes: the first byte of every tagServeReq message, which
-// ServeReplica's dispatch switch routes on.
-const (
-	svScore byte = 1 // score a batch: [rows u32][cols u32][rows*cols f32]
-	svStop  byte = 2 // drain and exit the replica loop
-)
+var svNames = [...]string{
+	svScore: "score",
+	svStop:  "stop",
+	svOK:    "ok",
+	svErr:   "err",
+}
 
-// Reply opcodes: the first byte of every tagServeRes message, consumed
-// by the master's replicaScorer (these flow replica→master, so they
-// have no worker dispatch arm). The values are distinct from the
-// request opcodes so a misrouted frame is diagnosable by opcode alone.
-const (
-	svOK  byte = 3 // scored logits: [rows u32][cols u32][rows*cols f32]
-	svErr byte = 4 // replica-side failure: [error string]
-)
-
-// svName renders a serve opcode for diagnostics.
+// svName renders a serve opcode for diagnostics: its name, or the bare
+// number for a byte outside the table.
 func svName(op byte) string {
-	switch op {
-	case svScore:
-		return "score"
-	case svStop:
-		return "stop"
-	case svOK:
-		return "ok"
-	case svErr:
-		return "err"
+	if int(op) < len(svNames) && svNames[op] != "" {
+		return svNames[op]
 	}
 	return fmt.Sprintf("op(%d)", op)
 }
@@ -151,10 +135,10 @@ func (sc *replicaScorer) score(batch []*request) (*tensor.Matrix, error) {
 		copy(x.Row(i), r.row)
 	}
 	sc.wire = appendBatch(sc.wire[:0], svScore, x)
-	if err := sc.comm.SendBytes(sc.rank, tagServeReq, sc.wire); err != nil {
+	if err := sc.comm.SendBytes(sc.rank, mpi.TagServeReq, sc.wire); err != nil {
 		return nil, fmt.Errorf("serve: replica %d send: %w", sc.rank, err)
 	}
-	msg, err := sc.comm.RecvBytesTimeout(sc.rank, tagServeRes, replyDeadline)
+	msg, err := sc.comm.RecvBytesTimeout(sc.rank, mpi.TagServeRes, replyDeadline)
 	if err != nil {
 		sc.lost = fmt.Errorf("serve: replica %d recv: %w", sc.rank, err)
 		return nil, sc.lost
@@ -181,7 +165,7 @@ func (sc *replicaScorer) score(batch []*request) (*tensor.Matrix, error) {
 // stop tells the pinned replica to exit its ServeReplica loop; called
 // once per replica during Close's drain.
 func (sc *replicaScorer) stop() error {
-	if err := sc.comm.SendBytes(sc.rank, tagServeReq, []byte{svStop}); err != nil {
+	if err := sc.comm.SendBytes(sc.rank, mpi.TagServeReq, []byte{svStop}); err != nil {
 		return fmt.Errorf("serve: replica %d stop: %w", sc.rank, err)
 	}
 	return nil
@@ -210,7 +194,7 @@ func (s *Server) ServeReplica() error {
 	}
 	for {
 		// An idle replica waits for work as long as the master lives.
-		msg, err := r.comm.RecvBytes(0, tagServeReq)
+		msg, err := r.comm.RecvBytes(0, mpi.TagServeReq)
 		if err != nil {
 			return fmt.Errorf("serve: replica recv: %w", err)
 		}
@@ -229,7 +213,7 @@ func (s *Server) ServeReplica() error {
 				logits := r.net.ForwardInto(r.buf, r.x)
 				r.wire = appendBatch(r.wire, svOK, logits)
 			}
-			if err := r.comm.SendBytes(0, tagServeRes, r.wire); err != nil {
+			if err := r.comm.SendBytes(0, mpi.TagServeRes, r.wire); err != nil {
 				return fmt.Errorf("serve: replica send: %w", err)
 			}
 		default:

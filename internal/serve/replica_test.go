@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,30 +12,110 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestServeTagPlan pins the serving plane's reserved tags and opcodes:
-// the tag values are part of the fabric-sharing contract with the
-// telemetry plane (9600/9601) and the collective blocks at 1<<24, and
-// the opcode values must stay distinct across the request/reply const
-// blocks so a misrouted frame is diagnosable.
-func TestServeTagPlan(t *testing.T) {
-	if tagServeReq != 9700 || tagServeRes != 9701 {
-		t.Fatalf("serve tags (%d, %d), want (9700, 9701)", tagServeReq, tagServeRes)
-	}
-	if tagServeReq <= mpi.TagTelemetry || tagServeRes >= 1<<24 {
-		t.Fatal("serve tags outside the reserved window (telemetry, collective-base)")
-	}
-	ops := map[byte]string{svScore: "score", svStop: "stop", svOK: "ok", svErr: "err"}
-	if len(ops) != 4 {
-		t.Fatal("serve opcodes collide")
-	}
-	for op, name := range ops {
-		if svName(op) != name {
-			t.Errorf("svName(%d) = %q, want %q", op, svName(op), name)
+// TestReplicaOpcodeWalk walks svNames through the real loops. Every
+// request opcode sent on mpi.TagServeReq must reach an arm of
+// ServeReplica, every reply opcode sent on mpi.TagServeRes an arm of
+// replicaScorer.score, and a byte past the table must end either side
+// with an error naming it — so an opcode added without an arm, or an arm
+// deleted, fails here by the opcode's name.
+func TestReplicaOpcodeWalk(t *testing.T) {
+	ck, _ := testCheckpoint(t, 6, 10, 4)
+	row := appendBatch(nil, 0, tensor.NewMatrix(1, 6))[1:]    // a one-row request body
+	logits := appendBatch(nil, 0, tensor.NewMatrix(1, 4))[1:] // and its reply's
+	past := byte(len(svNames))
+
+	// toReplica sends one frame to a real ServeReplica loop, then a
+	// stop, and returns the first reply byte (0 if none) and the loop's
+	// exit error.
+	toReplica := func(t *testing.T, op byte, body []byte) (byte, error) {
+		fabric := mpi.NewInprocFabric(2)
+		defer fabric.Close()
+		rs, err := New(ck, WithReplicas(mpi.NewComm(fabric.Transport(1))), WithMaxBatch(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		exit := make(chan error, 1)
+		go func() { exit <- rs.ServeReplica() }()
+		master := mpi.NewComm(fabric.Transport(0))
+		if err := master.SendBytes(1, mpi.TagServeReq, append([]byte{op}, body...)); err != nil {
+			t.Fatal(err)
+		}
+		if err := master.SendBytes(1, mpi.TagServeReq, []byte{svStop}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-exit:
+			var reply byte
+			if msg, rerr := master.RecvBytesTimeout(1, mpi.TagServeRes, time.Millisecond); rerr == nil && len(msg.Data) > 0 {
+				reply = msg.Data[0]
+			}
+			return reply, err
+		case <-time.After(10 * time.Second):
+			t.Fatal("replica still serving after the stop")
+			return 0, nil
 		}
 	}
-	if !strings.HasPrefix(svName(99), "op(") {
-		t.Errorf("unknown opcode renders %q", svName(99))
+	// fromReplica has a stand-in replica answer one real Score with the
+	// given frame and returns Score's error.
+	fromReplica := func(t *testing.T, op byte, body []byte) error {
+		fabric := mpi.NewInprocFabric(2)
+		defer fabric.Close()
+		go func() {
+			c := mpi.NewComm(fabric.Transport(1))
+			if _, err := c.RecvBytes(0, mpi.TagServeReq); err == nil {
+				_ = c.SendBytes(0, mpi.TagServeRes, append([]byte{op}, body...)) // best-effort: Score asserts
+			}
+		}()
+		master, err := New(ck, WithReplicas(mpi.NewComm(fabric.Transport(0))), WithMaxBatch(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer master.Close()
+		return master.Score(make([]float32, 6), make([]float32, 4))
 	}
+
+	walk := map[byte]func(t *testing.T){
+		svScore: func(t *testing.T) {
+			if reply, err := toReplica(t, svScore, row); err != nil || reply != svOK {
+				t.Errorf("score request: reply %s, exit %v; want ok and a clean stop", svName(reply), err)
+			}
+		},
+		svStop: func(t *testing.T) {
+			if _, err := toReplica(t, svStop, nil); err != nil {
+				t.Errorf("stop request: exit %v", err)
+			}
+		},
+		svOK: func(t *testing.T) {
+			if err := fromReplica(t, svOK, logits); err != nil {
+				t.Errorf("ok reply: Score = %v", err)
+			}
+		},
+		svErr: func(t *testing.T) {
+			if err := fromReplica(t, svErr, []byte("replica says no")); err == nil || !strings.Contains(err.Error(), "replica 1: replica says no") {
+				t.Errorf("err reply: Score = %v, want the replica's own text", err)
+			}
+		},
+	}
+	for op, name := range svNames {
+		if name == "" {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			if walk[byte(op)] == nil {
+				t.Fatalf("no walk for %s in this test: add one", name)
+			}
+			walk[byte(op)](t)
+		})
+	}
+	t.Run("past the table", func(t *testing.T) {
+		want := fmt.Sprintf("unexpected op(%d)", past)
+		if _, err := toReplica(t, past, nil); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("replica exit = %v, want %q", err, want)
+		}
+		if err := fromReplica(t, past, nil); err == nil || !strings.Contains(err.Error(), "replica 1 sent "+want) {
+			t.Errorf("Score = %v, want %q", err, want)
+		}
+	})
 }
 
 func TestBatchCodecRoundTrip(t *testing.T) {
@@ -164,7 +245,7 @@ func TestWedgedReplicaTimesOut(t *testing.T) {
 	wedged := mpi.NewComm(fabric.Transport(1))
 	accepted := make(chan error, 1)
 	go func() {
-		_, err := wedged.RecvBytes(0, tagServeReq)
+		_, err := wedged.RecvBytes(0, mpi.TagServeReq)
 		accepted <- err
 	}()
 
