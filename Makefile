@@ -2,9 +2,11 @@
 
 # Full gate; each property is proved once, by the cheapest thing that
 # proves it (DESIGN.md §11 has the audit behind the list):
-#   - compile, vet (copylocks included), and the 10 repo-specific
-#     analyzers + 2 compiler-truth gates, zero findings being the bar
-#     (`go run ./cmd/repolint -list` documents the set);
+#   - compile, vet (copylocks and asmdecl included), and the 10
+#     repo-specific analyzers + 2 compiler-truth gates, zero findings
+#     being the bar (`go run ./cmd/repolint -list` documents the set);
+#   - the portable GEMM kernel still compiles and vets: an arm64 cross
+#     build, where kernel_amd64.s does not exist;
 #   - the whole suite once, armed: race detector plus the `checked`
 #     build, which turns on the check.Finite/check.Dims invariants of the
 #     numeric core and hashes every CG curvature application for replay;
@@ -20,6 +22,7 @@
 verify:
 	go build ./...
 	go vet ./...
+	GOARCH=arm64 go vet ./internal/blas && GOARCH=arm64 go build ./...
 	go run ./cmd/repolint
 	go test -race -tags checked ./...
 	$(MAKE) alloccheck

@@ -35,7 +35,8 @@ func TestZeroAllocKernels(t *testing.T) {
 		{"packB", func() { packB(bm, NoTrans, 0, 0, kc, nc, bbuf) }},
 		{"packB_trans", func() { packB(a, Trans, 0, 0, kc, mc, bbuf) }},
 		{"macroKernel", func() { macroKernel(abuf, bbuf, c, 0, 0, mc, nc, kc, 1) }},
-		{"microKernel8x4", func() { microKernel8x4(kc, abuf, bbuf, c.Data, c.Stride, 1) }},
+		{"microKernel", func() { microKernel(kc, abuf, bbuf, c.Data, c.Stride, 1) }},
+		{"microKernelGo", func() { microKernelGo(kc, abuf, bbuf, c.Data, c.Stride, 1) }},
 		{"microKernelEdge", func() { microKernelEdge(kc, abuf, bbuf, c.Data, c.Stride, 5, 3, 1) }},
 	}
 	for _, k := range kernels {

@@ -44,6 +44,24 @@ func BenchmarkGEMMLayerShape(b *testing.B)  { benchGemm(b, Parallel, 0, 512, 102
 func BenchmarkGEMMSmallK(b *testing.B)      { benchGemm(b, Parallel, 0, 512, 512, 40) }
 func BenchmarkGEMMSmallMatrix(b *testing.B) { benchGemm(b, Blocked, 1, 32, 32, 32) }
 
+// BenchmarkGEMMCutover times the training shapes (batch 256 through the
+// narrow 100-32-32-8 and wide 100-384-384-384-32 nets, C is m×n) and a
+// square ladder on one thread and on two, the sweep behind Auto's
+// Blocked→Parallel cutover (DESIGN §2).
+func BenchmarkGEMMCutover(b *testing.B) {
+	shapes := [][3]int{
+		{256, 8, 32}, {256, 32, 8}, {256, 32, 32}, {256, 32, 100}, {32, 100, 256},
+		{256, 32, 384}, {256, 384, 32},
+		{64, 64, 64}, {96, 96, 96}, {128, 128, 128}, {160, 160, 160}, {192, 192, 192},
+		{256, 384, 100}, {256, 384, 384},
+	}
+	for _, s := range shapes {
+		m, n, k := s[0], s[1], s[2]
+		b.Run(fmt.Sprintf("%dx%dx%d/threads=1", m, n, k), func(b *testing.B) { benchGemm(b, Blocked, 1, m, n, k) })
+		b.Run(fmt.Sprintf("%dx%dx%d/threads=2", m, n, k), func(b *testing.B) { benchGemm(b, Parallel, 2, m, n, k) })
+	}
+}
+
 func BenchmarkAxpy(b *testing.B) {
 	x := make([]float32, 1<<16)
 	y := make([]float32, 1<<16)

@@ -5,11 +5,13 @@
 // The paper telescopes its GEMM across thread, core and node levels:
 // a register-blocked inner kernel, operand packing for stride-one access,
 // cache blocking, and cooperative threads. This package mirrors those
-// levers in portable Go:
+// levers in Go plus one amd64 assembly kernel:
 //
 //   - Naive: triple loop, the correctness reference.
 //   - Blocked: Goto-style packed panels (MC×KC blocks of A, KC×NC blocks
-//     of B) with an MR×NR register-tile micro-kernel.
+//     of B) with an 8×8 register-tile micro-kernel — AVX2 assembly where
+//     the CPU has it (kernel_amd64.s), portable Go elsewhere, the two
+//     bit-identical because neither fuses a multiply into an add.
 //   - Parallel: the blocked algorithm with the MC loop fanned out across
 //     goroutines sharing one packed B panel, the analogue of the paper's
 //     cores cooperating on a shared operand.
@@ -74,6 +76,11 @@ const (
 	defaultNC = 512
 )
 
+// parallelMinFlops is Auto's Blocked→Parallel cutover: below it one
+// goroutine is at least as fast as two on every training shape
+// (BenchmarkGEMMCutover; the table is in DESIGN §2).
+const parallelMinFlops = 2 * 160 * 160 * 160
+
 func (c Config) filled() Config {
 	if c.Threads <= 0 {
 		c.Threads = runtime.GOMAXPROCS(0)
@@ -122,13 +129,10 @@ func GemmWith(cfg Config, tA, tB Transpose, alpha float32, a, b *tensor.Matrix, 
 			// single-threaded blocked path.
 			impl = Blocked
 		} else {
-			// Small problems do not amortize packing or goroutine startup.
-			flops := 2 * float64(m) * float64(n) * float64(k)
-			switch {
-			case flops < 64*64*64*2:
+			// Small problems do not amortize goroutine startup.
+			impl = Parallel
+			if 2*float64(m)*float64(n)*float64(k) < parallelMinFlops {
 				impl = Blocked
-			default:
-				impl = Parallel
 			}
 		}
 	}

@@ -1,17 +1,20 @@
 package blas
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/tensor"
 )
 
-// Register-tile dimensions of the micro-kernel. The paper's BG/Q inner
-// kernel updates an 8×8 C tile with QPX outer products; in portable Go an
-// 8×4 tile keeps all 32 accumulators in registers on amd64/arm64.
+// Register-tile dimensions of the micro-kernel: the 8×8 C tile of the
+// paper's BG/Q inner kernel. On amd64 with AVX2 the tile is eight YMM
+// accumulators (kernel_amd64.s); elsewhere microKernelGo computes it a
+// row at a time. Each C element's k order is set by the KC blocking
+// alone, so neither the kernel nor the tile shape moves a result bit.
 const (
 	mr = 8
-	nr = 4
+	nr = 8
 )
 
 // gemmBlocked runs the packed, cache-blocked algorithm with the given
@@ -42,10 +45,11 @@ func gemmBlocked(cfg Config, tA, tB Transpose, alpha float32, a, b *tensor.Matri
 		// has grown to the largest product it serves.
 		abufs, bbuf = ws.panels(mc, kc, nc, m, k, n)
 	} else {
-		bbuf = make([]float32, kc*roundUp(nc, nr))
+		needA, needB := panelSizes(mc, kc, nc, m, k, n)
+		bbuf = make([]float32, needB)
 		abufs = make([][]float32, nWorkers)
 		for w := range abufs {
-			abufs[w] = make([]float32, roundUp(mc, mr)*kc)
+			abufs[w] = make([]float32, needA)
 		}
 	}
 
@@ -305,7 +309,7 @@ func macroKernel(abuf, bbuf []float32, c *tensor.Matrix, ic, jc, mc, nc, kc int,
 			}
 			apanel := abuf[ao:]
 			if rows == mr && cols == nr {
-				microKernel8x4(kc, apanel, bpanel, c.Data[coff:], c.Stride, alpha)
+				microKernel(kc, apanel, bpanel, c.Data[coff:], c.Stride, alpha)
 			} else {
 				microKernelEdge(kc, apanel, bpanel, c.Data[coff:], c.Stride, rows, cols, alpha)
 			}
@@ -313,144 +317,117 @@ func macroKernel(abuf, bbuf []float32, c *tensor.Matrix, ic, jc, mc, nc, kc int,
 	}
 }
 
-// microKernel8x4 is the register-blocked inner kernel: C8×4 += alpha·A8×kc·Bkc×4
-// as a sequence of rank-1 updates over the packed panels, mirroring the
-// paper's outer-product formulation. All 32 accumulators live in locals so
-// the compiler can keep them in registers.
+// microKernel is the register-blocked inner kernel: C8×8 += alpha·A8×kc·Bkc×8
+// as kc rank-1 updates over the packed panels, the paper's outer-product
+// formulation. Its guards are the whole memory-safety argument for the
+// assembly kernel, which is entered only once both panels are known to
+// hold kc k-steps and C to hold eight rows of eight at stride ldc (the
+// uint compares also reject a negative kc or ldc).
 //
 //lint:hotpath
-func microKernel8x4(kc int, ap, bp []float32, c []float32, ldc int, alpha float32) {
-	var (
-		c00, c01, c02, c03 float32
-		c10, c11, c12, c13 float32
-		c20, c21, c22, c23 float32
-		c30, c31, c32, c33 float32
-		c40, c41, c42, c43 float32
-		c50, c51, c52, c53 float32
-		c60, c61, c62, c63 float32
-		c70, c71, c72, c73 float32
-	)
-	for p := 0; p < kc; p++ {
-		if len(ap) < mr || len(bp) < nr {
-			packBounds()
-			return
-		}
-		b := bp[:nr:nr]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		a := ap[:mr:mr]
-		a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
-		ap = ap[mr:]
-		bp = bp[nr:]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-		c40 += a4 * b0
-		c41 += a4 * b1
-		c42 += a4 * b2
-		c43 += a4 * b3
-		c50 += a5 * b0
-		c51 += a5 * b1
-		c52 += a5 * b2
-		c53 += a5 * b3
-		c60 += a6 * b0
-		c61 += a6 * b1
-		c62 += a6 * b2
-		c63 += a6 * b3
-		c70 += a7 * b0
-		c71 += a7 * b1
-		c72 += a7 * b2
-		c73 += a7 * b3
-	}
-	c = storeRow4(c, alpha, c00, c01, c02, c03, ldc)
-	c = storeRow4(c, alpha, c10, c11, c12, c13, ldc)
-	c = storeRow4(c, alpha, c20, c21, c22, c23, ldc)
-	c = storeRow4(c, alpha, c30, c31, c32, c33, ldc)
-	c = storeRow4(c, alpha, c40, c41, c42, c43, ldc)
-	c = storeRow4(c, alpha, c50, c51, c52, c53, ldc)
-	c = storeRow4(c, alpha, c60, c61, c62, c63, ldc)
-	// The final row advances by 0: C may end exactly at this tile's edge.
-	storeRow4(c, alpha, c70, c71, c72, c73, 0)
-}
-
-// storeRow4 accumulates one nr-wide register row into the head of the C
-// cursor and returns the cursor advanced by ldc to the next row. The
-// single guard justifies both the window and the advance, so the stores
-// carry no bounds checks.
-//
-//lint:hotpath
-func storeRow4(c []float32, alpha, v0, v1, v2, v3 float32, ldc int) []float32 {
-	if len(c) < nr || uint(ldc) > uint(len(c)) {
+func microKernel(kc int, ap, bp, c []float32, ldc int, alpha float32) {
+	if uint(kc) > uint(len(ap))/mr || uint(kc) > uint(len(bp))/nr ||
+		len(c) < nr || uint(ldc) > uint(len(c)-nr)/(mr-1) {
 		packBounds()
-		return nil
+		return
 	}
-	row := c[:nr:nr]
-	row[0] += alpha * v0
-	row[1] += alpha * v1
-	row[2] += alpha * v2
-	row[3] += alpha * v3
-	return c[ldc:]
+	if useAVX2 {
+		kernelAVX2(kc, ap, bp, c, ldc, alpha)
+		return
+	}
+	microKernelGo(kc, ap, bp, c, ldc, alpha)
 }
 
-// microKernelEdge handles partial tiles at the matrix fringe. The packed
-// panels are zero-padded, so it computes the full mr×nr product and writes
-// back only the rows×cols region that exists in C. This is the "matrices
-// with dimensions that do not lend themselves to full SIMDization" case
-// the paper tunes for.
+// microKernelGo is the portable kernel: the only one off amd64 or
+// without AVX2, and the reference the assembly is tested against bit for
+// bit. It computes the tile a row at a time in eight accumulators; each
+// C element still sums its kc products in k order, as in the assembly.
+// The float32 conversions forbid fusing a multiply into the following
+// add (the Go spec's rule), so no architecture or GOAMD64 level rounds
+// these sums differently.
 //
 //lint:hotpath
-func microKernelEdge(kc int, ap, bp []float32, c []float32, ldc, rows, cols int, alpha float32) {
-	var acc [mr * nr]float32
-	for p := 0; p < kc; p++ {
-		if len(ap) < mr || len(bp) < nr {
-			packBounds()
-			return
-		}
-		b := bp[:nr:nr]
-		a := ap[:mr:mr]
-		ap = ap[mr:]
-		bp = bp[nr:]
-		for r := 0; r < mr; r++ {
+func microKernelGo(kc int, ap, bp, c []float32, ldc int, alpha float32) {
+	for r := 0; r < mr; r++ {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float32
+		a, b := ap, bp
+		for p := 0; p < kc; p++ {
+			if len(a) < mr || len(b) < nr {
+				packBounds()
+				return
+			}
 			ar := a[r]
-			acc[r*nr+0] += ar * b[0]
-			acc[r*nr+1] += ar * b[1]
-			acc[r*nr+2] += ar * b[2]
-			acc[r*nr+3] += ar * b[3]
+			bv := b[:nr:nr]
+			s0 += float32(ar * bv[0])
+			s1 += float32(ar * bv[1])
+			s2 += float32(ar * bv[2])
+			s3 += float32(ar * bv[3])
+			s4 += float32(ar * bv[4])
+			s5 += float32(ar * bv[5])
+			s6 += float32(ar * bv[6])
+			s7 += float32(ar * bv[7])
+			a, b = a[mr:], b[nr:]
 		}
-	}
-	// Write back only the rows×cols region that exists in C, walking an
-	// accumulator cursor in lockstep with the C row cursor.
-	av := acc[:]
-	for r := 0; r < rows; r++ {
 		if r > 0 {
-			if uint(ldc) > uint(len(c)) || len(av) < 2*nr {
+			if uint(ldc) > uint(len(c)) {
 				packBounds()
 				return
 			}
 			c = c[ldc:]
-			av = av[nr:]
 		}
-		// Re-establish len(av) >= nr after the merge: prove loses the
-		// loop-carried fact across the phi.
-		if len(av) < nr {
+		if len(c) < nr {
 			packBounds()
 			return
 		}
-		arow := av[:nr:nr]
+		row := c[:nr:nr]
+		row[0] += float32(alpha * s0)
+		row[1] += float32(alpha * s1)
+		row[2] += float32(alpha * s2)
+		row[3] += float32(alpha * s3)
+		row[4] += float32(alpha * s4)
+		row[5] += float32(alpha * s5)
+		row[6] += float32(alpha * s6)
+		row[7] += float32(alpha * s7)
+	}
+}
+
+// microKernelEdge handles partial tiles at the matrix fringe — the
+// "matrices with dimensions that do not lend themselves to full
+// SIMDization" case the paper tunes for — on the same kernel: the packed
+// panels are zero-padded, so it computes the full tile into a stack tile
+// and adds only the rows×cols region that exists in C. The tile starts
+// at −0, the identity of IEEE addition (+0 would turn a −0 product into
+// +0), so it holds alpha·acc bit for bit and C sees exactly the
+// operations a full tile applies.
+//
+//lint:hotpath
+func microKernelEdge(kc int, ap, bp, c []float32, ldc, rows, cols int, alpha float32) {
+	var tile [mr * nr]float32
+	negZero := math.Float32frombits(1 << 31)
+	for i := range tile {
+		tile[i] = negZero
+	}
+	microKernel(kc, ap, bp, tile[:], nr, alpha)
+	// Walk a tile cursor in lockstep with the C row cursor.
+	t := tile[:]
+	for r := 0; r < rows; r++ {
+		if r > 0 {
+			if uint(ldc) > uint(len(c)) || len(t) < 2*nr {
+				packBounds()
+				return
+			}
+			c = c[ldc:]
+			t = t[nr:]
+		}
+		// Re-establish len(t) >= nr after the merge: prove loses the
+		// loop-carried fact across the phi.
+		if len(t) < nr {
+			packBounds()
+			return
+		}
+		trow := t[:nr:nr]
 		for j := 0; j < cols && j < len(c) && j < nr; j++ {
-			c[j] += alpha * arow[j]
+			c[j] += trow[j]
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 type ShapeClass int
 
 const (
-	// ShapeSmall has too few flops to amortize packing (the Auto
-	// threshold that falls back to the Blocked path).
+	// ShapeSmall is under 2·64³ flops, where packing is a visible share
+	// of the call.
 	ShapeSmall ShapeClass = iota
 	// ShapeSkinny has at least one dimension under two register tiles.
 	ShapeSkinny

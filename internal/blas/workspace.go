@@ -20,11 +20,10 @@ type Workspace struct {
 // panel for a blocked m×n×k product under block limits mc/kc/nc,
 // growing the backing buffers if this product is the largest yet.
 func (w *Workspace) panels(mc, kc, nc, m, k, n int) ([][]float32, []float32) {
-	needA := roundUp(min(mc, m), mr) * min(kc, k)
+	needA, needB := panelSizes(mc, kc, nc, m, k, n)
 	if cap(w.a) < needA {
 		w.a = make([]float32, needA)
 	}
-	needB := min(kc, k) * roundUp(min(nc, n), nr)
 	if cap(w.b) < needB {
 		w.b = make([]float32, needB)
 	}
@@ -33,4 +32,12 @@ func (w *Workspace) panels(mc, kc, nc, m, k, n int) ([][]float32, []float32) {
 	}
 	w.apanels[0] = w.a[:needA]
 	return w.apanels, w.b[:needB]
+}
+
+// panelSizes returns the floats one packed-A panel and the packed-B
+// panel hold for an m×n×k product under block limits mc/kc/nc: the
+// blocks clipped to the product and rounded up to whole register tiles,
+// so a small product does not allocate and zero the full block limits.
+func panelSizes(mc, kc, nc, m, k, n int) (needA, needB int) {
+	return roundUp(min(mc, m), mr) * min(kc, k), min(kc, k) * roundUp(min(nc, n), nr)
 }
