@@ -16,8 +16,9 @@
 #   - the benchmark module's own unit tests (its own go.mod, so ./...
 #     does not reach it; < 1 s, runs no workload);
 #   - five seconds of real fuzzing each for the two frame codecs a
-#     peer's bytes reach first (a finding is written under testdata/fuzz,
-#     so it also fails CI's clean-tree check).
+#     peer's bytes reach first and for the /score handler a client's
+#     bytes reach first (a finding is written under testdata/fuzz, so it
+#     also fails CI's clean-tree check).
 # It leaves the tree as it found it; CI checks that.
 verify:
 	go build ./...
@@ -30,6 +31,7 @@ verify:
 	go test -C benchmark ./...
 	go test -run '^$$' -fuzz '^FuzzEmDecode$$' -fuzztime 5s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 5s ./internal/mpi
+	go test -run '^$$' -fuzz '^FuzzHandleScore$$' -fuzztime 5s ./internal/serve
 
 # Static analysis only. Machine-readable output: `go run ./cmd/repolint
 # -json`, or `-sarif` for code-scanning upload; `-only name,...` narrows

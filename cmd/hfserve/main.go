@@ -1,7 +1,7 @@
 // Command hfserve serves a trained checkpoint over HTTP: it loads the
 // model hftrain -save wrote, reconstructs the network, and scores
-// feature vectors behind internal/serve's request-coalescing
-// micro-batcher with admission control.
+// feature vectors behind internal/serve's work-conserving,
+// request-coalescing batcher with admission control.
 //
 // Usage:
 //
@@ -44,8 +44,7 @@ import (
 func main() {
 	load := flag.String("load", "", "model checkpoint to serve (required)")
 	addr := flag.String("addr", ":8080", "HTTP listen address for the scoring API")
-	batchWindow := flag.Duration("batch-window", serve.DefaultBatchWindow, "micro-batching latency budget (flush deadline)")
-	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "batch-full flush threshold")
+	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "rows per batch (larger requests are scored in slices of this)")
 	queueDepth := flag.Int("queue-depth", serve.DefaultQueueDepth, "admission queue bound (full queue sheds with 429)")
 	workers := flag.Int("workers", serve.DefaultWorkers, "scoring workers (ignored with -replicas)")
 	maxWait := flag.Duration("max-wait", 0, "load-aware shedding: reject when the estimated wait exceeds this (0 disables)")
@@ -68,7 +67,6 @@ func main() {
 
 	ob := &obs.Observer{Metrics: obs.NewRegistry()}
 	opts := []serve.Option{
-		serve.WithBatchWindow(*batchWindow),
 		serve.WithMaxBatch(*maxBatch),
 		serve.WithQueueDepth(*queueDepth),
 		serve.WithMaxWait(*maxWait),

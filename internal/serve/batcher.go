@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,22 +11,25 @@ import (
 )
 
 // request is one admitted scoring request parked in the queue: the
-// caller's feature row, the caller-owned output buffer the scores land
-// in, and the completion signal its Score call blocks on.
+// caller's n feature rows (row-major, n×InputDim), the caller-owned
+// output buffer (n×OutputDim) the scores land in, and the completion
+// signal its score call blocks on.
 type request struct {
-	row   []float32
+	rows  []float32
 	out   []float32
+	n     int
 	start time.Time
 	err   error
 	done  chan struct{}
 }
 
-// scorer runs one batch of requests through the model. Implementations
-// are single-goroutine (each scoring worker owns one): localScorer
-// copies rows into preallocated nn.InferBuffers and runs the forward
-// pass in-process; replicaScorer ships the batch to a replica rank over
-// the mpi fabric. The returned logits matrix is owned by the scorer and
-// valid until its next score call.
+// scorer runs one batch of requests, at most MaxBatch rows in total,
+// through the model. Implementations are single-goroutine (each scoring
+// worker owns one): localScorer runs the forward pass in-process over
+// preallocated nn.InferBuffers; replicaScorer ships the batch to a
+// replica rank over the mpi fabric. The returned logits matrix is
+// compact (each request's rows follow the previous one's), owned by the
+// scorer and valid until its next score call.
 type scorer interface {
 	score(batch []*request) (*tensor.Matrix, error)
 	// stop releases the scorer at drain time (replica shutdown; no-op
@@ -34,14 +38,15 @@ type scorer interface {
 }
 
 // batcher is the serving pipeline: bounded admission queue → collector
-// goroutine coalescing requests into batches (flush on batch-full or on
-// the oldest request's deadline) → scoring workers.
+// goroutine → scoring workers, joined by the unbuffered batches channel.
+// It is work-conserving: no request waits while a worker is idle, and
+// requests coalesce only while every worker is busy.
 //
 // Shutdown protocol (close): draining flips first, so admission stops;
 // the closer then waits for the pending count to hit zero (every
 // admitted request completed) before closing stop — the collector exits
 // idle, workers exit on the closed batches channel. The pending counter
-// uses the double-check idiom on the admission side so a racing Score
+// uses the double-check idiom on the admission side so a racing score
 // can never slip an uncounted request past the drain: it increments
 // pending, re-checks draining, and backs out if the drain has begun.
 type batcher struct {
@@ -49,13 +54,14 @@ type batcher struct {
 	scorers []scorer
 
 	queue   chan *request
-	batches chan []*request
-	stop    chan struct{} // closed after drain: collector exits
-	colDone chan struct{} // closed when the collector has returned
+	batches chan []*request // unbuffered: a batch moves only to a ready worker
+	stop    chan struct{}   // closed after drain: collector exits
+	colDone chan struct{}   // closed when the collector has returned
 	wg      sync.WaitGroup
 
 	draining atomic.Bool
 	pending  atomic.Int64 // admitted, not yet completed
+	live     atomic.Int64 // workers still in the pool
 	ewmaNs   atomic.Int64 // smoothed per-request service time estimate
 
 	closeOnce sync.Once
@@ -68,10 +74,11 @@ func newBatcher(s *Server, scorers []scorer) *batcher {
 		s:       s,
 		scorers: scorers,
 		queue:   make(chan *request, s.opt.queueDepth),
-		batches: make(chan []*request, len(scorers)),
+		batches: make(chan []*request),
 		stop:    make(chan struct{}),
 		colDone: make(chan struct{}),
 	}
+	b.live.Store(int64(len(scorers)))
 	go b.collect()
 	b.wg.Add(len(scorers))
 	for _, sc := range scorers {
@@ -80,18 +87,23 @@ func newBatcher(s *Server, scorers []scorer) *batcher {
 	return b
 }
 
-// depth returns the live queue length.
-func (b *batcher) depth() int { return len(b.queue) }
-
-// score admits one request and blocks until it completes. Shedding
-// happens strictly before enqueue: a full queue (or a load-aware wait
-// estimate beyond WithMaxWait) returns ErrQueueFull without the request
-// ever entering the pipeline.
-func (b *batcher) score(row, out []float32) error {
+// score admits n row-major rows (rows and out hold n×InputDim and
+// n×OutputDim values) as one request and blocks until it completes.
+// Shedding happens strictly before enqueue: a full queue (or a
+// load-aware wait estimate beyond WithMaxWait) returns ErrQueueFull
+// without the request ever entering the pipeline. A replica rank's
+// Server has no batcher and admits nothing.
+func (b *batcher) score(rows, out []float32, n int) error {
+	if b == nil {
+		return errors.New("serve: Score on a replica rank (only rank 0 admits requests)")
+	}
 	met := &b.s.met
 	if b.draining.Load() {
 		met.drained.Inc()
 		return ErrDraining
+	}
+	if b.live.Load() == 0 {
+		return ErrWorkerLost
 	}
 	if mw := b.s.opt.maxWait; mw > 0 {
 		if e := b.ewmaNs.Load(); e > 0 {
@@ -102,7 +114,7 @@ func (b *batcher) score(row, out []float32) error {
 			}
 		}
 	}
-	r := &request{row: row, out: out, start: time.Now(), done: make(chan struct{})}
+	r := &request{rows: rows, out: out, n: n, start: time.Now(), done: make(chan struct{})}
 	b.pending.Add(1)
 	if b.draining.Load() {
 		// Double-check after the increment: if the closer's drain wait is
@@ -126,98 +138,61 @@ func (b *batcher) score(row, out []float32) error {
 	return r.err
 }
 
-// collect coalesces queued requests into batches. The flush rules:
-// batch-full (len == MaxBatch) dispatches immediately; otherwise a
-// timer armed when the first request of a batch arrives dispatches
-// whatever is pending once the batch window expires — so no request
-// waits for batch-mates longer than the window.
+// collect moves queued requests to the workers: it offers a pending
+// batch to them while still taking arrivals, packing whole requests
+// while their rows fit in MaxBatch. A request larger than MaxBatch
+// travels alone.
 func (b *batcher) collect() {
 	defer close(b.colDone)
-	met := &b.s.met
 	maxBatch := b.s.opt.maxBatch
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
 	var pending []*request
+	rows := 0
 	for {
+		offer := b.batches
 		if len(pending) == 0 {
-			select {
-			case r := <-b.queue:
-				met.queueDepth.Set(float64(len(b.queue)))
-				pending = append(pending, r)
-				timer.Reset(b.s.opt.window)
-			case <-b.stop:
-				b.failQueued()
-				return
-			}
-			if len(pending) == maxBatch {
-				b.stopTimer(timer)
-				met.flushFull.Inc()
-				if !b.dispatch(pending) {
-					return
-				}
-				pending = nil
-			}
-			continue
+			offer = nil // nothing to offer: wait for an arrival
 		}
+		var r *request
 		select {
-		case r := <-b.queue:
-			met.queueDepth.Set(float64(len(b.queue)))
-			pending = append(pending, r)
-			if len(pending) == maxBatch {
-				b.stopTimer(timer)
-				met.flushFull.Inc()
-				if !b.dispatch(pending) {
-					return
-				}
-				pending = nil
-			}
-		case <-timer.C:
-			met.flushTimer.Inc()
-			if !b.dispatch(pending) {
-				return
-			}
-			pending = nil
+		case offer <- pending:
+			pending, rows = nil, 0
+			continue
+		case r = <-b.queue:
 		case <-b.stop:
-			// Forced stop (drain timeout): hand the coalesced batch to the
-			// workers if possible, then fail whatever is still queued.
-			b.stopTimer(timer)
-			b.dispatch(pending)
+			// Forced stop (drain timeout): every worker is still busy.
+			b.complete(ErrDraining, pending...)
 			b.failQueued()
 			return
 		}
-	}
-}
-
-// stopTimer quiesces the flush timer between batches, draining a
-// concurrent fire so the next Reset starts clean.
-func (b *batcher) stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
+		b.s.met.queueDepth.Set(float64(len(b.queue)))
+		if len(pending) > 0 && rows+r.n > maxBatch {
+			if !b.dispatchFull(pending, r) {
+				return
+			}
+			pending, rows = nil, 0
+		}
+		pending, rows = append(pending, r), rows+r.n
+		if rows >= maxBatch {
+			if !b.dispatchFull(pending) {
+				return
+			}
+			pending, rows = nil, 0
 		}
 	}
 }
 
-// dispatch hands a batch to the worker pool, blocking for backpressure.
-// It returns false when the stop signal preempted the handoff (the
-// batch's requests are failed with ErrDraining and the collector must
-// exit).
-func (b *batcher) dispatch(batch []*request) bool {
-	if len(batch) == 0 {
-		return true
-	}
-	met := &b.s.met
-	met.batches.Inc()
-	met.batchRows.Observe(int64(len(batch)))
+// dispatchFull hands a batch that can take no more rows to the next
+// ready worker, blocking the collector for backpressure. It returns
+// false when the stop signal preempted the hand-off: the batch, the
+// collector's held request if any, and everything queued are failed
+// with ErrDraining and the collector must exit.
+func (b *batcher) dispatchFull(batch []*request, held ...*request) bool {
+	b.s.met.flushFull.Inc()
 	select {
 	case b.batches <- batch:
 		return true
 	case <-b.stop:
-		b.fail(batch)
+		b.complete(ErrDraining, append(batch, held...)...)
 		b.failQueued()
 		return false
 	}
@@ -230,53 +205,67 @@ func (b *batcher) failQueued() {
 	for {
 		select {
 		case r := <-b.queue:
-			b.fail([]*request{r})
+			b.complete(ErrDraining, r)
 		default:
 			return
 		}
 	}
 }
 
-// fail completes requests with ErrDraining.
-func (b *batcher) fail(batch []*request) {
+// complete finishes requests with err (nil: scored).
+func (b *batcher) complete(err error, batch ...*request) {
 	for _, r := range batch {
-		r.err = ErrDraining
+		r.err = err
 		close(r.done)
 		b.pending.Add(-1)
 	}
 }
 
-// worker scores batches until the batches channel closes.
+// worker scores batches until the batches channel closes. A worker
+// whose scorer reports ErrWorkerLost leaves the pool; the last one to
+// leave stays only to fail what was already handed to it, since
+// admission refuses new requests from then on.
 func (b *batcher) worker(sc scorer) {
 	defer b.wg.Done()
-	for {
-		batch, ok := <-b.batches
-		if !ok {
+	part := []*request{new(request)}
+	for batch := range b.batches {
+		if !errors.Is(b.runBatch(sc, batch, part), ErrWorkerLost) {
+			continue
+		}
+		if b.live.Add(-1) > 0 {
 			return
 		}
-		b.runBatch(sc, batch)
+		for batch := range b.batches {
+			b.complete(ErrWorkerLost, batch...)
+		}
 	}
 }
 
-// runBatch scores one batch and completes its requests: copy each
-// logits row into the request's output buffer (after the optional
-// softmax transform), signal completion, and fold the batch's
-// per-request service time into the load estimate WithMaxWait sheds on.
-func (b *batcher) runBatch(sc scorer, batch []*request) {
+// runBatch scores one batch, completes its requests with the outcome,
+// and folds the batch's per-request service time into the load estimate
+// WithMaxWait sheds on. A request larger than MaxBatch travels alone and
+// is scored through part, the worker's one-entry scratch batch, in
+// MaxBatch-row slices.
+func (b *batcher) runBatch(sc scorer, batch, part []*request) error {
 	start := time.Now()
-	logits, err := sc.score(batch)
-	if err == nil && b.s.opt.softmax {
-		nn.SoftmaxInto(logits, logits)
+	rows, step := 0, b.s.opt.maxBatch
+	for _, r := range batch {
+		rows += r.n
 	}
-	for i, r := range batch {
-		if err != nil {
-			r.err = err
-		} else {
-			copy(r.out, logits.Row(i))
+	b.s.met.batches.Inc()
+	b.s.met.batchRows.Observe(int64(rows))
+	var err error
+	if r := batch[0]; r.n > step {
+		in, out := len(r.rows)/r.n, len(r.out)/r.n
+		for lo := 0; lo < r.n && err == nil; lo += step {
+			hi := min(lo+step, r.n)
+			*part[0] = request{rows: r.rows[lo*in : hi*in], out: r.out[lo*out : hi*out], n: hi - lo}
+			err = b.scoreInto(sc, part)
 		}
-		close(r.done)
-		b.pending.Add(-1)
+	} else {
+		err = b.scoreInto(sc, batch)
 	}
+	b.complete(err, batch...)
 	perReq := time.Since(start).Nanoseconds() / int64(len(batch))
 	old := b.ewmaNs.Load()
 	if old == 0 {
@@ -285,6 +274,24 @@ func (b *batcher) runBatch(sc scorer, batch []*request) {
 		// 4:1 exponential smoothing in integer nanoseconds.
 		b.ewmaNs.Store((old*4 + perReq) / 5)
 	}
+	return err
+}
+
+// scoreInto scores a batch of at most MaxBatch rows and copies each
+// caller's scores (after the optional softmax) back from its offset.
+func (b *batcher) scoreInto(sc scorer, batch []*request) error {
+	logits, err := sc.score(batch)
+	if err != nil {
+		return err
+	}
+	if b.s.opt.softmax {
+		nn.SoftmaxInto(logits, logits)
+	}
+	src := logits.Data
+	for _, r := range batch {
+		src = src[copy(r.out, src):]
+	}
+	return nil
 }
 
 // close drains and stops the pipeline; see the batcher doc comment for

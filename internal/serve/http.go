@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,10 +35,12 @@ const maxScoreBody = 16 << 20
 //	               → {"scores":[[...],...],"classes":[...]}
 //	GET  /healthz  200 while serving, 503 while draining
 //
-// Each instance is admitted to the batcher independently, so one HTTP
-// request's instances coalesce with concurrent traffic. Admission
+// A request's instances are flattened into one row-major block and
+// admitted as one request: one admission, one shed decision. Admission
 // failures map to transport status codes: ErrQueueFull → 429 (retry
-// later), ErrDraining → 503 (the server is shutting down).
+// later), ErrDraining and ErrWorkerLost → 503. The reply is encoded
+// before the status line, so an unencodable one (a non-finite score) is
+// a 500, never a 200 with an empty body.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/score", s.handleScore)
@@ -56,37 +59,38 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	if len(req.Instances) == 0 {
+	n, in, od := len(req.Instances), s.topo.InputDim(), s.topo.OutputDim()
+	if n == 0 {
 		writeJSONError(w, http.StatusBadRequest, "no instances")
 		return
 	}
-	in := s.topo.InputDim()
+	rows := make([]float32, 0, n*in)
 	for i, row := range req.Instances {
 		if len(row) != in {
 			writeJSONError(w, http.StatusBadRequest,
 				fmt.Sprintf("instance %d has %d features, model wants %d", i, len(row), in))
 			return
 		}
+		rows = append(rows, row...)
 	}
-	resp := scoreResponse{
-		Scores:  make([][]float32, len(req.Instances)),
-		Classes: make([]int, len(req.Instances)),
+	out := make([]float32, n*od)
+	if err := s.b.score(rows, out, n); err != nil {
+		writeJSONError(w, statusFor(err), err.Error())
+		return
 	}
-	out := s.topo.OutputDim()
-	for i, row := range req.Instances {
-		buf := make([]float32, out)
-		if err := s.Score(row, buf); err != nil {
-			writeJSONError(w, statusFor(err), err.Error())
-			return
-		}
-		resp.Scores[i] = buf
-		resp.Classes[i] = argmax(buf)
+	resp := scoreResponse{Scores: make([][]float32, n), Classes: make([]int, n)}
+	for i := range resp.Scores {
+		resp.Scores[i] = out[i*od : (i+1)*od]
+		resp.Classes[i] = argmax(resp.Scores[i])
+	}
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(&resp); err != nil {
+		s.met.encodeErrors.Inc()
+		writeJSONError(w, http.StatusInternalServerError, fmt.Sprintf("encode reply: %v", err))
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(&resp); err != nil {
-		// The status line is already written; nothing left to signal.
-		_ = err
-	}
+	_, _ = w.Write(body.Bytes()) // the client went away; nothing left to signal
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -105,7 +109,7 @@ func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining):
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrWorkerLost):
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError

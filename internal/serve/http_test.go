@@ -3,17 +3,18 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/hf"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 )
 
@@ -151,7 +152,7 @@ func TestEndToEndTrainCheckpointServe(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := New(loaded, WithMaxBatch(8), WithBatchWindow(time.Millisecond))
+	srv, err := New(loaded, WithMaxBatch(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,4 +197,154 @@ func TestEndToEndTrainCheckpointServe(t *testing.T) {
 			t.Fatalf("row %d class %d, want %d", i, sr.Classes[i], argmax(wr))
 		}
 	}
+}
+
+// postInstances posts x's rows as one /score request and decodes the
+// reply, failing the test on anything but a 200.
+func postInstances(t *testing.T, url string, x *tensor.Matrix) scoreResponse {
+	t.Helper()
+	req := scoreRequest{Instances: make([][]float32, x.Rows)}
+	for i := range req.Instances {
+		req.Instances[i] = x.Row(i)
+	}
+	body, err := json.Marshal(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, raw := postScore(t, url, string(body))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/score status %d: %s", resp.StatusCode, raw)
+	}
+	var sr scoreResponse
+	if err := json.Unmarshal(raw, &sr); err != nil {
+		t.Fatal(err)
+	}
+	return sr
+}
+
+// One POST is one admission, however many instances it carries; and a
+// request of 3·MaxBatch+1 instances, scored in MaxBatch-row slices, is
+// still bit-equal to nn.Forward over all of its rows.
+func TestHTTPOneAdmissionPerRequest(t *testing.T) {
+	const maxBatch = 4
+	ck, net := testCheckpoint(t, 6, 10, 4)
+	ob := &obs.Observer{Metrics: obs.NewRegistry()}
+	srv, err := New(ck, WithMaxBatch(maxBatch), WithObserver(ob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	requests := ob.Registry().Counter("serve.requests")
+	rng := rand.New(rand.NewSource(29))
+
+	postInstances(t, ts.URL, tensor.RandMatrix(rng, 8, 6, 1))
+	if got := requests.Value(); got != 1 {
+		t.Errorf("an 8-instance POST added %d to serve.requests, want 1", got)
+	}
+
+	x := tensor.RandMatrix(rng, 3*maxBatch+1, 6, 1)
+	want := net.Forward(x).Logits
+	sr := postInstances(t, ts.URL, x)
+	if len(sr.Scores) != x.Rows || len(sr.Classes) != x.Rows {
+		t.Fatalf("reply has %d scores / %d classes, want %d", len(sr.Scores), len(sr.Classes), x.Rows)
+	}
+	for i := 0; i < x.Rows; i++ {
+		for j, w := range want.Row(i) {
+			if sr.Scores[i][j] != w {
+				t.Fatalf("row %d score[%d] = %v, want %v (bitwise)", i, j, sr.Scores[i][j], w)
+			}
+		}
+		if sr.Classes[i] != argmax(want.Row(i)) {
+			t.Fatalf("row %d class %d, want %d", i, sr.Classes[i], argmax(want.Row(i)))
+		}
+	}
+	if got := requests.Value(); got != 2 {
+		t.Errorf("serve.requests = %d after two POSTs, want 2", got)
+	}
+}
+
+// A reply that cannot be encoded (a NaN weight makes every score NaN,
+// which JSON cannot carry) is a 500 with a JSON error and a count in
+// serve.encode_errors, not a 200 with an empty body.
+func TestHTTPEncodeFailureIs500(t *testing.T) {
+	ck, _ := testCheckpoint(t, 4, 6, 3)
+	ck.Params[0] = float32(math.NaN())
+	ob := &obs.Observer{Metrics: obs.NewRegistry()}
+	srv, err := New(ck, WithWorkers(1), WithObserver(ob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, body := postScore(t, ts.URL, `{"instances":[[1,2,3,4]]}`)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d (%q), want 500", resp.StatusCode, body)
+	}
+	var e httpError
+	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+		t.Errorf("error body %q not a JSON error", body)
+	}
+	if got := ob.Registry().Counter("serve.encode_errors").Value(); got != 1 {
+		t.Errorf("serve.encode_errors = %d, want 1", got)
+	}
+}
+
+// FuzzHandleScore posts hostile /score bodies to the handler: truncated
+// JSON, ragged rows, many rows, NaN literals, overflowing numbers. It
+// must never panic, and a 200 must carry one score vector of OutputDim
+// values and one class per instance the handler's own decoder reads from
+// the body.
+func FuzzHandleScore(f *testing.F) {
+	const in, od = 4, 3
+	ck, _ := testCheckpoint(f, in, 6, od)
+	srv, err := New(ck, WithWorkers(1), WithMaxBatch(4))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { _ = srv.Close() })
+	h := srv.Handler()
+
+	many := `{"instances":[` + strings.Repeat(`[0.5,-1,2,3e-7],`, 200) + `[1,1,1,1]]}`
+	for _, seed := range []string{
+		`{"instances":[[1,2,3,4]]}`,
+		`{"instances":[[1,2,3,4],[5,6,7,8]]}`,
+		`{"instances":[[1,2,3,4],[5,6,7]]}`,
+		`{"instances":[[1,2,3,4`,
+		`{"instances":[[NaN,1,2,3]]}`,
+		`{"instances":[[1e39,1,2,3]]}`,
+		`{"instances":[[3e38,-3e38,3e38,-3e38]]}`,
+		`{"instances":null}`,
+		`{"instances":[[1,2,3,4]]} trailing`,
+		many,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/score", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var req scoreRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("200 for a body the decoder rejects (%v)", err)
+		}
+		var sr scoreResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
+			t.Fatalf("200 with an undecodable reply %q: %v", rec.Body.Bytes(), err)
+		}
+		if len(req.Instances) == 0 || len(sr.Scores) != len(req.Instances) || len(sr.Classes) != len(req.Instances) {
+			t.Fatalf("200 with %d scores / %d classes for %d instances", len(sr.Scores), len(sr.Classes), len(req.Instances))
+		}
+		for i, row := range req.Instances {
+			if len(row) != in || len(sr.Scores[i]) != od || sr.Classes[i] < 0 || sr.Classes[i] >= od {
+				t.Fatalf("instance %d: %d features → %d scores, class %d", i, len(row), len(sr.Scores[i]), sr.Classes[i])
+			}
+		}
+	})
 }

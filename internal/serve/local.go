@@ -11,7 +11,7 @@ import (
 // performs zero allocations (TestZeroAllocScore holds it to that).
 type localScorer struct {
 	net *nn.Network
-	x   *tensor.Matrix // maxBatch × InputDim staging for the batch rows
+	x   *tensor.Matrix // MaxBatch × InputDim staging for the batch rows
 	buf *nn.InferBuffers
 }
 
@@ -23,18 +23,26 @@ func newLocalScorer(net *nn.Network, maxBatch int) *localScorer {
 	}
 }
 
-// score copies the batch's rows into the staging matrix and runs the
-// shared inference forward pass. The returned logits alias the worker's
-// buffers and are valid until the next call.
+// score stages the batch's Σn rows and runs the shared inference
+// forward pass. The returned logits alias the worker's buffers and are
+// valid until the next call.
 //
 //lint:hotpath
 func (sc *localScorer) score(batch []*request) (*tensor.Matrix, error) {
-	x := sc.x
-	x.Rows = len(batch)
-	for i, r := range batch {
-		copy(x.Row(i), r.row)
+	return sc.net.ForwardInto(sc.buf, stage(sc.x, batch)), nil
+}
+
+// stage copies the batch's requests into x back to back and sets x.Rows
+// to their total, which never exceeds x's MaxBatch rows.
+//
+//lint:hotpath
+func stage(x *tensor.Matrix, batch []*request) *tensor.Matrix {
+	dst := x.Data
+	for _, r := range batch {
+		dst = dst[copy(dst, r.rows):]
 	}
-	return sc.net.ForwardInto(sc.buf, x), nil
+	x.Rows = (len(x.Data) - len(dst)) / x.Cols
+	return x
 }
 
 // stop implements scorer; the local path has nothing to release.

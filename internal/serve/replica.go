@@ -103,9 +103,6 @@ type replicaScorer struct {
 	x      *tensor.Matrix // staging for the batch rows
 	logits *tensor.Matrix // decoded reply
 	wire   []byte         // reusable encode buffer
-	// lost is set by the first missed reply: a late one would pair with
-	// the next batch, so the scorer fails every later batch instead.
-	lost error
 }
 
 func newReplicaScorer(comm *mpi.Comm, rank int, topo nn.Topology, maxBatch int) *replicaScorer {
@@ -124,24 +121,18 @@ func newReplicaScorer(comm *mpi.Comm, rank int, topo nn.Topology, maxBatch int) 
 // a test can shorten it.
 var replyDeadline = mpi.DefaultOpDeadline
 
-// score ships the batch to the pinned replica and decodes its reply.
+// score ships the batch to the pinned replica and decodes its reply. A
+// missed reply wraps ErrWorkerLost: a late one would pair with the next
+// batch, so the worker leaves the pool instead of sending another.
 func (sc *replicaScorer) score(batch []*request) (*tensor.Matrix, error) {
-	if sc.lost != nil {
-		return nil, sc.lost
-	}
-	x := sc.x
-	x.Rows = len(batch)
-	for i, r := range batch {
-		copy(x.Row(i), r.row)
-	}
+	x := stage(sc.x, batch)
 	sc.wire = appendBatch(sc.wire[:0], svScore, x)
 	if err := sc.comm.SendBytes(sc.rank, mpi.TagServeReq, sc.wire); err != nil {
 		return nil, fmt.Errorf("serve: replica %d send: %w", sc.rank, err)
 	}
 	msg, err := sc.comm.RecvBytesTimeout(sc.rank, mpi.TagServeRes, replyDeadline)
 	if err != nil {
-		sc.lost = fmt.Errorf("serve: replica %d recv: %w", sc.rank, err)
-		return nil, sc.lost
+		return nil, fmt.Errorf("%w: replica %d recv: %w", ErrWorkerLost, sc.rank, err)
 	}
 	if len(msg.Data) == 0 {
 		return nil, fmt.Errorf("serve: replica %d sent an empty reply", sc.rank)
@@ -149,11 +140,11 @@ func (sc *replicaScorer) score(batch []*request) (*tensor.Matrix, error) {
 	op, body := msg.Data[0], msg.Data[1:]
 	switch op {
 	case svOK:
-		if err := decodeBatch(body, sc.logits, len(batch), sc.logits.Cols); err != nil {
+		if err := decodeBatch(body, sc.logits, x.Rows, sc.logits.Cols); err != nil {
 			return nil, fmt.Errorf("serve: replica %d reply: %w", sc.rank, err)
 		}
-		if sc.logits.Rows != len(batch) {
-			return nil, fmt.Errorf("serve: replica %d scored %d rows, sent %d", sc.rank, sc.logits.Rows, len(batch))
+		if sc.logits.Rows != x.Rows {
+			return nil, fmt.Errorf("serve: replica %d scored %d rows, sent %d", sc.rank, sc.logits.Rows, x.Rows)
 		}
 		return sc.logits, nil
 	case svErr:

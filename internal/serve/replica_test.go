@@ -166,8 +166,9 @@ func TestBatchCodecRejectsHostileFrames(t *testing.T) {
 }
 
 // Replica sharding end to end over the in-process fabric: rank 0 fans
-// batches to two replica ranks, and every score is still bit-identical
-// to a local forward pass — the wire hop must not perturb the floats.
+// batches of mixed 1- and 8-row requests to two replica ranks, and every
+// score is still bit-identical to a local forward pass — the wire hop
+// and the offsets must not perturb the floats.
 func TestReplicaShardingMatchesLocal(t *testing.T) {
 	ck, net := testCheckpoint(t, 6, 10, 4)
 	fabric := mpi.NewInprocFabric(3)
@@ -186,9 +187,7 @@ func TestReplicaShardingMatchesLocal(t *testing.T) {
 		go func() { repErrs <- rs.ServeReplica() }()
 	}
 
-	master, err := New(ck,
-		WithReplicas(mpi.NewComm(fabric.Transport(0))),
-		WithMaxBatch(8), WithBatchWindow(300*time.Microsecond))
+	master, err := New(ck, WithReplicas(mpi.NewComm(fabric.Transport(0))), WithMaxBatch(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,26 +195,35 @@ func TestReplicaShardingMatchesLocal(t *testing.T) {
 		t.Fatal("ServeReplica on the master rank must fail")
 	}
 
+	sizes := []int{1, 8, 1, 1, 8, 1, 1, 1, 8, 1, 1, 1}
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
 	rng := rand.New(rand.NewSource(17))
-	x := tensor.RandMatrix(rng, 12, 6, 1)
+	x := tensor.RandMatrix(rng, total, 6, 1)
 	want := net.Forward(x).Logits
-	done := make(chan error, x.Rows)
-	for i := 0; i < x.Rows; i++ {
-		go func(i int) {
-			out := make([]float32, 4)
-			if err := master.Score(x.Row(i), out); err != nil {
+	done := make(chan error, len(sizes))
+	lo := 0
+	for _, n := range sizes {
+		go func(lo, n int) {
+			out := make([]float32, n*4)
+			if err := master.b.score(x.Data[lo*6:(lo+n)*6], out, n); err != nil {
 				done <- err
 				return
 			}
-			for j, w := range want.Row(i) {
-				if out[j] != w {
-					t.Errorf("row %d score[%d] = %v, want %v (bitwise)", i, j, out[j], w)
+			for i := 0; i < n; i++ {
+				for j, w := range want.Row(lo + i) {
+					if got := out[i*4+j]; got != w {
+						t.Errorf("row %d score[%d] = %v, want %v (bitwise)", lo+i, j, got, w)
+					}
 				}
 			}
 			done <- nil
-		}(i)
+		}(lo, n)
+		lo += n
 	}
-	for i := 0; i < x.Rows; i++ {
+	for range sizes {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
@@ -232,43 +240,139 @@ func TestReplicaShardingMatchesLocal(t *testing.T) {
 	}
 }
 
+// wedge makes rank a replica that accepts one batch and never replies;
+// the channel reports the accepted receive.
+func wedge(fabric *mpi.InprocFabric, rank int) chan error {
+	accepted := make(chan error, 1)
+	go func() {
+		_, err := mpi.NewComm(fabric.Transport(rank)).RecvBytes(0, mpi.TagServeReq)
+		accepted <- err
+	}()
+	return accepted
+}
+
 // A replica that accepts a batch and never replies must fail that
-// batch's requests with mpi.ErrTimeout, not hang them — and every later
-// batch too, since a late reply would be taken for the next batch's.
+// batch's requests with mpi.ErrTimeout, not hang them, and its worker
+// leaves the pool — a late reply would be taken for the next batch's.
+// Later batches go to the replicas that still answer; once none is left,
+// admission fails fast with ErrWorkerLost.
 func TestWedgedReplicaTimesOut(t *testing.T) {
 	defer func(d time.Duration) { replyDeadline = d }(replyDeadline)
 	replyDeadline = 100 * time.Millisecond
-
 	ck, _ := testCheckpoint(t, 6, 10, 4)
-	fabric := mpi.NewInprocFabric(2)
-	defer fabric.Close()
-	wedged := mpi.NewComm(fabric.Transport(1))
-	accepted := make(chan error, 1)
-	go func() {
-		_, err := wedged.RecvBytes(0, mpi.TagServeReq)
-		accepted <- err
-	}()
 
-	master, err := New(ck, WithReplicas(mpi.NewComm(fabric.Transport(0))), WithMaxBatch(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, which := range []string{"first", "second"} {
+	// scoreWithin runs one Score and fails the test if it is still
+	// blocked after 5 s.
+	scoreWithin := func(t *testing.T, master *Server) error {
+		t.Helper()
 		scored := make(chan error, 1)
 		go func() { scored <- master.Score(make([]float32, 6), make([]float32, 4)) }()
 		select {
 		case err := <-scored:
-			if !errors.Is(err, mpi.ErrTimeout) || !strings.Contains(err.Error(), "replica 1 recv") {
-				t.Errorf("%s Score = %v, want an error wrapping mpi.ErrTimeout that names replica 1", which, err)
-			}
+			return err
 		case <-time.After(5 * time.Second):
-			t.Fatalf("%s Score still blocked on a replica that never replies", which)
+			t.Fatal("Score still blocked on a replica that never replies")
+			return nil
 		}
 	}
-	if err := <-accepted; err != nil {
-		t.Errorf("replica never saw the batch: %v", err)
+	// wantLost checks that err wraps ErrWorkerLost and, for the batch that
+	// met the wedged replica, mpi.ErrTimeout with the replica named.
+	wantLost := func(t *testing.T, what string, err error, timedOut bool) {
+		t.Helper()
+		if !errors.Is(err, ErrWorkerLost) || statusFor(err) != 503 {
+			t.Errorf("%s: Score = %v, want ErrWorkerLost (503)", what, err)
+		}
+		if timedOut && (!errors.Is(err, mpi.ErrTimeout) || !strings.Contains(err.Error(), "recv")) {
+			t.Errorf("%s: Score = %v, want an error wrapping mpi.ErrTimeout from the replica recv", what, err)
+		}
 	}
-	if err := master.Close(); err != nil {
-		t.Errorf("Close: %v", err)
-	}
+
+	t.Run("one of one wedged", func(t *testing.T) {
+		fabric := mpi.NewInprocFabric(2)
+		defer fabric.Close()
+		accepted := wedge(fabric, 1)
+		master, err := New(ck, WithReplicas(mpi.NewComm(fabric.Transport(0))), WithMaxBatch(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = scoreWithin(t, master)
+		wantLost(t, "first", err, true)
+		if !strings.Contains(err.Error(), "replica 1 recv") {
+			t.Errorf("first Score = %v, want replica 1 named", err)
+		}
+		wantLost(t, "second", scoreWithin(t, master), false)
+		if err := <-accepted; err != nil {
+			t.Errorf("replica never saw the batch: %v", err)
+		}
+		if err := master.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+
+	t.Run("one of two wedged", func(t *testing.T) {
+		fabric := mpi.NewInprocFabric(3)
+		defer fabric.Close()
+		accepted := wedge(fabric, 1)
+		live, err := New(ck, WithReplicas(mpi.NewComm(fabric.Transport(2))), WithMaxBatch(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		liveErr := make(chan error, 1)
+		go func() { liveErr <- live.ServeReplica() }()
+		master, err := New(ck, WithReplicas(mpi.NewComm(fabric.Transport(0))), WithMaxBatch(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Ready workers take batches in turn, so the wedged replica gets
+		// one of the first few; every request after that must succeed.
+		failed := 0
+		for i := 0; i < 12; i++ {
+			if err := scoreWithin(t, master); err != nil {
+				wantLost(t, fmt.Sprintf("request %d", i), err, true)
+				failed++
+			}
+		}
+		if failed != 1 {
+			t.Errorf("%d of 12 requests failed, want exactly the one the wedged replica held", failed)
+		}
+		if err := <-accepted; err != nil {
+			t.Errorf("wedged replica never saw a batch: %v", err)
+		}
+		if err := master.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+		if err := <-liveErr; err != nil {
+			t.Errorf("live replica: %v", err)
+		}
+	})
+
+	t.Run("every replica wedged", func(t *testing.T) {
+		fabric := mpi.NewInprocFabric(3)
+		defer fabric.Close()
+		wedge(fabric, 1)
+		wedge(fabric, 2)
+		master, err := New(ck, WithReplicas(mpi.NewComm(fabric.Transport(0))), WithMaxBatch(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Concurrent requests: some ride the two doomed batches, the rest
+		// are failed by the last worker to leave or refused at admission.
+		errs := make(chan error, 6)
+		for i := 0; i < cap(errs); i++ {
+			go func() { errs <- master.Score(make([]float32, 6), make([]float32, 4)) }()
+		}
+		deadline := time.After(5 * time.Second)
+		for i := 0; i < cap(errs); i++ {
+			select {
+			case err := <-errs:
+				wantLost(t, fmt.Sprintf("request %d", i), err, false)
+			case <-deadline:
+				t.Fatal("requests still blocked with every replica wedged")
+			}
+		}
+		wantLost(t, "after the pool emptied", scoreWithin(t, master), false)
+		if err := master.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
 }

@@ -1,14 +1,13 @@
 // Package serve is the inference serving runtime: it loads a trained
 // core.Checkpoint, reconstructs the internal/nn network, and scores
-// feature vectors behind a request-coalescing micro-batcher with
-// admission control — the checkpoint-to-traffic path of the production
-// arc (ROADMAP item 1).
+// feature vectors behind a work-conserving, request-coalescing batcher
+// with admission control — the checkpoint-to-traffic path of the
+// production arc (ROADMAP item 1).
 //
 // The public surface is one options-based constructor, mirroring
 // core.NewSession:
 //
 //	srv, err := serve.New(ck,
-//		serve.WithBatchWindow(2*time.Millisecond),
 //		serve.WithMaxBatch(32),
 //		serve.WithQueueDepth(256),
 //		serve.WithWorkers(2),
@@ -17,14 +16,15 @@
 //	defer srv.Close()
 //	http.ListenAndServe(addr, srv.Handler())
 //
-// Requests enter a bounded queue (full queue → immediate ErrQueueFull,
-// surfaced as HTTP 429, before anything is enqueued); a collector
-// goroutine coalesces them into batches, flushing when a batch fills or
-// when the oldest queued request has waited the batch window; scoring
-// workers run batched forward passes over preallocated nn.InferBuffers
-// (zero allocations on the score path). Close drains: admission stops
-// (ErrDraining → 503), in-flight requests complete, then the pipeline
-// shuts down.
+// A request of n rows (one Score call, or one POST /score of n
+// instances) is one admission into a bounded queue (full queue →
+// immediate ErrQueueFull, HTTP 429, before anything is enqueued). A
+// collector goroutine hands its pending batch to the first ready scoring
+// worker; while every worker is busy, arrivals coalesce up to MaxBatch
+// rows. Workers run batched forward passes over preallocated
+// nn.InferBuffers (zero allocations on the score path). Close drains:
+// admission stops (ErrDraining → 503), in-flight requests complete, then
+// the pipeline shuts down.
 //
 // With WithReplicas the same constructor turns the server into the
 // master of a replica group over the internal/mpi fabric: scoring
@@ -46,10 +46,7 @@ import (
 
 // Defaults for Option zero values.
 const (
-	// DefaultBatchWindow is the micro-batching latency budget: a queued
-	// request is never held longer than this waiting for batch-mates.
-	DefaultBatchWindow = 2 * time.Millisecond
-	// DefaultMaxBatch is the batch-full flush threshold.
+	// DefaultMaxBatch bounds the rows of one batch.
 	DefaultMaxBatch = 32
 	// DefaultQueueDepth bounds the admission queue.
 	DefaultQueueDepth = 256
@@ -62,7 +59,7 @@ const (
 )
 
 // Admission errors. The HTTP handler maps ErrQueueFull to 429 and
-// ErrDraining to 503.
+// ErrDraining and ErrWorkerLost to 503.
 var (
 	// ErrQueueFull is returned (before anything is enqueued) when the
 	// admission queue is full or the load-aware wait estimate exceeds
@@ -71,11 +68,14 @@ var (
 	// ErrDraining is returned once Close has begun: the server finishes
 	// in-flight work but admits nothing new.
 	ErrDraining = errors.New("serve: server draining")
+	// ErrWorkerLost fails the batch of a scoring worker whose replica
+	// stopped replying; that worker then leaves the pool. Once every
+	// worker has left, admission returns it too.
+	ErrWorkerLost = errors.New("serve: scoring worker lost")
 )
 
 // options accumulates Option state before validation.
 type options struct {
-	window       time.Duration
 	maxBatch     int
 	queueDepth   int
 	workers      int
@@ -90,15 +90,8 @@ type options struct {
 // Option configures a Server.
 type Option func(*options)
 
-// WithBatchWindow sets the micro-batching latency budget: the longest a
-// queued request waits for batch-mates before the pending batch is
-// flushed (default 2ms). Lower trades throughput for latency.
-func WithBatchWindow(d time.Duration) Option {
-	return func(o *options) { o.window = d }
-}
-
-// WithMaxBatch sets the batch-full flush threshold (default 32): a
-// pending batch reaching this many requests is dispatched immediately.
+// WithMaxBatch bounds the rows of one batch (default 32) and sizes every
+// preallocated buffer; a larger request is scored alone, in slices.
 func WithMaxBatch(n int) Option {
 	return func(o *options) { o.maxBatch = n }
 }
@@ -155,28 +148,28 @@ func WithObserver(ob *obs.Observer) Option {
 // metrics bundles the server's instruments. All obs instruments are
 // nil-safe, so a Server without WithObserver records into no-ops.
 type metrics struct {
-	requests   *obs.Counter   // admitted requests
-	shed       *obs.Counter   // queue-full/load-shed rejections
-	drained    *obs.Counter   // rejections while draining
-	batches    *obs.Counter   // dispatched batches
-	flushFull  *obs.Counter   // batch-full flushes
-	flushTimer *obs.Counter   // deadline flushes
-	queueDepth *obs.Gauge     // live queue length
-	batchRows  *obs.Histogram // rows per dispatched batch
-	latencyUS  *obs.Histogram // enqueue→completion latency, µs
+	requests     *obs.Counter   // admitted requests
+	shed         *obs.Counter   // queue-full/load-shed rejections
+	drained      *obs.Counter   // rejections while draining
+	batches      *obs.Counter   // dispatched batches
+	flushFull    *obs.Counter   // batches dispatched full (blocking hand-off)
+	encodeErrors *obs.Counter   // /score replies that failed to encode
+	queueDepth   *obs.Gauge     // live queue length
+	batchRows    *obs.Histogram // rows per dispatched batch
+	latencyUS    *obs.Histogram // enqueue→completion latency, µs
 }
 
 func newMetrics(reg *obs.Registry) metrics {
 	return metrics{
-		requests:   reg.Counter("serve.requests"),
-		shed:       reg.Counter("serve.shed"),
-		drained:    reg.Counter("serve.rejected_draining"),
-		batches:    reg.Counter("serve.batches"),
-		flushFull:  reg.Counter("serve.flush_full"),
-		flushTimer: reg.Counter("serve.flush_deadline"),
-		queueDepth: reg.Gauge("serve.queue_depth"),
-		batchRows:  reg.Histogram("serve.batch_rows"),
-		latencyUS:  reg.Histogram("serve.latency_us"),
+		requests:     reg.Counter("serve.requests"),
+		shed:         reg.Counter("serve.shed"),
+		drained:      reg.Counter("serve.rejected_draining"),
+		batches:      reg.Counter("serve.batches"),
+		flushFull:    reg.Counter("serve.flush_full"),
+		encodeErrors: reg.Counter("serve.encode_errors"),
+		queueDepth:   reg.Gauge("serve.queue_depth"),
+		batchRows:    reg.Histogram("serve.batch_rows"),
+		latencyUS:    reg.Histogram("serve.latency_us"),
 	}
 }
 
@@ -199,9 +192,6 @@ func New(ck *core.Checkpoint, opts ...Option) (*Server, error) {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.window <= 0 {
-		o.window = DefaultBatchWindow
 	}
 	if o.maxBatch <= 0 {
 		o.maxBatch = DefaultMaxBatch
@@ -273,7 +263,8 @@ func (s *Server) OutputDim() int { return s.topo.OutputDim() }
 // Score runs one feature vector through the batcher and writes the
 // model's scores (logits, or probabilities under WithSoftmax) into out.
 // It blocks until the request is scored, shed (ErrQueueFull) or refused
-// (ErrDraining); concurrent callers coalesce into shared batches.
+// (ErrDraining); concurrent callers coalesce into shared batches. It is
+// the one-row case of the path a POST /score takes.
 func (s *Server) Score(row, out []float32) error {
 	if len(row) != s.topo.InputDim() {
 		return fmt.Errorf("serve: instance has %d features, model wants %d", len(row), s.topo.InputDim())
@@ -281,10 +272,7 @@ func (s *Server) Score(row, out []float32) error {
 	if len(out) != s.topo.OutputDim() {
 		return fmt.Errorf("serve: output buffer has %d slots, model emits %d", len(out), s.topo.OutputDim())
 	}
-	if s.b == nil {
-		return errors.New("serve: Score on a replica rank (only rank 0 admits requests)")
-	}
-	return s.b.score(row, out)
+	return s.b.score(row, out, 1)
 }
 
 // QueueDepth returns the number of requests currently queued.
@@ -292,7 +280,7 @@ func (s *Server) QueueDepth() int {
 	if s.b == nil {
 		return 0
 	}
-	return s.b.depth()
+	return len(s.b.queue)
 }
 
 // Draining reports whether Close has begun.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mpi"
@@ -16,7 +15,7 @@ import (
 // testCheckpoint builds a checkpoint around a Glorot-initialized network
 // with the given topology, returning both so tests can compare served
 // scores against direct forward passes.
-func testCheckpoint(t *testing.T, sizes ...int) (*core.Checkpoint, *nn.Network) {
+func testCheckpoint(t testing.TB, sizes ...int) (*core.Checkpoint, *nn.Network) {
 	t.Helper()
 	net := nn.New(nn.NewTopology(sizes...))
 	net.InitGlorot(rand.New(rand.NewSource(41)))
@@ -58,7 +57,7 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 // the queue hop must not perturb a single bit.
 func TestScoreMatchesForward(t *testing.T) {
 	ck, net := testCheckpoint(t, 6, 10, 4)
-	srv, err := New(ck, WithWorkers(1), WithBatchWindow(500*time.Microsecond))
+	srv, err := New(ck, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +127,7 @@ func TestConcurrentClientsScoreCorrectly(t *testing.T) {
 	ck, net := testCheckpoint(t, 6, 12, 5)
 	ob := &obs.Observer{Metrics: obs.NewRegistry()}
 	srv, err := New(ck,
-		WithWorkers(2), WithMaxBatch(8), WithQueueDepth(64),
-		WithBatchWindow(200*time.Microsecond), WithObserver(ob))
+		WithWorkers(2), WithMaxBatch(8), WithQueueDepth(64), WithObserver(ob))
 	if err != nil {
 		t.Fatal(err)
 	}
