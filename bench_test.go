@@ -430,8 +430,8 @@ func BenchmarkRealSerialHFvsSGD(b *testing.B) {
 }
 
 // BenchmarkRealTrainingMethods compares the real trainers of §II-A at
-// laptop scale on identical data: serial HF, serial minibatch SGD, and
-// asynchronous parameter-server SGD — wall time plus final held-out loss.
+// laptop scale on identical data: serial HF and serial minibatch SGD —
+// wall time plus final held-out loss.
 func BenchmarkRealTrainingMethods(b *testing.B) {
 	c := corpus.Generate(corpus.Config{
 		Seed: 12, NumUtterances: 60, MeanSeconds: 0.3, FeatDim: 10, Context: 1, NumStates: 6,
@@ -464,17 +464,6 @@ func BenchmarkRealTrainingMethods(b *testing.B) {
 				b.Fatal(err)
 			}
 			loss = res.FinalLoss
-		}
-		b.ReportMetric(loss, "final_loss")
-	})
-	b.Run("SGD-async-4ranks", func(b *testing.B) {
-		var loss float64
-		for i := 0; i < b.N; i++ {
-			res, err := core.TrainAsyncSGD(prob, core.AsyncSGDConfig{Epochs: 4, Seed: 1}, 4, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			loss = res.HeldOutLoss
 		}
 		b.ReportMetric(loss, "final_loss")
 	})

@@ -46,7 +46,7 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "dist", "training mode: serial, dist, sgd, async")
+	mode := flag.String("mode", "dist", "training mode: serial, dist, sgd")
 	criterion := flag.String("criterion", "ce", "training criterion: ce, sequence")
 	utterances := flag.Int("utterances", 120, "number of synthetic utterances")
 	states := flag.Int("states", 8, "number of HMM states (output classes)")
@@ -245,13 +245,6 @@ func main() {
 			report.TelemetryTable(os.Stdout, plane.Merger())
 			writeFlight(*flightOut, plane)
 		}
-	case "async":
-		res, err := core.TrainAsyncSGD(prob, core.AsyncSGDConfig{Epochs: *epochs, Seed: *seed}, *ranks, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("async SGD (%s, %d ranks): %d updates, held-out loss %.4f, frame accuracy %.1f%%\n",
-			crit, *ranks, res.Updates, res.HeldOutLoss, res.HeldOutAccuracy*100)
 	case "sgd":
 		obj, res, err := core.TrainSGD(prob, core.SGDConfig{Epochs: *epochs, Seed: *seed})
 		if err != nil {
@@ -264,7 +257,7 @@ func main() {
 		fmt.Printf("SGD (%s): final held-out loss %.4f, frame accuracy %.1f%%\n",
 			crit, res.FinalLoss, obj.HeldOutAccuracy()*100)
 	default:
-		log.Fatalf("unknown mode %q (want serial, dist, sgd, async)", *mode)
+		log.Fatalf("unknown mode %q (want serial, dist, sgd)", *mode)
 	}
 
 	if traceFile != nil {

@@ -71,15 +71,6 @@ func main() {
 		fmt.Printf("[%s] serial SGD baseline:    held-out loss %.4f, accuracy %.1f%%  (%.1fs)\n",
 			crit, sgd.FinalLoss, sgdObj.HeldOutAccuracy()*100, time.Since(start).Seconds())
 
-		// Asynchronous parameter-server SGD (Dean et al., §II-A).
-		start = time.Now()
-		async, err := core.TrainAsyncSGD(prob, core.AsyncSGDConfig{Epochs: 6, Seed: 9}, 4, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("[%s] async SGD (4 ranks):    held-out loss %.4f, accuracy %.1f%%  (%.1fs, %d updates)\n",
-			crit, async.HeldOutLoss, async.HeldOutAccuracy*100, time.Since(start).Seconds(), async.Updates)
-
 		// Decode the held-out set with Viterbi over the HF model: the
 		// state-error-rate stand-in for the paper's WER metric.
 		net := nn.New(prob.Topo)

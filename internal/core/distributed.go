@@ -482,10 +482,9 @@ func (m *master) CurvatureDiag(lambda float64) tensor.Vector {
 }
 
 // shipShards partitions the problem's data over the workers and sends
-// each its gob-encoded shard point-to-point (the load_data phase),
-// shared by the HF and async-SGD masters. It returns the plan, indexed
-// by worker (rank w+1), so the elastic master can re-partition a dead
-// worker's retained utterances.
+// each its gob-encoded shard point-to-point (the load_data phase). It
+// returns the plan, indexed by worker (rank w+1), so the elastic master
+// can re-partition a dead worker's retained utterances.
 func shipShards(comm *mpi.Comm, p Problem, part corpus.Partitioner) ([]shardSupplement, error) {
 	workers := comm.Size() - 1
 	trainShards := part.Partition(p.Train.Utts, workers)

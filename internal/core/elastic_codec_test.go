@@ -26,6 +26,19 @@ func TestEmOpBodyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireCodecs round-trips the star's vector payload codec and
+// checks that a payload of the wrong length is refused.
+func TestWireCodecs(t *testing.T) {
+	vec := encodeVec([]float32{1, -2.5})
+	out := make([]float32, 2)
+	if err := decodeInto(vec, out); err != nil || out[1] != -2.5 {
+		t.Fatalf("vec roundtrip: %v %v", out, err)
+	}
+	if err := decodeInto(vec, make([]float32, 3)); err == nil {
+		t.Fatal("length mismatch accepted")
+	}
+}
+
 // FuzzEmDecode feeds arbitrary bytes to the elastic message decoder:
 // it must never panic, must reject only frames shorter than the
 // [type][round u32] header, and anything it accepts must re-encode

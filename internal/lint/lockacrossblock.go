@@ -215,7 +215,6 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 var mpiBlocking = map[string]bool{
 	"Bcast": true, "Reduce": true, "Barrier": true,
 	"SendBytes": true, "RecvBytes": true, "RecvBytesTimeout": true,
-	"SendF32": true, "RecvF32": true,
 	"Send": true, "Recv": true, "RecvTimeout": true,
 }
 

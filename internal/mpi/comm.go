@@ -105,21 +105,6 @@ func (c *Comm) RecvBytesTimeout(src, tag int, d time.Duration) (Message, error) 
 	return msg, err
 }
 
-// SendF32 sends a float32 slice to dst.
-func (c *Comm) SendF32(dst, tag int, x []float32) error {
-	return c.SendBytes(dst, tag, encodeF32(x))
-}
-
-// RecvF32 receives a float32 slice of exactly len(x) elements into x and
-// returns the source rank.
-func (c *Comm) RecvF32(src, tag int, x []float32) (int, error) {
-	msg, err := c.RecvBytes(src, tag)
-	if err != nil {
-		return 0, err
-	}
-	return msg.Src, decodeF32Into(msg.Data, x)
-}
-
 // --- collectives ---
 // All collectives must be called by every rank of the communicator with
 // compatible arguments, like their MPI counterparts.

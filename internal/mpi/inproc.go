@@ -57,20 +57,13 @@ func (t *inprocTransport) Send(dst, tag int, data []byte) error {
 }
 
 func (t *inprocTransport) Recv(src, tag int) (Message, error) {
-	if src != AnySource {
-		if err := checkRank("recv source", src, t.Size()); err != nil {
-			return Message{}, err
-		}
-	}
-	return t.fabric.boxes[t.rank].get(src, tag)
+	return t.RecvTimeout(src, tag, 0)
 }
 
 // RecvTimeout implements DeadlineRecver.
 func (t *inprocTransport) RecvTimeout(src, tag int, d time.Duration) (Message, error) {
-	if src != AnySource {
-		if err := checkRank("recv source", src, t.Size()); err != nil {
-			return Message{}, err
-		}
+	if err := checkRank("recv source", src, t.Size()); err != nil {
+		return Message{}, err
 	}
 	return t.fabric.boxes[t.rank].getTimeout(src, tag, d)
 }

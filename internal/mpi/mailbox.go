@@ -12,32 +12,25 @@ import (
 var ErrPeerDown = errors.New("mpi: peer down")
 
 // mailbox is an unbounded, tag-matched message queue shared by both
-// transports. Recv performs MPI-style matching: the oldest queued message
-// whose (src, tag) satisfies the request is delivered, so out-of-order
-// tags do not deadlock.
+// transports. Recv performs MPI-style matching on an exact (src, tag):
+// the oldest queued message from src with that tag is delivered, so
+// out-of-order tags do not deadlock. There are no wildcards.
 //
-// Transports with per-peer connections (TCP) mark individual peers down
-// when their connection fails; a Recv that can only be satisfied by a
-// down peer fails with ErrPeerDown instead of blocking forever. Messages
-// already queued from a down peer are still deliverable.
+// A peer is marked down when its connection fails (TCP) or its endpoint
+// closes (in-proc); a Recv that can only be satisfied by a down peer
+// fails with ErrPeerDown instead of blocking forever. Messages already
+// queued from a down peer are still deliverable.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []Message
 	closed bool
 	down   map[int]bool
-	nPeers int // total peers that can go down; 0 when untracked (in-proc)
 }
 
 func newMailbox() *mailbox {
 	m := &mailbox{down: make(map[int]bool)}
 	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-func newMailboxN(peers int) *mailbox {
-	m := newMailbox()
-	m.nPeers = peers
 	return m
 }
 
@@ -61,11 +54,11 @@ func (m *mailbox) markDown(src int) {
 	m.mu.Unlock()
 }
 
-// matchLocked delivers the oldest queued message satisfying (src, tag).
+// matchLocked delivers the oldest queued message from src with tag.
 // Caller holds m.mu.
 func (m *mailbox) matchLocked(src, tag int) (Message, bool) {
 	for i, msg := range m.queue {
-		if (src == AnySource || msg.Src == src) && (tag == AnyTag || msg.Tag == tag) {
+		if msg.Src == src && msg.Tag == tag {
 			m.queue = append(m.queue[:i], m.queue[i+1:]...)
 			return msg, true
 		}
@@ -74,51 +67,38 @@ func (m *mailbox) matchLocked(src, tag int) (Message, bool) {
 }
 
 // failureLocked reports the terminal condition, if any, for a receive
-// that found no queued match. Caller holds m.mu.
+// from src that found no queued match. Caller holds m.mu.
 func (m *mailbox) failureLocked(src int) error {
 	if m.closed {
 		return ErrClosed
 	}
-	if src != AnySource && m.down[src] {
+	if m.down[src] {
 		return fmt.Errorf("%w: rank %d", ErrPeerDown, src)
-	}
-	if src == AnySource && m.nPeers > 0 && len(m.down) >= m.nPeers {
-		return fmt.Errorf("%w: all peers", ErrPeerDown)
 	}
 	return nil
 }
 
-func (m *mailbox) get(src, tag int) (Message, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		if msg, ok := m.matchLocked(src, tag); ok {
-			return msg, nil
-		}
-		if err := m.failureLocked(src); err != nil {
-			return Message{}, err
-		}
-		m.cond.Wait()
-	}
-}
-
-// getTimeout is get bounded by a deadline: if no matching message
-// arrives within d, it fails with an error wrapping ErrTimeout. d <= 0
-// blocks indefinitely, exactly like get. The expiry timer broadcasts on
-// the condition so blocked waiters re-check promptly; the timedOut flag
-// is written and read under m.mu, keeping the race detector quiet.
+// getTimeout blocks until a message from src with tag is queued and
+// returns it. It fails with ErrClosed once the mailbox closes, with
+// ErrPeerDown once src is down and nothing from it matches, and with an
+// error wrapping ErrTimeout if d elapses first. d <= 0 arms no timer and
+// waits without a bound; the flag is then nil, so an unbounded receive
+// allocates nothing. The expiry timer broadcasts on the condition so
+// blocked waiters re-check promptly; the flag is written and read under
+// m.mu, keeping the race detector quiet.
 func (m *mailbox) getTimeout(src, tag int, d time.Duration) (Message, error) {
-	if d <= 0 {
-		return m.get(src, tag)
+	var timedOut *bool
+	if d > 0 {
+		fired := new(bool)
+		timer := time.AfterFunc(d, func() {
+			m.mu.Lock()
+			*fired = true
+			m.cond.Broadcast()
+			m.mu.Unlock()
+		})
+		defer timer.Stop()
+		timedOut = fired
 	}
-	timedOut := false
-	timer := time.AfterFunc(d, func() {
-		m.mu.Lock()
-		timedOut = true
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	})
-	defer timer.Stop()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -128,7 +108,7 @@ func (m *mailbox) getTimeout(src, tag int, d time.Duration) (Message, error) {
 		if err := m.failureLocked(src); err != nil {
 			return Message{}, err
 		}
-		if timedOut {
+		if timedOut != nil && *timedOut {
 			return Message{}, fmt.Errorf("%w: no message from rank %d tag %d within %v", ErrTimeout, src, tag, d)
 		}
 		m.cond.Wait()

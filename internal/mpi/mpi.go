@@ -21,12 +21,6 @@ import (
 	"fmt"
 )
 
-// AnySource matches a message from any rank in Recv.
-const AnySource = -1
-
-// AnyTag matches a message with any tag in Recv.
-const AnyTag = -1
-
 // ErrClosed is returned by operations on a closed transport.
 var ErrClosed = errors.New("mpi: transport closed")
 
@@ -48,8 +42,8 @@ type Transport interface {
 	// Send delivers data to dst with the given tag. The data is copied (or
 	// serialized) before Send returns; the caller may reuse the buffer.
 	Send(dst, tag int, data []byte) error
-	// Recv blocks until a message matching (src, tag) arrives and returns
-	// it. src may be AnySource and tag may be AnyTag.
+	// Recv blocks until a message from src with tag arrives and returns
+	// it. There are no wildcards: src must be a rank in [0, Size).
 	Recv(src, tag int) (Message, error)
 	// Close shuts the endpoint down; blocked and future calls fail with
 	// ErrClosed.

@@ -3,10 +3,12 @@ package mpi
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // runRanks runs fn once per rank over a fresh in-process fabric and waits
@@ -29,14 +31,17 @@ func runRanks(t *testing.T, n int, fn func(c *Comm)) {
 func TestSendRecvRoundTrip(t *testing.T) {
 	runRanks(t, 2, func(c *Comm) {
 		if c.Rank() == 0 {
-			if err := c.SendF32(1, 7, []float32{1, 2, 3}); err != nil {
+			if err := c.SendBytes(1, 7, encodeF32([]float32{1, 2, 3})); err != nil {
 				t.Error(err)
 			}
 		} else {
 			buf := make([]float32, 3)
-			src, err := c.RecvF32(0, 7, buf)
-			if err != nil || src != 0 {
-				t.Errorf("recv: src=%d err=%v", src, err)
+			msg, err := c.RecvBytes(0, 7)
+			if err == nil {
+				err = decodeF32Into(msg.Data, buf)
+			}
+			if err != nil || msg.Src != 0 {
+				t.Errorf("recv: src=%d err=%v", msg.Src, err)
 			}
 			if buf[0] != 1 || buf[2] != 3 {
 				t.Errorf("payload %v", buf)
@@ -64,41 +69,65 @@ func TestTagMatchingOutOfOrder(t *testing.T) {
 	})
 }
 
-func TestAnySourceAnyTag(t *testing.T) {
-	runRanks(t, 3, func(c *Comm) {
-		switch c.Rank() {
-		case 0:
-			seen := map[int]bool{}
-			for i := 0; i < 2; i++ {
-				m, err := c.RecvBytes(AnySource, AnyTag)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				seen[m.Src] = true
+// TestSendBufferReuse pins the Transport.Send contract on both fabrics:
+// once SendBytes returns, the caller owns its buffer again, and a
+// mutation made right away never reaches the receiver.
+func TestSendBufferReuse(t *testing.T) {
+	check := func(c *Comm) {
+		if c.Rank() == 0 {
+			buf := []byte{42, 43}
+			if err := c.SendBytes(1, 1, buf); err != nil {
+				t.Error(err)
 			}
-			if !seen[1] || !seen[2] {
-				t.Errorf("sources seen: %v", seen)
+			buf[0], buf[1] = 99, 99
+		} else {
+			msg, err := c.RecvBytes(0, 1)
+			if err != nil || len(msg.Data) != 2 || msg.Data[0] != 42 || msg.Data[1] != 43 {
+				t.Errorf("got %v err %v: Send did not copy the buffer", msg.Data, err)
 			}
-		default:
-			c.SendBytes(0, 10+c.Rank(), []byte{byte(c.Rank())})
 		}
-	})
+	}
+	t.Run("inproc", func(t *testing.T) { runRanks(t, 2, check) })
+	t.Run("tcp", func(t *testing.T) { runTCPRanks(t, 2, check) })
 }
 
+// TestSendInvalidRankErrors checks that every rank argument outside
+// [0, size) is an error on both fabrics, -1 included: a receive names
+// its source, and there is no wildcard.
 func TestSendInvalidRankErrors(t *testing.T) {
-	f := NewInprocFabric(2)
-	defer f.Close()
-	c := NewComm(f.Transport(0))
-	if err := c.SendBytes(5, 0, nil); err == nil {
-		t.Fatal("expected error for invalid destination")
+	check := func(t *testing.T, tr Transport) {
+		c := NewComm(tr)
+		if err := c.SendBytes(5, 0, nil); err == nil {
+			t.Fatal("expected error for invalid destination")
+		}
+		if _, err := c.RecvBytes(5, 0); err == nil {
+			t.Fatal("expected error for invalid source")
+		}
+		_, err := c.RecvBytesTimeout(-1, 0, 50*time.Millisecond)
+		if err == nil || !strings.Contains(err.Error(), "recv source rank -1 out of range") {
+			t.Fatalf("recv from rank -1: err = %v, want the out-of-range error", err)
+		}
+		if err := c.Bcast(5, make([]float32, 1)); err == nil {
+			t.Fatal("expected error for invalid bcast root")
+		}
 	}
-	if _, err := c.RecvBytes(5, 0); err == nil {
-		t.Fatal("expected error for invalid source")
-	}
-	if err := c.Bcast(5, make([]float32, 1)); err == nil {
-		t.Fatal("expected error for invalid bcast root")
-	}
+	t.Run("inproc", func(t *testing.T) {
+		f := NewInprocFabric(2)
+		defer f.Close()
+		check(t, f.Transport(0))
+	})
+	t.Run("tcp", func(t *testing.T) {
+		ts, err := ConnectTCPLocal(2)
+		if err != nil {
+			t.Fatalf("ConnectTCPLocal: %v", err)
+		}
+		defer func() {
+			for _, tr := range ts {
+				tr.Close()
+			}
+		}()
+		check(t, ts[0])
+	})
 }
 
 func TestRecvAfterCloseErrors(t *testing.T) {

@@ -12,10 +12,9 @@ func TestProfilerRecordsCategories(t *testing.T) {
 	runRanks(t, 2, func(c *Comm) {
 		c.SetPhase("load_data")
 		if c.Rank() == 0 {
-			c.SendF32(1, 1, make([]float32, 10))
+			c.SendBytes(1, 1, encodeF32(make([]float32, 10)))
 		} else {
-			buf := make([]float32, 10)
-			c.RecvF32(0, 1, buf)
+			c.RecvBytes(0, 1)
 		}
 		c.SetPhase("sync_weights")
 		c.Bcast(0, make([]float32, 20))

@@ -14,14 +14,6 @@ const (
 	// TagShard carries the master→worker data shard (load_data).
 	TagShard = 9000
 
-	// The async-SGD parameter server's conversation (core/async.go).
-	TagAsyncGrad  = 9100 // worker → master: scaled minibatch gradient
-	TagAsyncPull  = 9101 // worker → master: parameter request
-	TagAsyncParam = 9102 // master → worker: current parameters
-	TagAsyncDone  = 9103 // worker → master: finished (loss, frames)
-	TagAsyncFinal = 9104 // master → worker: final parameters for evaluation
-	TagAsyncEval  = 9105 // worker → master: held-out loss, frames, correct
-
 	// TagStarCmd carries every master→worker star frame (core/star.go),
 	// in FIFO order on one tag so a worker can never block on an
 	// out-of-order match.
@@ -69,21 +61,15 @@ type tagRow struct {
 }
 
 var tagPlan = map[int]tagRow{
-	TagShard:      {"core.shard", 1},
-	TagAsyncGrad:  {"core.async.grad", 1},
-	TagAsyncPull:  {"core.async.pull", 1},
-	TagAsyncParam: {"core.async.param", 1},
-	TagAsyncDone:  {"core.async.done", 1},
-	TagAsyncFinal: {"core.async.final", 1},
-	TagAsyncEval:  {"core.async.eval", 1},
-	TagStarCmd:    {"core.star.cmd", 1},
-	TagClockSync:  {"telemetry.clock_sync", 1},
-	TagTelemetry:  {"telemetry.bundle", 1},
-	TagServeReq:   {"serve.req", 1},
-	TagServeRes:   {"serve.res", 1},
-	tagBcast:      {"mpi.bcast", tagBlockWidth},
-	tagReduce:     {"mpi.reduce", tagBlockWidth},
-	tagBarrier:    {"mpi.barrier", tagBlockWidth},
-	TagStarReply:  {"core.star.reply", tagBlockWidth},
-	TagHeartbeat:  {"core.star.heartbeat", tagBlockWidth},
+	TagShard:     {"core.shard", 1},
+	TagStarCmd:   {"core.star.cmd", 1},
+	TagClockSync: {"telemetry.clock_sync", 1},
+	TagTelemetry: {"telemetry.bundle", 1},
+	TagServeReq:  {"serve.req", 1},
+	TagServeRes:  {"serve.res", 1},
+	tagBcast:     {"mpi.bcast", tagBlockWidth},
+	tagReduce:    {"mpi.reduce", tagBlockWidth},
+	tagBarrier:   {"mpi.barrier", tagBlockWidth},
+	TagStarReply: {"core.star.reply", tagBlockWidth},
+	TagHeartbeat: {"core.star.heartbeat", tagBlockWidth},
 }

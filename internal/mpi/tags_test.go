@@ -13,23 +13,17 @@ import (
 // its own name.
 func TestTagPlan(t *testing.T) {
 	pins := map[int]int{
-		TagShard:      9000,
-		TagAsyncGrad:  9100,
-		TagAsyncPull:  9101,
-		TagAsyncParam: 9102,
-		TagAsyncDone:  9103,
-		TagAsyncFinal: 9104,
-		TagAsyncEval:  9105,
-		TagStarCmd:    9500,
-		TagClockSync:  9600,
-		TagTelemetry:  9601,
-		TagServeReq:   9700,
-		TagServeRes:   9701,
-		tagBcast:      1 << 24,
-		tagReduce:     2 << 24,
-		tagBarrier:    5 << 24,
-		TagStarReply:  16 << 24,
-		TagHeartbeat:  17 << 24,
+		TagShard:     9000,
+		TagStarCmd:   9500,
+		TagClockSync: 9600,
+		TagTelemetry: 9601,
+		TagServeReq:  9700,
+		TagServeRes:  9701,
+		tagBcast:     1 << 24,
+		tagReduce:    2 << 24,
+		tagBarrier:   5 << 24,
+		TagStarReply: 16 << 24,
+		TagHeartbeat: 17 << 24,
 	}
 	if len(pins) != len(tagPlan) {
 		t.Errorf("%d tags pinned, %d in the plan: every row is pinned here", len(pins), len(tagPlan))

@@ -107,7 +107,7 @@ func connectTCPWithListener(rank int, addrs []string, ln net.Listener) (Transpor
 	t := &tcpTransport{
 		rank:  rank,
 		size:  size,
-		box:   newMailboxN(size - 1),
+		box:   newMailbox(),
 		conns: make([]*tcpConn, size),
 		ln:    ln,
 	}
@@ -235,20 +235,13 @@ func (t *tcpTransport) Send(dst, tag int, data []byte) error {
 }
 
 func (t *tcpTransport) Recv(src, tag int) (Message, error) {
-	if src != AnySource {
-		if err := checkRank("recv source", src, t.size); err != nil {
-			return Message{}, err
-		}
-	}
-	return t.box.get(src, tag)
+	return t.RecvTimeout(src, tag, 0)
 }
 
 // RecvTimeout implements DeadlineRecver.
 func (t *tcpTransport) RecvTimeout(src, tag int, d time.Duration) (Message, error) {
-	if src != AnySource {
-		if err := checkRank("recv source", src, t.size); err != nil {
-			return Message{}, err
-		}
+	if err := checkRank("recv source", src, t.size); err != nil {
+		return Message{}, err
 	}
 	return t.box.getTimeout(src, tag, d)
 }

@@ -30,14 +30,17 @@ func TestTCPSendRecv(t *testing.T) {
 	runTCPRanks(t, 3, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			if err := c.SendF32(2, 9, []float32{1.5, -2.5}); err != nil {
+			if err := c.SendBytes(2, 9, encodeF32([]float32{1.5, -2.5})); err != nil {
 				t.Error(err)
 			}
 		case 2:
 			buf := make([]float32, 2)
-			src, err := c.RecvF32(0, 9, buf)
-			if err != nil || src != 0 || buf[0] != 1.5 || buf[1] != -2.5 {
-				t.Errorf("src=%d buf=%v err=%v", src, buf, err)
+			msg, err := c.RecvBytes(0, 9)
+			if err == nil {
+				err = decodeF32Into(msg.Data, buf)
+			}
+			if err != nil || msg.Src != 0 || buf[0] != 1.5 || buf[1] != -2.5 {
+				t.Errorf("src=%d buf=%v err=%v", msg.Src, buf, err)
 			}
 		}
 	})
@@ -175,14 +178,18 @@ func TestTCPLoadDataPattern(t *testing.T) {
 				for i := range payload {
 					payload[i] = float32(w)
 				}
-				if err := c.SendF32(w, 100, payload); err != nil {
+				if err := c.SendBytes(w, 100, encodeF32(payload)); err != nil {
 					t.Error(err)
 					return
 				}
 			}
 		} else {
 			buf := make([]float32, c.Rank()*10)
-			if _, err := c.RecvF32(0, 100, buf); err != nil {
+			msg, err := c.RecvBytes(0, 100)
+			if err == nil {
+				err = decodeF32Into(msg.Data, buf)
+			}
+			if err != nil {
 				t.Error(err)
 				return
 			}
