@@ -18,7 +18,11 @@
 #   - five seconds of real fuzzing each for the two frame codecs a
 #     peer's bytes reach first and for the /score handler a client's
 #     bytes reach first (a finding is written under testdata/fuzz, so it
-#     also fails CI's clean-tree check).
+#     also fails CI's clean-tree check);
+#   - the reproduction itself: cmd/experiments rewrites
+#     experiments_report.txt (a real training run, then every figure
+#     and table off the simulator), and any diff against the checked-in
+#     file fails. After an intended change, regenerate, review, git add.
 # It leaves the tree as it found it; CI checks that.
 verify:
 	go build ./...
@@ -32,6 +36,8 @@ verify:
 	go test -run '^$$' -fuzz '^FuzzEmDecode$$' -fuzztime 5s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 5s ./internal/mpi
 	go test -run '^$$' -fuzz '^FuzzHandleScore$$' -fuzztime 5s ./internal/serve
+	go run ./cmd/experiments -o experiments_report.txt
+	git diff --exit-code -- experiments_report.txt
 
 # Static analysis only. Machine-readable output: `go run ./cmd/repolint
 # -json`, or `-sarif` for code-scanning upload; `-only name,...` narrows

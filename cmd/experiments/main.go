@@ -7,17 +7,19 @@
 //  2. the simulated Figure 1(a)/(b) sweeps, Figure 2-5 breakdowns,
 //     Table I, the scaling study, and the §V-B/§V-C ablations.
 //
-// Output is a self-contained text report (stdout, or -o file).
+// Output is a self-contained text report (stdout, or -o file). It is
+// deterministic: `make verify` regenerates experiments_report.txt and
+// fails on any difference.
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"math"
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -29,25 +31,24 @@ import (
 
 func main() {
 	outPath := flag.String("o", "", "write the report to this file instead of stdout")
-	quick := flag.Bool("quick", false, "smaller real-run calibration (for CI)")
 	flag.Parse()
 
-	var w io.Writer = os.Stdout
+	out := os.Stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		w = f
+		check(err)
+		out = f
 	}
+	// The bufio.Writer keeps the first write error and returns it from
+	// Flush, so a short write (a full disk) fails the command instead of
+	// leaving a truncated report behind an exit status of 0.
+	w := bufio.NewWriter(out)
 
-	start := time.Now()
 	fmt.Fprintln(w, "Reproduction report: Parallel DNN Training for Big Data on Blue Gene/Q (SC'14)")
 	fmt.Fprintln(w, "generated by cmd/experiments")
 	report.Separator(w)
 
-	calibrated := realRunSection(w, *quick)
+	calibrated := realRunSection(w)
 	report.Separator(w)
 
 	check(report.Fig1(w, calibrated, false, "Figure 1(a): execution time, 50-hour training data [simulated]"))
@@ -75,7 +76,8 @@ func main() {
 	report.Separator(w)
 	check(report.WeightSync(w, calibrated))
 	report.Separator(w)
-	fmt.Fprintf(w, "report complete in %.1fs\n", time.Since(start).Seconds())
+	check(w.Flush())
+	check(out.Close())
 }
 
 func check(err error) {
@@ -88,17 +90,12 @@ func check(err error) {
 // over the in-process MPI fabric — verifying the paper's accuracy claim,
 // and returns the 50-hour workload with CG/eval statistics calibrated
 // from the real run.
-func realRunSection(w io.Writer, quick bool) workload.AlgoCounts {
+func realRunSection(w io.Writer) workload.AlgoCounts {
 	fmt.Fprintln(w, "Real-run calibration and accuracy check (actual trainer, in-process MPI)")
 
-	utts := 80
-	iters := 6
-	if quick {
-		utts, iters = 30, 3
-	}
 	c := corpus.Generate(corpus.Config{
 		Seed:          11,
-		NumUtterances: utts,
+		NumUtterances: 80,
 		MeanSeconds:   0.4,
 		FeatDim:       12,
 		Context:       2,
@@ -113,7 +110,7 @@ func realRunSection(w io.Writer, quick bool) workload.AlgoCounts {
 		SampleFraction: 1.0,
 		Seed:           7,
 	}
-	cfg := hf.Config{MaxIterations: iters, CG: hf.CGOpts{MaxIters: 30, MinIters: 3}}
+	cfg := hf.Config{MaxIterations: 6, CG: hf.CGOpts{MaxIters: 30, MinIters: 3}}
 
 	serialObj, serialRes, err := core.TrainSerialHF(prob, cfg)
 	check(err)

@@ -13,9 +13,10 @@
 //     tree collectives, communication profiling);
 //   - blas: the tuned SGEMM matrix library (§V-A);
 //   - corpus: synthetic speech data and §V-C load balancing;
-//   - sim, torus, bgq, workload: the discrete-event Blue Gene/Q machine
-//     model that replays the training runs at 1024-8192 MPI ranks and
-//     regenerates the paper's figures and tables.
+//   - torus, bgq, workload: the Blue Gene/Q machine model that replays
+//     the training runs at 1024-8192 MPI ranks as a bulk-synchronous
+//     timeline (one clock per rank, advanced by compute and joined at
+//     every collective) and regenerates the paper's figures and tables.
 //
 // The benchmarks in bench_test.go regenerate every table and figure of
 // the paper's evaluation; cmd/experiments produces the full report.

@@ -338,7 +338,7 @@ func (m MachineSpec) ReduceTime(bytes int64, c Config, shape torus.Shape) float6
 
 // P2PTime models one point-to-point message over the given hop distance,
 // excluding serialization on shared links (which the simulator accounts
-// via resources).
+// on the sender's clock).
 func (m MachineSpec) P2PTime(bytes int64, hops int) float64 {
 	return m.MPIAlphaSec + float64(bytes)/m.LinkBandwidth + float64(hops)*m.HopLatencySec
 }

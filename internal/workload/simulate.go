@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/bgq"
-	"repro/internal/sim"
 	"repro/internal/torus"
 )
 
@@ -97,50 +96,68 @@ type RunResult struct {
 	WorkerMean RankReport
 }
 
-// simWorld carries shared simulation state.
-type simWorld struct {
-	eng     *sim.Engine
+// timeline is a simulated run as one clock per rank. Algorithm 1 ends
+// every phase in a collective, so between two collectives each rank runs
+// straight-line code: compute advances only its own clock, and the
+// clocks meet at collectives.
+type timeline struct {
 	m       bgq.MachineSpec
 	cfg     bgq.Config
-	shape   torus.Shape
-	counts  AlgoCounts
-	gate    *sim.Gate
-	pending float64
+	clock   []float64
+	order   []int // ranks in the order they reached the last collective
 	reports []RankReport
 }
 
-// collective performs one straggler-gated collective of the given modeled
-// duration, charging sync-wait plus transfer to the rank's phase.
-func (sw *simWorld) collective(p *sim.Process, rank int, phase string, dur float64, bytes int64) {
-	sw.pending = dur // all ranks pass the same modeled duration
-	syncW, hold := sw.gate.Wait(p)
-	rep := sw.reports[rank].phase(phase)
-	rep.CollSec += syncW + hold
-	rep.CollBytes += bytes
+func newTimeline(m bgq.MachineSpec, cfg bgq.Config) *timeline {
+	tl := &timeline{m: m, cfg: cfg, clock: make([]float64, cfg.Ranks),
+		order: make([]int, cfg.Ranks), reports: make([]RankReport, cfg.Ranks)}
+	for r := range tl.reports {
+		tl.order[r] = r
+		tl.reports[r] = make(RankReport)
+	}
+	return tl
+}
+
+// collective performs one straggler-gated collective of modeled duration
+// hold, charging sync wait plus hold to masterPhase on rank 0 and to
+// workerPhase on the workers. Every rank is released at max(arrival) +
+// hold. The rank that closes the gate waits maxT − arrival and every
+// other rank (release − arrival) − hold, which for a rank tied at maxT
+// is not exactly zero. Ranks arrive in clock order, ties in the order
+// they reached the previous collective, so the closer is the last of
+// that order.
+func (tl *timeline) collective(masterPhase, workerPhase string, hold float64, bytes int64) {
+	sort.SliceStable(tl.order, func(i, j int) bool { return tl.clock[tl.order[i]] < tl.clock[tl.order[j]] })
+	closer := tl.order[len(tl.order)-1]
+	maxT := tl.clock[closer]
+	release := maxT + hold
+	for r, arrival := range tl.clock {
+		syncW := (release - arrival) - hold
+		if r == closer {
+			syncW = maxT - arrival
+		}
+		phase := workerPhase
+		if r == 0 {
+			phase = masterPhase
+		}
+		rep := tl.reports[r].phase(phase)
+		rep.CollSec += syncW + hold
+		rep.CollBytes += bytes
+		tl.clock[r] = release
+	}
 }
 
 // compute advances the rank through flops of work at the given rate,
 // recording seconds and the modeled cycle breakdown.
-func (sw *simWorld) compute(p *sim.Process, rank int, phase string, flops, rate float64, scalar bool) {
+func (tl *timeline) compute(rank int, phase string, flops, rate float64, scalar bool) {
 	if flops <= 0 {
 		return
 	}
 	sec := flops / rate
-	p.Delay(sec)
-	rep := sw.reports[rank].phase(phase)
+	tl.clock[rank] += sec
+	rep := tl.reports[rank].phase(phase)
 	rep.ComputeSec += sec
-	rep.Cycles.Add(sw.m.CycleSplit(sec, sw.cfg, scalar))
-}
-
-func (sw *simWorld) nodeOf(rank int) int { return rank / sw.cfg.RanksPerNode }
-
-// masterVecRate models the master's CG vector arithmetic: memory-bound
-// axpy/dot traffic (≈12 bytes per flop) on its share of node memory
-// bandwidth, capped by the scalar issue rate.
-func (sw *simWorld) masterVecRate() float64 {
-	memRate := sw.m.MemBandwidth / float64(sw.cfg.RanksPerNode) / 12
-	sr := sw.m.ScalarRate(sw.cfg)
-	return math.Min(memRate, sr)
+	rep.Cycles.Add(tl.m.CycleSplit(sec, tl.cfg, scalar))
 }
 
 // Simulate replays one training run (load_data + one HF iteration,
@@ -186,19 +203,7 @@ func Simulate(m bgq.MachineSpec, cfg bgq.Config, counts AlgoCounts, shards []int
 		}
 	}
 
-	eng := sim.NewEngine()
-	sw := &simWorld{eng: eng, m: m, cfg: cfg, shape: shape, counts: counts}
-	sw.gate = sim.NewGate(eng, cfg.Ranks, func() float64 { return sw.pending })
-	sw.reports = make([]RankReport, cfg.Ranks)
-	for i := range sw.reports {
-		sw.reports[i] = make(RankReport)
-	}
-
-	mailboxes := make([]*sim.Mailbox, cfg.Ranks)
-	for w := 1; w < cfg.Ranks; w++ {
-		mailboxes[w] = sim.NewMailbox(eng)
-	}
-
+	tl := newTimeline(m, cfg)
 	paramBytes := counts.ParamBytes()
 	cgIters := int(math.Round(counts.CGItersPerHF))
 	if cgIters < 1 {
@@ -213,8 +218,10 @@ func Simulate(m bgq.MachineSpec, cfg bgq.Config, counts AlgoCounts, shards []int
 	smallReduceT := m.ReduceTime(16, cfg, shape)
 	gemmRate := m.GemmRate(cfg)
 	scalarRate := m.ScalarRate(cfg)
-
-	var loadDataEnd float64
+	// The master's CG vector arithmetic: memory-bound axpy/dot traffic
+	// (≈12 bytes per flop) on its share of node memory bandwidth, capped
+	// by the scalar issue rate.
+	vecRate := math.Min(m.MemBandwidth/float64(cfg.RanksPerNode)/12, scalarRate)
 
 	// Curvature samples are drawn at utterance granularity (§IV: "a small
 	// percentage of the data" per CG round): distribute whole utterances
@@ -228,120 +235,98 @@ func Simulate(m bgq.MachineSpec, cfg bgq.Config, counts AlgoCounts, shards []int
 	}
 	baseUtts := sampleUtts / int64(workers)
 	extraUtts := sampleUtts % int64(workers)
-
-	// Worker program.
+	// Per worker: training, curvature-sample and held-out frames, and the
+	// rate of the curvature GEMMs. The sample is a small minibatch: it
+	// cannot feed all the cores of a fat rank (SmallBatchGemmRate).
+	trainF := make([]float64, cfg.Ranks)
+	sampleF := make([]float64, cfg.Ranks)
+	heldF := make([]float64, cfg.Ranks)
+	smallGemmRate := make([]float64, cfg.Ranks)
 	for w := 1; w < cfg.Ranks; w++ {
-		w := w
-		frac := float64(shards[w-1]) / float64(shardTotal)
-		trainF := float64(shards[w-1])
 		uttCount := baseUtts
 		if int64(w) <= extraUtts {
 			uttCount++
 		}
-		sampleF := float64(uttCount * counts.MeanUttFrames)
-		smallGemmRate := m.SmallBatchGemmRate(cfg, uttCount)
-		heldF := frac * float64(counts.HeldFrames)
-		eng.Spawn(fmt.Sprintf("worker-%d", w), func(p *sim.Process) {
-			rep := sw.reports[w]
-			// load_data: wait for the master's point-to-point shard.
-			t0 := eng.Now()
-			msg := mailboxes[w].Get(p)
-			ld := rep.phase("load_data")
-			ld.P2PSec += eng.Now() - t0
-			ld.P2PBytes += int64(msg.Bytes)
-			sw.collective(p, w, "load_data", m.MPIAlphaSec, 0) // startup barrier
-
-			// --- one HF iteration ---
-			sw.collective(p, w, "sync_weights_worker", bcastT, paramBytes)
-
-			sw.compute(p, w, "gradient_loss", trainF*counts.GradFlopsPerFrame(), gemmRate, false)
-			if counts.SeqScalarFlopsPerFrame > 0 {
-				sw.compute(p, w, "gradient_loss", trainF*counts.SeqScalarFlopsPerFrame, scalarRate, true)
-			}
-			sw.collective(p, w, "gradient_loss", reduceT, paramBytes)
-			sw.collective(p, w, "gradient_loss", smallReduceT, 16)
-
-			for i := 0; i < cgIters; i++ {
-				sw.collective(p, w, "worker_curvature_product", bcastT, paramBytes)
-				// The curvature sample is a small minibatch: it cannot feed
-				// all the cores of a fat rank (SmallBatchGemmRate).
-				sw.compute(p, w, "worker_curvature_product", sampleF*counts.GNFlopsPerFrame(), smallGemmRate, false)
-				sw.collective(p, w, "worker_curvature_product", reduceT, paramBytes)
-			}
-
-			for e := 0; e < evals; e++ {
-				sw.collective(p, w, "loss_eval", bcastT, paramBytes)
-				sw.compute(p, w, "loss_eval", heldF*counts.EvalFlopsPerFrame(), gemmRate, false)
-				if counts.SeqScalarFlopsPerFrame > 0 {
-					sw.compute(p, w, "loss_eval", heldF*counts.SeqScalarFlopsPerFrame, scalarRate, true)
-				}
-				sw.collective(p, w, "loss_eval", smallReduceT, 16)
-			}
-		})
+		frac := float64(shards[w-1]) / float64(shardTotal)
+		trainF[w] = float64(shards[w-1])
+		sampleF[w] = float64(uttCount * counts.MeanUttFrames)
+		heldF[w] = frac * float64(counts.HeldFrames)
+		smallGemmRate[w] = m.SmallBatchGemmRate(cfg, uttCount)
 	}
 
-	// Master program.
-	injection := sim.NewResource("master-injection")
-	eng.Spawn("master", func(p *sim.Process) {
-		rep := sw.reports[0]
-		// load_data: serialized point-to-point shard distribution — the
-		// master-side bottleneck that grows with rank count (Fig 2/4).
+	// load_data: serialized point-to-point shard distribution — the
+	// master-side bottleneck that grows with rank count (Fig 2/4). Each
+	// worker waits from time 0 for its shard.
+	ld := tl.reports[0].phase("load_data")
+	for w := 1; w < cfg.Ranks; w++ {
+		bytes := shards[w-1] * counts.BytesPerFrame
+		// Marshaling the shard (memory-bound copy) plus the fixed
+		// per-message software setup, both on the master's CPU: the
+		// reason master load_data cycles grow with rank count in
+		// Figure 2 even at constant total bytes.
+		tl.compute(0, "load_data", float64(bytes)/4+m.P2PSetupSec*vecRate, vecRate, true)
+		// The master is the only sender on its injection link, so each
+		// message occupies it as soon as its software latency is paid.
+		t0 := tl.clock[0]
+		tl.clock[0] += m.MPIAlphaSec
+		tl.clock[0] += m.InjectionTime(bytes)
+		ld.P2PSec += tl.clock[0] - t0
+		ld.P2PBytes += bytes
+		hops := 0
+		if m.HWCollectives {
+			hops = shape.HopCount(0, (w/cfg.RanksPerNode)%shape.Size())
+		}
+		tl.clock[w] = tl.clock[0] + float64(hops)*m.HopLatencySec
+		wl := tl.reports[w].phase("load_data")
+		wl.P2PSec += tl.clock[w]
+		wl.P2PBytes += bytes
+	}
+	tl.collective("load_data", "load_data", m.MPIAlphaSec, 0) // startup barrier
+	loadDataEnd := tl.clock[0]
+
+	// --- one HF iteration ---
+	tl.collective("sync_weights_master", "sync_weights_worker", bcastT, paramBytes)
+
+	for w := 1; w < cfg.Ranks; w++ {
+		tl.compute(w, "gradient_loss", trainF[w]*counts.GradFlopsPerFrame(), gemmRate, false)
+		if counts.SeqScalarFlopsPerFrame > 0 {
+			tl.compute(w, "gradient_loss", trainF[w]*counts.SeqScalarFlopsPerFrame, scalarRate, true)
+		}
+	}
+	tl.collective("gradient_loss", "gradient_loss", reduceT, paramBytes)
+	tl.collective("gradient_loss", "gradient_loss", smallReduceT, 16)
+
+	for i := 0; i < cgIters; i++ {
+		tl.compute(0, "cg_minimize", cgVectorFlopsPerParam*float64(counts.Params), vecRate, true)
+		tl.collective("cg_minimize", "worker_curvature_product", bcastT, paramBytes)
 		for w := 1; w < cfg.Ranks; w++ {
-			bytes := shards[w-1] * counts.BytesPerFrame
-			// Marshaling the shard (memory-bound copy) plus the fixed
-			// per-message software setup, both on the master's CPU: the
-			// reason master load_data cycles grow with rank count in
-			// Figure 2 even at constant total bytes.
-			sw.compute(p, 0, "load_data", float64(bytes)/4+m.P2PSetupSec*sw.masterVecRate(), sw.masterVecRate(), true)
-			ld := rep.phase("load_data")
-			t0 := eng.Now()
-			p.Delay(m.MPIAlphaSec)
-			injection.AcquireFor(p, m.InjectionTime(bytes))
-			ld.P2PSec += eng.Now() - t0
-			ld.P2PBytes += bytes
-			hops := 0
-			if m.HWCollectives {
-				hops = sw.shape.HopCount(sw.nodeOf(0), sw.nodeOf(w)%sw.shape.Size())
-			}
-			mailboxes[w].PutAt(eng.Now()+float64(hops)*m.HopLatencySec, sim.Message{Src: 0, Bytes: int(bytes)})
+			tl.compute(w, "worker_curvature_product", sampleF[w]*counts.GNFlopsPerFrame(), smallGemmRate[w], false)
 		}
-		sw.collective(p, 0, "load_data", m.MPIAlphaSec, 0)
-		loadDataEnd = eng.Now()
-
-		// --- one HF iteration ---
-		sw.collective(p, 0, "sync_weights_master", bcastT, paramBytes)
-
-		sw.collective(p, 0, "gradient_loss", reduceT, paramBytes)
-		sw.collective(p, 0, "gradient_loss", smallReduceT, 16)
-
-		vecRate := sw.masterVecRate()
-		for i := 0; i < cgIters; i++ {
-			sw.compute(p, 0, "cg_minimize", cgVectorFlopsPerParam*float64(counts.Params), vecRate, true)
-			sw.collective(p, 0, "cg_minimize", bcastT, paramBytes)
-			sw.collective(p, 0, "cg_minimize", reduceT, paramBytes)
-		}
-
-		for e := 0; e < evals; e++ {
-			// θ+αd trial construction.
-			sw.compute(p, 0, "loss_eval", 2*float64(counts.Params), vecRate, true)
-			sw.collective(p, 0, "loss_eval", bcastT, paramBytes)
-			sw.collective(p, 0, "loss_eval", smallReduceT, 16)
-		}
-	})
-
-	if stuck := eng.Run(); stuck != 0 {
-		return nil, fmt.Errorf("workload: simulation deadlocked with %d stuck processes", stuck)
+		tl.collective("cg_minimize", "worker_curvature_product", reduceT, paramBytes)
 	}
 
-	iterSec := eng.Now() - loadDataEnd
+	for e := 0; e < evals; e++ {
+		// θ+αd trial construction.
+		tl.compute(0, "loss_eval", 2*float64(counts.Params), vecRate, true)
+		tl.collective("loss_eval", "loss_eval", bcastT, paramBytes)
+		for w := 1; w < cfg.Ranks; w++ {
+			tl.compute(w, "loss_eval", heldF[w]*counts.EvalFlopsPerFrame(), gemmRate, false)
+			if counts.SeqScalarFlopsPerFrame > 0 {
+				tl.compute(w, "loss_eval", heldF[w]*counts.SeqScalarFlopsPerFrame, scalarRate, true)
+			}
+		}
+		tl.collective("loss_eval", "loss_eval", smallReduceT, 16)
+	}
+
+	iterSec := tl.clock[0] - loadDataEnd
 	res := &RunResult{
 		Machine:     m.Name,
 		Config:      cfg,
 		LoadDataSec: loadDataEnd,
 		IterSec:     iterSec,
 		TotalSec:    loadDataEnd + float64(counts.HFIters)*iterSec,
-		Master:      sw.reports[0],
-		WorkerMean:  meanReports(sw.reports[1:]),
+		Master:      tl.reports[0],
+		WorkerMean:  meanReports(tl.reports[1:]),
 	}
 	// Scale per-iteration phases to the full run; load_data happened once.
 	skip := map[string]bool{"load_data": true}
