@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -38,44 +39,85 @@ func runHash(r *RunResult) uint64 {
 	return h.Sum64()
 }
 
-// TestCollectiveGate pins the gate arithmetic of collective: the release
-// time, each rank's sync wait, and which rank closes the gate.
-func TestCollectiveGate(t *testing.T) {
+// gate runs one collective with every rank in phase and compares each
+// rank's release time and charge (sync wait plus hold) bit for bit.
+func gate(t *testing.T, tl *timeline, phase string, hold, release float64, charge ...float64) {
+	t.Helper()
 	bits := math.Float64bits
-	bg := bgq.BlueGeneQ()
-	// gate runs one collective with every rank in phase and compares each
-	// rank's release time and charge (sync wait plus hold) bit for bit.
-	gate := func(tl *timeline, phase string, hold, release float64, charge ...float64) {
-		t.Helper()
-		tl.collective(phase, phase, hold, 0)
-		for r, want := range charge {
-			if got := tl.reports[r][phase].CollSec; bits(got) != bits(want) {
-				t.Errorf("%s: rank %d charged %v, want %v", phase, r, got, want)
-			}
-			if bits(tl.clock[r]) != bits(release) {
-				t.Errorf("%s: rank %d released at %v, want %v", phase, r, tl.clock[r], release)
-			}
+	tl.collective(phase, phase, hold, 0)
+	for r, want := range charge {
+		if got := tl.reports[r][phase].CollSec; bits(got) != bits(want) {
+			t.Errorf("%s: rank %d charged %v, want %v", phase, r, got, want)
+		}
+		if bits(tl.clock[r]) != bits(release) {
+			t.Errorf("%s: rank %d released at %v, want %v", phase, r, tl.clock[r], release)
 		}
 	}
+}
 
-	// Arrivals 1, 4 and 9 with hold 10 release everyone at 19 and charge
-	// sync waits 8, 5 and 0 plus the hold.
-	tl := newTimeline(bg, bgq.Config{Ranks: 3})
+// TestCollectiveGateStragglerRelease: arrivals 1, 4 and 9 with hold 10
+// release everyone at 19 and charge sync waits 8, 5 and 0 plus the hold.
+func TestCollectiveGateStragglerRelease(t *testing.T) {
+	tl := newTimeline(bgq.BlueGeneQ(), bgq.Config{Ranks: 3})
 	copy(tl.clock, []float64{1, 4, 9})
-	gate(tl, "stragglers", 10, 19, 18, 15, 10)
-	// The next cycle starts from the release; now the master straggles.
+	gate(t, tl, "stragglers", 10, 19, 18, 15, 10)
+}
+
+// TestCollectiveGateReusableAcrossCycles: each collective on a timeline
+// starts from the previous release.
+func TestCollectiveGateReusableAcrossCycles(t *testing.T) {
+	tl := newTimeline(bgq.BlueGeneQ(), bgq.Config{Ranks: 2})
+	// Rank 0 arrives one second after each release, rank 1 two: every
+	// round releases at the slower arrival plus the hold of 1.
+	for round, release := range []float64{3, 6, 9} {
+		tl.clock[0]++
+		tl.clock[1] += 2
+		gate(t, tl, fmt.Sprintf("round%d", round), 1, release, 2, 1)
+	}
+	// Now the master straggles.
 	tl.clock[0] += 3
-	gate(tl, "reuse", 1, 23, 1, 4, 4)
+	gate(t, tl, "master-straggles", 1, 13, 1, 4)
+}
+
+// TestCollectiveGateSinglePartyNoWait: one party never waits.
+func TestCollectiveGateSinglePartyNoWait(t *testing.T) {
+	solo := newTimeline(bgq.BlueGeneQ(), bgq.Config{Ranks: 1})
+	solo.clock[0] = 1
+	gate(t, solo, "solo", 2, 3, 2)
+}
+
+// TestCollectiveGateReleaseProperty: every rank is released at
+// max(arrival) + hold and charged release − arrival, for varied rank
+// counts, holds and arrival patterns.
+func TestCollectiveGateReleaseProperty(t *testing.T) {
+	for trial := 0; trial < 10; trial++ {
+		n := 2 + trial%5
+		hold := float64(trial%3) + 0.5
+		tl := newTimeline(bgq.BlueGeneQ(), bgq.Config{Ranks: n})
+		maxArr := 0.0
+		for i := range tl.clock {
+			tl.clock[i] = float64((i*31 + trial*17) % 23)
+			maxArr = math.Max(maxArr, tl.clock[i])
+		}
+		release := maxArr + hold
+		charge := make([]float64, n)
+		for i, a := range tl.clock {
+			charge[i] = release - a
+		}
+		gate(t, tl, fmt.Sprintf("trial%d", trial), hold, release, charge...)
+	}
+}
+
+// TestCollectiveGate pins how collective splits phases and which rank
+// closes the gate when ranks tie.
+func TestCollectiveGate(t *testing.T) {
+	bg := bgq.BlueGeneQ()
 	// The master's share goes to the master's phase, bytes to every rank.
+	tl := newTimeline(bg, bgq.Config{Ranks: 3})
 	tl.collective("master", "worker", 2, 7)
 	if tl.reports[0]["master"].CollBytes != 7 || tl.reports[2]["worker"].CollBytes != 7 || tl.reports[0]["worker"] != nil {
 		t.Errorf("phase split wrong: %v / %v", tl.reports[0], tl.reports[2])
 	}
-
-	// One party never waits.
-	solo := newTimeline(bg, bgq.Config{Ranks: 1})
-	solo.clock[0] = 1
-	gate(solo, "solo", 2, 3, 2)
 
 	// Two ranks tied at maxT: the closer waits exactly zero, the other
 	// (release − maxT) − hold = (0.4 − 0.30000000000000004) − 0.1 = −2⁻⁵⁵.
@@ -83,11 +125,11 @@ func TestCollectiveGate(t *testing.T) {
 	// rank 2 and closes it, though rank 2 has the higher index.
 	tl = newTimeline(bg, bgq.Config{Ranks: 3})
 	copy(tl.clock, []float64{0, 1, 0})
-	gate(tl, "rank1-closes", 1, 2)
+	gate(t, tl, "rank1-closes", 1, 2)
 	tenth := 0.1
 	maxT := tenth + 0.2 // 0.30000000000000004: a runtime sum, not a constant
 	copy(tl.clock, []float64{0, maxT, maxT})
-	gate(tl, "tie", tenth, 0.4, 0.4, 0.1, 0.09999999999999998)
+	gate(t, tl, "tie", tenth, 0.4, 0.4, 0.1, 0.09999999999999998)
 }
 
 // TestSimulateGolden pins Simulate bit for bit on the runs behind the
