@@ -88,7 +88,7 @@ func main() {
 	}
 
 	if *mon != "" {
-		plane := telemetry.NewPlane(telemetry.Config{}, time.Now())
+		plane := telemetry.NewPlane(time.Now())
 		plane.Merger().BindLocal(0, ob.Registry())
 		monSrv, err := telemetry.NewServer(*mon, plane)
 		if err != nil {

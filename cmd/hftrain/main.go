@@ -16,8 +16,9 @@
 //
 // In dist mode, -trace/-http/-flight enable the distributed telemetry
 // plane: every rank ships its spans and metrics to the master at
-// iteration boundaries, a clock-offset handshake puts them on a common
-// timebase, and the merged trace carries one process track per rank.
+// iteration boundaries, the master rebases them onto its own timebase
+// (every rank runs in this process and reads the same clock), and the
+// merged trace carries one process track per rank.
 // -http serves /metrics (Prometheus), /trace (merged trace download),
 // /healthz (worker liveness; 503 when degraded), /flight (post-mortem
 // bundle) and /debug/pprof/ while training runs; -flight writes the
@@ -29,9 +30,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -46,31 +49,57 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "dist", "training mode: serial, dist, sgd")
-	criterion := flag.String("criterion", "ce", "training criterion: ce, sequence")
-	utterances := flag.Int("utterances", 120, "number of synthetic utterances")
-	states := flag.Int("states", 8, "number of HMM states (output classes)")
-	hidden := flag.Int("hidden", 32, "hidden layer width")
-	layers := flag.Int("layers", 2, "number of hidden layers")
-	iters := flag.Int("iters", 8, "HF iterations")
-	epochs := flag.Int("epochs", 5, "SGD epochs")
-	ranks := flag.Int("ranks", 4, "MPI ranks for dist mode (1 master + N-1 workers)")
-	transport := flag.String("transport", "inproc", "dist-mode fabric: inproc or tcp (localhost)")
-	sample := flag.Float64("sample", 0.03, "curvature sample fraction")
-	seed := flag.Int64("seed", 1, "random seed")
-	precond := flag.Bool("precond", false, "use the Martens diagonal CG preconditioner")
-	save := flag.String("save", "", "write the trained model checkpoint to this path")
-	load := flag.String("load", "", "resume from a model checkpoint")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of per-rank phase spans to this path")
-	metricsOut := flag.String("metrics", "", "write per-HF-iteration telemetry as JSONL to this path")
-	faultInject := flag.String("fault-inject", "", "dist mode: fault schedule to inject, e.g. \"kill:rank=2,epoch=3; delay:rank=1,epoch=2,d=50ms\" (enables the elastic fault-tolerant runtime)")
-	maxEvictions := flag.Int("max-evictions", 0, "dist mode: worker evictions tolerated before surrendering (enables the elastic runtime; 0 = library default of 2 when elastic, negative = none)")
-	httpAddr := flag.String("http", "", "dist mode: serve the live monitoring endpoint on this address (e.g. :9090): /metrics, /trace, /healthz, /flight, /debug/pprof/")
-	flightOut := flag.String("flight", "", "dist mode: write the fault flight recorder's post-mortem bundle as JSON to this path after a faulted run")
-	shuffle := flag.Bool("shuffle", false, "shuffle utterances (seeded) before the train/held-out split")
-	replayVerify := flag.Bool("replay-verify", false, "run the training twice per fabric in -transport (comma-separated) and fail unless the per-iteration hash streams are bit-identical")
-	replayJSON := flag.String("replay-json", "", "with -replay-verify: write what must repeat of the replay reports (losses, record counts, verdict) as JSON to this path")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		log.Fatal(err)
+	}
+}
+
+// run is the whole command: it parses args, trains, and writes results
+// to stdout (progress goes to the log).
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("hftrain", flag.ContinueOnError)
+	mode := fs.String("mode", "dist", "training mode: serial, dist, sgd")
+	criterion := fs.String("criterion", "ce", "training criterion: ce, sequence")
+	utterances := fs.Int("utterances", 120, "number of synthetic utterances")
+	states := fs.Int("states", 8, "number of HMM states (output classes)")
+	hidden := fs.Int("hidden", 32, "hidden layer width")
+	layers := fs.Int("layers", 2, "number of hidden layers")
+	iters := fs.Int("iters", 8, "HF iterations")
+	epochs := fs.Int("epochs", 5, "SGD epochs")
+	ranks := fs.Int("ranks", 4, "MPI ranks for dist mode (1 master + N-1 workers)")
+	transport := fs.String("transport", "inproc", "dist-mode fabric: inproc or tcp (localhost)")
+	sample := fs.Float64("sample", 0.03, "curvature sample fraction")
+	seed := fs.Int64("seed", 1, "random seed")
+	precond := fs.Bool("precond", false, "use the Martens diagonal CG preconditioner")
+	save := fs.String("save", "", "serial/dist mode: write the trained model checkpoint to this path")
+	load := fs.String("load", "", "serial/dist mode: start from this model checkpoint's parameters")
+	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file of per-rank phase spans to this path")
+	metricsOut := fs.String("metrics", "", "write per-HF-iteration telemetry as JSONL to this path")
+	faultInject := fs.String("fault-inject", "", "dist mode: fault schedule to inject, e.g. \"kill:rank=2,epoch=3; delay:rank=1,epoch=2,d=50ms\" (enables the elastic fault-tolerant runtime)")
+	maxEvictions := fs.Int("max-evictions", 0, "dist mode: worker evictions tolerated before surrendering (enables the elastic runtime; 0 = library default of 2 when elastic, negative = none)")
+	httpAddr := fs.String("http", "", "dist mode: serve the live monitoring endpoint on this address (e.g. :9090): /metrics, /trace, /healthz, /flight, /debug/pprof/")
+	flightOut := fs.String("flight", "", "dist mode: write the fault flight recorder's post-mortem bundle as JSON to this path after a faulted run")
+	shuffle := fs.Bool("shuffle", false, "shuffle utterances (seeded) before the train/held-out split")
+	replayVerify := fs.Bool("replay-verify", false, "run the training twice per fabric in -transport (comma-separated) and fail unless the per-iteration hash streams are bit-identical")
+	replayJSON := fs.String("replay-json", "", "with -replay-verify: write what must repeat of the replay reports (losses, record counts, verdict) as JSON to this path")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	switch *mode {
+	case "serial", "dist":
+	case "sgd":
+		if *load != "" || *save != "" {
+			return errors.New("hftrain: -load and -save need -mode serial or dist (sgd keeps no checkpoint)")
+		}
+	default:
+		return fmt.Errorf("hftrain: unknown mode %q (want serial, dist, sgd)", *mode)
+	}
+	if *replayVerify && *save != "" {
+		return errors.New("hftrain: -save does not apply to -replay-verify (it keeps no model)")
+	}
 
 	var ob *obs.Observer
 	if *traceOut != "" || *metricsOut != "" || *httpAddr != "" || *flightOut != "" {
@@ -81,8 +110,9 @@ func main() {
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
+		defer f.Close()
 		traceFile = f
 	}
 
@@ -122,6 +152,17 @@ func main() {
 		SampleFraction: *sample,
 		Seed:           *seed,
 	}
+	if *load != "" {
+		ck, err := core.LoadCheckpoint(*load)
+		if err != nil {
+			return err
+		}
+		if !slices.Equal(ck.Sizes, prob.Topo.Sizes) {
+			return fmt.Errorf("hftrain: checkpoint %s has topology %v, the flags give %v", *load, ck.Sizes, prob.Topo.Sizes)
+		}
+		prob.InitParams = ck.Params
+		log.Printf("resumed from %s (iteration %d, held-out loss %.4f)", *load, ck.Iteration, ck.HeldOutLoss)
+	}
 	hfCfg := hf.Config{
 		MaxIterations:     *iters,
 		UsePreconditioner: *precond,
@@ -133,58 +174,36 @@ func main() {
 	if *metricsOut != "" {
 		f, err := os.Create(*metricsOut)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		hfCfg.Telemetry = core.TelemetryJSONL(f)
 	}
 
 	if *replayVerify {
-		if err := runReplayGate(prob, hfCfg, *ranks, *transport, *replayJSON); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return runReplayGate(stdout, prob, hfCfg, *ranks, *transport, *replayJSON)
 	}
 
 	// In dist mode the telemetry plane owns the merged cross-rank trace;
 	// the serial modes write the local tracer instead.
 	var plane *telemetry.Plane
+	// The trained model -save writes (serial and dist modes).
+	var final *core.Checkpoint
 
 	switch *mode {
 	case "serial":
 		obj, err := core.NewSerialObjective(prob)
 		if err != nil {
-			log.Fatal(err)
-		}
-		if *load != "" {
-			ck, err := core.LoadCheckpoint(*load)
-			if err != nil {
-				log.Fatal(err)
-			}
-			obj.SetParams(ck.Params)
-			log.Printf("resumed from %s (iteration %d, held-out loss %.4f)", *load, ck.Iteration, ck.HeldOutLoss)
+			return err
 		}
 		res := hf.Optimize(obj, hfCfg)
-		fmt.Printf("serial HF (%s): final held-out loss %.4f, frame accuracy %.1f%%, %d CG iterations total\n",
+		fmt.Fprintf(stdout, "serial HF (%s): final held-out loss %.4f, frame accuracy %.1f%%, %d CG iterations total\n",
 			crit, res.FinalLoss, obj.HeldOutAccuracy()*100, res.TotalCGIters)
-		if *save != "" {
-			ck := &core.Checkpoint{
-				Sizes:       prob.Topo.Sizes,
-				Params:      obj.Params(),
-				Criterion:   crit,
-				Trans:       prob.Trans,
-				Iteration:   len(res.Iters),
-				HeldOutLoss: res.FinalLoss,
-			}
-			if err := core.SaveCheckpoint(*save, ck); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("checkpoint written to %s", *save)
-		}
+		final = &core.Checkpoint{Params: obj.Params(), Iteration: len(res.Iters), HeldOutLoss: res.FinalLoss}
 	case "dist":
 		fabric, err := core.ParseFabric(*transport)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		opts := []core.Option{
 			core.WithRanks(*ranks),
@@ -196,26 +215,27 @@ func main() {
 			if *faultInject != "" {
 				sched, err := mpi.ParseFaultSchedule(*faultInject)
 				if err != nil {
-					log.Fatal(err)
+					return err
 				}
 				pol.Inject = sched
 			}
 			opts = append(opts, core.WithFaults(pol))
-			// Rewind checkpoints every iteration; mirror to -save if set.
+			// Rewind checkpoints every iteration; mirror to -save if set
+			// (the trained model overwrites the mirror after the run).
 			opts = append(opts, core.WithCheckpoint(core.CheckpointPolicy{Every: 1, Path: *save}))
 		}
 		if ob != nil {
-			opts = append(opts, core.WithTelemetry(telemetry.Config{}))
+			opts = append(opts, core.WithTelemetry())
 		}
 		sess, err := core.NewSession(prob, opts...)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		plane = sess.Telemetry()
 		if *httpAddr != "" {
 			srv, err := telemetry.NewServer(*httpAddr, plane)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			defer srv.Close()
 			log.Printf("monitoring endpoint on http://%s (/metrics /trace /healthz /flight /debug/pprof/)", srv.Addr())
@@ -229,39 +249,46 @@ func main() {
 				report.FaultTable(os.Stderr, se.Report)
 			}
 			writeFlight(*flightOut, plane)
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("distributed HF (%s, %d ranks, %s): final held-out loss %.4f, frame accuracy %.1f%%\n",
+		fmt.Fprintf(stdout, "distributed HF (%s, %d ranks, %s): final held-out loss %.4f, frame accuracy %.1f%%\n",
 			crit, *ranks, *transport, res.HF.FinalLoss, res.HeldOutAccuracy*100)
 		if res.Fault != nil {
-			report.FaultTable(os.Stdout, res.Fault)
+			report.FaultTable(stdout, res.Fault)
 		}
 		if ob != nil {
-			report.HFIterTable(os.Stdout, res.HF.Iters)
-			report.MPITable(os.Stdout, res.MPIProfile)
-			report.MetricsTable(os.Stdout, ob.Registry().Snapshot())
+			report.HFIterTable(stdout, res.HF.Iters)
+			report.MPITable(stdout, res.MPIProfile)
+			report.MetricsTable(stdout, ob.Registry().Snapshot())
 		}
 		if plane != nil {
-			report.TelemetryTable(os.Stdout, plane.Merger())
+			report.TelemetryTable(stdout, plane.Merger())
 			writeFlight(*flightOut, plane)
 		}
+		final = &core.Checkpoint{Params: res.Params, Iteration: len(res.HF.Iters), HeldOutLoss: res.HF.FinalLoss}
 	case "sgd":
 		obj, res, err := core.TrainSGD(prob, core.SGDConfig{Epochs: *epochs, Seed: *seed})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, e := range res.Epochs {
 			log.Printf("epoch %d: train=%.4f held-out=%.4f lr=%.3g",
 				e.Epoch, e.TrainLoss, e.HeldOutLoss, e.LearningRate)
 		}
-		fmt.Printf("SGD (%s): final held-out loss %.4f, frame accuracy %.1f%%\n",
+		fmt.Fprintf(stdout, "SGD (%s): final held-out loss %.4f, frame accuracy %.1f%%\n",
 			crit, res.FinalLoss, obj.HeldOutAccuracy()*100)
-	default:
-		log.Fatalf("unknown mode %q (want serial, dist, sgd)", *mode)
+	}
+
+	if *save != "" {
+		final.Sizes, final.Criterion, final.Trans = prob.Topo.Sizes, crit, prob.Trans
+		if err := core.SaveCheckpoint(*save, final); err != nil {
+			return err
+		}
+		log.Printf("checkpoint written to %s", *save)
 	}
 
 	if traceFile != nil {
-		// With a telemetry plane the merged cross-rank trace (common
+		// With a telemetry plane the merged cross-rank trace (one
 		// timebase, one process track per rank) supersedes the local
 		// tracer, which the master's shipper has already drained into it.
 		var err error
@@ -271,13 +298,14 @@ func main() {
 			err = ob.Tracer().WriteChromeTrace(traceFile)
 		}
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := traceFile.Close(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("trace written to %s (open in chrome://tracing or ui.perfetto.dev)", *traceOut)
 	}
+	return nil
 }
 
 // writeFlight writes the flight recorder's latest post-mortem bundle as
@@ -325,7 +353,7 @@ type replayEntry struct {
 // comma-separated transport list, prints each report, optionally writes
 // the repeatable part of the reports as JSON (the BENCH_determinism
 // entry), and returns an error if any fabric diverged.
-func runReplayGate(prob core.Problem, cfg hf.Config, ranks int, transports, jsonPath string) error {
+func runReplayGate(stdout io.Writer, prob core.Problem, cfg hf.Config, ranks int, transports, jsonPath string) error {
 	cfg.Log = nil // keep the doubled runs quiet; hashes are the output
 	var reports []replayEntry
 	divergent := false
@@ -339,7 +367,7 @@ func runReplayGate(prob core.Problem, cfg hf.Config, ranks int, transports, json
 		if err != nil {
 			return err
 		}
-		fmt.Println(rep)
+		fmt.Fprintln(stdout, rep)
 		e := replayEntry{Fabric: rep.Fabric, Ranks: rep.Ranks, Iterations: rep.Iterations, Divergent: rep.Divergent, Detail: rep.Detail}
 		for i, run := range rep.Runs {
 			e.Runs[i].FinalLoss, e.Runs[i].Records = run.FinalLoss, run.Records

@@ -1,0 +1,142 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"log"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/serve"
+)
+
+// tiny is the smallest run that still trains: a few seconds for all of
+// TestCheckpointFlags.
+var tiny = []string{"-utterances", "40", "-iters", "2", "-hidden", "8", "-ranks", "3"}
+
+// hftrain runs the command with tiny plus args and returns its log.
+func hftrain(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	var logs bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&logs)
+	defer log.SetOutput(prev)
+	err := run(append(slices.Clone(tiny), args...), io.Discard)
+	return logs.String(), err
+}
+
+// firstLoss runs a dist training with args and returns its first
+// iteration's held-out loss, read from the -metrics file.
+func firstLoss(t *testing.T, args ...string) float64 {
+	t.Helper()
+	metrics := filepath.Join(t.TempDir(), "iters.jsonl")
+	if _, err := hftrain(t, append([]string{"-mode", "dist", "-metrics", metrics}, args...)...); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		Iter int     `json:"iter"`
+		Loss float64 `json:"loss"`
+	}
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil || rec.Iter != 1 {
+		t.Fatalf("first metrics record %+v: %v", rec, err)
+	}
+	return rec.Loss
+}
+
+// TestCheckpointFlags: -load and -save work in dist mode as in serial
+// mode, with or without faults; a saved model loads for serving; and a
+// run that cannot honour either flag rejects it.
+func TestCheckpointFlags(t *testing.T) {
+	dir := t.TempDir()
+	serialCk := filepath.Join(dir, "serial.ck")
+	tests := []struct {
+		name    string
+		setup   []string // a run that must succeed first
+		args    []string
+		wantErr string
+		check   func(t *testing.T, logs string)
+	}{
+		{
+			name:  "dist load resumes",
+			setup: []string{"-mode", "serial", "-save", serialCk},
+			args:  []string{"-mode", "dist", "-load", serialCk},
+			check: func(t *testing.T, logs string) {
+				if !strings.Contains(logs, "resumed from "+serialCk) {
+					t.Errorf("log does not say it resumed:\n%s", logs)
+				}
+				cold, warm := firstLoss(t), firstLoss(t, "-load", serialCk)
+				if cold == warm {
+					t.Errorf("first-iteration loss %v with -load equals the cold run's: the checkpoint was ignored", warm)
+				}
+			},
+		},
+		{
+			name: "dist save without faults",
+			args: []string{"-mode", "dist", "-save", filepath.Join(dir, "dist.ck")},
+			check: func(t *testing.T, _ string) {
+				ck, err := core.LoadCheckpoint(filepath.Join(dir, "dist.ck"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ck.Iteration != 2 {
+					t.Errorf("checkpoint records iteration %d, want 2", ck.Iteration)
+				}
+				srv, err := serve.New(ck)
+				if err != nil {
+					t.Fatalf("saved model does not load for serving: %v", err)
+				}
+				srv.Close()
+			},
+		},
+		{
+			name:    "dist load other topology",
+			setup:   []string{"-mode", "serial", "-save", filepath.Join(dir, "h8.ck")},
+			args:    []string{"-mode", "dist", "-hidden", "12", "-load", filepath.Join(dir, "h8.ck")},
+			wantErr: "has topology [100 8 8 8], the flags give [100 12 12 8]",
+		},
+		{
+			name:    "sgd load",
+			args:    []string{"-mode", "sgd", "-load", serialCk},
+			wantErr: "-load and -save need -mode serial or dist",
+		},
+		{
+			name:    "sgd save",
+			args:    []string{"-mode", "sgd", "-save", filepath.Join(dir, "sgd.ck")},
+			wantErr: "-load and -save need -mode serial or dist",
+		},
+		{
+			name:    "replay save",
+			args:    []string{"-replay-verify", "-save", filepath.Join(dir, "replay.ck")},
+			wantErr: "-save does not apply to -replay-verify",
+		},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.setup != nil {
+				if _, err := hftrain(t, tc.setup...); err != nil {
+					t.Fatalf("setup: %v", err)
+				}
+			}
+			logs, err := hftrain(t, tc.args...)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want it to contain %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.check(t, logs)
+		})
+	}
+}

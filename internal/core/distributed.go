@@ -148,7 +148,6 @@ func (m *master) run() (*MasterResult, error) {
 		for _, w := range m.star.live {
 			m.plane.Health().SetWorker(w, telemetry.WorkerLive)
 		}
-		m.syncClocks()
 	}
 	// Mirror hf.Config's MaxIterations default so the remaining-
 	// iterations arithmetic matches what Optimize will run.
@@ -279,7 +278,8 @@ func (m *master) attempt() (err error) {
 }
 
 // onIter ingests one globally-numbered iteration: the stitched trace,
-// CG accounting, the iteration wall histogram and telemetry cadence.
+// CG accounting, the iteration wall histogram and, with the plane on,
+// one telemetry collection.
 func (m *master) onIter(s hf.IterStats) {
 	m.curIter = s.Iter
 	m.iters = append(m.iters, s)
@@ -291,9 +291,7 @@ func (m *master) onIter(s hf.IterStats) {
 	m.lastLoss = s.Loss
 	if m.plane != nil {
 		m.plane.Health().SetProgress(s.Iter, s.Loss)
-		if fe := m.plane.Config().FlushEvery; fe > 0 && s.Iter%fe == 0 {
-			m.collectTelemetry()
-		}
+		m.collectTelemetry()
 	}
 }
 
@@ -354,25 +352,6 @@ func (m *master) stop() {
 	}
 }
 
-// syncClocks runs the telemetry clock-offset handshake: one clock_sync
-// op arms every worker's ServeClockSync loop, then each worker is
-// pinged in turn. A failed handshake leaves that rank's offset at zero.
-func (m *master) syncClocks() {
-	tcfg := m.plane.Config()
-	if err := m.issue(opClockSync, float32(tcfg.ClockSyncRounds), nil, nil, nil); err != nil {
-		m.ob.Eventf(0, "telemetry: clock sync: %v", err)
-	}
-	for _, w := range m.star.live {
-		offset, rtt, err := telemetry.SyncClocks(m.comm, w, tcfg.ClockSyncRounds, tcfg.Deadline)
-		if err != nil {
-			m.ob.Eventf(0, "telemetry: clock sync with rank %d: %v", w, err)
-			continue
-		}
-		m.plane.Merger().SetOffset(w, offset)
-		m.ob.Registry().Histogram("telemetry.clock_rtt_ns").Observe(rtt.Nanoseconds())
-	}
-}
-
 // collectTelemetry asks every worker to ship its drained telemetry
 // bundle (one telemetry op, one point-to-point shipment back each) and
 // folds them plus the master's own into the merger. Runs at iteration
@@ -387,9 +366,8 @@ func (m *master) collectTelemetry() {
 	if err := m.issue(opTelemetry, 0, nil, nil, nil); err != nil {
 		m.ob.Eventf(0, "telemetry: collect: %v", err)
 	}
-	deadline := m.plane.Config().Deadline
 	for _, w := range m.star.live {
-		msg, err := m.comm.RecvBytesTimeout(w, mpi.TagTelemetry, deadline)
+		msg, err := m.comm.RecvBytesTimeout(w, mpi.TagTelemetry, telemetry.DefaultDeadline)
 		if err != nil {
 			m.ob.Eventf(0, "telemetry: collect from rank %d: %v", w, err)
 			continue

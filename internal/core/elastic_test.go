@@ -366,7 +366,7 @@ func TestElasticHeartbeatNoGoroutineLeak(t *testing.T) {
 	sess, err := NewSession(p,
 		WithRanks(3),
 		WithObserver(ob),
-		WithTelemetry(telemetry.Config{}),
+		WithTelemetry(),
 		WithFaults(FaultPolicy{
 			FaultConfig:    mpi.FaultConfig{OpDeadline: 5 * time.Second},
 			HeartbeatEvery: 1,
@@ -406,7 +406,7 @@ func TestElasticHeartbeatNoGoroutineLeak(t *testing.T) {
 // up to the error survives into /trace and post-mortem bundles.
 func TestElasticDrainLocalTelemetryOnFailure(t *testing.T) {
 	ob := &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(), Events: obs.NewEventLog(0)}
-	plane := telemetry.NewPlane(telemetry.Config{}, ob.Tracer().Epoch())
+	plane := telemetry.NewPlane(ob.Tracer().Epoch())
 	m := &master{ob: ob, plane: plane, local: telemetry.NewShipper(0, ob)}
 
 	ob.Span(0, "doomed_iteration").End()

@@ -32,7 +32,6 @@ const (
 	opAccuracy
 	opFisherDiag
 	opStop
-	opClockSync
 	opTelemetry
 )
 
@@ -60,7 +59,6 @@ var ops = [...]opRow{
 	opAccuracy:   {name: "accuracy", phase: "loss_eval", span: true, scalars: 2, serve: (*worker).accuracy},
 	opFisherDiag: {name: "fisher_diag", phase: "cg_minimize", span: true, up: true, scalars: 1, serve: (*worker).fisherDiag},
 	opStop:       {name: "stop", phase: "shutdown", serve: (*worker).stop},
-	opClockSync:  {name: "clock_sync", phase: "telemetry", serve: (*worker).clockSync},
 	opTelemetry:  {name: "telemetry", phase: "telemetry", serve: (*worker).telemetry},
 }
 
@@ -132,12 +130,8 @@ func (w *worker) fisherDiag(_ float32, _, out tensor.Vector, sc []float64) error
 
 func (w *worker) stop(float32, tensor.Vector, tensor.Vector, []float64) error { return errStopped }
 
-// clockSync and telemetry answer on mpi.TagClockSync / mpi.TagTelemetry,
-// not through the op's reply. A nil shipper ships an empty bundle.
-func (w *worker) clockSync(arg float32, _, _ tensor.Vector, _ []float64) error {
-	return telemetry.ServeClockSync(w.comm, 0, int(arg))
-}
-
+// telemetry answers on mpi.TagTelemetry, not through the op's reply. A
+// nil shipper ships an empty bundle.
 func (w *worker) telemetry(float32, tensor.Vector, tensor.Vector, []float64) error {
 	return w.ship.Ship(w.comm, 0)
 }

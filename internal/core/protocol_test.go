@@ -14,7 +14,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/obs/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -102,10 +101,7 @@ func TestOpsTable(t *testing.T) {
 			got[op] = flat(vec, sc)
 			for _, w := range m.star.live {
 				var err error
-				switch op { // the side conversations the two telemetry rows arm
-				case opClockSync:
-					_, _, err = telemetry.SyncClocks(comm, w, 2, 5*time.Second)
-				case opTelemetry:
+				if op == opTelemetry { // the side conversation the telemetry row arms
 					_, err = comm.RecvBytesTimeout(w, mpi.TagTelemetry, 5*time.Second)
 				}
 				if err != nil {

@@ -50,8 +50,8 @@ type FabricKind int
 const (
 	// FabricInproc is the deterministic in-process mailbox fabric.
 	FabricInproc FabricKind = iota
-	// FabricTCP is the localhost TCP fabric — the same code path a true
-	// multi-process deployment uses, exercised inside one process.
+	// FabricTCP is the localhost TCP fabric: real sockets and framing,
+	// every rank still in this process.
 	FabricTCP
 )
 
@@ -87,7 +87,7 @@ type sessionOptions struct {
 	ob       *obs.Observer
 	faults   *FaultPolicy
 	ckpt     *CheckpointPolicy
-	tele     *telemetry.Config
+	tele     bool
 }
 
 // Option configures a Session.
@@ -139,15 +139,14 @@ func WithCheckpoint(pol CheckpointPolicy) Option {
 	return func(o *sessionOptions) { o.ckpt = &pol }
 }
 
-// WithTelemetry enables the distributed telemetry plane: a clock-offset
-// handshake at session start, per-iteration shipment of every rank's
-// spans/metrics/events to the master's merger (one merged trace on a
-// common timebase), a flight recorder for post-mortem fault bundles,
-// and live health state. Read the plane back with Session.Telemetry —
-// e.g. to serve it over HTTP with telemetry.NewServer. The zero Config
-// selects defaults.
-func WithTelemetry(cfg telemetry.Config) Option {
-	return func(o *sessionOptions) { o.tele = &cfg }
+// WithTelemetry enables the distributed telemetry plane: per-iteration
+// shipment of every rank's spans/metrics/events to the master's merger
+// (one merged trace on the master's timebase), a flight recorder for
+// post-mortem fault bundles, and live health state. Read the plane back
+// with Session.Telemetry — e.g. to serve it over HTTP with
+// telemetry.NewServer.
+func WithTelemetry() Option {
+	return func(o *sessionOptions) { o.tele = true }
 }
 
 // Session is a configured distributed training run. Build with
@@ -203,14 +202,14 @@ func NewSession(p Problem, opts ...Option) (*Session, error) {
 		}
 	}
 	s := &Session{p: p, opt: o}
-	if o.tele != nil && (o.comm == nil || o.comm.Rank() == 0) {
+	if o.tele && (o.comm == nil || o.comm.Rank() == 0) {
 		// Build the plane eagerly so callers can serve it over HTTP
 		// before Run starts (telemetry.NewServer(addr, sess.Telemetry())).
 		epoch := o.ob.Tracer().Epoch()
 		if epoch.IsZero() {
 			epoch = time.Now()
 		}
-		s.plane = telemetry.NewPlane(o.tele.Filled(), epoch)
+		s.plane = telemetry.NewPlane(epoch)
 		s.plane.Merger().BindLocal(0, o.ob.Registry())
 	}
 	return s, nil
@@ -243,7 +242,7 @@ func (s *Session) runAttached(cfg hf.Config) (*MasterResult, error) {
 		return runMaster(comm, s.p, cfg, o, s.plane, nil)
 	}
 	var ship *telemetry.Shipper
-	if o.tele != nil {
+	if o.tele {
 		ship = telemetry.NewShipper(comm.Rank(), o.ob)
 	}
 	return nil, runWorker(comm, o.ob, ship, nil)
@@ -303,10 +302,10 @@ func (s *Session) runSpawned(cfg hf.Config) (*MasterResult, error) {
 			comm := comms[r]
 			defer comm.Close()
 			// With telemetry on, each spawned worker observes into its own
-			// private observer and ships it over the fabric — the same
-			// aggregation path a true multi-process deployment exercises.
-			// Without it, ranks share o.ob directly (nil ship still answers
-			// the master's telemetry commands with empty bundles).
+			// private observer and ships it over the fabric to the
+			// master's merger. Without it, ranks share o.ob directly (nil
+			// ship still answers the master's telemetry commands with
+			// empty bundles).
 			wob := o.ob
 			var ship *telemetry.Shipper
 			if s.plane != nil {

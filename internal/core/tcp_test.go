@@ -9,8 +9,8 @@ import (
 	"repro/internal/mpi"
 )
 
-// Full distributed training over the TCP fabric: the multi-process
-// transport must give the same result as the in-process one (and hence as
+// Full distributed training over the TCP fabric: the socket transport
+// must give the same result as the in-process one (and hence as
 // serial training).
 func TestDistributedHFOverTCP(t *testing.T) {
 	p := testProblem(t, CrossEntropy)

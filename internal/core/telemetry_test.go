@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/hf"
 	"repro/internal/obs"
@@ -23,8 +24,9 @@ func telemetryObserver() *obs.Observer {
 // TestTelemetryMergedTraceTCP is the cross-rank aggregation acceptance
 // drill: a 4-rank TCP run with the telemetry plane enabled must leave
 // the master's merger holding spans from every rank on one common
-// timebase — no negative starts — and render them as a single Chrome
-// trace with one process track per rank.
+// timebase — no negative starts, which the merger never shifts away —
+// and render them as a single Chrome trace with one process track per
+// rank.
 func TestTelemetryMergedTraceTCP(t *testing.T) {
 	p := testProblem(t, CrossEntropy)
 	ob := telemetryObserver()
@@ -32,7 +34,7 @@ func TestTelemetryMergedTraceTCP(t *testing.T) {
 		WithRanks(4),
 		WithFabric(FabricTCP),
 		WithObserver(ob),
-		WithTelemetry(telemetry.Config{}),
+		WithTelemetry(),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -113,6 +115,82 @@ func TestTelemetryMergedTraceTCP(t *testing.T) {
 	}
 }
 
+// TestTelemetryCrossRankAlignment checks the merged trace against what
+// causality fixes, with no tolerance: every rank reads the master's
+// clock, so the rebase is exact. A worker opens an op's span only after
+// the master opened its own and sent the command, so the k-th span of a
+// phase on any rank starts at or after the k-th on rank 0; and a
+// worker's curvature product ends before its reply is sent, so it lies
+// inside the master's cg_minimize span that waits for that reply.
+func TestTelemetryCrossRankAlignment(t *testing.T) {
+	const ranks = 3
+	for _, fabric := range []FabricKind{FabricInproc, FabricTCP} {
+		t.Run(fabric.String(), func(t *testing.T) {
+			sess, err := NewSession(testProblem(t, CrossEntropy),
+				WithRanks(ranks),
+				WithFabric(fabric),
+				WithObserver(telemetryObserver()),
+				WithTelemetry(),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Run(fastHF()); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			starts := map[int]map[string][]time.Duration{}
+			var cg, products []obs.Event
+			for _, ev := range sess.Telemetry().Merger().Events() { // sorted by start
+				if starts[ev.Rank] == nil {
+					starts[ev.Rank] = map[string][]time.Duration{}
+				}
+				starts[ev.Rank][ev.Name] = append(starts[ev.Rank][ev.Name], ev.Start)
+				switch {
+				case ev.Rank == 0 && ev.Name == "cg_minimize":
+					cg = append(cg, ev)
+				case ev.Name == "worker_curvature_product":
+					products = append(products, ev)
+				}
+			}
+
+			for _, name := range []string{"sync_weights", "gradient_loss", "cg_minimize", "loss_eval"} {
+				master := starts[0][name]
+				if len(master) == 0 {
+					t.Errorf("rank 0 recorded no %s span", name)
+				}
+				for r := 1; r < ranks; r++ {
+					got := starts[r][name]
+					if len(got) != len(master) {
+						t.Errorf("rank %d has %d %s spans, rank 0 has %d", r, len(got), name, len(master))
+					}
+					for k := range min(len(got), len(master)) {
+						if got[k] < master[k] {
+							t.Errorf("rank %d's %s span #%d starts at %v, before rank 0's at %v", r, name, k, got[k], master[k])
+						}
+					}
+				}
+			}
+
+			if len(products) == 0 {
+				t.Fatal("no worker_curvature_product spans in the merged trace")
+			}
+			for _, p := range products {
+				inside := false
+				for _, c := range cg {
+					if c.Start <= p.Start && p.Start+p.Dur <= c.Start+c.Dur {
+						inside = true
+						break
+					}
+				}
+				if !inside {
+					t.Errorf("rank %d's worker_curvature_product [%v, %v] lies in no rank-0 cg_minimize span",
+						p.Rank, p.Start, p.Start+p.Dur)
+				}
+			}
+		})
+	}
+}
+
 // TestTelemetryLiveEndpointDuringTraining scrapes the monitoring
 // endpoint mid-run: the per-iteration telemetry hook fires after the
 // master's flush, so /metrics must already expose worker-rank series
@@ -124,7 +202,7 @@ func TestTelemetryLiveEndpointDuringTraining(t *testing.T) {
 	sess, err := NewSession(p,
 		WithRanks(3),
 		WithObserver(ob),
-		WithTelemetry(telemetry.Config{}),
+		WithTelemetry(),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +279,7 @@ func TestTelemetryFlightRecorderOnEviction(t *testing.T) {
 		WithObserver(ob),
 		WithFaults(faultPolicy(t, "kill:rank=2,epoch=3")),
 		WithCheckpoint(CheckpointPolicy{Every: 1, Path: filepath.Join(t.TempDir(), "flight.ck")}),
-		WithTelemetry(telemetry.Config{}),
+		WithTelemetry(),
 	)
 	if err != nil {
 		t.Fatal(err)

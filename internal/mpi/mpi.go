@@ -6,7 +6,8 @@
 //
 //   - the in-process fabric (goroutines + channels-free mailboxes), used by
 //     tests, examples and the single-binary distributed trainer; and
-//   - a TCP fabric (net, length-prefixed frames) for multi-process runs.
+//   - a TCP fabric (net, length-prefixed frames) over localhost sockets,
+//     every rank still in this process (ConnectTCPLocal).
 //
 // Every tag the module uses — the collectives' blocks and each
 // protocol's point tags — is declared once, in tags.go.

@@ -19,9 +19,6 @@ const (
 	// out-of-order match.
 	TagStarCmd = 9500
 
-	// TagClockSync carries the master↔worker RTT ping/pong rounds that
-	// estimate each worker's clock offset at session start.
-	TagClockSync = 9600
 	// TagTelemetry carries worker→master span/metric bundle shipments
 	// at iteration boundaries, off the critical path.
 	TagTelemetry = 9601
@@ -63,7 +60,6 @@ type tagRow struct {
 var tagPlan = map[int]tagRow{
 	TagShard:     {"core.shard", 1},
 	TagStarCmd:   {"core.star.cmd", 1},
-	TagClockSync: {"telemetry.clock_sync", 1},
 	TagTelemetry: {"telemetry.bundle", 1},
 	TagServeReq:  {"serve.req", 1},
 	TagServeRes:  {"serve.res", 1},

@@ -15,7 +15,6 @@ func TestTagPlan(t *testing.T) {
 	pins := map[int]int{
 		TagShard:     9000,
 		TagStarCmd:   9500,
-		TagClockSync: 9600,
 		TagTelemetry: 9601,
 		TagServeReq:  9700,
 		TagServeRes:  9701,

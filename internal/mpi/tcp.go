@@ -54,24 +54,8 @@ type tcpConn struct {
 	c  net.Conn
 }
 
-// ConnectTCP builds the TCP endpoint for rank among size ranks, where
-// addrs[i] is the listen address of rank i. Every rank must call
-// ConnectTCP concurrently; it returns once the full mesh is established.
-func ConnectTCP(rank int, addrs []string) (Transport, error) {
-	size := len(addrs)
-	if err := checkRank("tcp", rank, size); err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", addrs[rank])
-	if err != nil {
-		return nil, fmt.Errorf("mpi: rank %d listen: %w", rank, err)
-	}
-	return connectTCPWithListener(rank, addrs, ln)
-}
-
 // ConnectTCPLocal creates a size-rank fabric on ephemeral localhost ports
-// and returns all endpoints. It exists for tests and single-host
-// multi-transport runs where addresses are not known in advance.
+// and returns all endpoints, one per rank, for use inside this process.
 func ConnectTCPLocal(size int) ([]Transport, error) {
 	lns := make([]net.Listener, size)
 	addrs := make([]string, size)

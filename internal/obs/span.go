@@ -57,8 +57,8 @@ func NewTracerSize(size int) *Tracer {
 }
 
 // Epoch returns the tracer's trace-time zero in wall-clock terms — the
-// reference the telemetry plane's clock-offset correction aligns across
-// ranks; nil-safe (returns the zero time).
+// reference the telemetry plane rebases each rank's spans by; nil-safe
+// (returns the zero time).
 func (t *Tracer) Epoch() time.Time {
 	if t == nil {
 		return time.Time{}

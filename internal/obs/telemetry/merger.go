@@ -10,8 +10,9 @@ import (
 )
 
 // Merger is the master-side aggregation point: it ingests WorkerBundles
-// (and the master's own drained observer), rebases every span onto one
-// timebase using the clock offsets measured by SyncClocks, and serves
+// (and the master's own drained observer), rebases every span onto the
+// master's timebase by the difference of the two tracer epochs — exact,
+// since every rank shares the master's process and clock — and serves
 // the merged result — a single Chrome/Perfetto trace, per-rank metric
 // snapshots, and a merged event log. Safe for concurrent use (the HTTP
 // endpoint scrapes it while the training loop ingests). The nil Merger
@@ -23,12 +24,11 @@ type Merger struct {
 	mu       sync.Mutex
 	events   []obs.Event // merged span ring, len <= cap
 	start    int
-	dropped  int64                  // spans overwritten by the merged ring
-	offsets  map[int]time.Duration  // rank → (worker clock − master clock)
-	latest   map[int]obs.Snapshot   // rank → newest metrics snapshot
-	prev     map[int]obs.Snapshot   // rank → snapshot before latest (for deltas)
-	rankDrop map[int]int64          // rank → spans dropped at the source tracer
-	entries  []obs.LogEntry         // merged event-log ring
+	dropped  int64                // spans overwritten by the merged ring
+	latest   map[int]obs.Snapshot // rank → newest metrics snapshot
+	prev     map[int]obs.Snapshot // rank → snapshot before latest (for deltas)
+	rankDrop map[int]int64        // rank → spans dropped at the source tracer
+	entries  []obs.LogEntry       // merged event-log ring
 	entStart int
 	local    map[int]*obs.Registry // live local registries (BindLocal)
 }
@@ -42,35 +42,11 @@ func NewMerger(epoch time.Time, cap int) *Merger {
 	return &Merger{
 		epoch:    epoch,
 		cap:      cap,
-		offsets:  map[int]time.Duration{},
 		latest:   map[int]obs.Snapshot{},
 		prev:     map[int]obs.Snapshot{},
 		rankDrop: map[int]int64{},
 		local:    map[int]*obs.Registry{},
 	}
-}
-
-// SetOffset records rank's measured clock offset (worker clock minus
-// master clock, from SyncClocks); nil-safe. Ranks without an offset
-// ingest with offset zero — correct for the master's own bundle and for
-// in-process fabrics sharing one clock.
-func (m *Merger) SetOffset(rank int, offset time.Duration) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.offsets[rank] = offset
-	m.mu.Unlock()
-}
-
-// Offset returns rank's recorded clock offset; nil-safe.
-func (m *Merger) Offset(rank int) time.Duration {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.offsets[rank]
 }
 
 // BindLocal attaches a live registry for rank: Snapshots (and therefore
@@ -109,21 +85,16 @@ func (m *Merger) appendEntryLocked(e obs.LogEntry) {
 }
 
 // Ingest merges one shipped bundle: spans are rebased from the
-// shipper's epoch onto the master timebase using the rank's clock
-// offset, the rank's metrics snapshot replaces the previous one (which
-// is kept for flight-recorder deltas), and event-log lines join the
-// merged log with their timestamps corrected onto the master clock;
-// nil-safe.
+// shipper's epoch onto the master timebase, the rank's metrics snapshot
+// replaces the previous one (which is kept for flight-recorder deltas),
+// and event-log lines join the merged log as stamped; nil-safe.
 func (m *Merger) Ingest(b WorkerBundle) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	off := m.offsets[b.Rank]
-	// A worker timestamp t_w corresponds to master wall time t_w − off;
-	// span starts become (workerEpoch + Start − off) − masterEpoch.
-	rebase := b.Epoch.Sub(m.epoch) - off
+	rebase := b.Epoch.Sub(m.epoch)
 	for _, ev := range b.Spans {
 		ev.Start += rebase
 		m.appendEventLocked(ev)
@@ -136,15 +107,11 @@ func (m *Merger) Ingest(b WorkerBundle) {
 	}
 	m.latest[b.Rank] = b.Metrics
 	for _, e := range b.Events {
-		e.Time = e.Time.Add(-off)
 		m.appendEntryLocked(e)
 	}
 }
 
-// Events returns the merged spans sorted by start time. When clock
-// skew pushes any span before the timebase zero, the whole timeline is
-// shifted so the earliest span starts at zero — viewers get no
-// negative-start spans; nil-safe.
+// Events returns the merged spans sorted by start time; nil-safe.
 func (m *Merger) Events() []obs.Event {
 	if m == nil {
 		return nil
@@ -155,12 +122,6 @@ func (m *Merger) Events() []obs.Event {
 	out = append(out, m.events[:m.start]...)
 	m.mu.Unlock()
 	obs.SortEvents(out)
-	if len(out) > 0 && out[0].Start < 0 {
-		shift := -out[0].Start
-		for i := range out {
-			out[i].Start += shift
-		}
-	}
 	return out
 }
 
@@ -218,8 +179,7 @@ func (m *Merger) Snapshots() map[int]obs.Snapshot {
 	return out
 }
 
-// Entries returns the merged event-log lines sorted by (master-clock)
-// time; nil-safe.
+// Entries returns the merged event-log lines sorted by time; nil-safe.
 func (m *Merger) Entries() []obs.LogEntry {
 	if m == nil {
 		return nil

@@ -1,17 +1,20 @@
 // Package telemetry is the distributed half of the observability layer:
 // it moves per-rank spans, metrics and event-log lines to the master and
-// turns them into one clock-aligned timeline, a live monitoring
-// endpoint, and a post-mortem flight recorder.
+// turns them into one timeline, a live monitoring endpoint, and a
+// post-mortem flight recorder.
+//
+// Every rank runs in the master's process (the in-process fabric or
+// localhost TCP), so all ranks read one clock and the timeline needs
+// no clock-offset estimate: a rank's spans move onto the master's
+// timebase by the exact difference of the two tracer epochs.
 //
 // Three pillars:
 //
-//   - cross-rank trace aggregation: an RTT ping/pong clock-offset
-//     handshake at session start (SyncClocks/ServeClockSync on
-//     mpi.TagClockSync), workers shipping span/metric/event bundles to
-//     the master on mpi.TagTelemetry at iteration boundaries — off the
-//     collective critical path — and a master-side Merger emitting one
-//     Chrome/Perfetto trace with per-rank process tracks on a common
-//     timebase;
+//   - cross-rank trace aggregation: workers ship span/metric/event
+//     bundles to the master on mpi.TagTelemetry at every iteration
+//     boundary — off the collective critical path — and a master-side
+//     Merger emits one Chrome/Perfetto trace with per-rank process
+//     tracks on the master's timebase;
 //   - a live monitoring endpoint (Server): Prometheus text exposition at
 //     /metrics, the merged trace so far at /trace, elastic worker state
 //     at /healthz, and net/http/pprof;
@@ -37,11 +40,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Defaults for Config.Filled.
+// The plane's fixed sizes and bounds. Every rank runs in one process,
+// so nothing here varies by deployment.
 const (
-	// DefaultFlushEvery ships telemetry every iteration; raise it to
-	// amortize shipping on fast iterations.
-	DefaultFlushEvery = 1
 	// DefaultWindow is the flight recorder's lookback.
 	DefaultWindow = 10 * time.Second
 	// DefaultMergedCap bounds the master's merged span ring.
@@ -50,45 +51,7 @@ const (
 	DefaultEntryCap = 1024
 	// DefaultDeadline bounds each per-worker telemetry receive.
 	DefaultDeadline = 5 * time.Second
-	// DefaultClockSyncRounds is the number of RTT ping/pong rounds per
-	// worker; the round with the smallest RTT wins.
-	DefaultClockSyncRounds = 4
 )
-
-// Config tunes the telemetry plane. The zero value means "defaults";
-// call Filled to materialize them.
-type Config struct {
-	// FlushEvery ships worker bundles every FlushEvery iterations.
-	FlushEvery int
-	// Window is the flight recorder's lookback.
-	Window time.Duration
-	// MergedCap bounds the merged span ring on the master.
-	MergedCap int
-	// Deadline bounds each per-worker telemetry receive on the master.
-	Deadline time.Duration
-	// ClockSyncRounds is the number of clock-offset ping rounds.
-	ClockSyncRounds int
-}
-
-// Filled returns cfg with zero fields replaced by defaults.
-func (cfg Config) Filled() Config {
-	if cfg.FlushEvery <= 0 {
-		cfg.FlushEvery = DefaultFlushEvery
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultWindow
-	}
-	if cfg.MergedCap <= 0 {
-		cfg.MergedCap = DefaultMergedCap
-	}
-	if cfg.Deadline <= 0 {
-		cfg.Deadline = DefaultDeadline
-	}
-	if cfg.ClockSyncRounds <= 0 {
-		cfg.ClockSyncRounds = DefaultClockSyncRounds
-	}
-	return cfg
-}
 
 // Plane bundles the master-side telemetry components the runtime
 // threads through a session. The nil Plane is a valid, disabled plane.
@@ -101,19 +64,15 @@ type Plane struct {
 	// Status is the live state surfaced at /healthz; reach it through
 	// Health.
 	Status *Health
-
-	cfg Config
 }
 
 // NewPlane builds a telemetry plane whose merged timebase is zero at
 // epoch (pass the master tracer's Epoch so local spans need no rebase).
-func NewPlane(cfg Config, epoch time.Time) *Plane {
-	cfg = cfg.Filled()
+func NewPlane(epoch time.Time) *Plane {
 	return &Plane{
-		Traces: NewMerger(epoch, cfg.MergedCap),
-		Flight: NewRecorder(cfg.Window),
+		Traces: NewMerger(epoch, DefaultMergedCap),
+		Flight: NewRecorder(DefaultWindow),
 		Status: NewHealth(),
-		cfg:    cfg,
 	}
 }
 
@@ -142,24 +101,15 @@ func (p *Plane) Health() *Health {
 	return p.Status
 }
 
-// Config returns the plane's filled configuration; nil-safe (returns
-// the filled zero Config).
-func (p *Plane) Config() Config {
-	if p == nil {
-		return Config{}.Filled()
-	}
-	return p.cfg
-}
-
 // WorkerBundle is one telemetry shipment: everything a rank drained
 // since its previous flush. It crosses the wire gob-encoded on
 // mpi.TagTelemetry.
 type WorkerBundle struct {
 	// Rank is the shipping rank.
 	Rank int
-	// Epoch is the shipper tracer's trace-time zero on the shipper's
-	// own wall clock; the merger rebases Spans with the rank's measured
-	// clock offset.
+	// Epoch is the shipper tracer's trace-time zero. Every rank shares
+	// the master's clock, so the merger rebases Spans by the difference
+	// of the two epochs alone.
 	Epoch time.Time
 	// Spans are the drained spans, Start relative to Epoch.
 	Spans []obs.Event

@@ -11,19 +11,6 @@ import (
 	"repro/internal/obs"
 )
 
-func TestConfigFilled(t *testing.T) {
-	cfg := Config{}.Filled()
-	if cfg.FlushEvery != DefaultFlushEvery || cfg.Window != DefaultWindow ||
-		cfg.MergedCap != DefaultMergedCap || cfg.Deadline != DefaultDeadline ||
-		cfg.ClockSyncRounds != DefaultClockSyncRounds {
-		t.Fatalf("defaults not filled: %+v", cfg)
-	}
-	cfg = Config{FlushEvery: 3, Window: time.Second}.Filled()
-	if cfg.FlushEvery != 3 || cfg.Window != time.Second {
-		t.Fatalf("explicit fields clobbered: %+v", cfg)
-	}
-}
-
 // TestNilPlaneIsNoop proves the whole plane is nil-safe: every accessor
 // and component method on a nil receiver is a working no-op.
 func TestNilPlaneIsNoop(t *testing.T) {
@@ -32,7 +19,6 @@ func TestNilPlaneIsNoop(t *testing.T) {
 		t.Fatal("nil plane handed out non-nil components")
 	}
 	var m *Merger
-	m.SetOffset(1, time.Second)
 	m.Ingest(WorkerBundle{Rank: 1})
 	if m.Events() != nil || m.Ranks() != nil || m.Snapshots() != nil {
 		t.Fatal("nil merger returned data")
@@ -67,34 +53,9 @@ func TestNilPlaneIsNoop(t *testing.T) {
 	}
 }
 
-// TestClockSyncRoundTrip runs the handshake over the in-process fabric
-// (both endpoints share one physical clock, so the estimated offset
-// must be small) and proves master and worker agree on round count.
-func TestClockSyncRoundTrip(t *testing.T) {
-	fab := mpi.NewInprocFabric(2)
-	defer fab.Close()
-	master := mpi.NewComm(fab.Transport(0))
-	worker := mpi.NewComm(fab.Transport(1))
-	done := make(chan error, 1)
-	go func() { done <- ServeClockSync(worker, 0, 4) }()
-	offset, rtt, err := SyncClocks(master, 1, 4, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if rtt <= 0 || rtt > time.Second {
-		t.Fatalf("rtt = %v", rtt)
-	}
-	if offset < -50*time.Millisecond || offset > 50*time.Millisecond {
-		t.Fatalf("same-clock offset = %v, want ~0", offset)
-	}
-}
-
 // TestShipperMergerRoundTrip ships a worker bundle over the fabric and
-// checks the merger rebases spans onto the master timebase, applies the
-// clock offset, and keeps metrics and events.
+// checks the merger rebases spans onto the master timebase and keeps
+// metrics and events.
 func TestShipperMergerRoundTrip(t *testing.T) {
 	fab := mpi.NewInprocFabric(2)
 	defer fab.Close()
@@ -134,7 +95,6 @@ func TestShipperMergerRoundTrip(t *testing.T) {
 	}
 
 	m := NewMerger(wOb.Tracer().Epoch().Add(-time.Second), 0)
-	m.SetOffset(1, 0)
 	m.Ingest(b)
 	evs := m.Events()
 	if len(evs) != 1 || evs[0].Name != "gradient_loss" || evs[0].Rank != 1 {
@@ -164,36 +124,6 @@ func TestShipperMergerRoundTrip(t *testing.T) {
 	ds := m.Deltas()
 	if len(ds) != 1 || len(ds[0].Counters) != 1 || ds[0].Counters[0].Value != 3 {
 		t.Fatalf("deltas = %+v", ds)
-	}
-}
-
-// TestMergerClockOffsetNoNegativeStarts feeds a bundle whose rank clock
-// runs far ahead (positive offset) and one far behind, and checks the
-// merged timeline is shifted so nothing starts before zero.
-func TestMergerClockOffsetNoNegativeStarts(t *testing.T) {
-	epoch := time.Now()
-	m := NewMerger(epoch, 0)
-	m.SetOffset(1, 2*time.Second)  // rank 1 clock 2s ahead of master
-	m.SetOffset(2, -2*time.Second) // rank 2 clock 2s behind
-	for rank := 1; rank <= 2; rank++ {
-		m.Ingest(WorkerBundle{
-			Rank:  rank,
-			Epoch: epoch, // same wall instant as master epoch on the worker's own (skewed) clock
-			Spans: []obs.Event{{Name: "w", Rank: rank, Start: 0, Dur: time.Millisecond}},
-		})
-	}
-	evs := m.Events()
-	if len(evs) != 2 {
-		t.Fatalf("events = %d", len(evs))
-	}
-	for _, ev := range evs {
-		if ev.Start < 0 {
-			t.Fatalf("negative start after rebase: %+v", evs)
-		}
-	}
-	// Relative spacing must be preserved: 4s between the two ranks.
-	if gap := evs[1].Start - evs[0].Start; gap != 4*time.Second {
-		t.Fatalf("relative spacing lost: gap %v, want 4s", gap)
 	}
 }
 
@@ -255,17 +185,17 @@ hf_mpi_allreduce_ns_count{rank="1"} 3
 }
 
 // TestMergedTraceGolden locks the merged Chrome trace output for two
-// ranks with a known offset — the cross-rank version of the obs golden.
+// ranks whose tracer epochs differ — the cross-rank version of the obs
+// golden.
 func TestMergedTraceGolden(t *testing.T) {
 	epoch := time.Unix(1000, 0)
 	m := NewMerger(epoch, 0)
-	m.SetOffset(1, time.Millisecond) // rank 1's clock runs 1ms ahead
 	m.Ingest(WorkerBundle{Rank: 0, Epoch: epoch, Spans: []obs.Event{
 		{Name: "cg_minimize", Rank: 0, Start: 0, Dur: 2 * time.Millisecond},
 	}})
-	m.Ingest(WorkerBundle{Rank: 1, Epoch: epoch.Add(2 * time.Millisecond), Spans: []obs.Event{
-		// Worker-local start 0 at worker epoch = master wall epoch+1ms
-		// → merged start 1ms once the 1ms clock skew is removed.
+	m.Ingest(WorkerBundle{Rank: 1, Epoch: epoch.Add(time.Millisecond), Spans: []obs.Event{
+		// Worker-local start 0 at worker epoch = master epoch+1ms
+		// → merged start 1ms.
 		{Name: "gradient_loss", Rank: 1, Start: 0, Dur: time.Millisecond},
 	}})
 	var sb strings.Builder
@@ -418,7 +348,7 @@ func TestHealthJSON(t *testing.T) {
 
 // TestServerEndpoints smoke-tests every route against a live plane.
 func TestServerEndpoints(t *testing.T) {
-	p := NewPlane(Config{}, time.Now())
+	p := NewPlane(time.Now())
 	reg := obs.NewRegistry()
 	reg.Counter("iter.count").Add(9)
 	p.Merger().BindLocal(0, reg)

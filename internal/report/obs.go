@@ -3,7 +3,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/hf"
 	"repro/internal/mpi"
@@ -58,9 +57,9 @@ func MetricsTable(w io.Writer, snap obs.Snapshot) {
 }
 
 // TelemetryTable renders the telemetry plane's per-rank rollup: one row
-// per rank with its clock offset into the master timebase, counter and
-// histogram totals, and spans lost to ring overwrites — the at-a-glance
-// cross-rank view the merged trace details.
+// per rank with its counter, gauge and histogram totals and spans lost
+// to ring overwrites — the at-a-glance cross-rank view the merged trace
+// details.
 func TelemetryTable(w io.Writer, m *telemetry.Merger) {
 	ranks := m.Ranks()
 	if len(ranks) == 0 {
@@ -69,13 +68,12 @@ func TelemetryTable(w io.Writer, m *telemetry.Merger) {
 	snaps := m.Snapshots()
 	_, perRankDrop := m.Dropped()
 	fmt.Fprintln(w, "telemetry by rank (merged at master)")
-	fmt.Fprintf(w, "%4s %14s %10s %8s %12s %10s\n",
-		"rank", "clock offset", "counters", "gauges", "histograms", "dropped")
+	fmt.Fprintf(w, "%4s %10s %8s %12s %10s\n",
+		"rank", "counters", "gauges", "histograms", "dropped")
 	for _, rank := range ranks {
 		s := snaps[rank]
-		fmt.Fprintf(w, "%4d %14s %10d %8d %12d %10d\n",
-			rank, m.Offset(rank).Round(time.Microsecond),
-			len(s.Counters), len(s.Gauges), len(s.Histograms), perRankDrop[rank])
+		fmt.Fprintf(w, "%4d %10d %8d %12d %10d\n",
+			rank, len(s.Counters), len(s.Gauges), len(s.Histograms), perRankDrop[rank])
 	}
 }
 
