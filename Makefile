@@ -2,9 +2,11 @@
 
 # Full gate; each property is proved once, by the cheapest thing that
 # proves it (DESIGN.md §11 has the audit behind the list):
-#   - compile, vet (copylocks and asmdecl included), and the 10
-#     repo-specific analyzers + 2 compiler-truth gates, zero findings
-#     being the bar (`go run ./cmd/repolint -list` documents the set);
+#   - compile, gofmt over every tracked .go file outside testdata (lint
+#     fixtures pin positions, so they keep their layout), vet (copylocks
+#     and asmdecl included), and the 10 repo-specific analyzers + 2
+#     compiler-truth gates, zero findings being the bar (`go run
+#     ./cmd/repolint -list` documents the set);
 #   - the portable GEMM kernel still compiles and vets: an arm64 cross
 #     build, where kernel_amd64.s does not exist;
 #   - the whole suite once, armed: race detector plus the `checked`
@@ -26,6 +28,8 @@
 # It leaves the tree as it found it; CI checks that.
 verify:
 	go build ./...
+	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+		if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 	go vet ./...
 	GOARCH=arm64 go vet ./internal/blas && GOARCH=arm64 go build ./...
 	go run ./cmd/repolint

@@ -15,12 +15,6 @@
 // /debug/pprof/) on a second address. SIGINT/SIGTERM triggers a
 // graceful drain: admission stops, in-flight requests complete, then
 // the process exits.
-//
-// -replicas N shards scoring over N ranks of an in-process fabric
-// (-transport inproc or tcp): rank 0 runs the front end and fans
-// batches out to N-1 replica ranks on the reserved serve tags — the
-// single-binary analogue of a replicated deployment, mirroring how
-// hftrain -mode dist spawns its training ranks.
 package main
 
 import (
@@ -35,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/obs/telemetry"
 	"repro/internal/serve"
@@ -46,11 +39,9 @@ func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address for the scoring API")
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "rows per batch (larger requests are scored in slices of this)")
 	queueDepth := flag.Int("queue-depth", serve.DefaultQueueDepth, "admission queue bound (full queue sheds with 429)")
-	workers := flag.Int("workers", serve.DefaultWorkers, "scoring workers (ignored with -replicas)")
+	workers := flag.Int("workers", serve.DefaultWorkers, "scoring workers")
 	maxWait := flag.Duration("max-wait", 0, "load-aware shedding: reject when the estimated wait exceeds this (0 disables)")
 	softmax := flag.Bool("softmax", false, "return softmax probabilities instead of raw logits")
-	replicas := flag.Int("replicas", 0, "shard scoring over this many fabric ranks (1 front end + N-1 replicas; 0 = in-process workers)")
-	transport := flag.String("transport", "inproc", "replica fabric: inproc or tcp (localhost)")
 	mon := flag.String("mon", "", "serve the monitoring endpoint (/metrics, /debug/pprof/) on this address")
 	drainTimeout := flag.Duration("drain-timeout", serve.DefaultDrainTimeout, "graceful-drain bound on shutdown")
 	flag.Parse()
@@ -69,6 +60,7 @@ func main() {
 	opts := []serve.Option{
 		serve.WithMaxBatch(*maxBatch),
 		serve.WithQueueDepth(*queueDepth),
+		serve.WithWorkers(*workers),
 		serve.WithMaxWait(*maxWait),
 		serve.WithDrainTimeout(*drainTimeout),
 		serve.WithObserver(ob),
@@ -76,13 +68,7 @@ func main() {
 	if *softmax {
 		opts = append(opts, serve.WithSoftmax())
 	}
-
-	var srv *serve.Server
-	if *replicas > 0 {
-		srv, err = spawnReplicated(ck, *replicas, *transport, opts)
-	} else {
-		srv, err = serve.New(ck, append(opts, serve.WithWorkers(*workers))...)
-	}
+	srv, err := serve.New(ck, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -152,49 +138,4 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 		IdleTimeout:       idleTimeout,
 		MaxHeaderBytes:    maxHeaderBytes,
 	}
-}
-
-// spawnReplicated builds an n-rank fabric in this process, starts
-// ServeReplica loops on ranks 1..n-1, and returns the rank-0 front end.
-// The replica goroutines exit when the front end's Close sends the stop
-// opcode to each rank.
-func spawnReplicated(ck *core.Checkpoint, n int, transport string, opts []serve.Option) (*serve.Server, error) {
-	if n < 2 {
-		return nil, errors.New("hfserve: -replicas needs ≥ 2 ranks (1 front end + ≥1 replica)")
-	}
-	transports := make([]mpi.Transport, n)
-	switch transport {
-	case "inproc":
-		fabric := mpi.NewInprocFabric(n)
-		for i := range transports {
-			transports[i] = fabric.Transport(i)
-		}
-	case "tcp":
-		ts, err := mpi.ConnectTCPLocal(n)
-		if err != nil {
-			return nil, err
-		}
-		copy(transports, ts)
-	default:
-		return nil, errors.New("hfserve: unknown -transport " + transport + " (want inproc, tcp)")
-	}
-	// Full slice expression: each append below copies instead of
-	// scribbling over a shared backing array across ranks.
-	opts = opts[:len(opts):len(opts)]
-	for i := 1; i < n; i++ {
-		// Replicas get the same options as the front end so their batch
-		// buffers match its -max-batch; the queue/worker options are
-		// inert on replica ranks.
-		rep, err := serve.New(ck, append(opts, serve.WithReplicas(mpi.NewComm(transports[i])))...)
-		if err != nil {
-			return nil, err
-		}
-		go func(rank int, rep *serve.Server) {
-			if err := rep.ServeReplica(); err != nil {
-				log.Printf("replica rank %d: %v", rank, err)
-			}
-		}(i, rep)
-	}
-	log.Printf("replica group up: %d ranks over %s, front end fanning to %d replicas", n, transport, n-1)
-	return serve.New(ck, append(opts, serve.WithReplicas(mpi.NewComm(transports[0])))...)
 }

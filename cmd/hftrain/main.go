@@ -59,7 +59,12 @@ func main() {
 
 // run is the whole command: it parses args, trains, and writes results
 // to stdout (progress goes to the log).
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
+	defer func() {
+		if errors.Is(err, core.ErrEmptyCorpus) {
+			err = fmt.Errorf("hftrain: %w (every 10th utterance is held out, so -utterances must be ≥ 10)", err)
+		}
+	}()
 	fs := flag.NewFlagSet("hftrain", flag.ContinueOnError)
 	mode := fs.String("mode", "dist", "training mode: serial, dist, sgd")
 	criterion := fs.String("criterion", "ce", "training criterion: ce, sequence")
@@ -99,6 +104,14 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *replayVerify && *save != "" {
 		return errors.New("hftrain: -save does not apply to -replay-verify (it keeps no model)")
+	}
+	switch {
+	case *layers < 0:
+		return fmt.Errorf("hftrain: -layers %d, want ≥ 0", *layers)
+	case *layers > 0 && *hidden < 1:
+		return fmt.Errorf("hftrain: -hidden %d, want ≥ 1 with -layers %d", *hidden, *layers)
+	case !(*sample > 0 && *sample <= 1):
+		return fmt.Errorf("hftrain: -sample %g, want a fraction in (0, 1]", *sample)
 	}
 
 	var ob *obs.Observer

@@ -53,8 +53,9 @@ func firstLoss(t *testing.T, args ...string) float64 {
 }
 
 // TestCheckpointFlags: -load and -save work in dist mode as in serial
-// mode, with or without faults; a saved model loads for serving; and a
-// run that cannot honour either flag rejects it.
+// mode, with or without faults; a saved model loads for serving; a run
+// that cannot honour either flag rejects it; and so does a run whose
+// topology, sample or corpus flags it would panic on or misread.
 func TestCheckpointFlags(t *testing.T) {
 	dir := t.TempDir()
 	serialCk := filepath.Join(dir, "serial.ck")
@@ -117,6 +118,31 @@ func TestCheckpointFlags(t *testing.T) {
 			name:    "replay save",
 			args:    []string{"-replay-verify", "-save", filepath.Join(dir, "replay.ck")},
 			wantErr: "-save does not apply to -replay-verify",
+		},
+		{
+			name:    "negative layers",
+			args:    []string{"-layers", "-1"},
+			wantErr: "-layers -1",
+		},
+		{
+			name:    "zero hidden with layers",
+			args:    []string{"-hidden", "0"},
+			wantErr: "-hidden 0",
+		},
+		{
+			name:    "zero sample",
+			args:    []string{"-sample", "0"},
+			wantErr: "-sample 0",
+		},
+		{
+			name:    "sample above one",
+			args:    []string{"-sample", "1.5"},
+			wantErr: "-sample 1.5",
+		},
+		{
+			name:    "no held-out utterance",
+			args:    []string{"-mode", "serial", "-utterances", "3"},
+			wantErr: "-utterances must be ≥ 10",
 		},
 	}
 	for _, tc := range tests {

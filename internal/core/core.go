@@ -18,6 +18,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -112,9 +113,20 @@ func (p Problem) filled() Problem {
 	return p
 }
 
+// ErrEmptyCorpus is returned, wrapped with the corpus's name, for a
+// Problem whose Train or Heldout corpus has no frames: there is nothing
+// to train on, or no held-out loss to steer by.
+var ErrEmptyCorpus = errors.New("core: corpus has no frames")
+
 func (p Problem) validate() error {
 	if p.Train == nil || p.Heldout == nil {
 		return fmt.Errorf("core: Problem needs Train and Heldout corpora")
+	}
+	if p.Train.TotalFrames() == 0 {
+		return fmt.Errorf("%w: Train", ErrEmptyCorpus)
+	}
+	if p.Heldout.TotalFrames() == 0 {
+		return fmt.Errorf("%w: Heldout", ErrEmptyCorpus)
 	}
 	if p.Topo.InputDim() != p.Train.InputDim() {
 		return fmt.Errorf("core: topology input %d != corpus input %d", p.Topo.InputDim(), p.Train.InputDim())

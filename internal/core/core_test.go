@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/hf"
@@ -340,6 +343,72 @@ func TestProblemValidation(t *testing.T) {
 	bad3.Train = nil
 	if _, err := NewSerialObjective(bad3); err == nil {
 		t.Fatal("expected missing-corpus error")
+	}
+}
+
+// TestProblemRejectsEmptyCorpus: a Train or Heldout corpus without
+// frames is refused by name, serial and distributed, rather than
+// trained against with a held-out loss that reads 0.
+func TestProblemRejectsEmptyCorpus(t *testing.T) {
+	p := testProblem(t, CrossEntropy)
+	empty := &corpus.Corpus{FeatDim: p.Train.FeatDim, NumStates: p.Train.NumStates, Context: p.Train.Context}
+	noTrain, noHeld := p, p
+	noTrain.Train, noHeld.Heldout = empty, empty
+	for _, tc := range []struct {
+		which string
+		p     Problem
+	}{{"Train", noTrain}, {"Heldout", noHeld}} {
+		_, serialErr := NewSerialObjective(tc.p)
+		_, distErr := NewSession(tc.p, WithRanks(3))
+		for _, err := range []error{serialErr, distErr} {
+			if !errors.Is(err, ErrEmptyCorpus) || !strings.HasSuffix(err.Error(), tc.which) {
+				t.Errorf("empty %s: err = %v, want ErrEmptyCorpus naming %s", tc.which, err, tc.which)
+			}
+		}
+	}
+}
+
+// TestMoreWorkersThanUtterances: a partition that leaves some workers
+// without an utterance is legal; those workers draw an empty curvature
+// sample and the run ends, on both fabrics, with the same finite loss.
+func TestMoreWorkersThanUtterances(t *testing.T) {
+	c := corpus.Generate(corpus.Config{Seed: 11, NumUtterances: 10, MeanSeconds: 0.3, FeatDim: 8, Context: 1, NumStates: 6, NoiseStd: 0.35})
+	train, held := c.Split(5)
+	p := Problem{
+		Topo:           nn.NewTopology(c.InputDim(), 16, 6),
+		Train:          train,
+		Heldout:        held,
+		SampleFraction: 0.03,
+		Seed:           7,
+	}
+	ranks := len(train.Utts) + 4 // 1 master, 3 workers with empty shards
+	cfg := fastHF()
+	cfg.MaxIterations = 2
+	var loss [2]float64
+	for i, fabric := range []FabricKind{FabricInproc, FabricTCP} {
+		done := make(chan *MasterResult, 1)
+		go func() {
+			res, err := trainDist(p, cfg, ranks, nil, WithFabric(fabric))
+			if err != nil {
+				t.Errorf("%s: %v", fabric, err)
+			}
+			done <- res
+		}()
+		select {
+		case res := <-done:
+			if res == nil {
+				t.FailNow()
+			}
+			loss[i] = res.HF.FinalLoss
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: %d ranks over %d utterances still running after 10s", fabric, ranks, len(train.Utts))
+		}
+		if math.IsNaN(loss[i]) || math.IsInf(loss[i], 0) {
+			t.Fatalf("%s: final loss %v", fabric, loss[i])
+		}
+	}
+	if loss[0] != loss[1] {
+		t.Errorf("final loss inproc %v, tcp %v: want equal", loss[0], loss[1])
 	}
 }
 

@@ -113,10 +113,9 @@ func (e *engine) drawSample(iter int) {
 	}
 	rng := rand.New(rand.NewSource(e.seed*1000003 + int64(iter)))
 	n := len(e.train.bounds)
-	k := int(float64(n)*e.sampleFrac + 0.5)
-	if k < 1 {
-		k = 1
-	}
+	// At least one utterance, and none past the shard: a worker with an
+	// empty shard draws an empty sample.
+	k := min(max(int(float64(n)*e.sampleFrac+0.5), 1), n)
 	perm := rng.Perm(n)
 	e.sample = e.sample[:0]
 	e.sampleFrames = 0

@@ -2,8 +2,8 @@ package mpi
 
 // The module's tag plan, stated once. Every tag any package of this
 // module sends or receives on is a constant below and a key of tagPlan;
-// internal/core, internal/serve and internal/obs/telemetry use these
-// constants and declare none of their own. Go rejects a duplicate
+// internal/core and internal/obs/telemetry use these constants and
+// declare none of their own. Go rejects a duplicate
 // constant key in a map literal, so two protocols on one tag do not
 // compile; TestTagPlan pins the values (they are the wire) and proves
 // the [tag, tag+width) ranges disjoint.
@@ -22,13 +22,6 @@ const (
 	// TagTelemetry carries worker→master span/metric bundle shipments
 	// at iteration boundaries, off the critical path.
 	TagTelemetry = 9601
-
-	// TagServeReq carries master→replica batch requests and TagServeRes
-	// the scored batches back (serve/replica.go). A scoring worker is
-	// pinned to one replica and a replica serves one batch at a time,
-	// so one FIFO tag per direction suffices.
-	TagServeReq = 9700
-	TagServeRes = 9701
 )
 
 // Tag blocks: a base to which the sender adds an offset below
@@ -61,8 +54,6 @@ var tagPlan = map[int]tagRow{
 	TagShard:     {"core.shard", 1},
 	TagStarCmd:   {"core.star.cmd", 1},
 	TagTelemetry: {"telemetry.bundle", 1},
-	TagServeReq:  {"serve.req", 1},
-	TagServeRes:  {"serve.res", 1},
 	tagBcast:     {"mpi.bcast", tagBlockWidth},
 	tagReduce:    {"mpi.reduce", tagBlockWidth},
 	tagBarrier:   {"mpi.barrier", tagBlockWidth},

@@ -16,8 +16,6 @@ func TestTagPlan(t *testing.T) {
 		TagShard:     9000,
 		TagStarCmd:   9500,
 		TagTelemetry: 9601,
-		TagServeReq:  9700,
-		TagServeRes:  9701,
 		tagBcast:     1 << 24,
 		tagReduce:    2 << 24,
 		tagBarrier:   5 << 24,

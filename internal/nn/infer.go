@@ -18,7 +18,6 @@ import (
 // A buffer set is tied to one topology and one maximum batch size and is
 // NOT safe for concurrent use — give each goroutine its own.
 type InferBuffers struct {
-	topo     Topology
 	maxBatch int
 	// acts[l] is the layer-l output buffer. Its Data always backs the
 	// full maxBatch rows; ForwardInto shrinks Rows to the live batch
@@ -36,18 +35,12 @@ func (t Topology) NewInferBuffers(maxBatch int) *InferBuffers {
 	if maxBatch <= 0 {
 		panic(fmt.Sprintf("nn: NewInferBuffers maxBatch %d, want > 0", maxBatch))
 	}
-	b := &InferBuffers{topo: t, maxBatch: maxBatch}
+	b := &InferBuffers{maxBatch: maxBatch}
 	for l := 0; l < t.NumLayers(); l++ {
 		b.acts = append(b.acts, tensor.NewMatrix(maxBatch, t.Sizes[l+1]))
 	}
 	return b
 }
-
-// MaxBatch returns the batch capacity the buffers were sized for.
-func (b *InferBuffers) MaxBatch() int { return b.maxBatch }
-
-// Topology returns the topology the buffers were sized for.
-func (b *InferBuffers) Topology() Topology { return b.topo }
 
 // inferMismatch reports a ForwardInto precondition violation. It is
 // hoisted out of the hot path (and kept noinline) so the formatted panic

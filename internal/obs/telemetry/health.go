@@ -74,12 +74,12 @@ func (h *Health) SetProgress(iter int, loss float64) {
 
 // healthView is the JSON shape /healthz serves.
 type healthView struct {
-	State     string              `json:"state"`
-	Workers   map[string]string   `json:"workers"`
-	Live      int                 `json:"live"`
-	Evictions int                 `json:"evictions"`
-	Iter      int                 `json:"iter"`
-	Loss      float64             `json:"loss"`
+	State     string            `json:"state"`
+	Workers   map[string]string `json:"workers"`
+	Live      int               `json:"live"`
+	Evictions int               `json:"evictions"`
+	Iter      int               `json:"iter"`
+	Loss      float64           `json:"loss"`
 }
 
 // Healthy reports whether the run is in a good state: not failed, and

@@ -76,11 +76,11 @@ func mkEvent(rank int, name string, start, dur time.Duration) Event {
 func TestAssignLanes(t *testing.T) {
 	ms := time.Millisecond
 	events := []Event{
-		mkEvent(0, "outer", 0, 10*ms),   // lane 0
-		mkEvent(0, "inner", 2*ms, 3*ms), // nested in outer → lane 0
+		mkEvent(0, "outer", 0, 10*ms),      // lane 0
+		mkEvent(0, "inner", 2*ms, 3*ms),    // nested in outer → lane 0
 		mkEvent(0, "overlap", 5*ms, 10*ms), // overlaps outer's tail → lane 1
-		mkEvent(0, "later", 20*ms, ms),  // everything closed → lane 0
-		mkEvent(1, "other", 0, ms),      // separate rank → its own lane 0
+		mkEvent(0, "later", 20*ms, ms),     // everything closed → lane 0
+		mkEvent(1, "other", 0, ms),         // separate rank → its own lane 0
 	}
 	SortEvents(events)
 	lanes := assignLanes(events)

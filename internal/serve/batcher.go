@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,16 +24,13 @@ type request struct {
 
 // scorer runs one batch of requests, at most MaxBatch rows in total,
 // through the model. Implementations are single-goroutine (each scoring
-// worker owns one): localScorer runs the forward pass in-process over
-// preallocated nn.InferBuffers; replicaScorer ships the batch to a
-// replica rank over the mpi fabric. The returned logits matrix is
-// compact (each request's rows follow the previous one's), owned by the
-// scorer and valid until its next score call.
+// worker owns one). The server's is localScorer, the in-process forward
+// pass over preallocated nn.InferBuffers; batcher tests substitute
+// their own. The returned logits matrix is compact (each request's rows
+// follow the previous one's), owned by the scorer and valid until its
+// next score call.
 type scorer interface {
-	score(batch []*request) (*tensor.Matrix, error)
-	// stop releases the scorer at drain time (replica shutdown; no-op
-	// locally).
-	stop() error
+	score(batch []*request) *tensor.Matrix
 }
 
 // batcher is the serving pipeline: bounded admission queue → collector
@@ -61,7 +57,6 @@ type batcher struct {
 
 	draining atomic.Bool
 	pending  atomic.Int64 // admitted, not yet completed
-	live     atomic.Int64 // workers still in the pool
 	ewmaNs   atomic.Int64 // smoothed per-request service time estimate
 
 	closeOnce sync.Once
@@ -78,7 +73,6 @@ func newBatcher(s *Server, scorers []scorer) *batcher {
 		stop:    make(chan struct{}),
 		colDone: make(chan struct{}),
 	}
-	b.live.Store(int64(len(scorers)))
 	go b.collect()
 	b.wg.Add(len(scorers))
 	for _, sc := range scorers {
@@ -91,23 +85,16 @@ func newBatcher(s *Server, scorers []scorer) *batcher {
 // n×OutputDim values) as one request and blocks until it completes.
 // Shedding happens strictly before enqueue: a full queue (or a
 // load-aware wait estimate beyond WithMaxWait) returns ErrQueueFull
-// without the request ever entering the pipeline. A replica rank's
-// Server has no batcher and admits nothing.
+// without the request ever entering the pipeline.
 func (b *batcher) score(rows, out []float32, n int) error {
-	if b == nil {
-		return errors.New("serve: Score on a replica rank (only rank 0 admits requests)")
-	}
 	met := &b.s.met
 	if b.draining.Load() {
 		met.drained.Inc()
 		return ErrDraining
 	}
-	if b.live.Load() == 0 {
-		return ErrWorkerLost
-	}
 	if mw := b.s.opt.maxWait; mw > 0 {
 		if e := b.ewmaNs.Load(); e > 0 {
-			est := time.Duration((int64(len(b.queue))+1) * e / int64(len(b.scorers)))
+			est := time.Duration((int64(len(b.queue)) + 1) * e / int64(len(b.scorers)))
 			if est > mw {
 				met.shed.Inc()
 				return ErrQueueFull
@@ -221,32 +208,21 @@ func (b *batcher) complete(err error, batch ...*request) {
 	}
 }
 
-// worker scores batches until the batches channel closes. A worker
-// whose scorer reports ErrWorkerLost leaves the pool; the last one to
-// leave stays only to fail what was already handed to it, since
-// admission refuses new requests from then on.
+// worker scores batches until the batches channel closes.
 func (b *batcher) worker(sc scorer) {
 	defer b.wg.Done()
 	part := []*request{new(request)}
 	for batch := range b.batches {
-		if !errors.Is(b.runBatch(sc, batch, part), ErrWorkerLost) {
-			continue
-		}
-		if b.live.Add(-1) > 0 {
-			return
-		}
-		for batch := range b.batches {
-			b.complete(ErrWorkerLost, batch...)
-		}
+		b.runBatch(sc, batch, part)
 	}
 }
 
-// runBatch scores one batch, completes its requests with the outcome,
-// and folds the batch's per-request service time into the load estimate
-// WithMaxWait sheds on. A request larger than MaxBatch travels alone and
-// is scored through part, the worker's one-entry scratch batch, in
-// MaxBatch-row slices.
-func (b *batcher) runBatch(sc scorer, batch, part []*request) error {
+// runBatch scores one batch, completes its requests, and folds the
+// batch's per-request service time into the load estimate WithMaxWait
+// sheds on. A request larger than MaxBatch travels alone and is scored
+// through part, the worker's one-entry scratch batch, in MaxBatch-row
+// slices.
+func (b *batcher) runBatch(sc scorer, batch, part []*request) {
 	start := time.Now()
 	rows, step := 0, b.s.opt.maxBatch
 	for _, r := range batch {
@@ -254,18 +230,17 @@ func (b *batcher) runBatch(sc scorer, batch, part []*request) error {
 	}
 	b.s.met.batches.Inc()
 	b.s.met.batchRows.Observe(int64(rows))
-	var err error
 	if r := batch[0]; r.n > step {
 		in, out := len(r.rows)/r.n, len(r.out)/r.n
-		for lo := 0; lo < r.n && err == nil; lo += step {
+		for lo := 0; lo < r.n; lo += step {
 			hi := min(lo+step, r.n)
 			*part[0] = request{rows: r.rows[lo*in : hi*in], out: r.out[lo*out : hi*out], n: hi - lo}
-			err = b.scoreInto(sc, part)
+			b.scoreInto(sc, part)
 		}
 	} else {
-		err = b.scoreInto(sc, batch)
+		b.scoreInto(sc, batch)
 	}
-	b.complete(err, batch...)
+	b.complete(nil, batch...)
 	perReq := time.Since(start).Nanoseconds() / int64(len(batch))
 	old := b.ewmaNs.Load()
 	if old == 0 {
@@ -274,16 +249,12 @@ func (b *batcher) runBatch(sc scorer, batch, part []*request) error {
 		// 4:1 exponential smoothing in integer nanoseconds.
 		b.ewmaNs.Store((old*4 + perReq) / 5)
 	}
-	return err
 }
 
 // scoreInto scores a batch of at most MaxBatch rows and copies each
 // caller's scores (after the optional softmax) back from its offset.
-func (b *batcher) scoreInto(sc scorer, batch []*request) error {
-	logits, err := sc.score(batch)
-	if err != nil {
-		return err
-	}
+func (b *batcher) scoreInto(sc scorer, batch []*request) {
+	logits := sc.score(batch)
 	if b.s.opt.softmax {
 		nn.SoftmaxInto(logits, logits)
 	}
@@ -291,14 +262,12 @@ func (b *batcher) scoreInto(sc scorer, batch []*request) error {
 	for _, r := range batch {
 		src = src[copy(r.out, src):]
 	}
-	return nil
 }
 
 // close drains and stops the pipeline; see the batcher doc comment for
 // the protocol. Requests still queued when the drain timeout expires
 // fail with ErrDraining through their own Score calls.
-func (b *batcher) close(timeout time.Duration) error {
-	var errOut error
+func (b *batcher) close(timeout time.Duration) {
 	b.closeOnce.Do(func() {
 		b.draining.Store(true)
 		deadline := time.Now().Add(timeout)
@@ -309,11 +278,5 @@ func (b *batcher) close(timeout time.Duration) error {
 		<-b.colDone
 		close(b.batches)
 		b.wg.Wait()
-		for _, sc := range b.scorers {
-			if err := sc.stop(); err != nil && errOut == nil {
-				errOut = err
-			}
-		}
 	})
-	return errOut
 }

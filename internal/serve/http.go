@@ -38,9 +38,9 @@ const maxScoreBody = 16 << 20
 // A request's instances are flattened into one row-major block and
 // admitted as one request: one admission, one shed decision. Admission
 // failures map to transport status codes: ErrQueueFull → 429 (retry
-// later), ErrDraining and ErrWorkerLost → 503. The reply is encoded
-// before the status line, so an unencodable one (a non-finite score) is
-// a 500, never a 200 with an empty body.
+// later), ErrDraining → 503. The reply is encoded before the status
+// line, so an unencodable one (a non-finite score) is a 500, never a 200
+// with an empty body.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/score", s.handleScore)
@@ -109,7 +109,7 @@ func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrWorkerLost):
+	case errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError

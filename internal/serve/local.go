@@ -28,8 +28,8 @@ func newLocalScorer(net *nn.Network, maxBatch int) *localScorer {
 // valid until the next call.
 //
 //lint:hotpath
-func (sc *localScorer) score(batch []*request) (*tensor.Matrix, error) {
-	return sc.net.ForwardInto(sc.buf, stage(sc.x, batch)), nil
+func (sc *localScorer) score(batch []*request) *tensor.Matrix {
+	return sc.net.ForwardInto(sc.buf, stage(sc.x, batch))
 }
 
 // stage copies the batch's requests into x back to back and sets x.Rows
@@ -44,6 +44,3 @@ func stage(x *tensor.Matrix, batch []*request) *tensor.Matrix {
 	x.Rows = (len(x.Data) - len(dst)) / x.Cols
 	return x
 }
-
-// stop implements scorer; the local path has nothing to release.
-func (sc *localScorer) stop() error { return nil }

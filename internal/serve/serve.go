@@ -21,15 +21,14 @@
 // immediate ErrQueueFull, HTTP 429, before anything is enqueued). A
 // collector goroutine hands its pending batch to the first ready scoring
 // worker; while every worker is busy, arrivals coalesce up to MaxBatch
-// rows. Workers run batched forward passes over preallocated
-// nn.InferBuffers (zero allocations on the score path). Close drains:
+// rows. Workers run batched forward passes in this process over
+// preallocated nn.InferBuffers (zero allocations on the score path). Close drains:
 // admission stops (ErrDraining → 503), in-flight requests complete, then
 // the pipeline shuts down.
 //
-// With WithReplicas the same constructor turns the server into the
-// master of a replica group over the internal/mpi fabric: scoring
-// workers fan batches out to replica ranks on the reserved serve tags
-// instead of running the network locally (replica.go).
+// New refuses a max batch, queue depth or worker count below 1 and a
+// drain timeout that is not positive, rather than silently substituting
+// a default.
 package serve
 
 import (
@@ -38,13 +37,11 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mpi"
 	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/tensor"
 )
 
-// Defaults for Option zero values.
+// Defaults for the options New is not given.
 const (
 	// DefaultMaxBatch bounds the rows of one batch.
 	DefaultMaxBatch = 32
@@ -59,7 +56,7 @@ const (
 )
 
 // Admission errors. The HTTP handler maps ErrQueueFull to 429 and
-// ErrDraining and ErrWorkerLost to 503.
+// ErrDraining to 503.
 var (
 	// ErrQueueFull is returned (before anything is enqueued) when the
 	// admission queue is full or the load-aware wait estimate exceeds
@@ -68,10 +65,6 @@ var (
 	// ErrDraining is returned once Close has begun: the server finishes
 	// in-flight work but admits nothing new.
 	ErrDraining = errors.New("serve: server draining")
-	// ErrWorkerLost fails the batch of a scoring worker whose replica
-	// stopped replying; that worker then leaves the pool. Once every
-	// worker has left, admission returns it too.
-	ErrWorkerLost = errors.New("serve: scoring worker lost")
 )
 
 // options accumulates Option state before validation.
@@ -79,11 +72,9 @@ type options struct {
 	maxBatch     int
 	queueDepth   int
 	workers      int
-	workersSet   bool
 	maxWait      time.Duration
 	drainTimeout time.Duration
 	softmax      bool
-	replicas     *mpi.Comm
 	ob           *obs.Observer
 }
 
@@ -102,11 +93,9 @@ func WithQueueDepth(n int) Option {
 	return func(o *options) { o.queueDepth = n }
 }
 
-// WithWorkers sets the scoring-worker count (default 2; with
-// WithReplicas the worker count is fixed at the replica count and this
-// option is rejected).
+// WithWorkers sets the scoring-worker count (default 2).
 func WithWorkers(n int) Option {
-	return func(o *options) { o.workers, o.workersSet = n, true }
+	return func(o *options) { o.workers = n }
 }
 
 // WithMaxWait arms load-aware admission control: beyond the queue bound,
@@ -127,15 +116,6 @@ func WithDrainTimeout(d time.Duration) Option {
 // instead of raw logits.
 func WithSoftmax() Option {
 	return func(o *options) { o.softmax = true }
-}
-
-// WithReplicas shards scoring over the ranks of comm: rank 0 runs the
-// front end (queue, batcher, HTTP) and fans batches out to ranks
-// 1..Size-1, each of which must be running ServeReplica over the same
-// checkpoint. One scoring worker is pinned per replica rank, so the
-// replica count fixes the worker count.
-func WithReplicas(comm *mpi.Comm) Option {
-	return func(o *options) { o.replicas = comm }
 }
 
 // WithObserver wires the server's metrics (request/shed counters, queue
@@ -181,40 +161,31 @@ type Server struct {
 	opt  options
 	met  metrics
 
-	b   *batcher // front-end pipeline; nil on replica ranks
-	rep *replica // replica-rank state; nil on the front end
+	b *batcher
 }
 
 // New builds a serving runtime for the trained model in ck. The
 // checkpoint is validated against its own topology (as ReadCheckpoint
 // does) before the network is reconstructed.
 func New(ck *core.Checkpoint, opts ...Option) (*Server, error) {
-	var o options
+	o := options{
+		maxBatch:     DefaultMaxBatch,
+		queueDepth:   DefaultQueueDepth,
+		workers:      DefaultWorkers,
+		drainTimeout: DefaultDrainTimeout,
+	}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.maxBatch <= 0 {
-		o.maxBatch = DefaultMaxBatch
-	}
-	if o.queueDepth <= 0 {
-		o.queueDepth = DefaultQueueDepth
-	}
-	if o.drainTimeout <= 0 {
-		o.drainTimeout = DefaultDrainTimeout
-	}
-	if o.replicas != nil {
-		if o.workersSet {
-			return nil, errors.New("serve: WithWorkers is incompatible with WithReplicas (one worker per replica rank)")
-		}
-		if o.replicas.Size() < 2 {
-			return nil, fmt.Errorf("serve: WithReplicas needs ≥2 ranks, got %d", o.replicas.Size())
-		}
-		o.workers = o.replicas.Size() - 1
-	} else if !o.workersSet {
-		o.workers = DefaultWorkers
-	}
-	if o.workers <= 0 {
-		return nil, fmt.Errorf("serve: %d workers, want > 0", o.workers)
+	switch {
+	case o.maxBatch < 1:
+		return nil, fmt.Errorf("serve: max batch %d, want ≥ 1", o.maxBatch)
+	case o.queueDepth < 1:
+		return nil, fmt.Errorf("serve: queue depth %d, want ≥ 1", o.queueDepth)
+	case o.workers < 1:
+		return nil, fmt.Errorf("serve: %d workers, want ≥ 1", o.workers)
+	case o.drainTimeout <= 0:
+		return nil, fmt.Errorf("serve: drain timeout %v, want > 0", o.drainTimeout)
 	}
 	if ck == nil {
 		return nil, errors.New("serve: nil checkpoint")
@@ -222,33 +193,15 @@ func New(ck *core.Checkpoint, opts ...Option) (*Server, error) {
 	if err := ck.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	topo := nn.NewTopology(ck.Sizes...)
-
 	s := &Server{
 		net:  core.NetworkFromCheckpoint(ck),
-		topo: topo,
+		topo: nn.NewTopology(ck.Sizes...),
 		opt:  o,
 		met:  newMetrics(o.ob.Registry()),
 	}
-	if o.replicas != nil && o.replicas.Rank() != 0 {
-		// Replica rank: no front end — just the network and one batch's
-		// worth of buffers for the ServeReplica loop.
-		s.rep = &replica{
-			comm: o.replicas,
-			net:  s.net,
-			x:    tensor.NewMatrix(o.maxBatch, topo.InputDim()),
-			buf:  topo.NewInferBuffers(o.maxBatch),
-			wire: make([]byte, 0, svHeader+o.maxBatch*topo.OutputDim()*4),
-		}
-		return s, nil
-	}
 	scorers := make([]scorer, o.workers)
 	for i := range scorers {
-		if o.replicas != nil {
-			scorers[i] = newReplicaScorer(o.replicas, i+1, topo, o.maxBatch)
-		} else {
-			scorers[i] = newLocalScorer(s.net, o.maxBatch)
-		}
+		scorers[i] = newLocalScorer(s.net, o.maxBatch)
 	}
 	s.b = newBatcher(s, scorers)
 	return s, nil
@@ -276,32 +229,17 @@ func (s *Server) Score(row, out []float32) error {
 }
 
 // QueueDepth returns the number of requests currently queued.
-func (s *Server) QueueDepth() int {
-	if s.b == nil {
-		return 0
-	}
-	return len(s.b.queue)
-}
+func (s *Server) QueueDepth() int { return len(s.b.queue) }
 
 // Draining reports whether Close has begun.
-func (s *Server) Draining() bool {
-	if s.b == nil {
-		return false
-	}
-	return s.b.draining.Load()
-}
+func (s *Server) Draining() bool { return s.b.draining.Load() }
 
 // Close drains the server: admission stops immediately, queued and
 // in-flight requests complete (bounded by the drain timeout), then the
-// collector and workers exit and, in replica mode, every replica rank
-// is told to shut down. Close is idempotent; it returns ErrDraining
-// wrapped per abandoned request only through those requests' own Score
-// calls, never from Close itself.
+// collector and workers exit. Close is idempotent and returns nil; a
+// request abandoned at the drain timeout fails with ErrDraining through
+// its own Score call, never through Close.
 func (s *Server) Close() error {
-	if s.b == nil {
-		// Replica ranks shut down when the master's Close sends the stop
-		// opcode to their ServeReplica loop.
-		return nil
-	}
-	return s.b.close(s.opt.drainTimeout)
+	s.b.close(s.opt.drainTimeout)
+	return nil
 }

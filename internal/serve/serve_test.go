@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mpi"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/tensor"
@@ -30,10 +29,6 @@ func testCheckpoint(t testing.TB, sizes ...int) (*core.Checkpoint, *nn.Network) 
 func TestNewRejectsBadConfigs(t *testing.T) {
 	ck, _ := testCheckpoint(t, 4, 6, 3)
 	bad := &core.Checkpoint{Sizes: []int{4, 6, 3}, Params: make(tensor.Vector, 5)}
-	fabric := mpi.NewInprocFabric(2)
-	defer fabric.Close()
-	comm := mpi.NewComm(fabric.Transport(0))
-	solo := mpi.NewComm(mpi.NewInprocFabric(1).Transport(0))
 	cases := []struct {
 		name string
 		ck   *core.Checkpoint
@@ -41,9 +36,12 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	}{
 		{"nil checkpoint", nil, nil},
 		{"invalid checkpoint", bad, nil},
-		{"workers with replicas", ck, []Option{WithReplicas(comm), WithWorkers(3)}},
-		{"replica group too small", ck, []Option{WithReplicas(solo)}},
 		{"non-positive workers", ck, []Option{WithWorkers(-1)}},
+		{"negative max batch", ck, []Option{WithMaxBatch(-3)}},
+		{"zero max batch", ck, []Option{WithMaxBatch(0)}},
+		{"negative queue depth", ck, []Option{WithQueueDepth(-1)}},
+		{"zero workers", ck, []Option{WithWorkers(0)}},
+		{"zero drain timeout", ck, []Option{WithDrainTimeout(0)}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.ck, tc.opts...); err == nil {
