@@ -75,7 +75,7 @@ func main() {
 
 	if *mon != "" {
 		plane := telemetry.NewPlane(time.Now())
-		plane.Merger().BindLocal(0, ob.Registry())
+		plane.Merger().Bind(0, ob)
 		monSrv, err := telemetry.NewServer(*mon, plane)
 		if err != nil {
 			log.Fatal(err)

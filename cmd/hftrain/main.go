@@ -15,9 +15,9 @@
 // appends one JSON line per HF iteration.
 //
 // In dist mode, -trace/-http/-flight enable the distributed telemetry
-// plane: every rank ships its spans and metrics to the master at
-// iteration boundaries, the master rebases them onto its own timebase
-// (every rank runs in this process and reads the same clock), and the
+// plane: every rank runs in this process, so the master drains each
+// rank's spans and metrics in place at iteration boundaries and rebases
+// them onto its own timebase (every rank reads the same clock); the
 // merged trace carries one process track per rank.
 // -http serves /metrics (Prometheus), /trace (merged trace download),
 // /healthz (worker liveness; 503 when degraded), /flight (post-mortem
@@ -303,7 +303,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	if traceFile != nil {
 		// With a telemetry plane the merged cross-rank trace (one
 		// timebase, one process track per rank) supersedes the local
-		// tracer, which the master's shipper has already drained into it.
+		// tracer, which the merger has already drained into it.
 		var err error
 		if plane != nil {
 			err = plane.Merger().WriteChromeTrace(traceFile)

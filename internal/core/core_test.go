@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -409,6 +410,87 @@ func TestMoreWorkersThanUtterances(t *testing.T) {
 	}
 	if loss[0] != loss[1] {
 		t.Errorf("final loss inproc %v, tcp %v: want equal", loss[0], loss[1])
+	}
+}
+
+// TestDegenerateProblemSweep samples rank counts 2–41 against corpora
+// of 1–40 utterances, crossed with the curvature sample fraction, the
+// fabric and the fault policy. Every cell must end within a deadline:
+// below 10 utterances the 10-way split leaves no held-out utterance and
+// NewSession refuses the problem with ErrEmptyCorpus; from 10 up the
+// run finishes with a finite loss and accuracy, however many workers
+// hold an empty shard. The 40-rank, 20-utterance cell must match
+// serial training up to reduction order.
+func TestDegenerateProblemSweep(t *testing.T) {
+	type cell struct {
+		ranks, utts int
+		sample      float64
+		fabric      FabricKind
+		elastic     bool
+	}
+	cells := []cell{{ranks: 40, utts: 20, sample: 1}}
+	for i := range 39 {
+		// 13 and 7 are prime to 40, so no rank count and no corpus size
+		// repeats.
+		c := cell{ranks: 2 + i*13%40, utts: 1 + i*7%40, sample: 0.01, elastic: i/2%2 == 1}
+		if i%2 == 1 {
+			c.sample = 1
+		}
+		if i/3%2 == 0 && c.ranks <= 24 {
+			c.fabric = FabricTCP
+		}
+		cells = append(cells, c)
+	}
+	cfg := hf.Config{MaxIterations: 2, Lambda0: 1, CG: hf.CGOpts{MaxIters: 4, MinIters: 2}}
+	problem := func(c cell) Problem {
+		full := corpus.Generate(corpus.Config{Seed: 5, NumUtterances: c.utts, MeanSeconds: 0.1, FeatDim: 4, Context: 1, NumStates: 3})
+		train, held := full.Split(10)
+		return Problem{Topo: nn.NewTopology(full.InputDim(), 6, 3), Train: train, Heldout: held, SampleFraction: c.sample, Seed: 3}
+	}
+	for _, c := range cells {
+		name := fmt.Sprintf("ranks=%d/utts=%d/sample=%g/%s/elastic=%v", c.ranks, c.utts, c.sample, c.fabric, c.elastic)
+		opts := []Option{WithRanks(c.ranks), WithFabric(c.fabric)}
+		if c.elastic {
+			opts = append(opts, WithFaults(FaultPolicy{}))
+		}
+		done := make(chan runOut, 1)
+		go func() {
+			sess, err := NewSession(problem(c), opts...)
+			if err != nil {
+				done <- runOut{nil, err}
+				return
+			}
+			res, err := sess.Run(cfg)
+			done <- runOut{res, err}
+		}()
+		var out runOut
+		select {
+		case out = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: still running after 10s", name)
+		}
+		switch {
+		case c.utts < 10:
+			if !errors.Is(out.err, ErrEmptyCorpus) {
+				t.Errorf("%s: err = %v, want ErrEmptyCorpus", name, out.err)
+			}
+		case out.err != nil:
+			t.Errorf("%s: %v", name, out.err)
+		default:
+			loss, acc := out.res.HF.FinalLoss, out.res.HeldOutAccuracy
+			if math.IsNaN(loss) || math.IsInf(loss, 0) || loss <= 0 || acc < 0 || acc > 1 {
+				t.Errorf("%s: final loss %v, accuracy %v", name, loss, acc)
+			}
+		}
+		if c.ranks == 40 && c.utts == 20 && out.res != nil {
+			_, serial, err := TrainSerialHF(problem(c), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := math.Abs(out.res.HF.FinalLoss - serial.FinalLoss); d > 1e-6*(1+serial.FinalLoss) {
+				t.Errorf("%s: final loss %v, serial %v (|Δ| = %g)", name, out.res.HF.FinalLoss, serial.FinalLoss, d)
+			}
+		}
 	}
 }
 

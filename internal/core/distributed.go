@@ -77,10 +77,11 @@ type master struct {
 	lastWall  time.Time
 	lastLoss  float64 // held-out loss of the latest recorded iteration
 
-	// The telemetry plane and the master's own shipper, both nil without
-	// telemetry. Telemetry traffic never fails a run or evicts a rank.
+	// The telemetry plane, nil without telemetry. Every rank's observer
+	// is bound into its merger before the rank starts, so collecting
+	// telemetry is a function call that can neither fail a run nor evict
+	// a rank.
 	plane *telemetry.Plane
-	local *telemetry.Shipper
 
 	// Fault tolerance (elastic.go). pol is nil without WithFaults: no
 	// heartbeat, snapshot, eviction or report, every field below stays
@@ -142,8 +143,6 @@ func (m *master) run() (*MasterResult, error) {
 		return nil, err
 	}
 	if m.plane != nil {
-		m.local = telemetry.NewShipper(0, m.ob)
-		m.plane.Merger().BindLocal(0, m.ob.Registry())
 		m.plane.Health().SetState("training")
 		for _, w := range m.star.live {
 			m.plane.Health().SetWorker(w, telemetry.WorkerLive)
@@ -176,8 +175,6 @@ func (m *master) run() (*MasterResult, error) {
 	if err != nil {
 		return m.fail(err)
 	}
-	// Final flush while the workers still serve: the trace covers the tail.
-	m.collectTelemetry()
 	m.plane.Health().SetState("done")
 	m.stop()
 	out := &MasterResult{
@@ -193,9 +190,8 @@ func (m *master) run() (*MasterResult, error) {
 }
 
 // fail ends the run on an unrecoverable error without waiting on the
-// possibly wedged workers: only the master's own telemetry is merged.
+// possibly wedged workers.
 func (m *master) fail(err error) (*MasterResult, error) {
-	m.drainLocalTelemetry()
 	m.plane.Health().SetState("failed")
 	m.stop()
 	return nil, err
@@ -352,43 +348,16 @@ func (m *master) stop() {
 	}
 }
 
-// collectTelemetry asks every worker to ship its drained telemetry
-// bundle (one telemetry op, one point-to-point shipment back each) and
-// folds them plus the master's own into the merger. Runs at iteration
-// boundaries and around faults; a straggling shipment is merged by the
-// next collection (bundles carry absolute timestamps).
+// collectTelemetry drains every bound rank's observer into the merger,
+// evicted ranks included. Runs at iteration boundaries and around
+// faults.
 func (m *master) collectTelemetry() {
 	if m.plane == nil {
 		return
 	}
 	collect := m.ob.Registry().Histogram("telemetry.collect_ns")
 	defer func(start time.Time) { collect.Observe(time.Since(start).Nanoseconds()) }(time.Now())
-	if err := m.issue(opTelemetry, 0, nil, nil, nil); err != nil {
-		m.ob.Eventf(0, "telemetry: collect: %v", err)
-	}
-	for _, w := range m.star.live {
-		msg, err := m.comm.RecvBytesTimeout(w, mpi.TagTelemetry, telemetry.DefaultDeadline)
-		if err != nil {
-			m.ob.Eventf(0, "telemetry: collect from rank %d: %v", w, err)
-			continue
-		}
-		b, err := telemetry.DecodeBundle(msg.Data)
-		if err != nil {
-			m.ob.Eventf(0, "telemetry: decode from rank %d: %v", w, err)
-			continue
-		}
-		m.plane.Merger().Ingest(b)
-	}
-	m.plane.Merger().Ingest(m.local.Bundle())
-}
-
-// drainLocalTelemetry is collectTelemetry's failure-path complement:
-// only the master's own bundle, without contacting any worker.
-func (m *master) drainLocalTelemetry() {
-	if m.plane == nil {
-		return
-	}
-	m.plane.Merger().Ingest(m.local.Bundle())
+	m.plane.Merger().Collect()
 }
 
 // The master as hf.Objective and hf.Preconditioned: workers compute

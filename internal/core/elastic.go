@@ -292,8 +292,8 @@ func (m *master) evict(rf *rankFailure) error {
 	}
 	m.report.FinalWorkers = len(s.live)
 
-	// Survivors ship their freshest spans; the evicted rank's pre-fault
-	// activity reached the merger at earlier iteration boundaries.
+	// The bundle reads every bound rank in place, the evicted one too,
+	// so it holds the dead rank's spans up to its last completed op.
 	ev := m.report.Evictions[len(m.report.Evictions)-1]
 	reason := fmt.Sprintf("eviction rank %d during %s (round %d, iter %d): %s",
 		ev.Rank, ev.Op, ev.Round, ev.HFIter, ev.Cause)

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/obs/telemetry"
 )
 
 // faultPolicy builds the test fault policy: inject the given schedule,
@@ -287,6 +286,7 @@ func TestSessionOptionValidation(t *testing.T) {
 		{"checkpoint-without-faults", []Option{WithCheckpoint(CheckpointPolicy{Every: 1})}},
 		{"one-rank", []Option{WithRanks(1)}},
 		{"inject-attached", []Option{WithComm(comm), WithFaults(FaultPolicy{Inject: &mpi.FaultSchedule{Events: []mpi.FaultEvent{{Action: mpi.ActKill, Rank: 1}}}})}},
+		{"telemetry-attached", []Option{WithComm(comm), WithTelemetry()}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -354,8 +354,9 @@ func TestSessionAttachMode(t *testing.T) {
 
 // TestElasticHeartbeatNoGoroutineLeak is the regression test for the
 // goroutineleak audit of the elastic master: a run with heartbeats on
-// every iteration (plus the telemetry plane's shipper and watchdog
-// machinery) must return the process to its pre-run goroutine count.
+// every iteration (plus the telemetry plane's in-place collection and
+// watchdog machinery) must return the process to its pre-run goroutine
+// count.
 // The heartbeat is deliberately synchronous — this pins that contract
 // so a future "async ping" refactor cannot silently leak.
 func TestElasticHeartbeatNoGoroutineLeak(t *testing.T) {
@@ -398,26 +399,4 @@ func TestElasticHeartbeatNoGoroutineLeak(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-// TestElasticDrainLocalTelemetryOnFailure is the regression test for
-// the non-fault failure path: the master's own shipper must be drained
-// into the merger (without contacting any worker) so telemetry recorded
-// up to the error survives into /trace and post-mortem bundles.
-func TestElasticDrainLocalTelemetryOnFailure(t *testing.T) {
-	ob := &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(), Events: obs.NewEventLog(0)}
-	plane := telemetry.NewPlane(ob.Tracer().Epoch())
-	m := &master{ob: ob, plane: plane, local: telemetry.NewShipper(0, ob)}
-
-	ob.Span(0, "doomed_iteration").End()
-	m.drainLocalTelemetry()
-
-	evs := plane.Merger().Events()
-	if len(evs) != 1 || evs[0].Name != "doomed_iteration" {
-		t.Fatalf("merger events after failure drain = %+v, want the master span", evs)
-	}
-
-	// The nil-plane master (telemetry disabled) must be a no-op, not a
-	// panic, on the same path.
-	(&master{ob: ob}).drainLocalTelemetry()
 }

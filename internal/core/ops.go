@@ -11,7 +11,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/obs/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -32,7 +31,6 @@ const (
 	opAccuracy
 	opFisherDiag
 	opStop
-	opTelemetry
 )
 
 // opRow is one op of the master/worker protocol.
@@ -59,7 +57,6 @@ var ops = [...]opRow{
 	opAccuracy:   {name: "accuracy", phase: "loss_eval", span: true, scalars: 2, serve: (*worker).accuracy},
 	opFisherDiag: {name: "fisher_diag", phase: "cg_minimize", span: true, up: true, scalars: 1, serve: (*worker).fisherDiag},
 	opStop:       {name: "stop", phase: "shutdown", serve: (*worker).stop},
-	opTelemetry:  {name: "telemetry", phase: "telemetry", serve: (*worker).telemetry},
 }
 
 // lookupOp resolves a wire opcode to its row; anything outside the
@@ -130,19 +127,12 @@ func (w *worker) fisherDiag(_ float32, _, out tensor.Vector, sc []float64) error
 
 func (w *worker) stop(float32, tensor.Vector, tensor.Vector, []float64) error { return errStopped }
 
-// telemetry answers on mpi.TagTelemetry, not through the op's reply. A
-// nil shipper ships an empty bundle.
-func (w *worker) telemetry(float32, tensor.Vector, tensor.Vector, []float64) error {
-	return w.ship.Ship(w.comm, 0)
-}
-
 // worker is a non-zero rank: its shard's engine and its receive loop's
 // state.
 type worker struct {
 	comm      *mpi.Comm
 	rank      int
 	ob        *obs.Observer
-	ship      *telemetry.Shipper
 	epochHook func(int)
 	eng       *engine
 	shard     *wireShard
@@ -158,8 +148,8 @@ type worker struct {
 // command (the straggler/idle signal of the paper's Figure 5).
 // epochHook, when non-nil, receives the global HF iteration as the
 // worker learns it, advancing fault-injection epochs in drills.
-func runWorker(comm *mpi.Comm, ob *obs.Observer, ship *telemetry.Shipper, epochHook func(int)) error {
-	w := &worker{comm: comm, rank: comm.Rank(), ob: ob, ship: ship, epochHook: epochHook}
+func runWorker(comm *mpi.Comm, ob *obs.Observer, epochHook func(int)) error {
+	w := &worker{comm: comm, rank: comm.Rank(), ob: ob, epochHook: epochHook}
 	comm.SetMetrics(ob.Registry())
 
 	sp := ob.Span(w.rank, "load_data")

@@ -25,7 +25,7 @@ func rig(t *testing.T, fabric FabricKind, ranks int) (*mpi.Comm, chan error) {
 	for r := 1; r < ranks; r++ {
 		go func(c *mpi.Comm) {
 			defer c.Close()
-			exits <- runWorker(c, nil, nil, nil)
+			exits <- runWorker(c, nil, nil)
 		}(mpi.NewComm(ts[r]))
 	}
 	comm := mpi.NewComm(ts[0])
@@ -99,15 +99,6 @@ func TestOpsTable(t *testing.T) {
 				t.Fatalf("%s: %v", row.name, err)
 			}
 			got[op] = flat(vec, sc)
-			for _, w := range m.star.live {
-				var err error
-				if op == opTelemetry { // the side conversation the telemetry row arms
-					_, err = comm.RecvBytesTimeout(w, mpi.TagTelemetry, 5*time.Second)
-				}
-				if err != nil {
-					t.Errorf("%s with rank %d: %v", row.name, w, err)
-				}
-			}
 		}
 		for range m.star.live {
 			if err := <-exits; err != nil {

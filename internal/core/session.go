@@ -139,12 +139,14 @@ func WithCheckpoint(pol CheckpointPolicy) Option {
 	return func(o *sessionOptions) { o.ckpt = &pol }
 }
 
-// WithTelemetry enables the distributed telemetry plane: per-iteration
-// shipment of every rank's spans/metrics/events to the master's merger
-// (one merged trace on the master's timebase), a flight recorder for
-// post-mortem fault bundles, and live health state. Read the plane back
-// with Session.Telemetry — e.g. to serve it over HTTP with
-// telemetry.NewServer.
+// WithTelemetry enables the distributed telemetry plane: each worker
+// rank observes into its own observer, bound into the master's merger
+// before the rank starts and drained in place at every iteration
+// boundary (one merged trace on the master's timebase); a flight
+// recorder for post-mortem fault bundles; and live health state. Read
+// the plane back with Session.Telemetry — e.g. to serve it over HTTP
+// with telemetry.NewServer. Spawn mode only: an attached rank's
+// observer is not the master's to bind.
 func WithTelemetry() Option {
 	return func(o *sessionOptions) { o.tele = true }
 }
@@ -189,6 +191,9 @@ func NewSession(p Problem, opts ...Option) (*Session, error) {
 	if o.faults != nil && o.faults.Inject != nil && o.comm != nil {
 		return nil, errors.New("core: FaultPolicy.Inject requires spawn mode (attached comms are owned by the caller)")
 	}
+	if o.tele && o.comm != nil {
+		return nil, errors.New("core: WithTelemetry requires spawn mode (the master binds every rank's observer at spawn)")
+	}
 	if o.part == nil {
 		o.part = corpus.SortedGreedy{}
 	}
@@ -202,7 +207,7 @@ func NewSession(p Problem, opts ...Option) (*Session, error) {
 		}
 	}
 	s := &Session{p: p, opt: o}
-	if o.tele && (o.comm == nil || o.comm.Rank() == 0) {
+	if o.tele {
 		// Build the plane eagerly so callers can serve it over HTTP
 		// before Run starts (telemetry.NewServer(addr, sess.Telemetry())).
 		epoch := o.ob.Tracer().Epoch()
@@ -210,13 +215,12 @@ func NewSession(p Problem, opts ...Option) (*Session, error) {
 			epoch = time.Now()
 		}
 		s.plane = telemetry.NewPlane(epoch)
-		s.plane.Merger().BindLocal(0, o.ob.Registry())
+		s.plane.Merger().Bind(0, o.ob)
 	}
 	return s, nil
 }
 
-// Telemetry returns the session's telemetry plane: non-nil only on the
-// rank that runs the master (rank 0, or any spawn-mode session) when
+// Telemetry returns the session's telemetry plane, non-nil only when
 // WithTelemetry was given. Available before Run so the monitoring
 // endpoint can be up for the whole run.
 func (s *Session) Telemetry() *telemetry.Plane {
@@ -239,13 +243,9 @@ func (s *Session) Run(cfg hf.Config) (*MasterResult, error) {
 func (s *Session) runAttached(cfg hf.Config) (*MasterResult, error) {
 	comm, o := s.opt.comm, &s.opt
 	if comm.Rank() == 0 {
-		return runMaster(comm, s.p, cfg, o, s.plane, nil)
+		return runMaster(comm, s.p, cfg, o, nil, nil)
 	}
-	var ship *telemetry.Shipper
-	if o.tele {
-		ship = telemetry.NewShipper(comm.Rank(), o.ob)
-	}
-	return nil, runWorker(comm, o.ob, ship, nil)
+	return nil, runWorker(comm, o.ob, nil)
 }
 
 // rankErr pairs a worker error with its rank so elastic joins can
@@ -298,21 +298,18 @@ func (s *Session) runSpawned(cfg hf.Config) (*MasterResult, error) {
 
 	workerErrs := make(chan rankErr, ranks-1)
 	for r := 1; r < ranks; r++ {
+		// With telemetry on, each worker observes into its own observer,
+		// bound into the master's merger before the rank starts, which
+		// drains it in place. Without it, ranks share o.ob directly.
+		wob := o.ob
+		if s.plane != nil {
+			wob = &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(), Events: obs.NewEventLog(0)}
+			s.plane.Merger().Bind(r, wob)
+		}
 		go func(r int) {
 			comm := comms[r]
 			defer comm.Close()
-			// With telemetry on, each spawned worker observes into its own
-			// private observer and ships it over the fabric to the
-			// master's merger. Without it, ranks share o.ob directly (nil
-			// ship still answers the master's telemetry commands with
-			// empty bundles).
-			wob := o.ob
-			var ship *telemetry.Shipper
-			if s.plane != nil {
-				wob = &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(), Events: obs.NewEventLog(0)}
-				ship = telemetry.NewShipper(r, wob)
-			}
-			workerErrs <- rankErr{rank: r, err: runWorker(comm, wob, ship, epochHooks[r])}
+			workerErrs <- rankErr{rank: r, err: runWorker(comm, wob, epochHooks[r])}
 		}(r)
 	}
 
@@ -320,12 +317,6 @@ func (s *Session) runSpawned(cfg hf.Config) (*MasterResult, error) {
 	defer master.Close()
 	res, err := runMaster(master, s.p, cfg, o, s.plane, epochHooks[0])
 	if err != nil {
-		if s.plane != nil {
-			s.plane.Health().SetState("failed")
-			if s.plane.Recorder().Last() == nil {
-				s.plane.Recorder().Capture(s.plane.Merger(), "master error: "+err.Error())
-			}
-		}
 		// Unblock workers still parked in a Recv before draining them.
 		for r := 1; r < ranks; r++ {
 			_ = comms[r].Close() // best-effort: the master's error is primary
@@ -346,21 +337,29 @@ func (s *Session) runSpawned(cfg hf.Config) (*MasterResult, error) {
 			_ = comms[r].Close() // best-effort: eviction already recorded
 		}
 	}
+	var werr error
 	for r := 1; r < ranks; r++ {
 		we := <-workerErrs
-		if we.err == nil || err != nil {
-			continue
-		}
 		// An evicted worker's exit error is expected — its transport was
 		// killed or its master vanished mid-op; the eviction record in
 		// res.Fault is the authoritative account.
-		if evicted[we.rank] {
+		if we.err == nil || err != nil || evicted[we.rank] {
 			continue
 		}
-		err = fmt.Errorf("core: worker %d: %w", we.rank, we.err)
+		werr = fmt.Errorf("core: worker %d: %w", we.rank, we.err)
 	}
+	// Every rank has returned: collect once more for the spans that end
+	// after a worker's last reply.
+	s.plane.Merger().Collect()
 	if err != nil {
+		s.plane.Health().SetState("failed")
+		if s.plane.Recorder().Last() == nil {
+			s.plane.Recorder().Capture(s.plane.Merger(), "master error: "+err.Error())
+		}
 		return nil, err
+	}
+	if werr != nil {
+		return nil, werr
 	}
 	return res, nil
 }

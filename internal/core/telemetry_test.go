@@ -269,7 +269,7 @@ func TestTelemetryLiveEndpointDuringTraining(t *testing.T) {
 // TestTelemetryFlightRecorderOnEviction kills one of four ranks mid-run
 // and checks the post-mortem contract: the fault report carries a
 // flight bundle naming the evicted rank, preserving its pre-eviction
-// spans (shipped at earlier iteration boundaries), the master's
+// spans up to the iteration it died in, the master's
 // eviction event-log lines, and a health view showing the rank evicted.
 func TestTelemetryFlightRecorderOnEviction(t *testing.T) {
 	p := testProblem(t, CrossEntropy)
@@ -305,14 +305,23 @@ func TestTelemetryFlightRecorderOnEviction(t *testing.T) {
 	if fb.CapturedAt.IsZero() || fb.Window <= 0 {
 		t.Errorf("flight capture metadata empty: at=%v window=%v", fb.CapturedAt, fb.Window)
 	}
-	var killedSpans int
+	var killedSpans, killedGradients int
 	for _, ev := range fb.Spans {
 		if ev.Rank == 2 {
 			killedSpans++
+			if ev.Name == "gradient_loss" {
+				killedGradients++
+			}
 		}
 	}
 	if killedSpans == 0 {
 		t.Error("flight bundle has no pre-eviction spans from the killed rank 2")
+	}
+	// The bundle reads the dead rank in place, so it holds one gradient
+	// span per iteration the rank began, the eviction iteration included.
+	if want := res.Fault.Evictions[0].HFIter; killedGradients != want {
+		t.Errorf("flight bundle holds %d gradient_loss spans from rank 2, want %d (one per iteration up to the eviction at iteration %d)",
+			killedGradients, want, want)
 	}
 	if len(fb.Events) == 0 {
 		t.Error("flight bundle has no event-log lines (eviction itself is logged)")

@@ -78,12 +78,9 @@ func TestFixtureFindings(t *testing.T) {
 			"23:6 hotpathalloc warn",
 		},
 		"obsnilguard.go": {
-			"12:2 obsnilguard error",
-			"13:6 obsnilguard error",
-			"64:2 obsnilguard error",
-			"78:6 obsnilguard error",
-			"79:6 obsnilguard error",
-			"80:6 obsnilguard error",
+			"11:2 obsnilguard error",
+			"12:6 obsnilguard error",
+			"63:2 obsnilguard error",
 		},
 		"maporderfloat.go": {
 			"10:3 maporderfloat error", // float accumulation in map order

@@ -7,13 +7,12 @@ import (
 )
 
 // ObsNilGuard enforces the observability layer's nil-safety contract at
-// its boundary: the Metrics, Trace and Events fields of *obs.Observer —
-// and the Traces, Flight and Status fields of *telemetry.Plane — must
-// not be accessed directly outside the obs tree, because a nil pointer —
-// the documented "observability disabled" state threaded through every
-// training entry point — panics on field selection. The established
-// idiom is the nil-safe accessor surface: ob.Registry(), ob.Tracer(),
-// ob.Span(), and plane.Merger(), plane.Recorder(), plane.Health().
+// its boundary: the Metrics, Trace and Events fields of *obs.Observer
+// must not be accessed directly outside the obs tree, because a nil
+// pointer — the documented "observability disabled" state threaded
+// through every training entry point — panics on field selection. The
+// established idiom is the nil-safe accessor surface: ob.Registry(),
+// ob.Tracer(), ob.Span(), ob.EventLog().
 //
 // A direct field access is accepted only under an explicit nil guard: an
 // enclosing `if ob != nil` (or the else-branch of `if ob == nil`), or a
@@ -21,19 +20,14 @@ import (
 // function body.
 type ObsNilGuard struct{}
 
-// obsPkgPath and telemetryPkgPath are the packages whose contracts this
-// analyzer enforces; their own methods implement the nil checks and are
-// exempt.
-const (
-	obsPkgPath       = "repro/internal/obs"
-	telemetryPkgPath = "repro/internal/obs/telemetry"
-)
+// obsPkgPath is the package whose contract this analyzer enforces; its
+// own methods implement the nil checks and are exempt.
+const obsPkgPath = "repro/internal/obs"
 
 // nilGuardedField maps each guarded struct field to the nil-safe
 // accessor that replaces it, keyed by owning type.
 var nilGuardedFields = map[string]map[string]string{
 	"Observer": {"Metrics": "Registry", "Trace": "Tracer", "Events": "EventLog"},
-	"Plane":    {"Traces": "Merger", "Flight": "Recorder", "Status": "Health"},
 }
 
 // Name implements Analyzer.
@@ -41,14 +35,13 @@ func (ObsNilGuard) Name() string { return "obsnilguard" }
 
 // Doc implements Analyzer.
 func (ObsNilGuard) Doc() string {
-	return "unguarded Metrics/Trace/Events field access on a possibly-nil *obs.Observer " +
-		"(or Traces/Flight/Status on a possibly-nil *telemetry.Plane); " +
+	return "unguarded Metrics/Trace/Events field access on a possibly-nil *obs.Observer; " +
 		"use the nil-safe accessors or guard with `if ob != nil`"
 }
 
 // Run implements Analyzer.
 func (o ObsNilGuard) Run(p *Package) []Finding {
-	if p.ImportPath == obsPkgPath || p.ImportPath == telemetryPkgPath {
+	if p.ImportPath == obsPkgPath {
 		return nil
 	}
 	var out []Finding
@@ -61,7 +54,7 @@ func (o ObsNilGuard) Run(p *Package) []Finding {
 		if s == nil || s.Kind() != types.FieldVal {
 			return true
 		}
-		// Only pointer receivers can be nil; value Observers/Planes are safe.
+		// Only pointer receivers can be nil; value Observers are safe.
 		ptr, ok := p.Info.TypeOf(sel.X).(*types.Pointer)
 		if !ok {
 			return true
@@ -87,19 +80,15 @@ func (o ObsNilGuard) Run(p *Package) []Finding {
 	return out
 }
 
-// guardedOwner reports which nil-guarded type t is — "Observer" or
-// "Plane" — plus its human-readable label, or "" when t is neither.
+// guardedOwner reports whether t is the nil-guarded type — "Observer" —
+// plus its human-readable label, or "" when it is not.
 func guardedOwner(t types.Type) (owner, label string) {
 	named, ok := t.(*types.Named)
 	if !ok {
 		return "", ""
 	}
-	obj := named.Obj()
-	switch {
-	case obj.Name() == "Observer" && pkgPath(obj) == obsPkgPath:
+	if obj := named.Obj(); obj.Name() == "Observer" && pkgPath(obj) == obsPkgPath {
 		return "Observer", "*obs.Observer"
-	case obj.Name() == "Plane" && pkgPath(obj) == telemetryPkgPath:
-		return "Plane", "*telemetry.Plane"
 	}
 	return "", ""
 }

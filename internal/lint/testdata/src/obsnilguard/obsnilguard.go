@@ -1,11 +1,10 @@
-// Package obsnilguard is a lint fixture seeding unguarded Metrics/Trace
-// field access on a possibly-nil *obs.Observer and unguarded
-// Traces/Flight/Status access on a possibly-nil *telemetry.Plane.
+// Package obsnilguard is a lint fixture seeding unguarded
+// Metrics/Trace/Events field access on a possibly-nil *obs.Observer,
+// beside the guarded forms and accessors the analyzer accepts.
 package obsnilguard
 
 import (
 	"repro/internal/obs"
-	"repro/internal/obs/telemetry"
 )
 
 func unguarded(ob *obs.Observer) {
@@ -68,25 +67,4 @@ func events(ob *obs.Observer) {
 	ob.Eventf(0, "ok")              // nil-safe accessor: not flagged
 	_ = ob.EventLog()               // nil-safe accessor: not flagged
 	_ = ob == nil || ob.Events == nil // short-circuit ||: not flagged
-}
-
-// plane exercises the telemetry.Plane fields added with the telemetry
-// plane: unguarded Traces/Flight/Status access is flagged like the
-// Observer fields; guarded access and the Merger/Recorder/Health
-// accessors are sanctioned.
-func plane(p *telemetry.Plane) {
-	_ = p.Traces // want: unguarded Traces access
-	_ = p.Flight // want: unguarded Flight access
-	_ = p.Status // want: unguarded Status access
-	if p != nil {
-		_ = p.Traces // guarded: not flagged
-	}
-	if p == nil {
-		return
-	}
-	_ = p.Status                    // early exit above: not flagged
-	_ = p.Merger()                  // nil-safe accessor: not flagged
-	_ = p.Recorder()                // nil-safe accessor: not flagged
-	_ = p.Health()                  // nil-safe accessor: not flagged
-	_ = p == nil || p.Flight == nil // short-circuit ||: not flagged
 }

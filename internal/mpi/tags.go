@@ -2,11 +2,10 @@ package mpi
 
 // The module's tag plan, stated once. Every tag any package of this
 // module sends or receives on is a constant below and a key of tagPlan;
-// internal/core and internal/obs/telemetry use these constants and
-// declare none of their own. Go rejects a duplicate
-// constant key in a map literal, so two protocols on one tag do not
-// compile; TestTagPlan pins the values (they are the wire) and proves
-// the [tag, tag+width) ranges disjoint.
+// internal/core uses these constants and declares none of its own. Go
+// rejects a duplicate constant key in a map literal, so two protocols
+// on one tag do not compile; TestTagPlan pins the values (they are the
+// wire) and proves the [tag, tag+width) ranges disjoint.
 
 // Point tags: one FIFO stream each, in the user tag space below the
 // blocks.
@@ -18,10 +17,6 @@ const (
 	// in FIFO order on one tag so a worker can never block on an
 	// out-of-order match.
 	TagStarCmd = 9500
-
-	// TagTelemetry carries worker→master span/metric bundle shipments
-	// at iteration boundaries, off the critical path.
-	TagTelemetry = 9601
 )
 
 // Tag blocks: a base to which the sender adds an offset below
@@ -53,7 +48,6 @@ type tagRow struct {
 var tagPlan = map[int]tagRow{
 	TagShard:     {"core.shard", 1},
 	TagStarCmd:   {"core.star.cmd", 1},
-	TagTelemetry: {"telemetry.bundle", 1},
 	tagBcast:     {"mpi.bcast", tagBlockWidth},
 	tagReduce:    {"mpi.reduce", tagBlockWidth},
 	tagBarrier:   {"mpi.barrier", tagBlockWidth},

@@ -15,7 +15,6 @@ func TestTagPlan(t *testing.T) {
 	pins := map[int]int{
 		TagShard:     9000,
 		TagStarCmd:   9500,
-		TagTelemetry: 9601,
 		tagBcast:     1 << 24,
 		tagReduce:    2 << 24,
 		tagBarrier:   5 << 24,

@@ -73,7 +73,7 @@ func (l *EventLog) Seq() int64 {
 // EntriesSince returns the retained entries appended after cursor seq
 // (a value previously returned by Seq or EntriesSince; pass 0 for
 // everything retained) plus the new cursor. Entries overwritten by the
-// ring before the call are silently missing — the telemetry shipper's
+// ring before the call are silently missing — the telemetry merger's
 // incremental reads tolerate that the same way span drops are
 // tolerated; nil-safe.
 func (l *EventLog) EntriesSince(seq int64) ([]LogEntry, int64) {

@@ -138,7 +138,7 @@ func (t *Tracer) Events() []Event {
 }
 
 // Drain returns the retained spans (sorted like Events) and clears the
-// ring, so the caller — the telemetry plane's per-iteration shipper —
+// ring, so the caller — the telemetry merger's per-iteration Collect —
 // receives each span exactly once. The dropped counter is reset too and
 // its pre-drain value returned; nil-safe.
 func (t *Tracer) Drain() ([]Event, int64) {

@@ -9,13 +9,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Merger is the master-side aggregation point: it ingests WorkerBundles
-// (and the master's own drained observer), rebases every span onto the
-// master's timebase by the difference of the two tracer epochs — exact,
-// since every rank shares the master's process and clock — and serves
-// the merged result — a single Chrome/Perfetto trace, per-rank metric
+// Merger is the master-side aggregation point. Every rank's observer
+// is bound into it (Bind) before the rank starts, and Collect drains
+// each bound observer in place: spans are rebased onto the master's
+// timebase by the difference of the two tracer epochs — exact, since
+// every rank shares the master's process and clock. It serves the
+// merged result — a single Chrome/Perfetto trace, per-rank metric
 // snapshots, and a merged event log. Safe for concurrent use (the HTTP
-// endpoint scrapes it while the training loop ingests). The nil Merger
+// endpoint scrapes it while the training loop collects). The nil Merger
 // is a valid no-op.
 type Merger struct {
 	epoch time.Time // timebase zero: the master tracer's epoch
@@ -30,7 +31,14 @@ type Merger struct {
 	rankDrop map[int]int64        // rank → spans dropped at the source tracer
 	entries  []obs.LogEntry       // merged event-log ring
 	entStart int
-	local    map[int]*obs.Registry // live local registries (BindLocal)
+	bound    map[int]*boundRank // rank → its observer, read in place
+}
+
+// boundRank is one bound observer and how far into its event log the
+// merger has read.
+type boundRank struct {
+	ob     *obs.Observer
+	cursor int64
 }
 
 // NewMerger builds a merger whose merged timebase is zero at epoch,
@@ -45,20 +53,43 @@ func NewMerger(epoch time.Time, cap int) *Merger {
 		latest:   map[int]obs.Snapshot{},
 		prev:     map[int]obs.Snapshot{},
 		rankDrop: map[int]int64{},
-		local:    map[int]*obs.Registry{},
+		bound:    map[int]*boundRank{},
 	}
 }
 
-// BindLocal attaches a live registry for rank: Snapshots (and therefore
-// /metrics) re-snapshot it at read time instead of waiting for the next
-// ingested bundle; nil-safe.
-func (m *Merger) BindLocal(rank int, r *obs.Registry) {
-	if m == nil || r == nil {
+// Bind attaches rank's observer: every Collect drains its tracer and
+// event log, and Snapshots (and therefore /metrics) re-snapshots its
+// registry at read time; nil-safe.
+func (m *Merger) Bind(rank int, ob *obs.Observer) {
+	if m == nil || ob == nil {
 		return
 	}
 	m.mu.Lock()
-	m.local[rank] = r
+	m.bound[rank] = &boundRank{ob: ob}
 	m.mu.Unlock()
+}
+
+// Collect drains every bound rank in rank order — the spans its tracer
+// recorded and the event-log lines appended since the previous Collect,
+// plus a cumulative registry snapshot — into the merged state; nil-safe.
+func (m *Merger) Collect() {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ranks := make([]int, 0, len(m.bound))
+	for r := range m.bound {
+		ranks = append(ranks, r)
+	}
+	sort.Ints(ranks)
+	for _, r := range ranks {
+		br := m.bound[r]
+		b := bundle{Rank: r, Epoch: br.ob.Tracer().Epoch(), Metrics: br.ob.Registry().Snapshot()}
+		b.Spans, b.Dropped = br.ob.Tracer().Drain()
+		b.Events, br.cursor = br.ob.EventLog().EntriesSince(br.cursor)
+		m.ingestLocked(b)
+	}
 }
 
 // appendEventLocked pushes one merged span, overwriting the oldest at
@@ -84,16 +115,18 @@ func (m *Merger) appendEntryLocked(e obs.LogEntry) {
 	m.entStart = (m.entStart + 1) % DefaultEntryCap
 }
 
-// Ingest merges one shipped bundle: spans are rebased from the
-// shipper's epoch onto the master timebase, the rank's metrics snapshot
-// replaces the previous one (which is kept for flight-recorder deltas),
-// and event-log lines join the merged log as stamped; nil-safe.
-func (m *Merger) Ingest(b WorkerBundle) {
-	if m == nil {
-		return
-	}
+// ingest merges one bundle under the lock; Collect's test seam.
+func (m *Merger) ingest(b bundle) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.ingestLocked(b)
+}
+
+// ingestLocked merges one rank's bundle: spans are rebased from the
+// rank's epoch onto the master timebase, the rank's metrics snapshot
+// replaces the previous one (which is kept for flight-recorder deltas),
+// and event-log lines join the merged log as stamped; callers hold mu.
+func (m *Merger) ingestLocked(b bundle) {
 	rebase := b.Epoch.Sub(m.epoch)
 	for _, ev := range b.Spans {
 		ev.Start += rebase
@@ -131,8 +164,8 @@ func (m *Merger) WriteChromeTrace(w io.Writer) error {
 	return obs.WriteChromeEvents(w, m.Events())
 }
 
-// Ranks returns the ranks that have shipped at least one bundle (or are
-// locally bound), ascending; nil-safe.
+// Ranks returns the ranks that are bound or have been collected,
+// ascending; nil-safe.
 func (m *Merger) Ranks() []int {
 	if m == nil {
 		return nil
@@ -142,7 +175,7 @@ func (m *Merger) Ranks() []int {
 	for r := range m.latest {
 		seen[r] = true
 	}
-	for r := range m.local {
+	for r := range m.bound {
 		seen[r] = true
 	}
 	m.mu.Unlock()
@@ -154,9 +187,9 @@ func (m *Merger) Ranks() []int {
 	return ranks
 }
 
-// Snapshots returns the newest metrics snapshot per rank. Ranks bound
-// with BindLocal are re-snapshot live at call time; shipped ranks
-// return their last ingested snapshot; nil-safe.
+// Snapshots returns the newest metrics snapshot per rank. Bound ranks
+// are re-snapshot live at call time; others return their last collected
+// snapshot; nil-safe.
 func (m *Merger) Snapshots() map[int]obs.Snapshot {
 	if m == nil {
 		return nil
@@ -166,13 +199,13 @@ func (m *Merger) Snapshots() map[int]obs.Snapshot {
 	for r, s := range m.latest {
 		out[r] = s
 	}
-	live := make(map[int]*obs.Registry, len(m.local))
-	for r, reg := range m.local {
-		live[r] = reg
+	live := make(map[int]*obs.Registry, len(m.bound))
+	for r, br := range m.bound {
+		live[r] = br.ob.Registry()
 	}
 	m.mu.Unlock()
 	// Snapshot live registries outside the merger lock: Registry has its
-	// own lock and scrapes must not block ingestion.
+	// own lock and scrapes must not block collection.
 	for r, reg := range live {
 		out[r] = reg.Snapshot()
 	}
@@ -193,7 +226,7 @@ func (m *Merger) Entries() []obs.LogEntry {
 	return out
 }
 
-// RankDelta is one rank's metric movement between its last two shipped
+// RankDelta is one rank's metric movement between its last two collected
 // snapshots — what the flight recorder reports as "what was this rank
 // doing right before the fault".
 type RankDelta struct {
@@ -205,9 +238,9 @@ type RankDelta struct {
 	Gauges []obs.GaugeSnap `json:"gauges,omitempty"`
 }
 
-// Deltas computes every shipped rank's counter movement between its two
-// most recent snapshots (the full latest value when only one snapshot
-// has arrived) plus its latest gauges, sorted by rank; nil-safe.
+// Deltas computes every collected rank's counter movement between its
+// two most recent snapshots (the full latest value when only one
+// snapshot has been taken) plus its latest gauges, sorted by rank; nil-safe.
 func (m *Merger) Deltas() []RankDelta {
 	if m == nil {
 		return nil

@@ -30,7 +30,7 @@ type FlightBundle struct {
 	// Events are the merged event-log lines inside the window.
 	Events []obs.LogEntry `json:"events"`
 	// Deltas is each rank's metric movement between its last two
-	// shipped snapshots.
+	// collected snapshots.
 	Deltas []RankDelta `json:"metric_deltas"`
 	// DroppedSpans counts spans lost to ring overwrites anywhere in the
 	// pipeline — a non-zero value flags an incomplete picture.
@@ -63,20 +63,12 @@ func NewRecorder(w time.Duration) *Recorder {
 	return &Recorder{window: w}
 }
 
-// Window returns the recorder's lookback; nil-safe.
-func (r *Recorder) Window() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.window
-}
-
 // Capture freezes the merger's last window into a FlightBundle tagged
 // with reason, stores it as Last, and returns it; nil-safe (returns
 // nil when either receiver or merger is nil). The span filter keeps
 // every span whose interval ends inside the window measured back from
 // the newest merged span — so a rank evicted moments ago contributes
-// the spans it shipped before dying.
+// the spans it recorded before dying.
 func (r *Recorder) Capture(m *Merger, reason string) *FlightBundle {
 	if r == nil || m == nil {
 		return nil

@@ -1,5 +1,5 @@
 // Package telemetry is the distributed half of the observability layer:
-// it moves per-rank spans, metrics and event-log lines to the master and
+// it reads every rank's spans, metrics and event-log lines in place and
 // turns them into one timeline, a live monitoring endpoint, and a
 // post-mortem flight recorder.
 //
@@ -10,33 +10,30 @@
 //
 // Three pillars:
 //
-//   - cross-rank trace aggregation: workers ship span/metric/event
-//     bundles to the master on mpi.TagTelemetry at every iteration
-//     boundary — off the collective critical path — and a master-side
-//     Merger emits one Chrome/Perfetto trace with per-rank process
-//     tracks on the master's timebase;
+//   - cross-rank trace aggregation: each rank's observer is bound into
+//     a master-side Merger before the rank starts, and the master
+//     drains every bound observer with Merger.Collect at iteration
+//     boundaries — a function call, off the collective critical path,
+//     with no message — into one Chrome/Perfetto trace with per-rank
+//     process tracks on the master's timebase;
 //   - a live monitoring endpoint (Server): Prometheus text exposition at
 //     /metrics, the merged trace so far at /trace, elastic worker state
 //     at /healthz, and net/http/pprof;
 //   - a fault flight recorder (Recorder): on eviction, watchdog trip or
 //     surrender, the last window of spans, event-log lines and metric
-//     deltas from every reachable rank is frozen into a FlightBundle
-//     attached to the run's FaultReport.
+//     deltas from every bound rank — an evicted one included — is
+//     frozen into a FlightBundle attached to the run's FaultReport.
 //
 // Like package obs, everything is nil-safe: a nil *Plane, *Merger,
-// *Recorder, *Shipper or *Health turns every method into a no-op, so
-// the runtime threads one pointer around and pays nothing when the
-// plane is disabled. The obsnilguard analyzer enforces that code
-// outside the obs tree reaches Plane components through the nil-safe
-// accessors rather than the struct fields.
+// *Recorder or *Health turns every method into a no-op, so the runtime
+// threads one pointer around and pays nothing when the plane is
+// disabled. Plane's fields are unexported, so code outside this package
+// reaches its components only through the nil-safe accessors.
 package telemetry
 
 import (
-	"bytes"
-	"encoding/gob"
 	"time"
 
-	"repro/internal/mpi"
 	"repro/internal/obs"
 )
 
@@ -49,30 +46,23 @@ const (
 	DefaultMergedCap = 1 << 19
 	// DefaultEntryCap bounds the master's merged event-log ring.
 	DefaultEntryCap = 1024
-	// DefaultDeadline bounds each per-worker telemetry receive.
-	DefaultDeadline = 5 * time.Second
 )
 
 // Plane bundles the master-side telemetry components the runtime
 // threads through a session. The nil Plane is a valid, disabled plane.
 type Plane struct {
-	// Traces merges shipped span bundles onto one timebase; reach it
-	// through Merger outside the obs tree.
-	Traces *Merger
-	// Flight captures post-mortem bundles; reach it through Recorder.
-	Flight *Recorder
-	// Status is the live state surfaced at /healthz; reach it through
-	// Health.
-	Status *Health
+	traces *Merger   // every rank's observer, merged onto one timebase
+	flight *Recorder // post-mortem bundles
+	status *Health   // live state surfaced at /healthz
 }
 
 // NewPlane builds a telemetry plane whose merged timebase is zero at
 // epoch (pass the master tracer's Epoch so local spans need no rebase).
 func NewPlane(epoch time.Time) *Plane {
 	return &Plane{
-		Traces: NewMerger(epoch, DefaultMergedCap),
-		Flight: NewRecorder(DefaultWindow),
-		Status: NewHealth(),
+		traces: NewMerger(epoch, DefaultMergedCap),
+		flight: NewRecorder(DefaultWindow),
+		status: NewHealth(),
 	}
 }
 
@@ -82,7 +72,7 @@ func (p *Plane) Merger() *Merger {
 	if p == nil {
 		return nil
 	}
-	return p.Traces
+	return p.traces
 }
 
 // Recorder returns the fault flight recorder, or nil; nil-safe.
@@ -90,7 +80,7 @@ func (p *Plane) Recorder() *Recorder {
 	if p == nil {
 		return nil
 	}
-	return p.Flight
+	return p.flight
 }
 
 // Health returns the live status tracker, or nil; nil-safe.
@@ -98,82 +88,26 @@ func (p *Plane) Health() *Health {
 	if p == nil {
 		return nil
 	}
-	return p.Status
+	return p.status
 }
 
-// WorkerBundle is one telemetry shipment: everything a rank drained
-// since its previous flush. It crosses the wire gob-encoded on
-// mpi.TagTelemetry.
-type WorkerBundle struct {
-	// Rank is the shipping rank.
+// bundle is what one collection reads off one rank: everything it
+// recorded since the previous collection.
+type bundle struct {
+	// Rank is the bound rank.
 	Rank int
-	// Epoch is the shipper tracer's trace-time zero. Every rank shares
-	// the master's clock, so the merger rebases Spans by the difference
-	// of the two epochs alone.
+	// Epoch is the rank tracer's trace-time zero. Every rank shares the
+	// master's clock, so the merger rebases Spans by the difference of
+	// the two epochs alone.
 	Epoch time.Time
 	// Spans are the drained spans, Start relative to Epoch.
 	Spans []obs.Event
 	// Dropped counts spans the rank's tracer ring overwrote since the
-	// previous flush.
+	// previous collection.
 	Dropped int64
 	// Metrics is a full registry snapshot (cumulative, not a delta).
 	Metrics obs.Snapshot
-	// Events are the event-log lines appended since the previous flush,
-	// stamped with the shipper's wall clock.
+	// Events are the event-log lines appended since the previous
+	// collection.
 	Events []obs.LogEntry
-}
-
-// Shipper is the worker-side half of the plane: it drains a rank's
-// Observer into WorkerBundles. The nil Shipper encodes empty bundles.
-type Shipper struct {
-	rank      int
-	ob        *obs.Observer
-	logCursor int64
-}
-
-// NewShipper wraps rank's observer for telemetry shipping.
-func NewShipper(rank int, ob *obs.Observer) *Shipper {
-	return &Shipper{rank: rank, ob: ob}
-}
-
-// Bundle drains the observer into a WorkerBundle: spans recorded and
-// event-log lines appended since the previous Bundle, plus a cumulative
-// metrics snapshot; nil-safe (returns an empty bundle).
-func (s *Shipper) Bundle() WorkerBundle {
-	if s == nil {
-		return WorkerBundle{Rank: -1}
-	}
-	b := WorkerBundle{Rank: s.rank, Epoch: s.ob.Tracer().Epoch()}
-	b.Spans, b.Dropped = s.ob.Tracer().Drain()
-	b.Metrics = s.ob.Registry().Snapshot()
-	b.Events, s.logCursor = s.ob.EventLog().EntriesSince(s.logCursor)
-	return b
-}
-
-// Encode drains the observer (see Bundle) and gob-encodes the result
-// for the wire; nil-safe.
-func (s *Shipper) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s.Bundle()); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Ship drains the observer and sends the encoded bundle to dst on
-// mpi.TagTelemetry; nil-safe (a nil Shipper still sends an empty
-// bundle, keeping the master's per-worker receive matched).
-func (s *Shipper) Ship(c *mpi.Comm, dst int) error {
-	payload, err := s.Encode()
-	if err != nil {
-		return err
-	}
-	return c.SendBytes(dst, mpi.TagTelemetry, payload)
-}
-
-// DecodeBundle decodes one wire shipment.
-func DecodeBundle(data []byte) (WorkerBundle, error) {
-	var b WorkerBundle
-	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&b)
-	return b, err
 }

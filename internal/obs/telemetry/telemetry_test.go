@@ -3,11 +3,9 @@ package telemetry
 import (
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/mpi"
 	"repro/internal/obs"
 )
 
@@ -19,7 +17,8 @@ func TestNilPlaneIsNoop(t *testing.T) {
 		t.Fatal("nil plane handed out non-nil components")
 	}
 	var m *Merger
-	m.Ingest(WorkerBundle{Rank: 1})
+	m.Bind(1, &obs.Observer{Trace: obs.NewTracer()})
+	m.Collect()
 	if m.Events() != nil || m.Ranks() != nil || m.Snapshots() != nil {
 		t.Fatal("nil merger returned data")
 	}
@@ -43,25 +42,17 @@ func TestNilPlaneIsNoop(t *testing.T) {
 	if err := h.WriteJSON(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
-	var s *Shipper
-	if b := s.Bundle(); len(b.Spans) != 0 {
-		t.Fatal("nil shipper produced spans")
-	}
 	var srv *Server
 	if srv.Addr() != "" || srv.Close() != nil {
 		t.Fatal("nil server misbehaved")
 	}
 }
 
-// TestShipperMergerRoundTrip ships a worker bundle over the fabric and
-// checks the merger rebases spans onto the master timebase and keeps
-// metrics and events.
+// TestShipperMergerRoundTrip binds a worker's observer (the in-process
+// successor of shipping its bundle) and checks that Collect rebases its
+// spans onto the master timebase, keeps its metrics and events, and
+// reports counter deltas between collections.
 func TestShipperMergerRoundTrip(t *testing.T) {
-	fab := mpi.NewInprocFabric(2)
-	defer fab.Close()
-	master := mpi.NewComm(fab.Transport(0))
-	worker := mpi.NewComm(fab.Transport(1))
-
 	wOb := &obs.Observer{
 		Metrics: obs.NewRegistry(),
 		Trace:   obs.NewTracer(),
@@ -71,31 +62,9 @@ func TestShipperMergerRoundTrip(t *testing.T) {
 	wOb.Span(1, "gradient_loss").End()
 	wOb.Eventf(1, "hello from worker")
 
-	ship := NewShipper(1, wOb)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := ship.Ship(worker, 0); err != nil {
-			t.Error(err)
-		}
-	}()
-
-	msg, err := master.RecvBytesTimeout(1, mpi.TagTelemetry, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	b, err := DecodeBundle(msg.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Rank != 1 || len(b.Spans) != 1 || len(b.Events) != 1 {
-		t.Fatalf("bundle = %+v", b)
-	}
-
 	m := NewMerger(wOb.Tracer().Epoch().Add(-time.Second), 0)
-	m.Ingest(b)
+	m.Bind(1, wOb)
+	m.Collect()
 	evs := m.Events()
 	if len(evs) != 1 || evs[0].Name != "gradient_loss" || evs[0].Rank != 1 {
 		t.Fatalf("merged events = %+v", evs)
@@ -105,21 +74,20 @@ func TestShipperMergerRoundTrip(t *testing.T) {
 	if evs[0].Start < time.Second {
 		t.Fatalf("span not rebased: start %v", evs[0].Start)
 	}
-	snaps := m.Snapshots()
-	if snaps[1].Counters[0].Value != 7 {
+	if snaps := m.Snapshots(); snaps[1].Counters[0].Value != 7 {
 		t.Fatalf("snapshot lost: %+v", snaps)
 	}
 	if entries := m.Entries(); len(entries) != 1 || entries[0].Text != "hello from worker" {
 		t.Fatalf("entries = %+v", entries)
 	}
 
-	// A second flush after more activity ships only the new spans, and
-	// Deltas reports the counter movement between the two snapshots.
+	// A second collection after more activity adds only the new span,
+	// and Deltas reports the counter movement between the two snapshots.
 	wOb.Registry().Counter("iter.count").Add(3)
 	wOb.Span(1, "sync_weights").End()
-	m.Ingest(ship.Bundle())
+	m.Collect()
 	if evs := m.Events(); len(evs) != 2 {
-		t.Fatalf("merged %d events after second flush, want 2", len(evs))
+		t.Fatalf("merged %d events after second collection, want 2", len(evs))
 	}
 	ds := m.Deltas()
 	if len(ds) != 1 || len(ds[0].Counters) != 1 || ds[0].Counters[0].Value != 3 {
@@ -136,7 +104,7 @@ func TestMergerCapBounds(t *testing.T) {
 	for i := range spans {
 		spans[i] = obs.Event{Name: "s", Rank: 1, Start: time.Duration(i), Dur: 1}
 	}
-	m.Ingest(WorkerBundle{Rank: 1, Epoch: epoch, Spans: spans, Dropped: 2})
+	m.ingest(bundle{Rank: 1, Epoch: epoch, Spans: spans, Dropped: 2})
 	if got := len(m.Events()); got != 3 {
 		t.Fatalf("retained %d, want 3", got)
 	}
@@ -190,10 +158,10 @@ hf_mpi_allreduce_ns_count{rank="1"} 3
 func TestMergedTraceGolden(t *testing.T) {
 	epoch := time.Unix(1000, 0)
 	m := NewMerger(epoch, 0)
-	m.Ingest(WorkerBundle{Rank: 0, Epoch: epoch, Spans: []obs.Event{
+	m.ingest(bundle{Rank: 0, Epoch: epoch, Spans: []obs.Event{
 		{Name: "cg_minimize", Rank: 0, Start: 0, Dur: 2 * time.Millisecond},
 	}})
-	m.Ingest(WorkerBundle{Rank: 1, Epoch: epoch.Add(time.Millisecond), Spans: []obs.Event{
+	m.ingest(bundle{Rank: 1, Epoch: epoch.Add(time.Millisecond), Spans: []obs.Event{
 		// Worker-local start 0 at worker epoch = master epoch+1ms
 		// → merged start 1ms.
 		{Name: "gradient_loss", Rank: 1, Start: 0, Dur: time.Millisecond},
@@ -274,7 +242,7 @@ func TestMergedTraceGolden(t *testing.T) {
 func TestRecorderCapture(t *testing.T) {
 	epoch := time.Now().Add(-time.Minute)
 	m := NewMerger(epoch, 0)
-	m.Ingest(WorkerBundle{
+	m.ingest(bundle{
 		Rank: 2, Epoch: epoch,
 		Spans:   []obs.Event{{Name: "doomed_span", Rank: 2, Start: time.Second, Dur: time.Millisecond}},
 		Metrics: obs.Snapshot{Counters: []obs.CounterSnap{{Name: "iter.count", Value: 5}}},
@@ -310,7 +278,7 @@ func TestRecorderCapture(t *testing.T) {
 
 	// A narrow window drops old spans: re-ingest a much newer span and
 	// capture with a tiny window — only the new span survives.
-	m.Ingest(WorkerBundle{Rank: 3, Epoch: epoch, Spans: []obs.Event{
+	m.ingest(bundle{Rank: 3, Epoch: epoch, Spans: []obs.Event{
 		{Name: "fresh", Rank: 3, Start: time.Hour, Dur: time.Millisecond},
 	}})
 	nb := NewRecorder(time.Second).Capture(m, "watchdog")
@@ -351,8 +319,8 @@ func TestServerEndpoints(t *testing.T) {
 	p := NewPlane(time.Now())
 	reg := obs.NewRegistry()
 	reg.Counter("iter.count").Add(9)
-	p.Merger().BindLocal(0, reg)
-	p.Merger().Ingest(WorkerBundle{Rank: 1, Epoch: p.Merger().Epoch(), Spans: []obs.Event{
+	p.Merger().Bind(0, &obs.Observer{Metrics: reg})
+	p.Merger().ingest(bundle{Rank: 1, Epoch: p.Merger().Epoch(), Spans: []obs.Event{
 		{Name: "work", Rank: 1, Start: 0, Dur: time.Millisecond},
 	}})
 	p.Health().SetState("training")
@@ -442,11 +410,9 @@ func TestServerCloseJoinsServeGoroutine(t *testing.T) {
 	}
 }
 
-// TestShipperBundleDrains is the regression test for shipper drain
-// semantics: each Bundle call must hand off the spans and events
-// accumulated since the previous call exactly once, so repeated flushes
-// (and the elastic master's failure-path drain) never duplicate or drop
-// telemetry.
+// TestShipperBundleDrains proves Collect drains a bound rank: each span
+// and event-log line reaches the merger exactly once, and a collection
+// with nothing new adds nothing.
 func TestShipperBundleDrains(t *testing.T) {
 	ob := &obs.Observer{
 		Metrics: obs.NewRegistry(),
@@ -455,27 +421,29 @@ func TestShipperBundleDrains(t *testing.T) {
 	}
 	ob.Span(0, "first").End()
 	ob.Eventf(0, "one")
-	ship := NewShipper(0, ob)
+	m := NewMerger(ob.Tracer().Epoch(), 0)
+	m.Bind(0, ob)
 
-	b1 := ship.Bundle()
-	if len(b1.Spans) != 1 || len(b1.Events) != 1 {
-		t.Fatalf("first bundle = %d spans / %d events, want 1/1", len(b1.Spans), len(b1.Events))
+	m.Collect()
+	if evs, entries := m.Events(), m.Entries(); len(evs) != 1 || len(entries) != 1 {
+		t.Fatalf("first collection = %d spans / %d events, want 1/1", len(evs), len(entries))
 	}
 
-	// Nothing new happened: the next bundle must be empty, not a replay.
-	b2 := ship.Bundle()
-	if len(b2.Spans) != 0 || len(b2.Events) != 0 {
-		t.Fatalf("second bundle not drained: %d spans / %d events", len(b2.Spans), len(b2.Events))
+	// Nothing new happened: the next collection must add nothing, not replay.
+	m.Collect()
+	if evs, entries := m.Events(), m.Entries(); len(evs) != 1 || len(entries) != 1 {
+		t.Fatalf("second collection replayed telemetry: %d spans / %d events, want 1/1", len(evs), len(entries))
 	}
 
-	// New activity after the drain ships exactly once.
+	// New activity after the drain is collected exactly once.
 	ob.Span(0, "second").End()
 	ob.Eventf(0, "two")
-	b3 := ship.Bundle()
-	if len(b3.Spans) != 1 || len(b3.Events) != 1 {
-		t.Fatalf("post-drain bundle = %d spans / %d events, want 1/1", len(b3.Spans), len(b3.Events))
+	m.Collect()
+	evs, entries := m.Events(), m.Entries()
+	if len(evs) != 2 || len(entries) != 2 {
+		t.Fatalf("post-drain collection = %d spans / %d events, want 2/2", len(evs), len(entries))
 	}
-	if b3.Spans[0].Name != "second" || b3.Events[0].Text != "two" {
-		t.Fatalf("post-drain bundle replayed old telemetry: %+v", b3)
+	if evs[1].Name != "second" || entries[1].Text != "two" {
+		t.Fatalf("post-drain collection replayed old telemetry: spans %+v, entries %+v", evs, entries)
 	}
 }
