@@ -353,10 +353,9 @@ func BenchmarkFaultEviction(b *testing.B) {
 		faulted, faultRes = run(b,
 			core.WithObserver(ob),
 			core.WithFaults(pol),
-			core.WithCheckpoint(core.CheckpointPolicy{Every: 1}),
 		)
 	})
-	if baseline <= 0 || faulted <= 0 || faultRes == nil || faultRes.Fault == nil {
+	if baseline <= 0 || faulted <= 0 || faultRes == nil {
 		return
 	}
 	degradedPct := (float64(faulted)/float64(baseline) - 1) * 100

@@ -84,7 +84,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file of per-rank phase spans to this path")
 	metricsOut := fs.String("metrics", "", "write per-HF-iteration telemetry as JSONL to this path")
 	faultInject := fs.String("fault-inject", "", "dist mode: fault schedule to inject, e.g. \"kill:rank=2,epoch=3; delay:rank=1,epoch=2,d=50ms\" (enables the elastic fault-tolerant runtime)")
-	maxEvictions := fs.Int("max-evictions", 0, "dist mode: worker evictions tolerated before surrendering (enables the elastic runtime; 0 = library default of 2 when elastic, negative = none)")
+	maxEvictions := fs.Int("max-evictions", 0, "dist mode: worker evictions tolerated before surrendering; above 0 enables eviction and rewind (0 = library default of 2 with -fault-inject, else none; negative = none, the same run as omitting the flag)")
 	httpAddr := fs.String("http", "", "dist mode: serve the live monitoring endpoint on this address (e.g. :9090): /metrics, /trace, /healthz, /flight, /debug/pprof/")
 	flightOut := fs.String("flight", "", "dist mode: write the fault flight recorder's post-mortem bundle as JSON to this path after a faulted run")
 	shuffle := fs.Bool("shuffle", false, "shuffle utterances (seeded) before the train/held-out split")
@@ -233,9 +233,9 @@ func run(args []string, stdout io.Writer) (err error) {
 				pol.Inject = sched
 			}
 			opts = append(opts, core.WithFaults(pol))
-			// Rewind checkpoints every iteration; mirror to -save if set
+			// Mirror the per-iteration rewind checkpoints to -save if set
 			// (the trained model overwrites the mirror after the run).
-			opts = append(opts, core.WithCheckpoint(core.CheckpointPolicy{Every: 1, Path: *save}))
+			opts = append(opts, core.WithCheckpoint(core.CheckpointPolicy{Path: *save}))
 		}
 		if ob != nil {
 			opts = append(opts, core.WithTelemetry())
@@ -266,7 +266,8 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 		fmt.Fprintf(stdout, "distributed HF (%s, %d ranks, %s): final held-out loss %.4f, frame accuracy %.1f%%\n",
 			crit, *ranks, *transport, res.HF.FinalLoss, res.HeldOutAccuracy*100)
-		if res.Fault != nil {
+		// A run that could not evict and did not has no fault story.
+		if res.Fault.MaxEvictions > 0 || len(res.Fault.Evictions) > 0 {
 			report.FaultTable(stdout, res.Fault)
 		}
 		if ob != nil {

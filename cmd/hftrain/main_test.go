@@ -166,3 +166,30 @@ func TestCheckpointFlags(t *testing.T) {
 		})
 	}
 }
+
+// TestDistStdout: a classic dist run prints its result line and no fault
+// table, and -max-evictions -1 is the same run with the same stdout; a
+// run that may evict also prints the fault table.
+func TestDistStdout(t *testing.T) {
+	stdout := func(args ...string) string {
+		t.Helper()
+		var out bytes.Buffer
+		prev := log.Writer()
+		log.SetOutput(io.Discard)
+		defer log.SetOutput(prev)
+		if err := run(append(slices.Clone(tiny), append([]string{"-mode", "dist"}, args...)...), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	classic := stdout()
+	if !strings.HasPrefix(classic, "distributed HF (") || strings.Count(classic, "\n") != 1 {
+		t.Errorf("classic stdout %q, want the one result line", classic)
+	}
+	if zero := stdout("-max-evictions", "-1"); zero != classic {
+		t.Errorf("-max-evictions -1 printed %q, want the classic run's %q", zero, classic)
+	}
+	if elastic := stdout("-max-evictions", "2"); !strings.Contains(elastic, "elastic fault report: 0 eviction(s), budget 2") {
+		t.Errorf("-max-evictions 2 printed %q, want the fault table", elastic)
+	}
+}

@@ -48,8 +48,7 @@ type MasterResult struct {
 	HeldOutAccuracy float64
 	// MPIProfile is the master rank's per-phase communication snapshot.
 	MPIProfile []mpi.PhaseStat
-	// Fault is the elastic runtime's eviction/rewind record; nil when the
-	// run had no FaultPolicy (WithFaults), where any failure is fatal.
+	// Fault is the run's eviction/rewind record under its FaultPolicy.
 	Fault *FaultReport
 }
 
@@ -83,10 +82,8 @@ type master struct {
 	// a rank.
 	plane *telemetry.Plane
 
-	// Fault tolerance (elastic.go). pol is nil without WithFaults: no
-	// heartbeat, snapshot, eviction or report, every field below stays
-	// zero and the first rankFailure ends the run.
-	pol  *FaultPolicy
+	// Fault tolerance (elastic.go) under the filled policy.
+	pol  FaultPolicy
 	ckpt CheckpointPolicy
 	// plan[w-1] is what worker rank w holds; an evicted rank's utterances
 	// wait in pending until the next resync redistributes them.
@@ -103,16 +100,14 @@ type master struct {
 // runMaster drives a distributed HF training run from rank 0 for
 // Session.Run, which has validated the problem and the options: it ships
 // shards to the workers (load_data), runs the HF optimizer with all
-// heavy computation delegated to them, and shuts them down. Without
-// o.faults any communication failure ends the run with an error naming
-// the rank and op; with it the master adds op deadlines, heartbeats,
-// eviction, re-sharding and checkpoint rewinds (elastic.go).
+// heavy computation delegated to them, and shuts them down. Every reply
+// wait has the policy's op deadline; a failure naming a rank goes to
+// eviction, re-sharding and checkpoint rewinds (elastic.go) within the
+// policy's budget and surrenders past it.
 func runMaster(comm *mpi.Comm, p Problem, cfg hf.Config, o *sessionOptions, plane *telemetry.Plane, epochHook func(int)) (*MasterResult, error) {
 	comm.SetMetrics(o.ob.Registry())
-	m := &master{comm: comm, star: &star{comm: comm}, p: p.filled(), cfg: cfg, part: o.part, ob: o.ob, plane: plane}
-	if o.faults != nil {
-		m.tolerateFaults(*o.faults, o.ckpt, epochHook)
-	}
+	m := &master{comm: comm, star: &star{comm: comm, deadline: o.faults.OpDeadline}, p: p.filled(), cfg: cfg, part: o.part, ob: o.ob, plane: plane,
+		pol: o.faults, ckpt: o.ckpt, report: FaultReport{MaxEvictions: o.faults.MaxEvictions}, epochHook: epochHook}
 	return m.run()
 }
 
@@ -156,10 +151,10 @@ func (m *master) run() (*MasterResult, error) {
 
 	err := m.attempt()
 	for err != nil {
-		// Only a failure that names ranks can be recovered from, and
-		// only under a policy; anything else ends the run.
+		// Only a failure that names ranks can be recovered from; anything
+		// else ends the run.
 		var rf *rankFailure
-		if m.pol == nil || !errors.As(err, &rf) {
+		if !errors.As(err, &rf) {
 			return m.fail(err)
 		}
 		if err := m.evict(rf); err != nil {
@@ -182,9 +177,7 @@ func (m *master) run() (*MasterResult, error) {
 		HF:              hf.Result{Iters: m.iters, FinalLoss: m.finalLoss, TotalCGIters: m.totalCG},
 		HeldOutAccuracy: acc,
 		MPIProfile:      m.comm.Profiler().Snapshot(),
-	}
-	if m.pol != nil {
-		out.Fault = &m.report
+		Fault:           &m.report,
 	}
 	return out, nil
 }
@@ -252,18 +245,16 @@ func (m *master) attempt() (err error) {
 			tel(s)
 		}
 	}
-	if m.pol != nil {
+	if m.canRewind() {
 		// State fires after Telemetry with the post-update λ and warm-start
 		// direction, the exact state the next iteration resumes from.
 		cfg.State = func(iter int, lambda float64, dir tensor.Vector) {
-			if global := m.iterBase + iter; global%m.ckpt.Every == 0 {
-				m.snapshot(global, m.lastLoss, lambda, dir)
-			}
+			m.snapshot(m.iterBase+iter, m.lastLoss, lambda, dir)
 		}
 	}
 
 	m.SetParams(m.theta)
-	if m.pol != nil && m.lastCK == nil {
+	if m.canRewind() && m.lastCK == nil {
 		// Seed a checkpoint so the first rewind has somewhere to land.
 		m.snapshot(0, m.HeldOutLoss(m.theta), 0, nil)
 	}
@@ -324,13 +315,14 @@ func (m *master) call(op int, arg float32, down, up tensor.Vector, sc []float64)
 }
 
 // accuracy gathers held-out frame accuracy at the final θ. Training is
-// over, so under a policy a rankFailure here evicts nobody: the failed
-// ranks' shards are absent from the figure and the failure is one event.
+// over, so with a budget above 0 a rankFailure here evicts nobody: the
+// failed ranks' shards are absent from the figure and the failure is one
+// event. With a budget of 0 it ends the run.
 func (m *master) accuracy() (float64, error) {
 	var sc [2]float64
 	if err := m.issue(opAccuracy, 0, nil, nil, sc[:]); err != nil {
 		var rf *rankFailure
-		if m.pol == nil || !errors.As(err, &rf) {
+		if !m.canRewind() || !errors.As(err, &rf) {
 			return 0, err
 		}
 		m.ob.Eventf(0, "elastic: %v", err)
@@ -380,9 +372,7 @@ func (m *master) SetParams(p tensor.Vector) {
 // the star sums them. It opens every HF iteration.
 func (m *master) Gradient() tensor.Vector {
 	m.curIter++
-	if m.pol != nil {
-		m.beginIter()
-	}
+	m.beginIter()
 	grad := tensor.NewVector(m.dim)
 	var sc [2]float64 // summed loss, frames
 	m.call(opGradient, 0, nil, grad, sc[:])
@@ -478,12 +468,12 @@ func engineFromShard(shard *wireShard) *engine {
 	}, shard.TrainUtts, shard.HeldUtts)
 }
 
-// recvShard receives and decodes this worker's shard and builds its
-// compute engine. The decoded shard is returned too so the elastic
-// worker can append re-shard supplements and rebuild.
-func recvShard(comm *mpi.Comm) (*engine, *wireShard, error) {
+// recvShard receives and decodes this worker's shard, waiting at most d
+// for it, and builds its compute engine. The decoded shard is returned
+// too so the elastic worker can append re-shard supplements and rebuild.
+func recvShard(comm *mpi.Comm, d time.Duration) (*engine, *wireShard, error) {
 	comm.SetPhase("load_data")
-	msg, err := comm.RecvBytes(0, mpi.TagShard)
+	msg, err := comm.RecvBytesTimeout(0, mpi.TagShard, d)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: worker %d receive shard: %w", comm.Rank(), err)
 	}

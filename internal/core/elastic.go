@@ -1,16 +1,18 @@
 package core
 
-// Elastic fault tolerance: what a FaultPolicy (WithFaults) does with the
-// star's failure report. The star (star.go) speaks to each worker
-// point-to-point, so a send error, a missed reply deadline
-// (FaultPolicy.OpDeadline), a malformed reply or a missed heartbeat
-// names the rank. Without a policy that rankFailure ends the run; with
-// one it is the only door into this file: the master unwinds
-// hf.Optimize, evicts the named ranks, re-partitions their shards across
-// the survivors (corpus.Reshard), rewinds θ to the last Checkpoint, bumps
-// the round (orphaning stale in-flight replies) and resumes after an
-// exponential backoff — up to FaultPolicy.MaxEvictions times before
-// surrendering with a structured FaultReport.
+// Elastic fault tolerance: what the run's FaultPolicy does with the
+// star's failure report. Every distributed run has a policy; one without
+// WithFaults has FaultPolicy{MaxEvictions: -1}, a budget of 0. The star
+// (star.go) speaks to each worker point-to-point, so a send error, a
+// missed reply deadline (FaultPolicy.OpDeadline), a malformed reply or a
+// missed heartbeat names the rank. That rankFailure is the only door into
+// this file: the master unwinds hf.Optimize, evicts the named ranks,
+// re-partitions their shards across the survivors (corpus.Reshard),
+// rewinds θ to the last Checkpoint, bumps the round (orphaning stale
+// in-flight replies) and resumes after an exponential backoff — up to
+// FaultPolicy.MaxEvictions times before surrendering with a structured
+// FaultReport. With a budget of 0 the first failure surrenders, and no
+// heartbeat or snapshot runs, since no rewind can follow.
 
 import (
 	"bytes"
@@ -39,22 +41,21 @@ const (
 )
 
 // FaultPolicy configures the elastic runtime: detection deadlines
-// (embedded mpi.FaultConfig), eviction budget, resume backoff,
-// heartbeat cadence and an optional fault-injection schedule for tests.
+// (embedded mpi.FaultConfig), eviction budget, resume backoff and an
+// optional fault-injection schedule for tests. A run with a budget
+// above 0 pings every live worker at the start of every HF iteration,
+// exporting RTTs to core.elastic.heartbeat_rtt_ns.
 type FaultPolicy struct {
 	mpi.FaultConfig
 	// MaxEvictions is the total number of worker evictions tolerated
 	// before the run surrenders with a SurrenderError; 0 selects
-	// DefaultMaxEvictions, negative means "no evictions tolerated".
+	// DefaultMaxEvictions, negative means "no evictions tolerated" (the
+	// policy of a run without WithFaults).
 	MaxEvictions int
 	// Backoff is the base of the exponential backoff slept before each
 	// post-eviction resume (doubling per eviction, capped at 2s); 0
 	// selects DefaultFaultBackoff.
 	Backoff time.Duration
-	// HeartbeatEvery pings every live worker at the start of every Nth
-	// HF iteration, exporting RTTs to core.elastic.heartbeat_rtt_ns;
-	// 0 selects 1 (every iteration), negative disables pings.
-	HeartbeatEvery int
 	// Inject, when non-nil, wraps every spawned rank's transport in an
 	// mpi.FaultTransport applying the schedule (fault drills and
 	// tests). Only effective in spawn mode — attached comms are owned
@@ -73,28 +74,16 @@ func (p FaultPolicy) filled() FaultPolicy {
 	if p.Backoff <= 0 {
 		p.Backoff = DefaultFaultBackoff
 	}
-	if p.HeartbeatEvery == 0 {
-		p.HeartbeatEvery = 1
-	}
 	return p
 }
 
-// CheckpointPolicy configures the elastic runtime's rewind points.
+// CheckpointPolicy configures the elastic runtime's rewind points. A run
+// with an eviction budget above 0 snapshots θ in memory after every
+// completed HF iteration; rewinds restart from the most recent one.
 type CheckpointPolicy struct {
-	// Every snapshots θ after every Nth completed HF iteration; 0
-	// selects 1 (every iteration). The snapshot is in-memory; rewinds
-	// restart from the most recent one.
-	Every int
 	// Path, when non-empty, also mirrors each snapshot to disk
 	// atomically (SaveCheckpoint), surviving process death.
 	Path string
-}
-
-func (c CheckpointPolicy) filled() CheckpointPolicy {
-	if c.Every <= 0 {
-		c.Every = 1
-	}
-	return c
 }
 
 // Eviction records one worker eviction in a FaultReport.
@@ -142,16 +131,19 @@ type FaultReport struct {
 	Flight *telemetry.FlightBundle `json:"flight,omitempty"`
 }
 
-// SurrenderError is returned when the elastic runtime exhausts its
-// eviction budget or runs out of workers; Report holds the full record.
+// SurrenderError is returned when a run exhausts its eviction budget or
+// runs out of workers; Report holds the full record. A run with a budget
+// of 0 ends in one at its first rank failure.
 type SurrenderError struct {
 	Report *FaultReport
-	// Cause is the fault that pushed the run over its budget.
+	// Cause is the *rankFailure that pushed the run over its budget: it
+	// names the op and the ranks, and unwraps to the first rank's cause
+	// (mpi.ErrTimeout, …).
 	Cause error
 }
 
 func (e *SurrenderError) Error() string {
-	return fmt.Sprintf("core: elastic run surrendered after %d evictions (budget %d, %d workers left): %v",
+	return fmt.Sprintf("core: run surrendered after %d evictions (budget %d, %d workers left): %v",
 		len(e.Report.Evictions), e.Report.MaxEvictions, e.Report.FinalWorkers, e.Cause)
 }
 
@@ -191,27 +183,18 @@ func causeOf(err error) string {
 	}
 }
 
-// tolerateFaults gives the master a policy: the star's replies get a
-// deadline and the fault machinery below is armed; a nil ckpt is the
-// zero CheckpointPolicy.
-func (m *master) tolerateFaults(pol FaultPolicy, ckpt *CheckpointPolicy, epochHook func(int)) {
-	if ckpt != nil {
-		m.ckpt = *ckpt
-	}
-	pol = pol.filled()
-	m.pol, m.ckpt, m.epochHook = &pol, m.ckpt.filled(), epochHook
-	m.report = FaultReport{MaxEvictions: pol.MaxEvictions}
-	m.star.deadline = pol.OpDeadline
-}
+// canRewind reports whether the budget allows an eviction, and so a
+// rewind: only then do heartbeats and snapshots run.
+func (m *master) canRewind() bool { return m.pol.MaxEvictions > 0 }
 
-// beginIter opens a global HF iteration under a policy: the
-// master-side fault injector (if any) learns the iteration, as workers
-// do on the sample op, and the workers are pinged on cadence.
+// beginIter opens a global HF iteration: the master-side fault injector
+// (if any) learns the iteration, as workers do on the sample op, and
+// where a rewind can follow the workers are pinged.
 func (m *master) beginIter() {
 	if m.epochHook != nil {
 		m.epochHook(m.curIter)
 	}
-	if m.pol.HeartbeatEvery > 0 && (m.curIter-1)%m.pol.HeartbeatEvery == 0 {
+	if m.canRewind() {
 		if err := m.heartbeat(); err != nil {
 			panic(faultUnwind{err})
 		}
@@ -303,7 +286,7 @@ func (m *master) evict(rf *rankFailure) error {
 		m.captureFlight("surrender: " + reason)
 		m.plane.Health().SetState("failed")
 		m.stop()
-		return &SurrenderError{Report: &m.report, Cause: rf.suspects[0].cause}
+		return &SurrenderError{Report: &m.report, Cause: rf}
 	}
 	time.Sleep(min(m.pol.Backoff<<(len(m.report.Evictions)-1), maxFaultBackoff))
 	return nil

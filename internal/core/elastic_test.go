@@ -58,7 +58,7 @@ func TestElasticKillWorkerMidCG(t *testing.T) {
 				WithFabric(fabric),
 				WithObserver(ob),
 				WithFaults(faultPolicy(t, "kill:rank=2,epoch=3")),
-				WithCheckpoint(CheckpointPolicy{Every: 1, Path: ckPath}),
+				WithCheckpoint(CheckpointPolicy{Path: ckPath}),
 			)
 			if err != nil {
 				t.Fatal(err)
@@ -188,9 +188,10 @@ func TestElasticSurrender(t *testing.T) {
 }
 
 // TestElasticNoFaultMatchesClassic runs a no-fault session with and
-// without a FaultPolicy: the policy run must complete without evictions
-// and — the wire and its fold being the same, and heartbeats and
-// snapshots touching no number — land on bit-equal losses and parameters.
+// without WithFaults: both must complete without evictions, the classic
+// one under the zero budget, and — the wire and its fold being the same,
+// and heartbeats and snapshots touching no number — land on bit-equal
+// losses and parameters.
 func TestElasticNoFaultMatchesClassic(t *testing.T) {
 	p := testProblem(t, CrossEntropy)
 	cfg := fastHF()
@@ -210,13 +211,54 @@ func TestElasticNoFaultMatchesClassic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if classic.Fault != nil {
-		t.Errorf("fault report %+v on a run without a policy, want nil", classic.Fault)
+	if classic.Fault == nil || len(classic.Fault.Evictions) != 0 || classic.Fault.MaxEvictions != 0 {
+		t.Errorf("fault report %+v on a run without WithFaults, want budget 0 and no eviction", classic.Fault)
 	}
 	if elastic.Fault == nil || len(elastic.Fault.Evictions) != 0 {
 		t.Fatalf("fault report %+v, want empty eviction list", elastic.Fault)
 	}
 	requireSameRun(t, "with a policy", elastic, "without", classic)
+}
+
+// TestDefaultPolicyIsZeroBudget: a run with no fault option is the run
+// under WithFaults(FaultPolicy{MaxEvictions: -1}), on both fabrics. The
+// master sends the same messages (no heartbeat, no seed snapshot's
+// held-out op), the runs agree to the bit, and both report a budget of
+// 0 and no eviction.
+func TestDefaultPolicyIsZeroBudget(t *testing.T) {
+	p := testProblem(t, CrossEntropy)
+	cfg := fastHF()
+	for _, fabric := range []FabricKind{FabricInproc, FabricTCP} {
+		t.Run(fabric.String(), func(t *testing.T) {
+			// run trains over attach-mode workers with opts on the master
+			// and returns its result and the messages it sent.
+			run := func(opts ...Option) (*MasterResult, int64) {
+				t.Helper()
+				ts := testTransports(t, fabric, 3)
+				workers := []<-chan runOut{startAttached(ts[1], Problem{}, cfg), startAttached(ts[2], Problem{}, cfg)}
+				ob := &obs.Observer{Metrics: obs.NewRegistry()}
+				o := <-startAttached(ts[0], p, cfg, append(opts, WithObserver(ob))...)
+				for _, w := range workers {
+					if wo := <-w; wo.err != nil {
+						t.Errorf("worker exit: %v", wo.err)
+					}
+				}
+				if o.err != nil {
+					t.Fatal(o.err)
+				}
+				if f := o.res.Fault; f == nil || len(f.Evictions) != 0 || f.MaxEvictions != 0 {
+					t.Errorf("fault report %+v, want budget 0 and no eviction", f)
+				}
+				return o.res, ob.Registry().Histogram("mpi.send.latency_ns").Count()
+			}
+			classic, classicSends := run()
+			policed, policedSends := run(WithFaults(FaultPolicy{MaxEvictions: -1}))
+			if classicSends != policedSends {
+				t.Errorf("master sent %d messages without a fault option, %d with FaultPolicy{MaxEvictions: -1}", classicSends, policedSends)
+			}
+			requireSameRun(t, "without a fault option", classic, "with MaxEvictions -1", policed)
+		})
+	}
 }
 
 // requireSameRun fails unless two runs agree to the bit on every
@@ -283,7 +325,7 @@ func TestSessionOptionValidation(t *testing.T) {
 	}{
 		{"comm+ranks", []Option{WithComm(comm), WithRanks(4)}},
 		{"comm+fabric", []Option{WithComm(comm), WithFabric(FabricTCP)}},
-		{"checkpoint-without-faults", []Option{WithCheckpoint(CheckpointPolicy{Every: 1})}},
+		{"checkpoint-without-faults", []Option{WithCheckpoint(CheckpointPolicy{})}},
 		{"one-rank", []Option{WithRanks(1)}},
 		{"inject-attached", []Option{WithComm(comm), WithFaults(FaultPolicy{Inject: &mpi.FaultSchedule{Events: []mpi.FaultEvent{{Action: mpi.ActKill, Rank: 1}}}})}},
 		{"telemetry-attached", []Option{WithComm(comm), WithTelemetry()}},
@@ -369,8 +411,7 @@ func TestElasticHeartbeatNoGoroutineLeak(t *testing.T) {
 		WithObserver(ob),
 		WithTelemetry(),
 		WithFaults(FaultPolicy{
-			FaultConfig:    mpi.FaultConfig{OpDeadline: 5 * time.Second},
-			HeartbeatEvery: 1,
+			FaultConfig: mpi.FaultConfig{OpDeadline: 5 * time.Second},
 		}),
 	)
 	if err != nil {
@@ -383,7 +424,7 @@ func TestElasticHeartbeatNoGoroutineLeak(t *testing.T) {
 	// Reported RTTs prove heartbeats actually ran.
 	hb := ob.Registry().Histogram("core.elastic.heartbeat_rtt_ns")
 	if hb.Count() == 0 {
-		t.Fatal("no heartbeat RTTs recorded with HeartbeatEvery=1")
+		t.Fatal("no heartbeat RTTs recorded")
 	}
 
 	// Goroutines wind down asynchronously after Run returns; poll until

@@ -141,8 +141,9 @@ type worker struct {
 }
 
 // runWorker serves the master on a non-zero rank for Session.Run until
-// it is stopped: it receives its data shard, then answers ops off the
-// table frame by frame (starLoop). A non-nil observer adds per-op spans
+// it is stopped: it receives its data shard, waiting at most
+// mpi.DefaultOpDeadline for it, then answers ops off the table frame by
+// frame (starLoop). A non-nil observer adds per-op spans
 // labelled with this rank, shard-size gauges and
 // "core.worker.<rank>.wait_ns", the time blocked on the master's next
 // command (the straggler/idle signal of the paper's Figure 5).
@@ -153,7 +154,7 @@ func runWorker(comm *mpi.Comm, ob *obs.Observer, epochHook func(int)) error {
 	comm.SetMetrics(ob.Registry())
 
 	sp := ob.Span(w.rank, "load_data")
-	eng, shard, err := recvShard(comm)
+	eng, shard, err := recvShard(comm, mpi.DefaultOpDeadline)
 	sp.End()
 	if err != nil {
 		return err

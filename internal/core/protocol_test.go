@@ -144,8 +144,8 @@ func TestOpsTable(t *testing.T) {
 		})
 	}
 	// And on the master: a wrong-length accuracy reply names rank, op, got
-	// and want bytes. Without a policy it is the run's error; under one it
-	// is one event and — training being over — evicts nobody.
+	// and want bytes. With an eviction budget of 0 it is the run's error;
+	// above 0 it is one event and — training being over — evicts nobody.
 	fabric := newTestFabric(2)
 	defer fabric.Close()
 	go func() {
@@ -160,9 +160,9 @@ func TestOpsTable(t *testing.T) {
 	s := &star{comm: newTestComm(fabric, 0), deadline: 5 * time.Second, live: []int{1}}
 	m := &master{comm: s.comm, star: s, ob: &obs.Observer{Events: obs.NewEventLog(0)}}
 	if _, err := m.accuracy(); err == nil || !strings.Contains(err.Error(), want) || len(m.ob.EventLog().Entries()) != 0 {
-		t.Errorf("accuracy without a policy: err %v, events %+v: want the error naming the reply and no event", err, m.ob.EventLog().Entries())
+		t.Errorf("accuracy with budget 0: err %v, events %+v: want the error naming the reply and no event", err, m.ob.EventLog().Entries())
 	}
-	m.pol = &FaultPolicy{}
+	m.pol = FaultPolicy{}.filled()
 	acc, err := m.accuracy()
 	log := m.ob.EventLog().Entries()
 	if err != nil || acc != 0 || len(log) != 1 || len(s.live) != 1 || len(m.report.Evictions) != 0 || !strings.Contains(log[0].Text, want) {

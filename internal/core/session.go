@@ -8,7 +8,7 @@ package core
 //		core.WithFabric(core.FabricTCP),
 //		core.WithObserver(ob),
 //		core.WithFaults(core.FaultPolicy{MaxEvictions: 2}),
-//		core.WithCheckpoint(core.CheckpointPolicy{Every: 1}),
+//		core.WithCheckpoint(core.CheckpointPolicy{Path: "run.ckpt"}),
 //	)
 //	...
 //	res, err := sess.Run(hfCfg)
@@ -26,11 +26,12 @@ package core
 //     ranks serve the worker loop and return (nil, nil).
 //
 // Both modes run the same master loop and worker over the one ops table
-// (ops.go) and the one wire (star.go), whose failures name a rank.
-// WithFaults supplies the policy for that report — deadlines, heartbeats,
-// evict, re-shard and rewind (elastic.go) — and is a master-side option
-// only: a worker serves the same loop with or without it. Without it
-// the first failure ends the run.
+// (ops.go) and the one wire (star.go), whose failures name a rank. Every
+// run acts on that report under a FaultPolicy — deadlines, heartbeats,
+// evict, re-shard and rewind (elastic.go). WithFaults sets it and is a
+// master-side option only: a worker serves the same loop with or without
+// it. Without it the policy is FaultPolicy{MaxEvictions: -1}: the same
+// deadlines, and the first failure ends the run in a SurrenderError.
 
 import (
 	"errors"
@@ -85,8 +86,10 @@ type sessionOptions struct {
 	comm     *mpi.Comm
 	part     corpus.Partitioner
 	ob       *obs.Observer
-	faults   *FaultPolicy
-	ckpt     *CheckpointPolicy
+	faults   FaultPolicy // filled by NewSession
+	faultSet bool
+	ckpt     CheckpointPolicy
+	ckptSet  bool
 	tele     bool
 }
 
@@ -125,18 +128,20 @@ func WithObserver(ob *obs.Observer) Option {
 	return func(o *sessionOptions) { o.ob = ob }
 }
 
-// WithFaults gives the master a fault policy, the elastic runtime:
+// WithFaults sets the master's fault policy, the elastic runtime:
 // per-op deadlines, heartbeats, worker eviction, shard re-partitioning
-// and checkpoint rewinds per pol. It changes nothing on a worker rank.
+// and checkpoint rewinds per pol. The default, FaultPolicy{MaxEvictions:
+// -1}, keeps the deadlines and tolerates no eviction. It changes nothing
+// on a worker rank.
 func WithFaults(pol FaultPolicy) Option {
-	return func(o *sessionOptions) { o.faults = &pol }
+	return func(o *sessionOptions) { o.faults, o.faultSet = pol, true }
 }
 
-// WithCheckpoint sets the elastic runtime's rewind cadence (and optional
-// on-disk mirror). Requires WithFaults — checkpoints exist to be rewound
-// to; without a fault policy nothing ever rewinds.
+// WithCheckpoint sets the elastic runtime's on-disk mirror of its rewind
+// points. Requires WithFaults — checkpoints exist to be rewound to;
+// under the default policy nothing ever rewinds.
 func WithCheckpoint(pol CheckpointPolicy) Option {
-	return func(o *sessionOptions) { o.ckpt = &pol }
+	return func(o *sessionOptions) { o.ckpt, o.ckptSet = pol, true }
 }
 
 // WithTelemetry enables the distributed telemetry plane: each worker
@@ -161,10 +166,10 @@ type Session struct {
 
 // NewSession validates the option set against the problem and returns a
 // runnable session. See the package-level Option docs for the legal
-// combinations; the zero option set spawns 4 inproc ranks with no fault
-// policy.
+// combinations; the zero option set spawns 4 inproc ranks under
+// FaultPolicy{MaxEvictions: -1}.
 func NewSession(p Problem, opts ...Option) (*Session, error) {
-	o := sessionOptions{ranks: 4, fabric: FabricInproc}
+	o := sessionOptions{ranks: 4, fabric: FabricInproc, faults: FaultPolicy{MaxEvictions: -1}}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -185,12 +190,13 @@ func NewSession(p Problem, opts ...Option) (*Session, error) {
 			return nil, fmt.Errorf("core: unknown fabric %v", o.fabric)
 		}
 	}
-	if o.ckpt != nil && o.faults == nil {
+	if o.ckptSet && !o.faultSet {
 		return nil, errors.New("core: WithCheckpoint requires WithFaults (checkpoints exist to be rewound to)")
 	}
-	if o.faults != nil && o.faults.Inject != nil && o.comm != nil {
+	if o.faults.Inject != nil && o.comm != nil {
 		return nil, errors.New("core: FaultPolicy.Inject requires spawn mode (attached comms are owned by the caller)")
 	}
+	o.faults = o.faults.filled()
 	if o.tele && o.comm != nil {
 		return nil, errors.New("core: WithTelemetry requires spawn mode (the master binds every rank's observer at spawn)")
 	}
@@ -282,16 +288,14 @@ func (s *Session) runSpawned(cfg hf.Config) (*MasterResult, error) {
 	comms := make([]*mpi.Comm, ranks)
 	for r := 0; r < ranks; r++ {
 		t := transports[r]
-		if o.faults != nil {
-			if o.faults.Inject != nil {
-				t = mpi.InjectFaults(t, o.faults.Inject)
-				if ft, ok := t.(*mpi.FaultTransport); ok {
-					epochHooks[r] = ft.SetEpoch
-				}
+		if o.faults.Inject != nil {
+			t = mpi.InjectFaults(t, o.faults.Inject)
+			if ft, ok := t.(*mpi.FaultTransport); ok {
+				epochHooks[r] = ft.SetEpoch
 			}
-			if wd, ok := t.(mpi.WriteDeadliner); ok {
-				wd.SetWriteDeadline(o.faults.FaultConfig.Filled().WriteDeadline)
-			}
+		}
+		if wd, ok := t.(mpi.WriteDeadliner); ok {
+			wd.SetWriteDeadline(o.faults.WriteDeadline)
 		}
 		comms[r] = mpi.NewComm(t)
 	}
@@ -324,7 +328,7 @@ func (s *Session) runSpawned(cfg hf.Config) (*MasterResult, error) {
 	}
 
 	evicted := map[int]bool{}
-	if res != nil && res.Fault != nil {
+	if res != nil {
 		for _, ev := range res.Fault.Evictions {
 			evicted[ev.Rank] = true
 		}

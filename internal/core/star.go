@@ -14,8 +14,8 @@ import (
 // The wire. The master gets one op of the table (ops.go) to the workers
 // as one point-to-point frame each and folds their one reply each in
 // ascending rank order, so a send error, a missed deadline or a malformed
-// reply names its rank. Under a FaultPolicy that rankFailure is the door
-// into eviction and rewind (elastic.go); without one it ends the run.
+// reply names its rank. That rankFailure is the door into eviction and
+// rewind (elastic.go), or, with an eviction budget of 0, the run's end.
 
 // Star frame types (first byte of every mpi.TagStarCmd message). Like
 // the opcodes they key an array literal, so a duplicate does not compile.
@@ -94,8 +94,6 @@ func (f *rankFailure) Unwrap() error { return f.suspects[0].cause }
 type star struct {
 	comm *mpi.Comm
 	// deadline bounds the wait for each reply (FaultPolicy.OpDeadline).
-	// Zero, the no-policy value, blocks until the reply or the
-	// transport's peer-down error.
 	deadline time.Duration
 	dim      int
 	round    int   // bumped on every resync; orphans stale replies

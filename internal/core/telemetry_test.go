@@ -278,7 +278,7 @@ func TestTelemetryFlightRecorderOnEviction(t *testing.T) {
 		WithRanks(4),
 		WithObserver(ob),
 		WithFaults(faultPolicy(t, "kill:rank=2,epoch=3")),
-		WithCheckpoint(CheckpointPolicy{Every: 1, Path: filepath.Join(t.TempDir(), "flight.ck")}),
+		WithCheckpoint(CheckpointPolicy{Path: filepath.Join(t.TempDir(), "flight.ck")}),
 		WithTelemetry(),
 	)
 	if err != nil {

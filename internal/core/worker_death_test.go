@@ -7,25 +7,29 @@ import (
 	"time"
 
 	"repro/internal/mpi"
-	"repro/internal/obs"
 	"repro/internal/tensor"
 )
 
-// rogueWorker impersonates a worker that crashes mid-iteration: it
-// receives its shard and serves frames like a real worker (sync_weights,
-// the initial held_loss) until the first gradient op, then closes its
-// endpoint and exits without replying.
-func rogueWorker(t *testing.T, comm *mpi.Comm) {
-	eng, shard, err := recvShard(comm)
+// rogueWorker impersonates a worker that fails mid-iteration: it
+// receives its shard and serves frames like a real worker (sync_weights)
+// until the first gradient op. Then a dying one closes its endpoint and
+// exits without replying; a silent one stays up, reading frames and
+// answering none, until its endpoint is closed.
+func rogueWorker(t *testing.T, comm *mpi.Comm, silent bool) {
+	eng, shard, err := recvShard(comm, mpi.DefaultOpDeadline)
 	if err != nil {
 		t.Errorf("rogue worker shard: %v", err)
 		return
 	}
 	w := &worker{comm: comm, rank: comm.Rank(), eng: eng, shard: shard, in: make(tensor.Vector, eng.net.NumParams())}
+	mute := false
 	for {
 		msg, err := comm.RecvBytes(0, mpi.TagStarCmd)
 		if err != nil {
 			return
+		}
+		if mute {
+			continue
 		}
 		typ, round, body, err := emDecode(msg.Data)
 		if err != nil || typ != emOp || len(body) == 0 {
@@ -33,8 +37,12 @@ func rogueWorker(t *testing.T, comm *mpi.Comm) {
 			return
 		}
 		if body[0] == opGradient {
-			comm.Close()
-			return
+			if !silent {
+				comm.Close()
+				return
+			}
+			mute = true
+			continue
 		}
 		if err := w.starStep(round, body); err != nil {
 			t.Errorf("rogue worker: %v", err)
@@ -43,42 +51,121 @@ func rogueWorker(t *testing.T, comm *mpi.Comm) {
 	}
 }
 
-// TestMasterUnblocksOnWorkerDeath runs a 3-rank job with no FaultPolicy
-// where one worker dies before its gradient reply, on both fabrics. The
-// master must return within 5 s an error naming the rank and the op,
-// evict nobody, and stop the healthy worker cleanly.
-func TestMasterUnblocksOnWorkerDeath(t *testing.T) {
+// runRogue runs a 3-rank attach-mode job, rank 2 a rogueWorker, and
+// returns how the master ended and how long it took. It fails the test
+// unless the master returns within limit and the healthy worker then
+// stops cleanly.
+func runRogue(t *testing.T, fabric FabricKind, silent bool, limit time.Duration, opts ...Option) (runOut, time.Duration) {
+	t.Helper()
 	p := testProblem(t, CrossEntropy)
 	cfg := fastHF()
+	ts := testTransports(t, fabric, 3)
+	healthy := startAttached(ts[1], Problem{}, cfg)
+	rogue := mpi.NewComm(ts[2])
+	rogueDone := make(chan struct{})
+	go func() {
+		defer close(rogueDone)
+		rogueWorker(t, rogue, silent)
+	}()
+	defer func() {
+		rogue.Close()
+		<-rogueDone
+	}()
+	start := time.Now()
+	done := startAttached(ts[0], p, cfg, opts...)
+
+	var o runOut
+	select {
+	case o = <-done:
+	case <-time.After(limit):
+		t.Fatalf("master still blocked %v after the worker failed", limit)
+	}
+	took := time.Since(start)
+	select {
+	case h := <-healthy:
+		if h.err != nil {
+			t.Errorf("healthy worker exit: %v, want a clean stop", h.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("healthy worker still serving after the master failed")
+	}
+	return o, took
+}
+
+// requireSurrenderAtGradient fails unless err is a *SurrenderError that
+// records one eviction, of rank 2, and wraps the rankFailure naming the
+// gradient op and rank 2.
+func requireSurrenderAtGradient(t *testing.T, o runOut) {
+	t.Helper()
+	var surrender *SurrenderError
+	if o.res != nil || !errors.As(o.err, &surrender) {
+		t.Fatalf("result %+v, err %v: want a *SurrenderError", o.res, o.err)
+	}
+	if ev := surrender.Report.Evictions; len(ev) != 1 || ev[0].Rank != 2 || surrender.Report.MaxEvictions != 0 {
+		t.Errorf("surrender report %+v, want budget 0 and one eviction of rank 2", surrender.Report)
+	}
+	var rf *rankFailure
+	if !errors.As(o.err, &rf) || rf.op != "gradient" || len(rf.suspects) != 1 || rf.suspects[0].rank != 2 ||
+		!strings.Contains(o.err.Error(), "gradient failed on rank 2") {
+		t.Fatalf("master err = %v, want a rankFailure naming the gradient op and rank 2", o.err)
+	}
+}
+
+// TestMasterUnblocksOnWorkerDeath runs a 3-rank job with no fault option
+// where one worker dies before its gradient reply, on both fabrics. The
+// master must return within 5 s a *SurrenderError that evicts rank 2 and
+// wraps the rankFailure naming the rank and the op, and stop the healthy
+// worker cleanly.
+func TestMasterUnblocksOnWorkerDeath(t *testing.T) {
 	for _, fabric := range []FabricKind{FabricInproc, FabricTCP} {
 		t.Run(fabric.String(), func(t *testing.T) {
-			ts := testTransports(t, fabric, 3)
-			healthy := startAttached(ts[1], Problem{}, cfg)
-			go rogueWorker(t, mpi.NewComm(ts[2]))
-			ob := &obs.Observer{Metrics: obs.NewRegistry()}
-			done := startAttached(ts[0], p, cfg, WithObserver(ob))
+			o, _ := runRogue(t, fabric, false, 5*time.Second)
+			requireSurrenderAtGradient(t, o)
+		})
+	}
+}
 
-			select {
-			case o := <-done:
-				var rf *rankFailure
-				var surrender *SurrenderError
-				if !errors.As(o.err, &rf) || rf.op != "gradient" || len(rf.suspects) != 1 || rf.suspects[0].rank != 2 ||
-					!strings.Contains(o.err.Error(), "gradient failed on rank 2") {
-					t.Fatalf("master err = %v, want a rankFailure naming the gradient op and rank 2", o.err)
-				}
-				if o.res != nil || errors.As(o.err, &surrender) || ob.Registry().Counter("core.elastic.evictions").Value() != 0 {
-					t.Errorf("result %+v, err %v: a run without a policy must not evict, surrender or report", o.res, o.err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("master still blocked 5s after worker death")
+// TestMasterSurrendersOnSilentWorker runs a 3-rank job under a
+// zero-budget policy with a 300 ms op deadline where one worker stays up
+// but stops replying at the gradient op, on both fabrics. No master wait
+// is unbounded: the run must end within the deadline plus 5 s in a
+// *SurrenderError wrapping a rankFailure that names rank 2 and the
+// gradient op and unwraps to mpi.ErrTimeout.
+func TestMasterSurrendersOnSilentWorker(t *testing.T) {
+	const deadline = 300 * time.Millisecond
+	pol := FaultPolicy{FaultConfig: mpi.FaultConfig{OpDeadline: deadline}, MaxEvictions: -1}
+	for _, fabric := range []FabricKind{FabricInproc, FabricTCP} {
+		t.Run(fabric.String(), func(t *testing.T) {
+			o, took := runRogue(t, fabric, true, deadline+5*time.Second, WithFaults(pol))
+			requireSurrenderAtGradient(t, o)
+			if !errors.Is(o.err, mpi.ErrTimeout) {
+				t.Errorf("err %v does not wrap mpi.ErrTimeout", o.err)
 			}
-			select {
-			case o := <-healthy:
-				if o.err != nil {
-					t.Errorf("healthy worker exit: %v, want a clean stop", o.err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("healthy worker still serving after the master failed")
+			if took < deadline {
+				t.Errorf("master returned after %v, before the %v op deadline", took, deadline)
+			}
+		})
+	}
+}
+
+// TestWorkerShardReceiveIsBounded: a worker whose master never ships a
+// shard gives up after the bound with an error naming its rank that
+// wraps mpi.ErrTimeout.
+func TestWorkerShardReceiveIsBounded(t *testing.T) {
+	const bound = 100 * time.Millisecond
+	for _, fabric := range []FabricKind{FabricInproc, FabricTCP} {
+		t.Run(fabric.String(), func(t *testing.T) {
+			ts := testTransports(t, fabric, 2)
+			master, comm := mpi.NewComm(ts[0]), mpi.NewComm(ts[1])
+			defer master.Close()
+			defer comm.Close()
+			start := time.Now()
+			_, _, err := recvShard(comm, bound)
+			if took := time.Since(start); took > bound+2*time.Second {
+				t.Errorf("recvShard returned after %v, want about %v", took, bound)
+			}
+			if !errors.Is(err, mpi.ErrTimeout) || !strings.Contains(err.Error(), "worker 1") {
+				t.Errorf("err = %v, want an mpi.ErrTimeout naming worker 1", err)
 			}
 		})
 	}

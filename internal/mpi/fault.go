@@ -34,20 +34,21 @@ const (
 type FaultConfig struct {
 	// OpDeadline bounds one point-to-point elastic op (command send →
 	// contribution recv) per worker; a rank that misses it is a
-	// candidate for eviction. Zero selects DefaultOpDeadline.
+	// candidate for eviction. Zero or negative selects DefaultOpDeadline.
 	OpDeadline time.Duration
 	// WriteDeadline bounds a single frame write on transports that
-	// support write deadlines (TCP). Zero selects
+	// support write deadlines (TCP). Zero or negative selects
 	// DefaultTCPWriteDeadline.
 	WriteDeadline time.Duration
 }
 
-// Filled returns the config with zero fields replaced by defaults.
+// Filled returns the config with fields ≤ 0 replaced by defaults, so a
+// filled config never asks for an unbounded reply wait or write.
 func (c FaultConfig) Filled() FaultConfig {
-	if c.OpDeadline == 0 {
+	if c.OpDeadline <= 0 {
 		c.OpDeadline = DefaultOpDeadline
 	}
-	if c.WriteDeadline == 0 {
+	if c.WriteDeadline <= 0 {
 		c.WriteDeadline = DefaultTCPWriteDeadline
 	}
 	return c

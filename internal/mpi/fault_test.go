@@ -40,6 +40,25 @@ func TestFaultScheduleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFaultConfigFilled: a deadline ≤ 0 selects its default, so no
+// filled config asks for an unbounded reply wait or frame write.
+func TestFaultConfigFilled(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   FaultConfig
+		want FaultConfig
+	}{
+		{"zero", FaultConfig{}, FaultConfig{DefaultOpDeadline, DefaultTCPWriteDeadline}},
+		{"negative", FaultConfig{-time.Second, -time.Nanosecond}, FaultConfig{DefaultOpDeadline, DefaultTCPWriteDeadline}},
+		{"positive", FaultConfig{300 * time.Millisecond, 2 * time.Second}, FaultConfig{300 * time.Millisecond, 2 * time.Second}},
+		{"mixed", FaultConfig{-1, time.Second}, FaultConfig{DefaultOpDeadline, time.Second}},
+	} {
+		if got := tc.in.Filled(); got != tc.want {
+			t.Errorf("%s: Filled(%+v) = %+v, want %+v", tc.name, tc.in, got, tc.want)
+		}
+	}
+}
+
 func TestFaultScheduleParseErrors(t *testing.T) {
 	for _, spec := range []string{
 		"",                        // empty
