@@ -14,11 +14,12 @@
 // phase spans (open in chrome://tracing or ui.perfetto.dev); -metrics
 // appends one JSON line per HF iteration.
 //
-// In dist mode, -trace/-http/-flight enable the distributed telemetry
-// plane: every rank runs in this process, so the master drains each
-// rank's spans and metrics in place at iteration boundaries and rebases
-// them onto its own timebase (every rank reads the same clock); the
-// merged trace carries one process track per rank.
+// In dist mode, -trace/-metrics/-http/-flight give the run an observer
+// and so enable the distributed telemetry plane: every rank runs in
+// this process and owns its observer, so the master drains each rank's
+// spans and metrics in place at iteration boundaries and rebases them
+// onto its own timebase (every rank reads the same clock); the merged
+// trace carries one process track per rank.
 // -http serves /metrics (Prometheus), /trace (merged trace download),
 // /healthz (worker liveness; 503 when degraded), /flight (post-mortem
 // bundle) and /debug/pprof/ while training runs; -flight writes the
@@ -112,6 +113,21 @@ func run(args []string, stdout io.Writer) (err error) {
 		return fmt.Errorf("hftrain: -hidden %d, want ≥ 1 with -layers %d", *hidden, *layers)
 	case !(*sample > 0 && *sample <= 1):
 		return fmt.Errorf("hftrain: -sample %g, want a fraction in (0, 1]", *sample)
+	case *states < 2:
+		return fmt.Errorf("hftrain: -states %d, want ≥ 2", *states)
+	case *iters < 1:
+		return fmt.Errorf("hftrain: -iters %d, want ≥ 1", *iters)
+	case *epochs < 1:
+		return fmt.Errorf("hftrain: -epochs %d, want ≥ 1", *epochs)
+	}
+	var crit core.Criterion
+	switch *criterion {
+	case "ce":
+		crit = core.CrossEntropy
+	case "sequence":
+		crit = core.Sequence
+	default:
+		return fmt.Errorf("hftrain: unknown criterion %q (want ce, sequence)", *criterion)
 	}
 
 	var ob *obs.Observer
@@ -127,11 +143,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 		defer f.Close()
 		traceFile = f
-	}
-
-	crit := core.CrossEntropy
-	if strings.HasPrefix(*criterion, "seq") {
-		crit = core.Sequence
 	}
 
 	log.Printf("generating corpus: %d utterances, %d states", *utterances, *states)
@@ -236,9 +247,6 @@ func run(args []string, stdout io.Writer) (err error) {
 			// Mirror the per-iteration rewind checkpoints to -save if set
 			// (the trained model overwrites the mirror after the run).
 			opts = append(opts, core.WithCheckpoint(core.CheckpointPolicy{Path: *save}))
-		}
-		if ob != nil {
-			opts = append(opts, core.WithTelemetry())
 		}
 		sess, err := core.NewSession(prob, opts...)
 		if err != nil {

@@ -55,7 +55,8 @@ func firstLoss(t *testing.T, args ...string) float64 {
 // TestCheckpointFlags: -load and -save work in dist mode as in serial
 // mode, with or without faults; a saved model loads for serving; a run
 // that cannot honour either flag rejects it; and so does a run whose
-// topology, sample or corpus flags it would panic on or misread.
+// topology, sample, criterion, count or corpus flags it would panic on
+// or misread.
 func TestCheckpointFlags(t *testing.T) {
 	dir := t.TempDir()
 	serialCk := filepath.Join(dir, "serial.ck")
@@ -138,6 +139,26 @@ func TestCheckpointFlags(t *testing.T) {
 			name:    "sample above one",
 			args:    []string{"-sample", "1.5"},
 			wantErr: "-sample 1.5",
+		},
+		{
+			name:    "unknown criterion",
+			args:    []string{"-criterion", "ctc"},
+			wantErr: `unknown criterion "ctc"`,
+		},
+		{
+			name:    "one state",
+			args:    []string{"-states", "1"},
+			wantErr: "-states 1",
+		},
+		{
+			name:    "zero iterations",
+			args:    []string{"-mode", "serial", "-iters", "0"},
+			wantErr: "-iters 0",
+		},
+		{
+			name:    "zero epochs",
+			args:    []string{"-mode", "sgd", "-epochs", "0"},
+			wantErr: "-epochs 0",
 		},
 		{
 			name:    "no held-out utterance",

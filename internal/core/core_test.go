@@ -202,6 +202,31 @@ func TestSGDReducesLoss(t *testing.T) {
 	}
 }
 
+// TestSGDEpochCount: zero epochs means the default of 5, and a negative
+// count is refused by name rather than filled.
+func TestSGDEpochCount(t *testing.T) {
+	p := testProblem(t, CrossEntropy)
+	for _, tc := range []struct {
+		epochs, want int
+		wantErr      string
+	}{
+		{epochs: 0, want: 5},
+		{epochs: -1, wantErr: "SGDConfig.Epochs -1"},
+	} {
+		_, res, err := TrainSGD(p, SGDConfig{Epochs: tc.epochs, Seed: 1})
+		switch {
+		case tc.wantErr != "":
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("Epochs %d: err = %v, want it to contain %q", tc.epochs, err, tc.wantErr)
+			}
+		case err != nil:
+			t.Errorf("Epochs %d: %v", tc.epochs, err)
+		case len(res.Epochs) != tc.want:
+			t.Errorf("Epochs %d ran %d epochs, want %d", tc.epochs, len(res.Epochs), tc.want)
+		}
+	}
+}
+
 func TestSGDSequenceCriterion(t *testing.T) {
 	p := testProblem(t, Sequence)
 	_, res, err := TrainSGD(p, SGDConfig{Epochs: 2, LearningRate: 0.1, Seed: 2})

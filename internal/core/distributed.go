@@ -137,11 +137,9 @@ func (m *master) run() (*MasterResult, error) {
 	if err := m.loadData(); err != nil {
 		return nil, err
 	}
-	if m.plane != nil {
-		m.plane.Health().SetState("training")
-		for _, w := range m.star.live {
-			m.plane.Health().SetWorker(w, telemetry.WorkerLive)
-		}
+	m.plane.Health().SetState("training")
+	for _, w := range m.star.live {
+		m.plane.Health().SetWorker(w, telemetry.WorkerLive)
 	}
 	// Mirror hf.Config's MaxIterations default so the remaining-
 	// iterations arithmetic matches what Optimize will run.
@@ -276,10 +274,8 @@ func (m *master) onIter(s hf.IterStats) {
 	m.lastWall = now
 	// The State hook (which snapshots) fires next and needs this loss.
 	m.lastLoss = s.Loss
-	if m.plane != nil {
-		m.plane.Health().SetProgress(s.Iter, s.Loss)
-		m.collectTelemetry()
-	}
+	m.plane.Health().SetProgress(s.Iter, s.Loss)
+	m.collectTelemetry()
 }
 
 // issue runs one op of the table on every worker under the row's phase

@@ -5,6 +5,7 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -322,18 +323,25 @@ func TestSessionOptionValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		opts []Option
+		want string // a substring of the error, when set
 	}{
-		{"comm+ranks", []Option{WithComm(comm), WithRanks(4)}},
-		{"comm+fabric", []Option{WithComm(comm), WithFabric(FabricTCP)}},
-		{"checkpoint-without-faults", []Option{WithCheckpoint(CheckpointPolicy{})}},
-		{"one-rank", []Option{WithRanks(1)}},
-		{"inject-attached", []Option{WithComm(comm), WithFaults(FaultPolicy{Inject: &mpi.FaultSchedule{Events: []mpi.FaultEvent{{Action: mpi.ActKill, Rank: 1}}}})}},
-		{"telemetry-attached", []Option{WithComm(comm), WithTelemetry()}},
+		{"comm+ranks", []Option{WithComm(comm), WithRanks(4)}, ""},
+		{"comm+fabric", []Option{WithComm(comm), WithFabric(FabricTCP)}, ""},
+		{"checkpoint-without-faults", []Option{WithCheckpoint(CheckpointPolicy{})}, ""},
+		{"one-rank", []Option{WithRanks(1)}, ""},
+		{"inject-attached", []Option{WithComm(comm), WithFaults(FaultPolicy{Inject: &mpi.FaultSchedule{Events: []mpi.FaultEvent{{Action: mpi.ActKill, Rank: 1}}}})}, ""},
+		// The master cannot be evicted, and rank 9 of 4 never fires.
+		{"kill-master", []Option{WithRanks(4), WithFaults(faultPolicy(t, "kill:rank=0"))}, `fault event "kill:rank=0" names rank 0`},
+		{"kill-absent-rank", []Option{WithRanks(4), WithFaults(faultPolicy(t, "kill:rank=9"))}, `fault event "kill:rank=9" names rank 9`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewSession(p, tc.opts...); err == nil {
-				t.Errorf("NewSession(%s) succeeded, want error", tc.name)
+			_, err := NewSession(p, tc.opts...)
+			if err == nil {
+				t.Fatalf("NewSession(%s) succeeded, want error", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("NewSession(%s): %v, want it to contain %q", tc.name, err, tc.want)
 			}
 		})
 	}
@@ -409,7 +417,6 @@ func TestElasticHeartbeatNoGoroutineLeak(t *testing.T) {
 	sess, err := NewSession(p,
 		WithRanks(3),
 		WithObserver(ob),
-		WithTelemetry(),
 		WithFaults(FaultPolicy{
 			FaultConfig: mpi.FaultConfig{OpDeadline: 5 * time.Second},
 		}),

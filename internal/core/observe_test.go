@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -13,8 +12,10 @@ import (
 
 // TestDistributedObservability runs a real 3-rank training job with a
 // full observer attached and checks every artifact the observability
-// layer promises: per-rank phase spans, MPI/worker/HF metrics, the
-// master's profiler snapshot, and one JSONL record per HF iteration.
+// layer promises, each attributed to the rank that made it: per-rank
+// phase spans and per-rank MPI/worker/HF metrics read back through the
+// telemetry plane, the master's profiler snapshot, and one JSONL record
+// per HF iteration.
 func TestDistributedObservability(t *testing.T) {
 	p := testProblem(t, CrossEntropy)
 	cfg := fastHF()
@@ -23,15 +24,23 @@ func TestDistributedObservability(t *testing.T) {
 	cfg.Telemetry = TelemetryJSONL(&jsonl)
 	ob := &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTracer()}
 
-	res, err := trainDist(p, cfg, 3, nil, WithObserver(ob))
+	sess, err := NewSession(p, WithRanks(3), WithObserver(ob))
 	if err != nil {
 		t.Fatal(err)
+	}
+	res, err := sess.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sess.Telemetry().Merger()
+	if m == nil {
+		t.Fatal("no telemetry plane on an observed spawn-mode session")
 	}
 
 	// Spans: each required phase must appear, and the headline phases on
 	// at least two distinct ranks (master + ≥1 worker).
 	ranksFor := make(map[string]map[int]bool)
-	for _, e := range ob.Trace.Events() {
+	for _, e := range m.Events() {
 		if ranksFor[e.Name] == nil {
 			ranksFor[e.Name] = make(map[int]bool)
 		}
@@ -51,22 +60,32 @@ func TestDistributedObservability(t *testing.T) {
 		t.Error("worker_curvature_product span on the master rank")
 	}
 
-	// Metrics: the wire's sends and receives routed from the profiler,
-	// worker wait time and shard sizes, and one iteration wall-time
-	// observation per HF iter.
-	reg := ob.Metrics
-	if n := reg.Histogram("mpi.send.latency_ns").Count(); n == 0 {
-		t.Error("no mpi.send.latency_ns observations")
+	// Metrics, each in its rank's own registry: the wire's sends and
+	// receives routed from every rank's profiler, worker wait time and
+	// shard sizes, and one iteration wall-time observation per HF iter.
+	ranks := make([]map[string]float64, 3)
+	for r, snap := range m.Snapshots() {
+		ranks[r] = snapshotValues(snap)
 	}
-	if n := reg.Histogram("mpi.recv.latency_ns").Count(); n == 0 {
-		t.Error("no mpi.recv.latency_ns observations")
+	var sends, recvs float64
+	for r, v := range ranks {
+		n, k := v["mpi.send.latency_ns"], v["mpi.recv.latency_ns"]
+		if n == 0 || k == 0 {
+			t.Errorf("rank %d: %v mpi.send and %v mpi.recv latency observations, want both > 0", r, n, k)
+		}
+		sends, recvs = sends+n, recvs+k
+	}
+	// The per-rank counts sum to what one registry shared by every rank
+	// counted before each rank had its own.
+	if sends != 150 || recvs != 150 {
+		t.Errorf("mpi.send/recv observations summed over ranks = %v/%v, want 150/150", sends, recvs)
 	}
 	var totalFrames float64
 	for w := 1; w <= 2; w++ {
-		if v := reg.Counter(fmt.Sprintf("core.worker.%d.wait_ns", w)).Value(); v <= 0 {
-			t.Errorf("worker %d wait counter = %d, want > 0", w, v)
+		if v := ranks[w]["core.worker.wait_ns"]; v <= 0 {
+			t.Errorf("worker %d wait counter = %v, want > 0", w, v)
 		}
-		g := reg.Gauge(fmt.Sprintf("core.worker.%d.train_frames", w)).Value()
+		g := ranks[w]["core.worker.train_frames"]
 		if g <= 0 {
 			t.Errorf("worker %d train_frames gauge = %v, want > 0", w, g)
 		}
@@ -75,8 +94,13 @@ func TestDistributedObservability(t *testing.T) {
 	if want := float64(p.Train.TotalFrames()); totalFrames != want {
 		t.Errorf("shard frame gauges sum to %v, corpus has %v", totalFrames, want)
 	}
-	if n := reg.Histogram("core.hf.iter_wall_ns").Count(); n != int64(len(res.HF.Iters)) {
-		t.Errorf("iter wall histogram has %d observations, want %d", n, len(res.HF.Iters))
+	for name := range ranks[0] {
+		if strings.HasPrefix(name, "core.worker.") {
+			t.Errorf("master registry holds worker metric %q", name)
+		}
+	}
+	if n := ranks[0]["core.hf.iter_wall_ns"]; n != float64(len(res.HF.Iters)) {
+		t.Errorf("iter wall histogram has %v observations, want %d", n, len(res.HF.Iters))
 	}
 
 	// The master's per-phase profiler snapshot rides on the result.
@@ -112,6 +136,22 @@ func TestDistributedObservability(t *testing.T) {
 			t.Fatalf("record %d iter = %v, want %d", i, rec["iter"], res.HF.Iters[i].Iter)
 		}
 	}
+}
+
+// snapshotValues flattens a registry snapshot by name: a counter's or
+// gauge's value, a histogram's observation count.
+func snapshotValues(s obs.Snapshot) map[string]float64 {
+	v := map[string]float64{}
+	for _, c := range s.Counters {
+		v[c.Name] = float64(c.Value)
+	}
+	for _, g := range s.Gauges {
+		v[g.Name] = g.Value
+	}
+	for _, h := range s.Histograms {
+		v[h.Name] = float64(h.Count)
+	}
+	return v
 }
 
 // TestDistributedObsNilObserverUnchanged: the nil-observer path must

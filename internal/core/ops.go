@@ -143,10 +143,10 @@ type worker struct {
 // runWorker serves the master on a non-zero rank for Session.Run until
 // it is stopped: it receives its data shard, waiting at most
 // mpi.DefaultOpDeadline for it, then answers ops off the table frame by
-// frame (starLoop). A non-nil observer adds per-op spans
-// labelled with this rank, shard-size gauges and
-// "core.worker.<rank>.wait_ns", the time blocked on the master's next
-// command (the straggler/idle signal of the paper's Figure 5).
+// frame (starLoop). A non-nil observer is this rank's own: it adds
+// per-op spans, the shard gauges "core.worker.{train,held}_frames" and
+// "core.worker.wait_ns", the time blocked on the master's next command
+// (the straggler/idle signal of the paper's Figure 5).
 // epochHook, when non-nil, receives the global HF iteration as the
 // worker learns it, advancing fault-injection epochs in drills.
 func runWorker(comm *mpi.Comm, ob *obs.Observer, epochHook func(int)) error {
@@ -162,15 +162,15 @@ func runWorker(comm *mpi.Comm, ob *obs.Observer, epochHook func(int)) error {
 	w.eng, w.shard = eng, shard
 	w.in = make(tensor.Vector, eng.net.NumParams())
 	w.shardGauges()
-	w.wait = ob.Registry().Counter(fmt.Sprintf("core.worker.%d.wait_ns", w.rank))
+	w.wait = ob.Registry().Counter("core.worker.wait_ns")
 	return w.starLoop()
 }
 
 // shardGauges publishes the shard's size (nil-safe without a registry).
 func (w *worker) shardGauges() {
 	reg := w.ob.Registry()
-	reg.Gauge(fmt.Sprintf("core.worker.%d.train_frames", w.rank)).Set(float64(w.eng.train.frames()))
-	reg.Gauge(fmt.Sprintf("core.worker.%d.held_frames", w.rank)).Set(float64(w.eng.heldout.frames()))
+	reg.Gauge("core.worker.train_frames").Set(float64(w.eng.train.frames()))
+	reg.Gauge("core.worker.held_frames").Set(float64(w.eng.heldout.frames()))
 }
 
 // begin enters row's comm phase and opens its span, which covers the

@@ -90,7 +90,6 @@ type sessionOptions struct {
 	faultSet bool
 	ckpt     CheckpointPolicy
 	ckptSet  bool
-	tele     bool
 }
 
 // Option configures a Session.
@@ -123,7 +122,11 @@ func WithPartitioner(part corpus.Partitioner) Option {
 }
 
 // WithObserver routes spans, metrics and events through ob (nil is the
-// no-op observer).
+// no-op observer). In attach mode ob is this rank's observer. In spawn
+// mode ob is rank 0's, and a non-nil ob also turns on the telemetry
+// plane: every worker rank observes into its own observer, and the
+// master drains each rank's spans, rank 0's included, into the plane's
+// merger, so read them through Session.Telemetry.
 func WithObserver(ob *obs.Observer) Option {
 	return func(o *sessionOptions) { o.ob = ob }
 }
@@ -142,18 +145,6 @@ func WithFaults(pol FaultPolicy) Option {
 // under the default policy nothing ever rewinds.
 func WithCheckpoint(pol CheckpointPolicy) Option {
 	return func(o *sessionOptions) { o.ckpt, o.ckptSet = pol, true }
-}
-
-// WithTelemetry enables the distributed telemetry plane: each worker
-// rank observes into its own observer, bound into the master's merger
-// before the rank starts and drained in place at every iteration
-// boundary (one merged trace on the master's timebase); a flight
-// recorder for post-mortem fault bundles; and live health state. Read
-// the plane back with Session.Telemetry — e.g. to serve it over HTTP
-// with telemetry.NewServer. Spawn mode only: an attached rank's
-// observer is not the master's to bind.
-func WithTelemetry() Option {
-	return func(o *sessionOptions) { o.tele = true }
 }
 
 // Session is a configured distributed training run. Build with
@@ -196,10 +187,14 @@ func NewSession(p Problem, opts ...Option) (*Session, error) {
 	if o.faults.Inject != nil && o.comm != nil {
 		return nil, errors.New("core: FaultPolicy.Inject requires spawn mode (attached comms are owned by the caller)")
 	}
-	o.faults = o.faults.filled()
-	if o.tele && o.comm != nil {
-		return nil, errors.New("core: WithTelemetry requires spawn mode (the master binds every rank's observer at spawn)")
+	if o.faults.Inject != nil {
+		for _, ev := range o.faults.Inject.Events {
+			if ev.Rank < 1 || ev.Rank >= o.ranks {
+				return nil, fmt.Errorf("core: fault event %q names rank %d; only worker ranks 1..%d of a %d-rank run can be faulted (the master is not evictable)", ev, ev.Rank, o.ranks-1, o.ranks)
+			}
+		}
 	}
+	o.faults = o.faults.filled()
 	if o.part == nil {
 		o.part = corpus.SortedGreedy{}
 	}
@@ -213,9 +208,10 @@ func NewSession(p Problem, opts ...Option) (*Session, error) {
 		}
 	}
 	s := &Session{p: p, opt: o}
-	if o.tele {
-		// Build the plane eagerly so callers can serve it over HTTP
-		// before Run starts (telemetry.NewServer(addr, sess.Telemetry())).
+	if o.comm == nil && o.ob != nil {
+		// An observed spawn-mode run always has the plane. Build it
+		// eagerly so callers can serve it over HTTP before Run starts
+		// (telemetry.NewServer(addr, sess.Telemetry())).
 		epoch := o.ob.Tracer().Epoch()
 		if epoch.IsZero() {
 			epoch = time.Now()
@@ -226,9 +222,9 @@ func NewSession(p Problem, opts ...Option) (*Session, error) {
 	return s, nil
 }
 
-// Telemetry returns the session's telemetry plane, non-nil only when
-// WithTelemetry was given. Available before Run so the monitoring
-// endpoint can be up for the whole run.
+// Telemetry returns the session's telemetry plane, non-nil only for a
+// spawn-mode session with a non-nil observer. Available before Run so
+// the monitoring endpoint can be up for the whole run.
 func (s *Session) Telemetry() *telemetry.Plane {
 	if s == nil {
 		return nil
@@ -302,10 +298,10 @@ func (s *Session) runSpawned(cfg hf.Config) (*MasterResult, error) {
 
 	workerErrs := make(chan rankErr, ranks-1)
 	for r := 1; r < ranks; r++ {
-		// With telemetry on, each worker observes into its own observer,
+		// With the plane on, each worker observes into its own observer,
 		// bound into the master's merger before the rank starts, which
-		// drains it in place. Without it, ranks share o.ob directly.
-		wob := o.ob
+		// drains it in place. Without it no rank observes anything.
+		var wob *obs.Observer
 		if s.plane != nil {
 			wob = &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(), Events: obs.NewEventLog(0)}
 			s.plane.Merger().Bind(r, wob)

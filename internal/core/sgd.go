@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/tensor"
@@ -17,7 +18,8 @@ type SGDConfig struct {
 	// BatchFrames is the minibatch size in frames (the paper cites
 	// 100-1000 for speech). Default 256.
 	BatchFrames int
-	// Epochs is the number of passes over the training data. Default 5.
+	// Epochs is the number of passes over the training data. Zero means
+	// the default of 5; TrainSGD refuses a negative count.
 	Epochs int
 	// LrDecay multiplies the learning rate after each epoch. Default 0.9.
 	LrDecay float64
@@ -35,7 +37,7 @@ func (c SGDConfig) filled() SGDConfig {
 	if c.BatchFrames <= 0 {
 		c.BatchFrames = 256
 	}
-	if c.Epochs <= 0 {
+	if c.Epochs == 0 {
 		c.Epochs = 5
 	}
 	if c.LrDecay <= 0 || c.LrDecay > 1 {
@@ -64,6 +66,9 @@ type SGDResult struct {
 // sequence criterion the unit is the utterance. Returns the trained
 // objective (for held-out evaluation) and per-epoch statistics.
 func TrainSGD(p Problem, cfg SGDConfig) (*SerialObjective, *SGDResult, error) {
+	if cfg.Epochs < 0 {
+		return nil, nil, fmt.Errorf("core: SGDConfig.Epochs %d, want ≥ 0 (0 means the default of 5)", cfg.Epochs)
+	}
 	cfg = cfg.filled()
 	obj, err := NewSerialObjective(p)
 	if err != nil {

@@ -34,7 +34,6 @@ func TestTelemetryMergedTraceTCP(t *testing.T) {
 		WithRanks(4),
 		WithFabric(FabricTCP),
 		WithObserver(ob),
-		WithTelemetry(),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +44,7 @@ func TestTelemetryMergedTraceTCP(t *testing.T) {
 
 	plane := sess.Telemetry()
 	if plane == nil {
-		t.Fatal("Session.Telemetry() nil with WithTelemetry set")
+		t.Fatal("Session.Telemetry() nil with an observer set")
 	}
 	m := plane.Merger()
 
@@ -130,7 +129,6 @@ func TestTelemetryCrossRankAlignment(t *testing.T) {
 				WithRanks(ranks),
 				WithFabric(fabric),
 				WithObserver(telemetryObserver()),
-				WithTelemetry(),
 			)
 			if err != nil {
 				t.Fatal(err)
@@ -202,7 +200,6 @@ func TestTelemetryLiveEndpointDuringTraining(t *testing.T) {
 	sess, err := NewSession(p,
 		WithRanks(3),
 		WithObserver(ob),
-		WithTelemetry(),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +276,6 @@ func TestTelemetryFlightRecorderOnEviction(t *testing.T) {
 		WithObserver(ob),
 		WithFaults(faultPolicy(t, "kill:rank=2,epoch=3")),
 		WithCheckpoint(CheckpointPolicy{Path: filepath.Join(t.TempDir(), "flight.ck")}),
-		WithTelemetry(),
 	)
 	if err != nil {
 		t.Fatal(err)

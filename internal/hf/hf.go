@@ -47,7 +47,8 @@ type Preconditioned interface {
 
 // Config holds the outer-loop hyperparameters of Algorithm 1.
 type Config struct {
-	// MaxIterations bounds outer HF iterations. Default 50.
+	// MaxIterations bounds outer HF iterations. Zero (or any value
+	// ≤ 0) means the default of 50.
 	MaxIterations int
 	// Lambda0 is the initial damping λ. Default 1.0.
 	Lambda0 float64

@@ -305,7 +305,9 @@ func TestBatcherGracefulDrain(t *testing.T) {
 	s, _ := newTestBatcher(options{maxBatch: 2, queueDepth: 8, drainTimeout: 10 * time.Second}, sc)
 	r0, _ := scoreAsync(s, 1)
 	r1, _ := scoreAsync(s, 1)
-	waitFor(t, "worker to start the in-flight batch", func() bool { return len(sc.started) >= 1 })
+	// Both requests must be admitted before Close: a request that
+	// arrives after the drain flips is refused, not in flight.
+	waitFor(t, "worker to start the in-flight batch", func() bool { return len(sc.started) >= 1 && s.b.pending.Load() == 2 })
 
 	closed := make(chan error, 1)
 	go func() { closed <- s.Close() }()
