@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -537,7 +538,9 @@ func allocGateCases() []allocCase {
 // checkAllocGate measures every case and compares its allocs/op with
 // the baseline recorded in file. It fails closed: a missing or
 // unparseable file, or a case the file has no value for, is an error,
-// and nothing is ever written.
+// and nothing is ever written. A case that measures below its baseline
+// fails too, asking for a re-record, so the margin always counts from
+// what the code does today.
 func checkAllocGate(file string, cases []allocCase) error {
 	data, err := os.ReadFile(file)
 	if err != nil {
@@ -552,9 +555,16 @@ func checkAllocGate(file string, cases []allocCase) error {
 		if !ok {
 			return fmt.Errorf("alloc gate: %s records no allocs_per_op for %s", file, tc.name)
 		}
-		if got := testing.AllocsPerRun(3, tc.fn); got > prev+allocGateMargin {
+		got := testing.AllocsPerRun(3, tc.fn)
+		if got > prev+allocGateMargin {
 			return fmt.Errorf("alloc gate: %s: %.0f allocs/op regressed past baseline %.0f + %.0f margin",
 				tc.name, got, prev, allocGateMargin)
+		}
+		// A stale baseline would widen the margin by the improvement, so
+		// a gain must be recorded before it is banked.
+		if got < prev {
+			return fmt.Errorf("alloc gate: %s: improved from %.0f to %.0f allocs/op: re-record with `make bench_alloc`",
+				tc.name, prev, got)
 		}
 	}
 	return nil
@@ -576,6 +586,7 @@ func TestAllocGate(t *testing.T) {
 	for name, content := range map[string]string{
 		"unparseable": "{not json",
 		"novalue":     `{"` + small.name + `": {}}`,
+		"stale":       `{"` + small.name + `": {"allocs_per_op": 1000}}`,
 	} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
@@ -585,6 +596,10 @@ func TestAllocGate(t *testing.T) {
 		if checkAllocGate(filepath.Join(dir, name), []allocCase{small}) == nil {
 			t.Errorf("baseline %s: gate passed, want failure", name)
 		}
+	}
+	if err := checkAllocGate(filepath.Join(dir, "stale"), []allocCase{small}); err == nil ||
+		!strings.Contains(err.Error(), "improved from 1000 to") || !strings.Contains(err.Error(), "make bench_alloc") {
+		t.Errorf("stale baseline: gate said %v, want the improvement and how to re-record", err)
 	}
 
 	before, err := os.ReadFile(allocBaselineFile)

@@ -120,6 +120,20 @@ func run(args []string, stdout io.Writer) (err error) {
 	case *epochs < 1:
 		return fmt.Errorf("hftrain: -epochs %d, want ≥ 1", *epochs)
 	}
+	// A fault schedule is checked against the topology here, with the
+	// other flags, so a bad one is refused before the corpus is built.
+	var sched *mpi.FaultSchedule
+	if *mode == "dist" && *faultInject != "" {
+		var err error
+		if sched, err = mpi.ParseFaultSchedule(*faultInject); err != nil {
+			return fmt.Errorf("hftrain: -fault-inject: %w", err)
+		}
+		for _, ev := range sched.Events {
+			if ev.Rank < 1 || ev.Rank >= *ranks {
+				return fmt.Errorf("hftrain: -fault-inject event %q names rank %d; only worker ranks 1..%d of -ranks %d can be faulted", ev, ev.Rank, *ranks-1, *ranks)
+			}
+		}
+	}
 	var crit core.Criterion
 	switch *criterion {
 	case "ce":
@@ -234,16 +248,8 @@ func run(args []string, stdout io.Writer) (err error) {
 			core.WithFabric(fabric),
 			core.WithObserver(ob),
 		}
-		if *faultInject != "" || *maxEvictions != 0 {
-			pol := core.FaultPolicy{MaxEvictions: *maxEvictions}
-			if *faultInject != "" {
-				sched, err := mpi.ParseFaultSchedule(*faultInject)
-				if err != nil {
-					return err
-				}
-				pol.Inject = sched
-			}
-			opts = append(opts, core.WithFaults(pol))
+		if sched != nil || *maxEvictions != 0 {
+			opts = append(opts, core.WithFaults(core.FaultPolicy{MaxEvictions: *maxEvictions, Inject: sched}))
 			// Mirror the per-iteration rewind checkpoints to -save if set
 			// (the trained model overwrites the mirror after the run).
 			opts = append(opts, core.WithCheckpoint(core.CheckpointPolicy{Path: *save}))

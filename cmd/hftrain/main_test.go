@@ -161,6 +161,18 @@ func TestCheckpointFlags(t *testing.T) {
 			wantErr: "-epochs 0",
 		},
 		{
+			name:    "fault on a rank the run lacks",
+			args:    []string{"-mode", "dist", "-fault-inject", "kill:rank=9"},
+			wantErr: `hftrain: -fault-inject event "kill:rank=9" names rank 9; only worker ranks 1..2 of -ranks 3`,
+			check:   refusedBeforeCorpus,
+		},
+		{
+			name:    "fault on the master",
+			args:    []string{"-mode", "dist", "-fault-inject", "kill:rank=0,epoch=1"},
+			wantErr: "names rank 0",
+			check:   refusedBeforeCorpus,
+		},
+		{
 			name:    "no held-out utterance",
 			args:    []string{"-mode", "serial", "-utterances", "3"},
 			wantErr: "-utterances must be ≥ 10",
@@ -178,6 +190,9 @@ func TestCheckpointFlags(t *testing.T) {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("err = %v, want it to contain %q", err, tc.wantErr)
 				}
+				if tc.check != nil {
+					tc.check(t, logs)
+				}
 				return
 			}
 			if err != nil {
@@ -185,6 +200,14 @@ func TestCheckpointFlags(t *testing.T) {
 			}
 			tc.check(t, logs)
 		})
+	}
+}
+
+// refusedBeforeCorpus fails a usage-error row whose run got as far as
+// generating the corpus.
+func refusedBeforeCorpus(t *testing.T, logs string) {
+	if strings.Contains(logs, "generating corpus") {
+		t.Errorf("refused only after generating the corpus:\n%s", logs)
 	}
 }
 

@@ -34,6 +34,7 @@ func TestZeroAllocKernels(t *testing.T) {
 		{"packA_trans", func() { packA(bm, Trans, 0, 0, nc, kc, abuf) }},
 		{"packB", func() { packB(bm, NoTrans, 0, 0, kc, nc, bbuf) }},
 		{"packB_trans", func() { packB(a, Trans, 0, 0, kc, mc, bbuf) }},
+		{"gather8", func() { gather8(abuf, a.Data, a.Stride, kc) }},
 		{"macroKernel", func() { macroKernel(abuf, bbuf, c, 0, 0, mc, nc, kc, 1) }},
 		{"microKernel", func() { microKernel(kc, abuf, bbuf, c.Data, c.Stride, 1) }},
 		{"microKernelGo", func() { microKernelGo(kc, abuf, bbuf, c.Data, c.Stride, 1) }},

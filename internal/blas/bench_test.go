@@ -4,22 +4,23 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"repro/internal/tensor"
 )
 
 // The GEMM ablation benchmarks mirror §V-A's tuning levels: naive loop →
 // blocked/packed kernel → cooperative parallel kernel, plus the skinny
 // shapes typical of DNN layers (batch × in → batch × out).
 func benchGemm(b *testing.B, impl Impl, threads, m, n, k int) {
+	benchGemmT(b, impl, threads, NoTrans, NoTrans, m, n, k)
+}
+
+// benchGemmT times C(m×n) = op(A)·op(B) with inner dimension k.
+func benchGemmT(b *testing.B, impl Impl, threads int, tA, tB Transpose, m, n, k int) {
 	rng := rand.New(rand.NewSource(1))
-	a := tensor.RandMatrix(rng, m, k, 1)
-	bb := tensor.RandMatrix(rng, k, n, 1)
-	c := tensor.NewMatrix(m, n)
+	a, bb, c := makeOperands(rng, tA, tB, m, n, k)
 	b.SetBytes(int64(4 * (m*k + k*n + m*n)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GemmWith(Config{Impl: impl, Threads: threads}, NoTrans, NoTrans, 1, a, bb, 0, c)
+		GemmWith(Config{Impl: impl, Threads: threads}, tA, tB, 1, a, bb, 0, c)
 	}
 	flops := 2 * float64(m) * float64(n) * float64(k)
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
@@ -44,21 +45,41 @@ func BenchmarkGEMMLayerShape(b *testing.B)  { benchGemm(b, Parallel, 0, 512, 102
 func BenchmarkGEMMSmallK(b *testing.B)      { benchGemm(b, Parallel, 0, 512, 512, 40) }
 func BenchmarkGEMMSmallMatrix(b *testing.B) { benchGemm(b, Blocked, 1, 32, 32, 32) }
 
-// BenchmarkGEMMCutover times the training shapes (batch 256 through the
-// narrow 100-32-32-8 and wide 100-384-384-384-32 nets, C is m×n) and a
-// square ladder on one thread and on two, the sweep behind Auto's
-// Blocked→Parallel cutover (DESIGN §2).
+// BenchmarkGEMMCutover times the training products on one thread and on
+// two, the sweep behind Auto's Blocked→Parallel cutover (DESIGN §2).
+// The shapes are the products of the narrow 100-32-32-8 and wide
+// 100-384-384-384-32 nets, C being m×n: the forward pass a·Wᵀ (NT), the
+// weight gradient δᵀ·a (TN) and the back-propagated δ·W (NN), at the
+// gradient's 256-row batch and at the ≈100-row utterance batch of a
+// Gauss-Newton product; plus a square NN ladder.
 func BenchmarkGEMMCutover(b *testing.B) {
-	shapes := [][3]int{
-		{256, 8, 32}, {256, 32, 8}, {256, 32, 32}, {256, 32, 100}, {32, 100, 256},
-		{256, 32, 384}, {256, 384, 32},
-		{64, 64, 64}, {96, 96, 96}, {128, 128, 128}, {160, 160, 160}, {192, 192, 192},
-		{256, 384, 100}, {256, 384, 384},
+	const T, N = Trans, NoTrans
+	shapes := []struct {
+		tA, tB  Transpose
+		m, n, k int
+	}{
+		// narrow net
+		{N, T, 256, 8, 32}, {N, N, 256, 32, 8}, {N, T, 256, 32, 32}, {T, N, 32, 32, 256},
+		{N, T, 256, 32, 100}, {T, N, 32, 100, 256}, {N, T, 100, 32, 100}, {T, N, 32, 100, 100},
+		// square ladder
+		{N, N, 64, 64, 64}, {N, N, 96, 96, 96}, {N, N, 128, 128, 128}, {N, N, 160, 160, 160}, {N, N, 176, 176, 176}, {N, N, 192, 192, 192},
+		// wide net, gradient batch
+		{N, T, 256, 32, 384}, {N, N, 256, 384, 32}, {T, N, 32, 384, 256},
+		{N, T, 256, 384, 100}, {T, N, 384, 100, 256}, {N, T, 256, 384, 384}, {T, N, 384, 384, 256}, {N, N, 256, 384, 384},
+		// wide net, Gauss-Newton utterance batch
+		{N, T, 100, 32, 384}, {N, N, 100, 384, 32}, {T, N, 32, 384, 100},
+		{N, T, 100, 384, 100}, {T, N, 384, 100, 100}, {N, T, 100, 384, 384}, {T, N, 384, 384, 100}, {N, N, 100, 384, 384},
+	}
+	name := func(t Transpose) string {
+		if t == Trans {
+			return "T"
+		}
+		return "N"
 	}
 	for _, s := range shapes {
-		m, n, k := s[0], s[1], s[2]
-		b.Run(fmt.Sprintf("%dx%dx%d/threads=1", m, n, k), func(b *testing.B) { benchGemm(b, Blocked, 1, m, n, k) })
-		b.Run(fmt.Sprintf("%dx%dx%d/threads=2", m, n, k), func(b *testing.B) { benchGemm(b, Parallel, 2, m, n, k) })
+		tag := fmt.Sprintf("%s%s/%dx%dx%d", name(s.tA), name(s.tB), s.m, s.n, s.k)
+		b.Run(tag+"/threads=1", func(b *testing.B) { benchGemmT(b, Blocked, 1, s.tA, s.tB, s.m, s.n, s.k) })
+		b.Run(tag+"/threads=2", func(b *testing.B) { benchGemmT(b, Parallel, 2, s.tA, s.tB, s.m, s.n, s.k) })
 	}
 }
 

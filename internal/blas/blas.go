@@ -12,12 +12,18 @@
 //     of B) with an 8×8 register-tile micro-kernel — AVX2 assembly where
 //     the CPU has it (kernel_amd64.s), portable Go elsewhere, the two
 //     bit-identical because neither fuses a multiply into an add.
-//   - Parallel: the blocked algorithm with the MC loop fanned out across
-//     goroutines sharing one packed B panel, the analogue of the paper's
-//     cores cooperating on a shared operand.
+//   - Parallel: the blocked algorithm with C's columns split into one
+//     contiguous run of whole 8-wide panels per worker, the analogue of
+//     the paper's cores cooperating on one product. Each worker packs its
+//     own B panels and the A blocks it needs, so a 100-row product (one
+//     MC block) still uses every core and no packing runs serially; one
+//     fork-join per call, the caller being one of the workers.
 //
-// Results are deterministic regardless of thread count: every C element is
-// accumulated by exactly one goroutine in a fixed k-order.
+// Packing reads 8 source rows in lockstep and writes each k-step of a
+// full panel as one contiguous run (gather8); GemmEpilogue lets the
+// workers finish their own columns (nn's bias add and sigmoid) before the
+// join. Results are deterministic regardless of thread count: every C
+// element is accumulated by exactly one goroutine in a fixed k-order.
 package blas
 
 import (
@@ -76,10 +82,10 @@ const (
 	defaultNC = 512
 )
 
-// parallelMinFlops is Auto's Blocked→Parallel cutover: below it one
-// goroutine is at least as fast as two on every training shape
+// parallelMinFlops is Auto's Blocked→Parallel cutover, the break-even
+// of one goroutine against two on the training products
 // (BenchmarkGEMMCutover; the table is in DESIGN §2).
-const parallelMinFlops = 2 * 160 * 160 * 160
+const parallelMinFlops = 2 * 176 * 176 * 176
 
 func (c Config) filled() Config {
 	if c.Threads <= 0 {
@@ -109,6 +115,30 @@ func Gemm(tA, tB Transpose, alpha float32, a, b *tensor.Matrix, beta float32, c 
 //
 //lint:shape a=(m,k) b=(k,n) c=(m,n) tA:swap=a tB:swap=b
 func GemmWith(cfg Config, tA, tB Transpose, alpha float32, a, b *tensor.Matrix, beta float32, c *tensor.Matrix) {
+	gemm(cfg, tA, tB, alpha, a, b, beta, c, nil)
+}
+
+// Epilogue finishes a block of GEMM output in place: cols is the view of
+// C's columns [j0, j0+cols.Cols), every row, once they hold their final
+// product. An epilogue must touch only cols and must be safe to run
+// concurrently on disjoint column ranges.
+type Epilogue func(cols *tensor.Matrix, j0 int)
+
+// GemmEpilogue is Gemm followed by epi over all of C, with epi run by the
+// GEMM's own workers: each applies it to the columns it computed, so an
+// elementwise epilogue (a bias add, an activation) is parallel exactly
+// when the product is. Below Auto's cutover the one worker is the
+// caller. The result is that of Gemm then epi on C, bit for bit.
+//
+//lint:shape a=(m,k) b=(k,n) c=(m,n) tA:swap=a tB:swap=b
+func GemmEpilogue(tA, tB Transpose, alpha float32, a, b *tensor.Matrix, beta float32, c *tensor.Matrix, epi Epilogue) {
+	gemm(Config{}, tA, tB, alpha, a, b, beta, c, epi)
+}
+
+// gemm validates the operands, picks the implementation and runs it.
+//
+//lint:shape a=(m,k) b=(k,n) c=(m,n) tA:swap=a tB:swap=b
+func gemm(cfg Config, tA, tB Transpose, alpha float32, a, b *tensor.Matrix, beta float32, c *tensor.Matrix, epi Epilogue) {
 	m, k := opDims(a, tA)
 	k2, n := opDims(b, tB)
 	if k != k2 {
@@ -139,10 +169,13 @@ func GemmWith(cfg Config, tA, tB Transpose, alpha float32, a, b *tensor.Matrix, 
 	switch impl {
 	case Naive:
 		gemmNaive(tA, tB, alpha, a, b, beta, c)
+		if epi != nil {
+			epi(c, 0)
+		}
 	case Blocked:
-		gemmBlocked(cfg, tA, tB, alpha, a, b, beta, c, 1)
+		gemmBlocked(cfg, tA, tB, alpha, a, b, beta, c, 1, epi)
 	case Parallel:
-		gemmBlocked(cfg, tA, tB, alpha, a, b, beta, c, cfg.Threads)
+		gemmBlocked(cfg, tA, tB, alpha, a, b, beta, c, cfg.Threads, epi)
 	default:
 		panic(fmt.Sprintf("blas: unknown Impl %d", impl))
 	}

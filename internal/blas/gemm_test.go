@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -96,18 +97,107 @@ func TestGemmAlphaBeta(t *testing.T) {
 	}
 }
 
-// Property: blocked and parallel results agree exactly with each other
-// (deterministic accumulation order, independent of thread count).
+// sameBits reports the first element at which got and want differ in
+// their float32 bit patterns (so −0 ≠ +0 and NaN payloads count).
+func sameBits(got, want *tensor.Matrix) (i, j int, ok bool) {
+	for i = 0; i < want.Rows; i++ {
+		g, w := got.Row(i), want.Row(i)
+		for j = range w {
+			if math.Float32bits(g[j]) != math.Float32bits(w[j]) {
+				return i, j, false
+			}
+		}
+	}
+	return 0, 0, true
+}
+
+// detShapes are the products the worker-count tests cover, under the
+// block limits each is run with: several MC, KC and NC blocks; one row
+// block (m < MC, a Gauss-Newton utterance batch); n not a multiple of
+// nr; and fewer column panels than workers.
+var detShapes = []struct {
+	cfg     Config
+	m, n, k int
+}{
+	{Config{MC: 16, KC: 8, NC: 12}, 61, 53, 47},
+	{Config{MC: 16, KC: 8, NC: 12}, 12, 100, 40},
+	{Config{MC: 16, KC: 8, NC: 12}, 33, 13, 9},
+	{Config{MC: 16, KC: 8, NC: 12}, 7, 5, 3},
+	{Config{}, 100, 100, 64},
+	{Config{}, 100, 37, 300},
+}
+
+// Property: the parallel result equals the single-threaded one bit for
+// bit at every worker count (each C element is summed by one worker in
+// the same k order), for every transpose pair and for β ∈ {0, 1}.
 func TestGemmDeterministicAcrossThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	a, b, c := makeOperands(rng, NoTrans, NoTrans, 61, 53, 47)
-	ref := c.Clone()
-	GemmWith(Config{Impl: Blocked, MC: 16, KC: 8, NC: 12}, NoTrans, NoTrans, 1, a, b, 1, ref)
-	for threads := 1; threads <= 8; threads *= 2 {
-		got := c.Clone()
-		GemmWith(Config{Impl: Parallel, Threads: threads, MC: 16, KC: 8, NC: 12}, NoTrans, NoTrans, 1, a, b, 1, got)
-		if tensor.MaxAbsDiff(got, ref) != 0 {
-			t.Fatalf("threads=%d: parallel result differs from single-threaded", threads)
+	for _, s := range detShapes {
+		for _, tA := range []Transpose{NoTrans, Trans} {
+			for _, tB := range []Transpose{NoTrans, Trans} {
+				a, b, c := makeOperands(rng, tA, tB, s.m, s.n, s.k)
+				for _, beta := range []float32{0, 1} {
+					cfg := s.cfg
+					cfg.Impl = Blocked
+					ref := c.Clone()
+					GemmWith(cfg, tA, tB, 1, a, b, beta, ref)
+					for threads := 1; threads <= 8; threads++ {
+						cfg.Impl, cfg.Threads = Parallel, threads
+						got := c.Clone()
+						GemmWith(cfg, tA, tB, 1, a, b, beta, got)
+						if i, j, ok := sameBits(got, ref); !ok {
+							t.Fatalf("%+v tA=%v tB=%v %d×%d×%d β=%v threads=%d: C[%d][%d] = %v, single-threaded %v",
+								s.cfg, tA, tB, s.m, s.n, s.k, beta, threads, i, j, got.At(i, j), ref.At(i, j))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Property: a GEMM whose workers run the epilogue — here nn.Forward's
+// bias add and sigmoid — equals the GEMM followed by the same ops on the
+// caller, bit for bit, at 1–4 workers, including a product that skips
+// the kernel (α = 0) and the Naive path.
+func TestGemmEpilogueMatchesUnfused(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	finish := func(bias []float32) Epilogue {
+		return func(cols *tensor.Matrix, j0 int) {
+			for i := 0; i < cols.Rows; i++ {
+				row := cols.Row(i)
+				for j := range row {
+					row[j] += bias[j0+j]
+					row[j] = float32(1 / (1 + math.Exp(-float64(row[j]))))
+				}
+			}
+		}
+	}
+	for _, s := range detShapes {
+		a, b, c := makeOperands(rng, NoTrans, Trans, s.m, s.n, s.k)
+		bias := tensor.RandMatrix(rng, 1, s.n, 1).Row(0)
+		for _, alpha := range []float32{1, 0} {
+			want := c.Clone()
+			cfg := s.cfg
+			cfg.Impl = Blocked
+			GemmWith(cfg, NoTrans, Trans, alpha, a, b, 0, want)
+			finish(bias)(want, 0)
+			for workers := 1; workers <= 4; workers++ {
+				cfg.Impl, cfg.Threads = Parallel, workers
+				got := c.Clone()
+				gemm(cfg, NoTrans, Trans, alpha, a, b, 0, got, finish(bias))
+				if i, j, ok := sameBits(got, want); !ok {
+					t.Fatalf("%+v %d×%d×%d α=%v workers=%d: C[%d][%d] = %v, unfused %v",
+						s.cfg, s.m, s.n, s.k, alpha, workers, i, j, got.At(i, j), want.At(i, j))
+				}
+			}
+			// The naive loop sums in another order; it must still apply
+			// the epilogue exactly once.
+			got := c.Clone()
+			gemm(Config{Impl: Naive}, NoTrans, Trans, alpha, a, b, 0, got, finish(bias))
+			if !tensor.EqualApprox(got, want, 1e-4) {
+				t.Fatalf("%+v naive α=%v: max diff %g", s.cfg, alpha, tensor.MaxAbsDiff(got, want))
+			}
 		}
 	}
 }

@@ -17,9 +17,15 @@ const (
 	nr = 8
 )
 
-// gemmBlocked runs the packed, cache-blocked algorithm with the given
-// number of worker goroutines cooperating on each packed B panel.
-func gemmBlocked(cfg Config, tA, tB Transpose, alpha float32, a, b *tensor.Matrix, beta float32, c *tensor.Matrix, threads int) {
+// gemmBlocked runs the packed, cache-blocked algorithm on up to threads
+// workers. C's columns are cut into contiguous runs of whole nr-wide
+// panels, one run per worker (workers = min(threads, panels)); each
+// worker packs its own B panels and the A blocks it needs, writes only
+// its own columns, and then applies epi, when non-nil, to them. The
+// caller is worker 0, so one worker is a plain call and more are one
+// fork-join. Every C element is still summed by one worker in the
+// KC-blocked k order, so the result is bit-identical at any worker count.
+func gemmBlocked(cfg Config, tA, tB Transpose, alpha float32, a, b *tensor.Matrix, beta float32, c *tensor.Matrix, threads int, epi Epilogue) {
 	m, k := opDims(a, tA)
 	_, n := opDims(b, tB)
 	scaleC(beta, c)
@@ -27,73 +33,89 @@ func gemmBlocked(cfg Config, tA, tB Transpose, alpha float32, a, b *tensor.Matri
 	// sentinel the caller sets literally, not a computed value.
 	//lint:ignore floateq alpha==0 is the exact BLAS fast-path sentinel
 	if m == 0 || n == 0 || k == 0 || alpha == 0 {
+		if epi != nil {
+			epi(c, 0)
+		}
 		return
 	}
 
-	mc, kc, nc := cfg.MC, cfg.KC, cfg.NC
-	nWorkers := threads
-	if blocks := (m + mc - 1) / mc; nWorkers > blocks {
-		nWorkers = blocks
-	}
-	if nWorkers < 1 {
-		nWorkers = 1
-	}
-	var abufs [][]float32
-	var bbuf []float32
-	if ws := cfg.Workspace; ws != nil && nWorkers == 1 {
+	panels := (n + nr - 1) / nr
+	workers := min(max(threads, 1), panels)
+	g := gemmRun{tA: tA, tB: tB, alpha: alpha, a: a, b: b, c: c, epi: epi,
+		m: m, k: k, mc: cfg.MC, kc: cfg.KC, nc: cfg.NC}
+	// The widest run is ⌈panels/workers⌉ panels; every worker's packing
+	// buffers are sized for it.
+	needA, needB := panelSizes(g.mc, g.kc, g.nc, m, k, (panels+workers-1)/workers*nr)
+	// One slab holds every worker's A and B panels.
+	var slab []float32
+	if ws := cfg.Workspace; ws != nil && workers == 1 {
 		// Caller-owned panels: no per-call allocation once the workspace
 		// has grown to the largest product it serves.
-		abufs, bbuf = ws.panels(mc, kc, nc, m, k, n)
+		slab = ws.slab(needA + needB)
 	} else {
-		needA, needB := panelSizes(mc, kc, nc, m, k, n)
-		bbuf = make([]float32, needB)
-		abufs = make([][]float32, nWorkers)
-		for w := range abufs {
-			abufs[w] = make([]float32, needA)
+		slab = make([]float32, workers*(needA+needB))
+	}
+	if workers == 1 {
+		g.run(0, n, slab[:needA:needA], slab[needA:])
+		return
+	}
+	forkRuns(g, workers, panels, needA, needB, slab)
+}
+
+// gemmRun is one GEMM call as its workers see it: the operands, the
+// product's extent and the block limits.
+type gemmRun struct {
+	tA, tB     Transpose
+	alpha      float32
+	a, b, c    *tensor.Matrix
+	epi        Epilogue
+	m, k       int
+	mc, kc, nc int
+}
+
+// run computes columns [j0, j1) of C with the Goto loop nest (jc, pc,
+// ic) over its own packing buffers, then hands the finished columns to
+// the epilogue.
+func (g *gemmRun) run(j0, j1 int, abuf, bbuf []float32) {
+	for jc := j0; jc < j1; jc += g.nc {
+		ncb := min(g.nc, j1-jc)
+		for pc := 0; pc < g.k; pc += g.kc {
+			kcb := min(g.kc, g.k-pc)
+			packB(g.b, g.tB, pc, jc, kcb, ncb, bbuf)
+			for ic := 0; ic < g.m; ic += g.mc {
+				mcb := min(g.mc, g.m-ic)
+				packA(g.a, g.tA, ic, pc, mcb, kcb, abuf)
+				macroKernel(abuf, bbuf, g.c, ic, jc, mcb, ncb, kcb, g.alpha)
+			}
 		}
 	}
-
-	for jc := 0; jc < n; jc += nc {
-		ncb := min(nc, n-jc)
-		for pc := 0; pc < k; pc += kc {
-			kcb := min(kc, k-pc)
-			packB(b, tB, pc, jc, kcb, ncb, bbuf)
-
-			if nWorkers == 1 {
-				for ic := 0; ic < m; ic += mc {
-					mcb := min(mc, m-ic)
-					packA(a, tA, ic, pc, mcb, kcb, abufs[0])
-					macroKernel(abufs[0], bbuf, c, ic, jc, mcb, ncb, kcb, alpha)
-				}
-				continue
-			}
-			// The MC blocks of A are independent: fan them out across
-			// workers that share the packed B panel, the analogue of the
-			// paper's threads cooperating on a shared operand stream.
-			var wg sync.WaitGroup
-			blockCh := make(chan int)
-			for w := 0; w < nWorkers; w++ {
-				wg.Add(1)
-				// Loop-varying state rides in as parameters, not captures:
-				// a captured loop variable is heap-allocated per iteration,
-				// which would charge the single-worker path (it shares this
-				// loop) with allocations for goroutines it never launches.
-				go func(abuf, bpanel []float32, pc, jc, kcb, ncb int) {
-					defer wg.Done()
-					for ic := range blockCh {
-						mcb := min(mc, m-ic)
-						packA(a, tA, ic, pc, mcb, kcb, abuf)
-						macroKernel(abuf, bpanel, c, ic, jc, mcb, ncb, kcb, alpha)
-					}
-				}(abufs[w], bbuf, pc, jc, kcb, ncb)
-			}
-			for ic := 0; ic < m; ic += mc {
-				blockCh <- ic
-			}
-			close(blockCh)
-			wg.Wait()
-		}
+	if g.epi != nil {
+		g.epi(g.c.View(0, j0, g.m, j1-j0), j0)
 	}
+}
+
+// forkRuns gives worker w panels [w·panels/workers, (w+1)·panels/workers)
+// of C and its own needA+needB floats of slab, runs worker 0 on the
+// caller and the rest on goroutines, and returns when all are done — the
+// analogue of the paper's threads cooperating on one product. g is taken
+// by value so that only this multi-worker path moves it to the heap.
+func forkRuns(g gemmRun, workers, panels, needA, needB int, slab []float32) {
+	n := g.c.Cols
+	span := func(w int) (j0, j1 int, abuf, bbuf []float32) {
+		buf := slab[w*(needA+needB) : (w+1)*(needA+needB)]
+		return w * panels / workers * nr, min((w+1)*panels/workers*nr, n), buf[:needA:needA], buf[needA:]
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		j0, j1, abuf, bbuf := span(w)
+		go func() {
+			defer wg.Done()
+			g.run(j0, j1, abuf, bbuf)
+		}()
+	}
+	g.run(span(0))
+	wg.Wait()
 }
 
 // packBounds is the cold fail-fast for the geometry guards below: the
@@ -125,13 +147,22 @@ func packA(a *tensor.Matrix, tA Transpose, i0, p0, mc, kc int, buf []float32) {
 		}
 		panel := buf[po:]
 		if tA == NoTrans {
+			if rows == mr {
+				so := (i0+ip)*a.Stride + p0
+				if uint(so) > uint(len(a.Data)) {
+					packBounds()
+					return
+				}
+				gather8(panel, a.Data[so:], a.Stride, kc)
+				continue
+			}
 			for r := 0; r < rows; r++ {
 				so := (i0+ip+r)*a.Stride + p0
 				if uint(so) > uint(len(a.Data)) {
 					packBounds()
 					return
 				}
-				scatterMR(panel, r, a.Data[so:], kc)
+				scatter8(panel, r, a.Data[so:], kc)
 			}
 		} else {
 			// op(A)[i][p] = A[p][i]: walk A rows (p) contiguously.
@@ -164,28 +195,74 @@ func packA(a *tensor.Matrix, tA Transpose, i0, p0, mc, kc int, buf []float32) {
 	}
 }
 
-// scatterMR stores n consecutive src elements into d at indices r,
-// r+mr, r+2·mr, … — one column of a packed A panel. The strided store
-// advances a cursor whose slice operations are all justified by the
-// loop condition, so the body carries no bounds checks; the final
-// element is stored outside the loop because the last cursor position
-// may have fewer than mr elements left.
+// scatter8 stores n consecutive src elements into d at indices lane,
+// lane+8, lane+16, … — one lane of a packed panel (a column of an A
+// panel, a row of a B panel: mr = nr = 8). The strided store advances a
+// cursor whose slice operations are all justified by the loop condition,
+// so the body carries no bounds checks; the final element is stored
+// outside the loop because the last cursor position may have fewer than
+// 8 elements left.
 //
 //lint:hotpath
-func scatterMR(d []float32, r int, src []float32, n int) {
-	if uint(r) >= uint(len(d)) {
+func scatter8(d []float32, lane int, src []float32, n int) {
+	if uint(lane) >= uint(len(d)) {
 		packBounds()
 		return
 	}
-	d = d[r:]
-	for n > 1 && len(d) >= mr && len(src) > 0 {
+	d = d[lane:]
+	for n > 1 && len(d) >= 8 && len(src) > 0 {
 		d[0] = src[0]
-		d = d[mr:]
+		d = d[8:]
 		src = src[1:]
 		n--
 	}
 	if n > 0 && len(d) > 0 && len(src) > 0 {
 		d[0] = src[0]
+	}
+}
+
+// gather8 packs one full 8-lane panel from eight source rows in
+// lockstep: row r is src[r·stride:][:n], and k-step p of the panel,
+// d[8p:8p+8], receives element p of each row. It is the full-panel path
+// of packA (NoTrans) and packB (Trans), where scatter8 stores one lane
+// at a time at stride 8 (it keeps the partial panels); here the eight
+// rows are read sequentially and each k-step is written as one
+// contiguous run.
+//
+//lint:hotpath
+func gather8(d, src []float32, stride, n int) {
+	var rows [8][]float32
+	for r := range rows {
+		if r > 0 {
+			if uint(stride) > uint(len(src)) {
+				packBounds()
+				return
+			}
+			src = src[stride:]
+		}
+		if uint(n) > uint(len(src)) {
+			packBounds()
+			return
+		}
+		rows[r] = src[:n]
+	}
+	r0, r1, r2, r3, r4, r5, r6, r7 := rows[0], rows[1], rows[2], rows[3], rows[4], rows[5], rows[6], rows[7]
+	// All eight rows hold n elements; saying so lets prove drop the
+	// per-element checks below.
+	if len(r1) != len(r0) || len(r2) != len(r0) || len(r3) != len(r0) || len(r4) != len(r0) ||
+		len(r5) != len(r0) || len(r6) != len(r0) || len(r7) != len(r0) {
+		packBounds()
+		return
+	}
+	for p, v := range r0 {
+		if len(d) < 8 {
+			packBounds()
+			return
+		}
+		t := d[:8:8]
+		t[0], t[1], t[2], t[3] = v, r1[p], r2[p], r3[p]
+		t[4], t[5], t[6], t[7] = r4[p], r5[p], r6[p], r7[p]
+		d = d[8:]
 	}
 }
 
@@ -249,40 +326,27 @@ func packB(b *tensor.Matrix, tB Transpose, p0, j0, kc, nc int, buf []float32) {
 			}
 		} else {
 			// op(B)[p][j] = B[j][p]: walk B rows (j) contiguously.
+			if cols == nr {
+				so := (j0+jp)*b.Stride + p0
+				if uint(so) > uint(len(b.Data)) {
+					packBounds()
+					return
+				}
+				gather8(panel, b.Data[so:], b.Stride, kc)
+				continue
+			}
 			for j := 0; j < cols; j++ {
 				so := (j0+jp+j)*b.Stride + p0
 				if uint(so) > uint(len(b.Data)) {
 					packBounds()
 					return
 				}
-				scatterNR(panel, j, b.Data[so:], kc)
+				scatter8(panel, j, b.Data[so:], kc)
 			}
 		}
 		if cols < nr {
 			padPanel(panel, cols, nr, kc)
 		}
-	}
-}
-
-// scatterNR is scatterMR's nr-stride twin: it stores n consecutive src
-// elements into d at indices j, j+nr, j+2·nr, … — one row of a packed
-// B panel.
-//
-//lint:hotpath
-func scatterNR(d []float32, j int, src []float32, n int) {
-	if uint(j) >= uint(len(d)) {
-		packBounds()
-		return
-	}
-	d = d[j:]
-	for n > 1 && len(d) >= nr && len(src) > 0 {
-		d[0] = src[0]
-		d = d[nr:]
-		src = src[1:]
-		n--
-	}
-	if n > 0 && len(d) > 0 && len(src) > 0 {
-		d[0] = src[0]
 	}
 }
 

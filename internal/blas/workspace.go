@@ -10,34 +10,23 @@ package blas
 // The zero value is ready to use; panels grow to the largest product
 // seen and then stay, so calls are allocation-free at steady state.
 type Workspace struct {
-	a, b []float32
-	// apanels is the single-element per-worker panel table handed to
-	// gemmBlocked, cached so steady-state calls reuse its backing array.
-	apanels [][]float32
+	buf []float32
 }
 
-// panels returns the packed-A panel table (one worker) and packed-B
-// panel for a blocked m×n×k product under block limits mc/kc/nc,
-// growing the backing buffers if this product is the largest yet.
-func (w *Workspace) panels(mc, kc, nc, m, k, n int) ([][]float32, []float32) {
-	needA, needB := panelSizes(mc, kc, nc, m, k, n)
-	if cap(w.a) < needA {
-		w.a = make([]float32, needA)
+// slab returns n floats for the packing panels, growing the buffer if
+// this product is the largest yet.
+func (w *Workspace) slab(n int) []float32 {
+	if cap(w.buf) < n {
+		w.buf = make([]float32, n)
 	}
-	if cap(w.b) < needB {
-		w.b = make([]float32, needB)
-	}
-	if len(w.apanels) != 1 {
-		w.apanels = make([][]float32, 1)
-	}
-	w.apanels[0] = w.a[:needA]
-	return w.apanels, w.b[:needB]
+	return w.buf[:n]
 }
 
-// panelSizes returns the floats one packed-A panel and the packed-B
-// panel hold for an m×n×k product under block limits mc/kc/nc: the
-// blocks clipped to the product and rounded up to whole register tiles,
-// so a small product does not allocate and zero the full block limits.
+// panelSizes returns the floats a worker's packed-A and packed-B panels
+// hold for an m×n×k product under block limits mc/kc/nc, n being the
+// worker's run of columns: the blocks clipped to the product and rounded
+// up to whole register tiles, so a small product does not allocate and
+// zero the full block limits.
 func panelSizes(mc, kc, nc, m, k, n int) (needA, needB int) {
 	return roundUp(min(mc, m), mr) * min(kc, k), min(kc, k) * roundUp(min(nc, n), nr)
 }

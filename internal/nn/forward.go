@@ -35,15 +35,20 @@ func (n *Network) Forward(x *tensor.Matrix) *Forward {
 	L := n.Topo.NumLayers()
 	for l := 0; l < L; l++ {
 		z := tensor.NewMatrix(x.Rows, n.Topo.Sizes[l+1])
-		// z = a·Wᵀ + 1·bᵀ
-		blas.Gemm(blas.NoTrans, blas.Trans, 1, a, n.Weights[l], 0, z)
-		addBiasRows(z, n.Biases[l])
-		if l == L-1 {
-			f.Logits = z
-		} else {
-			n.Act.apply(z)
+		// z = a·Wᵀ + 1·bᵀ, then the activation on a hidden layer. The
+		// GEMM's workers each finish the columns they computed.
+		bias, hidden := n.Biases[l], l < L-1
+		blas.GemmEpilogue(blas.NoTrans, blas.Trans, 1, a, n.Weights[l], 0, z, func(cols *tensor.Matrix, j0 int) {
+			addBiasRows(cols, bias[j0:j0+cols.Cols])
+			if hidden {
+				n.Act.apply(cols)
+			}
+		})
+		if hidden {
 			f.Hidden = append(f.Hidden, z)
 			a = z
+		} else {
+			f.Logits = z
 		}
 	}
 	return f
