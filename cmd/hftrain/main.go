@@ -287,7 +287,14 @@ func run(args []string, stdout io.Writer) (err error) {
 		if ob != nil {
 			report.HFIterTable(stdout, res.HF.Iters)
 			report.MPITable(stdout, res.MPIProfile)
-			report.MetricsTable(stdout, ob.Registry().Snapshot())
+			// Every rank owns its registry and the plane holds them all
+			// (an observed dist run always has it): one table per rank.
+			merger := plane.Merger()
+			snaps := merger.Snapshots()
+			for _, r := range merger.Ranks() {
+				fmt.Fprintf(stdout, "metrics, rank %d\n", r)
+				report.MetricsTable(stdout, snaps[r])
+			}
 		}
 		if plane != nil {
 			report.TelemetryTable(stdout, plane.Merger())

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"os"
@@ -235,5 +236,35 @@ func TestDistStdout(t *testing.T) {
 	}
 	if elastic := stdout("-max-evictions", "2"); !strings.Contains(elastic, "elastic fault report: 0 eviction(s), budget 2") {
 		t.Errorf("-max-evictions 2 printed %q, want the fault table", elastic)
+	}
+}
+
+// TestDistMetricsPerRank: an observed dist run prints one metrics table
+// per rank, in rank order, so a metric only workers keep (the time each
+// waits for the master's next command) reaches stdout under its rank.
+func TestDistMetricsPerRank(t *testing.T) {
+	var out bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(prev)
+	args := append(slices.Clone(tiny), "-mode", "dist", "-metrics", filepath.Join(t.TempDir(), "iters.jsonl"))
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	stdout := out.String()
+	at := -1
+	for r := 0; r < 3; r++ {
+		i := strings.Index(stdout, fmt.Sprintf("metrics, rank %d\n", r))
+		if i <= at {
+			t.Fatalf("no metrics table for rank %d after rank %d's in stdout:\n%s", r, r-1, stdout)
+		}
+		at = i
+	}
+	rank0, workers := stdout[strings.Index(stdout, "metrics, rank 0"):strings.Index(stdout, "metrics, rank 1")], stdout[at:]
+	if strings.Contains(rank0, "core.worker.wait_ns") {
+		t.Errorf("rank 0's table holds a worker metric:\n%s", rank0)
+	}
+	if !strings.Contains(workers, "core.worker.wait_ns") {
+		t.Errorf("rank 2's table lacks core.worker.wait_ns:\n%s", workers)
 	}
 }

@@ -25,6 +25,12 @@ func TestZeroAllocKernels(t *testing.T) {
 	bbuf := make([]float32, kc*roundUp(mc, nr))
 	packA(a, NoTrans, 0, 0, mc, kc, abuf)
 	packB(bm, NoTrans, 0, 0, kc, nc, bbuf)
+	// The packed-operand entry is the serving hot path: its A panel
+	// lives in ws and op(B) in pb, both sized by the warm-up call.
+	var pb PackedB
+	var ws Workspace
+	pb.Pack(NoTrans, bm)
+	GemmPacked(&ws, 1, a, &pb, 0, c)
 
 	kernels := []struct {
 		name string
@@ -39,6 +45,8 @@ func TestZeroAllocKernels(t *testing.T) {
 		{"microKernel", func() { microKernel(kc, abuf, bbuf, c.Data, c.Stride, 1) }},
 		{"microKernelGo", func() { microKernelGo(kc, abuf, bbuf, c.Data, c.Stride, 1) }},
 		{"microKernelEdge", func() { microKernelEdge(kc, abuf, bbuf, c.Data, c.Stride, 5, 3, 1) }},
+		{"PackedB.Pack", func() { pb.Pack(NoTrans, bm) }},
+		{"GemmPacked", func() { GemmPacked(&ws, 1, a, &pb, 0, c) }},
 	}
 	for _, k := range kernels {
 		if n := testing.AllocsPerRun(20, k.fn); n != 0 {

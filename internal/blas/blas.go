@@ -135,6 +135,27 @@ func GemmEpilogue(tA, tB Transpose, alpha float32, a, b *tensor.Matrix, beta flo
 	gemm(Config{}, tA, tB, alpha, a, b, beta, c, epi)
 }
 
+// GemmPacked computes C = alpha·A·B + beta·C where B was packed
+// beforehand (PackedB.Pack), on one worker whose packed-A panel lives in
+// ws. It runs the blocked loop nest at the default block sizes and reads
+// each B block from the panels instead of packing it, so the result is
+// GemmWith's for the operand that was packed, bit for bit. It is the
+// entry for a fixed operand multiplied many times: the served weights.
+//
+//lint:shape a=(m,k) c=(m,n)
+func GemmPacked(ws *Workspace, alpha float32, a *tensor.Matrix, b *PackedB, beta float32, c *tensor.Matrix) {
+	if a.Cols != b.k {
+		panic(fmt.Sprintf("blas: GemmPacked inner dimensions %d vs %d", a.Cols, b.k))
+	}
+	if c.Rows != a.Rows || c.Cols != b.n {
+		panic(fmt.Sprintf("blas: GemmPacked output %d×%d, want %d×%d", c.Rows, c.Cols, a.Rows, b.n))
+	}
+	if gm := metrics.Load(); gm != nil {
+		gm.recordGemm(a.Rows, b.n, b.k)
+	}
+	gemmBlocked(Config{Workspace: ws}.filled(), NoTrans, NoTrans, alpha, a, nil, b, beta, c, 1, nil)
+}
+
 // gemm validates the operands, picks the implementation and runs it.
 //
 //lint:shape a=(m,k) b=(k,n) c=(m,n) tA:swap=a tB:swap=b
@@ -173,9 +194,9 @@ func gemm(cfg Config, tA, tB Transpose, alpha float32, a, b *tensor.Matrix, beta
 			epi(c, 0)
 		}
 	case Blocked:
-		gemmBlocked(cfg, tA, tB, alpha, a, b, beta, c, 1, epi)
+		gemmBlocked(cfg, tA, tB, alpha, a, b, nil, beta, c, 1, epi)
 	case Parallel:
-		gemmBlocked(cfg, tA, tB, alpha, a, b, beta, c, cfg.Threads, epi)
+		gemmBlocked(cfg, tA, tB, alpha, a, b, nil, beta, c, cfg.Threads, epi)
 	default:
 		panic(fmt.Sprintf("blas: unknown Impl %d", impl))
 	}

@@ -202,6 +202,55 @@ func TestGemmEpilogueMatchesUnfused(t *testing.T) {
 	}
 }
 
+// Property: multiplying by a packed operand equals GemmWith on the
+// operand itself, bit for bit: packing is a copy and the loop nest is
+// the same. The shapes cross KC (k > 256: two pc blocks) and NC (n >
+// 512: two jc blocks) with n not a multiple of nr, and one PackedB is
+// re-packed for every operand, largest first, so a stale or mis-sized
+// reuse shows too.
+func TestGemmPackedMatchesGemmWith(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	var pb PackedB
+	var ws Workspace
+	for _, s := range []struct{ n, k int }{{517, 300}, {520, 256}, {13, 20}, {8, 1}} {
+		for _, tB := range []Transpose{NoTrans, Trans} {
+			for _, m := range []int{1, 2, 7, 8, 9, 32} {
+				a, b, c := makeOperands(rng, NoTrans, tB, m, s.n, s.k)
+				pb.Pack(tB, b)
+				for _, alpha := range []float32{1, 0.5} {
+					for _, beta := range []float32{0, 1} {
+						want := c.Clone()
+						GemmWith(Config{}, NoTrans, tB, alpha, a, b, beta, want)
+						got := c.Clone()
+						GemmPacked(&ws, alpha, a, &pb, beta, got)
+						if i, j, ok := sameBits(got, want); !ok {
+							t.Fatalf("tB=%v %d×%d×%d α=%v β=%v: C[%d][%d] = %v, GemmWith %v",
+								tB, m, s.n, s.k, alpha, beta, i, j, got.At(i, j), want.At(i, j))
+						}
+					}
+				}
+			}
+		}
+	}
+	// A operand or output that does not fit the packed operand panics,
+	// and so does an operand that was never packed.
+	pb.Pack(NoTrans, tensor.NewMatrix(3, 5))
+	for name, run := range map[string]func(){
+		"inner dimension": func() { GemmPacked(&ws, 1, tensor.NewMatrix(2, 4), &pb, 0, tensor.NewMatrix(2, 5)) },
+		"output shape":    func() { GemmPacked(&ws, 1, tensor.NewMatrix(2, 3), &pb, 0, tensor.NewMatrix(2, 4)) },
+		"never packed":    func() { GemmPacked(&ws, 1, tensor.NewMatrix(2, 3), &PackedB{}, 0, tensor.NewMatrix(2, 5)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			run()
+		}()
+	}
+}
+
 // Property: GEMM is linear in A: (A1+A2)B == A1·B + A2·B.
 func TestGemmLinearityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

@@ -25,9 +25,11 @@ const (
 // caller is worker 0, so one worker is a plain call and more are one
 // fork-join. Every C element is still summed by one worker in the
 // KC-blocked k order, so the result is bit-identical at any worker count.
-func gemmBlocked(cfg Config, tA, tB Transpose, alpha float32, a, b *tensor.Matrix, beta float32, c *tensor.Matrix, threads int, epi Epilogue) {
+// With pb non-nil, op(B) is already packed there (b is unused) and the
+// callers pass threads = 1, so no B panels are packed or allocated.
+func gemmBlocked(cfg Config, tA, tB Transpose, alpha float32, a, b *tensor.Matrix, pb *PackedB, beta float32, c *tensor.Matrix, threads int, epi Epilogue) {
 	m, k := opDims(a, tA)
-	_, n := opDims(b, tB)
+	n := c.Cols
 	scaleC(beta, c)
 	// BLAS semantics: alpha=0 means "skip the product entirely", an exact
 	// sentinel the caller sets literally, not a computed value.
@@ -41,11 +43,14 @@ func gemmBlocked(cfg Config, tA, tB Transpose, alpha float32, a, b *tensor.Matri
 
 	panels := (n + nr - 1) / nr
 	workers := min(max(threads, 1), panels)
-	g := gemmRun{tA: tA, tB: tB, alpha: alpha, a: a, b: b, c: c, epi: epi,
+	g := gemmRun{tA: tA, tB: tB, alpha: alpha, a: a, b: b, pb: pb, c: c, epi: epi,
 		m: m, k: k, mc: cfg.MC, kc: cfg.KC, nc: cfg.NC}
 	// The widest run is ⌈panels/workers⌉ panels; every worker's packing
 	// buffers are sized for it.
 	needA, needB := panelSizes(g.mc, g.kc, g.nc, m, k, (panels+workers-1)/workers*nr)
+	if pb != nil {
+		needB = 0
+	}
 	// One slab holds every worker's A and B panels.
 	var slab []float32
 	if ws := cfg.Workspace; ws != nil && workers == 1 {
@@ -63,11 +68,13 @@ func gemmBlocked(cfg Config, tA, tB Transpose, alpha float32, a, b *tensor.Matri
 }
 
 // gemmRun is one GEMM call as its workers see it: the operands, the
-// product's extent and the block limits.
+// product's extent and the block limits. pb, when non-nil, holds op(B)
+// already packed and takes the place of b.
 type gemmRun struct {
 	tA, tB     Transpose
 	alpha      float32
 	a, b, c    *tensor.Matrix
+	pb         *PackedB
 	epi        Epilogue
 	m, k       int
 	mc, kc, nc int
@@ -75,17 +82,23 @@ type gemmRun struct {
 
 // run computes columns [j0, j1) of C with the Goto loop nest (jc, pc,
 // ic) over its own packing buffers, then hands the finished columns to
-// the epilogue.
+// the epilogue. With pre-packed B the (jc, pc) block is read from g.pb
+// instead of being packed into bbuf.
 func (g *gemmRun) run(j0, j1 int, abuf, bbuf []float32) {
 	for jc := j0; jc < j1; jc += g.nc {
 		ncb := min(g.nc, j1-jc)
 		for pc := 0; pc < g.k; pc += g.kc {
 			kcb := min(g.kc, g.k-pc)
-			packB(g.b, g.tB, pc, jc, kcb, ncb, bbuf)
+			bp := bbuf
+			if g.pb != nil {
+				bp = g.pb.block(jc, pc, ncb)
+			} else {
+				packB(g.b, g.tB, pc, jc, kcb, ncb, bp)
+			}
 			for ic := 0; ic < g.m; ic += g.mc {
 				mcb := min(g.mc, g.m-ic)
 				packA(g.a, g.tA, ic, pc, mcb, kcb, abuf)
-				macroKernel(abuf, bbuf, g.c, ic, jc, mcb, ncb, kcb, g.alpha)
+				macroKernel(abuf, bp, g.c, ic, jc, mcb, ncb, kcb, g.alpha)
 			}
 		}
 	}

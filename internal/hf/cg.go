@@ -23,18 +23,21 @@ import (
 
 // CGOpts configures the truncated conjugate-gradient inner solver.
 type CGOpts struct {
-	// MaxIters caps CG iterations. Default 100.
+	// MaxIters caps CG iterations. Zero (or any value ≤ 0) means the
+	// default of 100.
 	MaxIters int
 	// StopTol is the relative per-iteration progress threshold ε of the
 	// Martens stopping rule: stop at iteration i when φ(x_i) < 0 and
 	// (φ(x_i) − φ(x_{i−k}))/φ(x_i) < k·ε with k = max(MinIters, i/10).
-	// Default 5e-4.
+	// Zero (or any value ≤ 0) means the default of 5e-4.
 	StopTol float64
-	// MinIters is the smallest lookback window k. Default 10.
+	// MinIters is the smallest lookback window k. Zero (or any value
+	// ≤ 0) means the default of 10.
 	MinIters int
 	// SaveFactor controls which iterates are kept for backtracking: each
 	// saved index is the previous times this factor (geometric spacing, as
-	// in Martens). Default 1.3.
+	// in Martens). Any value ≤ 1, zero included, means the default of
+	// 1.3.
 	SaveFactor float64
 	// Precond, when non-nil, is the strictly positive diagonal of a
 	// preconditioner M: the solver runs preconditioned CG with

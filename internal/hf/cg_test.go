@@ -77,6 +77,31 @@ func solveDense(a [][]float64, b []float64) []float64 {
 	return x
 }
 
+// TestCGOptsFilled pins what each CGOpts field's doc promises: zero and
+// negative values (and a SaveFactor ≤ 1) mean the default, and any
+// other value is kept as given.
+func TestCGOptsFilled(t *testing.T) {
+	def := CGOpts{MaxIters: 100, StopTol: 5e-4, MinIters: 10, SaveFactor: 1.3}
+	cases := []struct {
+		name     string
+		in, want CGOpts
+	}{
+		{"zero value", CGOpts{}, def},
+		{"negative", CGOpts{MaxIters: -1, StopTol: -1e-3, MinIters: -5, SaveFactor: -2}, def},
+		{"save factor 1", CGOpts{SaveFactor: 1}, def},
+		{"save factor below 1", CGOpts{SaveFactor: 0.5}, def},
+		{"explicit", CGOpts{MaxIters: 7, StopTol: 1e-3, MinIters: 3, SaveFactor: 1.01},
+			CGOpts{MaxIters: 7, StopTol: 1e-3, MinIters: 3, SaveFactor: 1.01}},
+	}
+	for _, c := range cases {
+		got := c.in.filled()
+		if got.MaxIters != c.want.MaxIters || got.StopTol != c.want.StopTol ||
+			got.MinIters != c.want.MinIters || got.SaveFactor != c.want.SaveFactor {
+			t.Errorf("%s: %+v.filled() = %+v, want %+v", c.name, c.in, got, c.want)
+		}
+	}
+}
+
 func TestCGSolvesSPDSystem(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const n = 12

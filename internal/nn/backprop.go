@@ -114,18 +114,3 @@ func hadamardSigmoidDeriv(d, a *tensor.Matrix) {
 		}
 	}
 }
-
-// FrameAccuracy evaluates classification accuracy over a batch.
-func (n *Network) FrameAccuracy(x *tensor.Matrix, targets []int) float64 {
-	if x.Rows == 0 {
-		return 0
-	}
-	pred := n.Predict(x)
-	correct := 0
-	for i, p := range pred {
-		if p == targets[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(pred))
-}

@@ -8,12 +8,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// InferBuffers holds every activation buffer one inference worker needs
-// to run batched forward passes without allocating: one maxBatch-row
-// matrix per weight layer, sized for the topology at construction. The
-// serving runtime (internal/serve) owns one InferBuffers per scoring
-// worker; training-side consumers (held-out scoring, examples) can use
-// one to keep repeated evaluation off the garbage collector.
+// InferBuffers holds every buffer one inference worker needs to run
+// batched forward passes without allocating: one maxBatch-row matrix per
+// weight layer, sized for the topology at construction, and each
+// layer's Wᵀ packed into GEMM panels (grown by the first PackInto, then
+// reused). The serving runtime (internal/serve) owns one InferBuffers
+// per scoring worker; training-side consumers (held-out scoring,
+// examples) can use one to keep repeated evaluation off the garbage
+// collector.
 //
 // A buffer set is tied to one topology and one maximum batch size and is
 // NOT safe for concurrent use — give each goroutine its own.
@@ -24,8 +26,10 @@ type InferBuffers struct {
 	// (the view idiom tensor.View also relies on: Data may extend past
 	// Rows·Stride).
 	acts []*tensor.Matrix
-	// ws holds the GEMM packing panels, so the per-layer products reuse
-	// them instead of allocating per call.
+	// packed[l] is layer l's Wᵀ as the last PackInto packed it.
+	packed []blas.PackedB
+	// ws holds the GEMM's packed-A panel, so the per-layer products
+	// reuse it instead of allocating per call.
 	ws blas.Workspace
 }
 
@@ -35,7 +39,7 @@ func (t Topology) NewInferBuffers(maxBatch int) *InferBuffers {
 	if maxBatch <= 0 {
 		panic(fmt.Sprintf("nn: NewInferBuffers maxBatch %d, want > 0", maxBatch))
 	}
-	b := &InferBuffers{maxBatch: maxBatch}
+	b := &InferBuffers{maxBatch: maxBatch, packed: make([]blas.PackedB, t.NumLayers())}
 	for l := 0; l < t.NumLayers(); l++ {
 		b.acts = append(b.acts, tensor.NewMatrix(maxBatch, t.Sizes[l+1]))
 	}
@@ -53,36 +57,64 @@ func inferMismatch(what string, got, want int) {
 
 // ForwardInto runs the inference-only forward pass over x into buf and
 // returns the logits matrix (x.Rows × OutputDim), which aliases buf and
-// stays valid until the next call. It is the shared scoring entry point:
-// the serving runtime's batch path and direct evaluation both run
-// through it. Unlike Forward it keeps no training-only state (no stored
-// hidden activations for backprop, no Gauss-Newton scratch) and performs
-// zero allocations per call — the escape, bounds-check and alloc gates
-// hold it to that.
+// stays valid until the next call. It packs every layer's weights into
+// buf (PackInto) and runs ForwardPacked, so each call reads the weights
+// as they are now. Unlike Forward it keeps no training-only state (no
+// stored hidden activations for backprop, no Gauss-Newton scratch) and
+// performs zero allocations per call once buf has been used — the
+// escape, bounds-check and alloc gates hold it to that.
 //
 // The arithmetic is exactly Forward's (same GEMM shapes, same bias and
 // activation application in the same order), so logits agree
 // bit-for-bit with Forward(x).Logits; TestForwardIntoMatchesForward
-// pins that. An input-dimension mismatch panics inside blas.Gemm, which
-// validates every operand shape.
+// pins that. An input-dimension mismatch panics inside blas.GemmPacked,
+// which validates every operand shape.
 //
 //lint:shape x=(b,d)
 //lint:hotpath
 func (n *Network) ForwardInto(buf *InferBuffers, x *tensor.Matrix) *tensor.Matrix {
-	weights, biases, acts := n.Weights, n.Biases, buf.acts
+	n.PackInto(buf)
+	return n.ForwardPacked(buf, x)
+}
+
+// PackInto packs every layer's Wᵀ into buf's GEMM panels — a copy of the
+// weights in the order the kernel reads them. ForwardPacked multiplies
+// by these panels, so a caller whose weights change must pack again.
+// Re-packing the same topology does not allocate.
+func (n *Network) PackInto(buf *InferBuffers) {
+	if len(buf.packed) != len(n.Weights) {
+		inferMismatch("layer buffers", len(buf.packed), len(n.Weights))
+	}
+	for l, w := range n.Weights {
+		buf.packed[l].Pack(blas.Trans, w)
+	}
+}
+
+// ForwardPacked is ForwardInto without the packing: it reads each
+// layer's weights from the panels of the last PackInto on buf, not from
+// n.Weights, and takes the biases and activation from n. A caller that
+// scores many batches with fixed weights (a serving worker) packs once
+// and then calls this; the logits are ForwardInto's bit for bit. It
+// panics if buf was never packed.
+//
+//lint:shape x=(b,d)
+//lint:hotpath
+func (n *Network) ForwardPacked(buf *InferBuffers, x *tensor.Matrix) *tensor.Matrix {
+	packed, biases, acts := buf.packed, n.Biases, buf.acts
 	// The loop runs inside the equal-length branch (the blas.Axpy idiom)
-	// so the prove pass sees len(weights) == len(biases) == len(acts) on
+	// so the prove pass sees len(packed) == len(biases) == len(acts) on
 	// the hot path and drops the per-layer bounds checks.
-	if len(weights) == len(acts) && len(biases) == len(acts) && len(acts) > 0 && x.Rows <= buf.maxBatch {
+	if len(packed) == len(acts) && len(biases) == len(acts) && len(acts) > 0 && x.Rows <= buf.maxBatch {
 		a := x
 		last := len(acts) - 1
 		for l := range acts {
 			z := acts[l]
 			z.Rows = a.Rows
-			// z = a·Wᵀ + 1·bᵀ — the same blocked kernel and operand order
-			// as Forward, so the two paths agree bitwise; the workspace
-			// only swaps where the packing panels live.
-			blas.GemmWith(blas.Config{Workspace: &buf.ws}, blas.NoTrans, blas.Trans, 1, a, weights[l], 0, z)
+			// z = a·Wᵀ + 1·bᵀ — the same blocked kernel, block sizes and
+			// operand order as Forward, so the two paths agree bitwise;
+			// the packed panels and the workspace only change where the
+			// packed operands live.
+			blas.GemmPacked(&buf.ws, 1, a, &packed[l], 0, z)
 			addBiasRows(z, biases[l])
 			if l != last {
 				n.Act.apply(z)
@@ -91,8 +123,8 @@ func (n *Network) ForwardInto(buf *InferBuffers, x *tensor.Matrix) *tensor.Matri
 		}
 		return acts[last]
 	}
-	if len(weights) != len(acts) || len(biases) != len(acts) || len(acts) == 0 {
-		inferMismatch("layer buffers", len(acts), len(weights))
+	if len(packed) != len(acts) || len(biases) != len(acts) || len(acts) == 0 {
+		inferMismatch("layer buffers", len(acts), len(biases))
 	}
 	inferMismatch("batch", x.Rows, buf.maxBatch)
 	return nil

@@ -22,7 +22,10 @@
 // collector goroutine hands its pending batch to the first ready scoring
 // worker; while every worker is busy, arrivals coalesce up to MaxBatch
 // rows. Workers run batched forward passes in this process over
-// preallocated nn.InferBuffers (zero allocations on the score path). Close drains:
+// preallocated nn.InferBuffers (zero allocations on the score path).
+// Each worker packs the model's weights into its own GEMM panels on its
+// first batch and multiplies by them from then on; the served weights
+// never change after New, so the panels never go stale. Close drains:
 // admission stops (ErrDraining → 503), in-flight requests complete, then
 // the pipeline shuts down.
 //
