@@ -76,18 +76,13 @@ func main() {
 		net := nn.New(prob.Topo)
 		net.SetParams(dist.Params)
 		trans := seq.Estimate(train.Utts, c.NumStates)
-		var errFrames, frames int
+		var decoded, ref []int
 		for _, u := range heldout.Utts {
 			x, _ := corpus.SpliceFrames([]*corpus.Utterance{u}, c.FeatDim, c.Context)
-			decoded := seq.Viterbi(net.Forward(x).Logits, trans)
-			for f2, d := range decoded {
-				if d != u.States[f2] {
-					errFrames++
-				}
-				frames++
-			}
+			decoded = append(decoded, seq.Viterbi(net.Forward(x).Logits, trans)...)
+			ref = append(ref, u.States...)
 		}
 		fmt.Printf("[%s] Viterbi decode of HF model: state error rate %.1f%%\n\n",
-			crit, 100*float64(errFrames)/float64(frames))
+			crit, 100*seq.StateErrorRate(decoded, ref))
 	}
 }

@@ -1,9 +1,6 @@
 package blas
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Level-1 routines operate on raw float32 slices. They back the vector
 // arithmetic of the CG loop and the elementwise stages of backpropagation.
@@ -53,27 +50,6 @@ func Dot(x, y []float32) float64 {
 	}
 	lenMismatch("Dot", len(x), len(y))
 	return 0
-}
-
-// Scal computes x *= alpha.
-//
-//lint:hotpath
-func Scal(alpha float32, x []float32) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
-// Nrm2 returns the Euclidean norm of x.
-func Nrm2(x []float32) float64 { return math.Sqrt(Dot(x, x)) }
-
-// Asum returns the sum of absolute values of x.
-func Asum(x []float32) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(float64(v))
-	}
-	return s
 }
 
 // Copy copies x into y.

@@ -48,6 +48,10 @@ type engine struct {
 
 	sample       [][2]int // row ranges of the current curvature sample
 	sampleFrames int
+
+	// fwd is the forward state the held-out passes and the sequence
+	// criterion reuse batch after batch (nn.Network.ForwardTo).
+	fwd nn.Forward
 }
 
 func newEngine(p Problem, trainUtts, heldUtts []*corpus.Utterance) *engine {
@@ -93,7 +97,7 @@ func (e *engine) gradient(grad tensor.Vector) (loss float64, frames int) {
 func (e *engine) seqLossGrad(d *dataset, b [2]int, grad tensor.Vector) float64 {
 	rows := b[1] - b[0]
 	x := d.x.View(b[0], 0, rows, d.x.Cols)
-	f := e.net.Forward(x)
+	f := e.net.ForwardTo(&e.fwd, x)
 	dlogits := tensor.NewMatrix(rows, f.Logits.Cols)
 	loss := seq.LossGrad(f.Logits, d.y[b[0]:b[1]], e.trans, dlogits)
 	if grad != nil {
@@ -156,7 +160,7 @@ func (e *engine) heldLoss() (loss float64, frames int) {
 	case CrossEntropy:
 		for lo := 0; lo < e.heldout.frames(); lo += e.batchFrames {
 			hi := min(lo+e.batchFrames, e.heldout.frames())
-			f := e.net.Forward(e.heldout.x.View(lo, 0, hi-lo, e.heldout.x.Cols))
+			f := e.net.ForwardTo(&e.fwd, e.heldout.x.View(lo, 0, hi-lo, e.heldout.x.Cols))
 			l, _ := nn.CrossEntropy(f.Logits, e.heldout.y[lo:hi])
 			loss += l
 		}
@@ -172,7 +176,7 @@ func (e *engine) heldLoss() (loss float64, frames int) {
 func (e *engine) seqLoss(d *dataset, b [2]int) float64 {
 	rows := b[1] - b[0]
 	x := d.x.View(b[0], 0, rows, d.x.Cols)
-	f := e.net.Forward(x)
+	f := e.net.ForwardTo(&e.fwd, x)
 	dlogits := tensor.NewMatrix(rows, f.Logits.Cols)
 	return seq.LossGrad(f.Logits, d.y[b[0]:b[1]], e.trans, dlogits)
 }
@@ -195,7 +199,7 @@ func (e *engine) fisherDiag(out tensor.Vector) (frames int) {
 func (e *engine) heldAccuracy() (correct, frames int) {
 	for lo := 0; lo < e.heldout.frames(); lo += e.batchFrames {
 		hi := min(lo+e.batchFrames, e.heldout.frames())
-		f := e.net.Forward(e.heldout.x.View(lo, 0, hi-lo, e.heldout.x.Cols))
+		f := e.net.ForwardTo(&e.fwd, e.heldout.x.View(lo, 0, hi-lo, e.heldout.x.Cols))
 		_, c := nn.CrossEntropy(f.Logits, e.heldout.y[lo:hi])
 		correct += c
 	}

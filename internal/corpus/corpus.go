@@ -236,26 +236,3 @@ func ShuffleUtterances(rng *rand.Rand, utts []*Utterance) {
 		utts[i], utts[j] = utts[j], utts[i]
 	})
 }
-
-// SampleUtterances returns approximately fraction of utts chosen without
-// replacement, deterministically in rng, always at least one utterance.
-// The HF algorithm draws such a sample (1–3% of the data) for each round
-// of curvature matrix-vector products.
-func SampleUtterances(rng *rand.Rand, utts []*Utterance, fraction float64) []*Utterance {
-	if len(utts) == 0 {
-		return nil
-	}
-	n := int(math.Round(fraction * float64(len(utts))))
-	if n < 1 {
-		n = 1
-	}
-	if n > len(utts) {
-		n = len(utts)
-	}
-	perm := rng.Perm(len(utts))
-	out := make([]*Utterance, n)
-	for i := 0; i < n; i++ {
-		out[i] = utts[perm[i]]
-	}
-	return out
-}

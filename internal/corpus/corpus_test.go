@@ -191,29 +191,6 @@ func TestSpliceFramesShapeAndEdges(t *testing.T) {
 	}
 }
 
-func TestSampleUtterances(t *testing.T) {
-	c := Generate(Config{Seed: 7, NumUtterances: 100})
-	rng := rand.New(rand.NewSource(1))
-	s := SampleUtterances(rng, c.Utts, 0.03)
-	if len(s) != 3 {
-		t.Fatalf("sample size %d, want 3", len(s))
-	}
-	seen := map[int]bool{}
-	for _, u := range s {
-		if seen[u.ID] {
-			t.Fatal("sample contains duplicates")
-		}
-		seen[u.ID] = true
-	}
-	// Tiny fraction still yields at least one utterance.
-	if len(SampleUtterances(rng, c.Utts[:5], 0.0001)) != 1 {
-		t.Fatal("sample must contain at least one utterance")
-	}
-	if SampleUtterances(rng, nil, 0.5) != nil {
-		t.Fatal("empty input must give nil sample")
-	}
-}
-
 // Property: both partitioners preserve the multiset of utterances.
 func TestPartitionPreservesUtterancesProperty(t *testing.T) {
 	c := Generate(Config{Seed: 8, NumUtterances: 50})

@@ -58,13 +58,21 @@ func (n *Network) LossGrad(x *tensor.Matrix, targets []int, grad tensor.Vector) 
 	}
 	f := n.Forward(x)
 	loss, correct = CrossEntropy(f.Logits, targets)
-	// dL/dlogits for summed softmax-CE: P - onehot(targets).
-	delta := Softmax(f.Logits)
+	n.BackpropOutputGrad(f, ceDelta(f.Logits, targets), grad)
+	return loss, correct
+}
+
+// ceDelta returns dL/dlogits for the summed softmax cross-entropy:
+// softmax(logits) − onehot(targets).
+func ceDelta(logits *tensor.Matrix, targets []int) *tensor.Matrix {
+	delta := Softmax(logits)
 	for i, t := range targets {
+		if t < 0 || t >= delta.Cols {
+			panic(fmt.Sprintf("nn: target %d out of range %d", t, delta.Cols))
+		}
 		delta.Row(i)[t] -= 1
 	}
-	n.BackpropOutputGrad(f, delta, grad)
-	return loss, correct
+	return delta
 }
 
 // BackpropOutputGrad backpropagates an arbitrary gradient dOut with
@@ -73,35 +81,45 @@ func (n *Network) LossGrad(x *tensor.Matrix, targets []int, grad tensor.Vector) 
 // machinery behind both the cross-entropy and the sequence criteria and
 // the backward half of the Gauss-Newton product.
 //
-// dOut is modified in place during the backward sweep.
+// dOut is read, not modified: each layer below the top gets a new delta.
 func (n *Network) BackpropOutputGrad(f *Forward, dOut *tensor.Matrix, grad tensor.Vector) {
 	if len(grad) != n.NumParams() {
 		panic(fmt.Sprintf("nn: grad vector %d elements, want %d", len(grad), n.NumParams()))
 	}
 	gw, gb := n.Topo.Views(grad)
-	L := n.Topo.NumLayers()
-	delta := dOut
-	for l := L - 1; l >= 0; l-- {
-		var below *tensor.Matrix
-		if l == 0 {
-			below = f.X
-		} else {
+	n.backward(f, dOut, func(l int, delta, below *tensor.Matrix) {
+		accumulate(gw[l], gb[l], delta, below)
+	})
+}
+
+// backward sweeps the delta recursion from the output layer down. At each
+// layer l it calls layer(l, delta, below), where delta is the gradient
+// with respect to layer l's pre-activation output and below is its input
+// (f.X at l = 0). It then propagates delta_below = (delta · W_l) ∘ σ',
+// with σ' evaluated from the stored post-activation values.
+func (n *Network) backward(f *Forward, delta *tensor.Matrix, layer func(l int, delta, below *tensor.Matrix)) {
+	for l := n.Topo.NumLayers() - 1; ; l-- {
+		below := f.X
+		if l > 0 {
 			below = f.Hidden[l-1]
 		}
-		// gW_l += deltaᵀ · a_below ; gb_l += column sums of delta.
-		blas.Gemm(blas.Trans, blas.NoTrans, 1, delta, below, 1, gw[l])
-		for i := 0; i < delta.Rows; i++ {
-			blas.Axpy(1, delta.Row(i), gb[l])
-		}
+		layer(l, delta, below)
 		if l == 0 {
-			break
+			return
 		}
-		// delta_below = (delta · W_l) ∘ f'(z_below), f' evaluated from the
-		// stored post-activation values.
 		next := tensor.NewMatrix(delta.Rows, n.Topo.Sizes[l])
 		blas.Gemm(blas.NoTrans, blas.NoTrans, 1, delta, n.Weights[l], 0, next)
-		n.Act.hadamardDeriv(next, f.Hidden[l-1])
+		hadamardSigmoidDeriv(next, below)
 		delta = next
+	}
+}
+
+// accumulate adds a layer's parameter gradient for output gradient delta
+// and input below: w += deltaᵀ · below, b += column sums of delta.
+func accumulate(w *tensor.Matrix, b tensor.Vector, delta, below *tensor.Matrix) {
+	blas.Gemm(blas.Trans, blas.NoTrans, 1, delta, below, 1, w)
+	for i := 0; i < delta.Rows; i++ {
+		blas.Axpy(1, delta.Row(i), b)
 	}
 }
 

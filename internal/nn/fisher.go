@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 
-	"repro/internal/blas"
 	"repro/internal/tensor"
 )
 
@@ -23,38 +22,11 @@ func (n *Network) FisherDiag(x *tensor.Matrix, targets []int, out tensor.Vector)
 		panic(fmt.Sprintf("nn: FisherDiag vector %d elements, want %d", len(out), n.NumParams()))
 	}
 	f := n.Forward(x)
-	delta := Softmax(f.Logits)
-	for i, t := range targets {
-		if t < 0 || t >= delta.Cols {
-			panic(fmt.Sprintf("nn: target %d out of range %d", t, delta.Cols))
-		}
-		delta.Row(i)[t] -= 1
-	}
-
 	ow, ob := n.Topo.Views(out)
-	L := n.Topo.NumLayers()
-	for l := L - 1; l >= 0; l-- {
-		var below *tensor.Matrix
-		if l == 0 {
-			below = f.X
-		} else {
-			below = f.Hidden[l-1]
-		}
-		d2 := squared(delta)
-		a2 := squared(below)
-		// diag(F)_Wl += (Δ∘Δ)ᵀ·(A∘A); biases get column sums of Δ∘Δ.
-		blas.Gemm(blas.Trans, blas.NoTrans, 1, d2, a2, 1, ow[l])
-		for i := 0; i < d2.Rows; i++ {
-			blas.Axpy(1, d2.Row(i), ob[l])
-		}
-		if l == 0 {
-			break
-		}
-		next := tensor.NewMatrix(delta.Rows, n.Topo.Sizes[l])
-		blas.Gemm(blas.NoTrans, blas.NoTrans, 1, delta, n.Weights[l], 0, next)
-		n.Act.hadamardDeriv(next, f.Hidden[l-1])
-		delta = next
-	}
+	// diag(F)_Wl += (Δ∘Δ)ᵀ·(A∘A); biases get column sums of Δ∘Δ.
+	n.backward(f, ceDelta(f.Logits, targets), func(l int, delta, below *tensor.Matrix) {
+		accumulate(ow[l], ob[l], squared(delta), squared(below))
+	})
 }
 
 // squared returns the elementwise square of m (compact copy).

@@ -23,33 +23,47 @@ type Forward struct {
 func (f *Forward) Batch() int { return f.X.Rows }
 
 // Forward runs the network on a batch (rows are frames) and returns the
-// stored activations. Hidden layers apply the network's Act nonlinearity
-// (sigmoid by default); the output layer is left as logits so both the
-// softmax/cross-entropy path and the sequence criterion can consume it.
-func (n *Network) Forward(x *tensor.Matrix) *Forward {
+// stored activations in a new Forward: ForwardTo(new(Forward), x).
+func (n *Network) Forward(x *tensor.Matrix) *Forward { return n.ForwardTo(new(Forward), x) }
+
+// ForwardTo runs the network on a batch (rows are frames) into f and
+// returns f. Hidden layers apply the sigmoid; the output layer is left as
+// logits for both the softmax/cross-entropy path and the sequence
+// criterion. A layer matrix of f is reused when its backing array holds
+// x.Rows rows and allocated otherwise, so a Forward kept across batches
+// allocates only for a batch larger than every earlier one. f.X aliases x.
+func (n *Network) ForwardTo(f *Forward, x *tensor.Matrix) *Forward {
 	if x.Cols != n.Topo.InputDim() {
 		panic("nn: input dimension mismatch")
 	}
-	f := &Forward{X: x}
-	a := x
 	L := n.Topo.NumLayers()
+	if len(f.Hidden) != L-1 {
+		f.Hidden = make([]*tensor.Matrix, L-1)
+	}
+	f.X = x
+	a := x
 	for l := 0; l < L; l++ {
-		z := tensor.NewMatrix(x.Rows, n.Topo.Sizes[l+1])
-		// z = a·Wᵀ + 1·bᵀ, then the activation on a hidden layer. The
-		// GEMM's workers each finish the columns they computed.
 		bias, hidden := n.Biases[l], l < L-1
+		out := &f.Logits
+		if hidden {
+			out = &f.Hidden[l]
+		}
+		rows, width := x.Rows, n.Topo.Sizes[l+1]
+		if *out == nil || cap((*out).Data) < rows*width {
+			*out = tensor.NewMatrix(rows, width)
+		}
+		z := *out
+		z.Rows, z.Cols, z.Stride, z.Data = rows, width, width, z.Data[:rows*width]
+		// z = a·Wᵀ + 1·bᵀ, then the sigmoid on a hidden layer. The GEMM
+		// (beta 0) overwrites whatever z held, and its workers each
+		// finish the columns they computed.
 		blas.GemmEpilogue(blas.NoTrans, blas.Trans, 1, a, n.Weights[l], 0, z, func(cols *tensor.Matrix, j0 int) {
 			addBiasRows(cols, bias[j0:j0+cols.Cols])
 			if hidden {
-				n.Act.apply(cols)
+				sigmoidInPlace(cols)
 			}
 		})
-		if hidden {
-			f.Hidden = append(f.Hidden, z)
-			a = z
-		} else {
-			f.Logits = z
-		}
+		a = z
 	}
 	return f
 }

@@ -67,8 +67,8 @@ func (n *Network) rForward(f *Forward, v tensor.Vector) *tensor.Matrix {
 		}
 		addBiasRows(rz, vb[l])
 		if l < L-1 {
-			// Ra = f'(z) ∘ Rz, with f' from stored activations.
-			n.Act.hadamardDeriv(rz, f.Hidden[l])
+			// Ra = σ'(z) ∘ Rz, with σ' from stored activations.
+			hadamardSigmoidDeriv(rz, f.Hidden[l])
 			ra = rz
 			a = f.Hidden[l]
 		}

@@ -13,9 +13,9 @@ import (
 // weight layer, sized for the topology at construction, and each
 // layer's Wᵀ packed into GEMM panels (grown by the first PackInto, then
 // reused). The serving runtime (internal/serve) owns one InferBuffers
-// per scoring worker; training-side consumers (held-out scoring,
-// examples) can use one to keep repeated evaluation off the garbage
-// collector.
+// per scoring worker. Held-out scoring in training does not use one: it
+// reads fresh weights on every pass, so it keeps one Forward and reuses
+// it through ForwardTo.
 //
 // A buffer set is tied to one topology and one maximum batch size and is
 // NOT safe for concurrent use — give each goroutine its own.
@@ -64,11 +64,11 @@ func inferMismatch(what string, got, want int) {
 // performs zero allocations per call once buf has been used — the
 // escape, bounds-check and alloc gates hold it to that.
 //
-// The arithmetic is exactly Forward's (same GEMM shapes, same bias and
-// activation application in the same order), so logits agree
-// bit-for-bit with Forward(x).Logits; TestForwardIntoMatchesForward
-// pins that. An input-dimension mismatch panics inside blas.GemmPacked,
-// which validates every operand shape.
+// The arithmetic is exactly Forward's (same GEMM shapes, same bias add
+// and sigmoid in the same order), so logits agree bit-for-bit with
+// Forward(x).Logits; TestForwardIntoMatchesForward pins that. An
+// input-dimension mismatch panics inside blas.GemmPacked, which
+// validates every operand shape.
 //
 //lint:shape x=(b,d)
 //lint:hotpath
@@ -92,10 +92,11 @@ func (n *Network) PackInto(buf *InferBuffers) {
 
 // ForwardPacked is ForwardInto without the packing: it reads each
 // layer's weights from the panels of the last PackInto on buf, not from
-// n.Weights, and takes the biases and activation from n. A caller that
-// scores many batches with fixed weights (a serving worker) packs once
-// and then calls this; the logits are ForwardInto's bit for bit. It
-// panics if buf was never packed.
+// n.Weights, and takes the biases from n. A caller that scores many
+// batches with fixed weights (a serving worker) packs once and then
+// calls this; the logits are ForwardInto's bit for bit. It panics if buf
+// was never packed. It is a loop of its own, not a branch of ForwardTo:
+// DESIGN §15 says why both stay.
 //
 //lint:shape x=(b,d)
 //lint:hotpath
@@ -117,7 +118,7 @@ func (n *Network) ForwardPacked(buf *InferBuffers, x *tensor.Matrix) *tensor.Mat
 			blas.GemmPacked(&buf.ws, 1, a, &packed[l], 0, z)
 			addBiasRows(z, biases[l])
 			if l != last {
-				n.Act.apply(z)
+				sigmoidInPlace(z)
 				a = z
 			}
 		}

@@ -71,19 +71,16 @@ func (t Topology) Views(flat tensor.Vector) (weights []*tensor.Matrix, biases []
 	return weights, biases
 }
 
-// Network is a feedforward DNN. Weights and Biases alias Params.
+// Network is a feedforward DNN with sigmoid hidden layers and a linear
+// output layer (the logits). Weights and Biases alias Params.
 type Network struct {
 	Topo    Topology
 	Params  tensor.Vector
 	Weights []*tensor.Matrix
 	Biases  []tensor.Vector
-	// Act is the hidden-layer nonlinearity (Sigmoid, the paper's choice,
-	// by default).
-	Act Activation
 }
 
-// New creates a zero-initialized network with the given topology and the
-// default sigmoid hidden activation.
+// New creates a zero-initialized network with the given topology.
 func New(topo Topology) *Network {
 	flat := tensor.NewVector(topo.NumParams())
 	w, b := topo.Views(flat)
@@ -110,7 +107,6 @@ func (n *Network) SetParams(v tensor.Vector) {
 // Clone returns an independent deep copy of the network.
 func (n *Network) Clone() *Network {
 	out := New(n.Topo)
-	out.Act = n.Act
 	copy(out.Params, n.Params)
 	return out
 }

@@ -100,6 +100,49 @@ func TestForwardShapes(t *testing.T) {
 	}
 }
 
+// TestForwardToReusesLayers runs one Forward through ForwardTo at 256,
+// 144, 1 and again 256 rows. Every pass must equal a fresh Forward bit
+// for bit, and no layer's backing array may move after the first 256-row
+// pass. Hidden activations are sigmoids of bounded inputs, so they lie
+// in (0, 1).
+func TestForwardToReusesLayers(t *testing.T) {
+	n := testNet(t, 20, 24, 16, 5)
+	rng := rand.New(rand.NewSource(4))
+	var f Forward
+	var backing []*float32
+	for _, rows := range []int{256, 144, 1, 256} {
+		x := tensor.RandMatrix(rng, rows, 20, 2)
+		if n.ForwardTo(&f, x) != &f || f.X != x {
+			t.Fatalf("rows %d: ForwardTo must fill and return f, aliasing x", rows)
+		}
+		want := n.Forward(x)
+		got, ref := append(f.Hidden, f.Logits), append(want.Hidden, want.Logits)
+		if len(got) != len(ref) {
+			t.Fatalf("rows %d: %d layers, want %d", rows, len(got), len(ref))
+		}
+		for l, m := range got {
+			if m.Rows != rows || m.Cols != ref[l].Cols {
+				t.Fatalf("rows %d layer %d: %d×%d, want %d×%d", rows, l, m.Rows, m.Cols, rows, ref[l].Cols)
+			}
+			for i := 0; i < rows; i++ {
+				for j, v := range m.Row(i) {
+					if math.Float32bits(v) != math.Float32bits(ref[l].Row(i)[j]) {
+						t.Fatalf("rows %d layer %d (%d,%d): %v, fresh Forward %v", rows, l, i, j, v, ref[l].Row(i)[j])
+					}
+					if l < len(f.Hidden) && (v <= 0 || v >= 1) {
+						t.Fatalf("rows %d layer %d: sigmoid output %v outside (0,1)", rows, l, v)
+					}
+				}
+			}
+			if p := &m.Data[:cap(m.Data)][0]; len(backing) <= l {
+				backing = append(backing, p)
+			} else if p != backing[l] {
+				t.Fatalf("rows %d layer %d: backing array moved", rows, l)
+			}
+		}
+	}
+}
+
 func TestForwardInputMismatch(t *testing.T) {
 	n := testNet(t, 5, 3, 2)
 	defer func() {

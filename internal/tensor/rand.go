@@ -35,13 +35,3 @@ func GlorotInit(rng *rand.Rand, m *Matrix, fanIn, fanOut int) {
 		m.Data[i] = (rng.Float32()*2 - 1) * r
 	}
 }
-
-// GaussianVector returns a vector of length n with i.i.d. N(0, sigma²)
-// entries.
-func GaussianVector(rng *rand.Rand, n int, sigma float64) Vector {
-	v := NewVector(n)
-	for i := range v {
-		v[i] = float32(rng.NormFloat64() * sigma)
-	}
-	return v
-}

@@ -93,18 +93,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// CopyFrom copies the contents of src into m. Dimensions must match.
-//
-//lint:shape m=(r,c) src=(r,c)
-func (m *Matrix) CopyFrom(src *Matrix) {
-	if m.Rows != src.Rows || m.Cols != src.Cols {
-		panic(fmt.Sprintf("tensor: copy %d×%d into %d×%d", src.Rows, src.Cols, m.Rows, m.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		copy(m.Row(i), src.Row(i))
-	}
-}
-
 // Fill sets every element of m to v.
 func (m *Matrix) Fill(v float32) {
 	for i := 0; i < m.Rows; i++ {

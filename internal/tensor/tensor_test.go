@@ -119,12 +119,6 @@ func TestCloneOfViewIsCompact(t *testing.T) {
 	}
 }
 
-func TestCopyFromShapeMismatch(t *testing.T) {
-	a, b := NewMatrix(2, 2), NewMatrix(2, 3)
-	defer expectPanic(t, "CopyFrom shape mismatch")
-	a.CopyFrom(b)
-}
-
 func TestFillScaleZero(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.Fill(2)

@@ -144,27 +144,6 @@ func TestGlorotInitRange(t *testing.T) {
 	}
 }
 
-func TestGaussianVectorMoments(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	v := GaussianVector(rng, 20000, 2)
-	var mean, m2 float64
-	for _, x := range v {
-		mean += float64(x)
-	}
-	mean /= float64(len(v))
-	for _, x := range v {
-		d := float64(x) - mean
-		m2 += d * d
-	}
-	sd := math.Sqrt(m2 / float64(len(v)))
-	if math.Abs(mean) > 0.1 {
-		t.Fatalf("mean = %v, want ≈0", mean)
-	}
-	if math.Abs(sd-2) > 0.1 {
-		t.Fatalf("sd = %v, want ≈2", sd)
-	}
-}
-
 func TestRandMatrixScale(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := RandMatrix(rng, 8, 8, 0.5)
