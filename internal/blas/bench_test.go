@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // The GEMM ablation benchmarks mirror §V-A's tuning levels: naive loop →
@@ -80,6 +82,27 @@ func BenchmarkGEMMCutover(b *testing.B) {
 		tag := fmt.Sprintf("%s%s/%dx%dx%d", name(s.tA), name(s.tB), s.m, s.n, s.k)
 		b.Run(tag+"/threads=1", func(b *testing.B) { benchGemmT(b, Blocked, 1, s.tA, s.tB, s.m, s.n, s.k) })
 		b.Run(tag+"/threads=2", func(b *testing.B) { benchGemmT(b, Parallel, 2, s.tA, s.tB, s.m, s.n, s.k) })
+	}
+}
+
+// BenchmarkGemmPackedRows times GemmPacked by a packed 384×384 weight
+// (a served layer's Wᵀ) at m = 1…9 rows, the sweep behind rowKernelRows:
+// edges of up to that many rows take the row kernel, wider ones the 8×8
+// tile (DESIGN §2).
+func BenchmarkGemmPackedRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var pb PackedB
+	pb.Pack(Trans, tensor.RandMatrix(rng, 384, 384, 1))
+	for m := 1; m <= 9; m++ {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			a, c := tensor.RandMatrix(rng, m, 384, 1), tensor.NewMatrix(m, 384)
+			var ws Workspace
+			GemmPacked(&ws, 1, a, &pb, 0, c)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				GemmPacked(&ws, 1, a, &pb, 0, c)
+			}
+		})
 	}
 }
 

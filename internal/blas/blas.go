@@ -11,7 +11,11 @@
 //   - Blocked: Goto-style packed panels (MC×KC blocks of A, KC×NC blocks
 //     of B) with an 8×8 register-tile micro-kernel — AVX2 assembly where
 //     the CPU has it (kernel_amd64.s), portable Go elsewhere, the two
-//     bit-identical because neither fuses a multiply into an add.
+//     bit-identical because neither fuses a multiply into an add. On
+//     AVX2 an edge A panel of at most six rows (a 1–2-row serving
+//     score, the last rows of a batch) takes a row kernel instead: one
+//     C row against four B panels at a time, so no padded row is
+//     computed, with each C element rounded exactly as in the tile.
 //   - Parallel: the blocked algorithm with C's columns split into one
 //     contiguous run of whole 8-wide panels per worker, the analogue of
 //     the paper's cores cooperating on one product. Each worker packs its

@@ -114,7 +114,9 @@ func sameBits(got, want *tensor.Matrix) (i, j int, ok bool) {
 // detShapes are the products the worker-count tests cover, under the
 // block limits each is run with: several MC, KC and NC blocks; one row
 // block (m < MC, a Gauss-Newton utterance batch); n not a multiple of
-// nr; and fewer column panels than workers.
+// nr; fewer column panels than workers; and edge A panels of one to
+// seven rows under wide column runs, so the row kernel runs inside each
+// worker's run (its four-panel body, its tail and a partial panel).
 var detShapes = []struct {
 	cfg     Config
 	m, n, k int
@@ -125,6 +127,8 @@ var detShapes = []struct {
 	{Config{MC: 16, KC: 8, NC: 12}, 7, 5, 3},
 	{Config{}, 100, 100, 64},
 	{Config{}, 100, 37, 300},
+	{Config{}, 3, 130, 300},
+	{Config{MC: 16, KC: 32, NC: 40}, 23, 77, 70},
 }
 
 // Property: the parallel result equals the single-threaded one bit for
@@ -248,6 +252,42 @@ func TestGemmPackedMatchesGemmWith(t *testing.T) {
 			}()
 			run()
 		}()
+	}
+}
+
+// Property: the packed-A panel's dead lanes are never read into C. A
+// partial A panel is not padded, so a Workspace reused across products
+// leaves stale floats in the lanes past the live rows; here they are NaN,
+// and every product must still equal GemmWith on a fresh slab bit for
+// bit. m covers edges of 1–7 rows (the row kernel and the 8×8 tile), n
+// the row kernel's four-panel body, its tail and a partial panel, and k
+// one and two KC blocks.
+func TestGemmPackedStaleWorkspace(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	var ws Workspace
+	var pb PackedB
+	nan := float32(math.NaN())
+	for _, k := range []int{100, 384} {
+		for _, n := range []int{8, 32, 40, 100, 384} {
+			b := tensor.RandMatrix(rng, n, k, 1)
+			pb.Pack(Trans, b)
+			for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 17} {
+				a, c := tensor.RandMatrix(rng, m, k, 1), tensor.RandMatrix(rng, m, n, 1)
+				ws.slab(roundUp(m, mr) * min(k, defaultKC))
+				stale := ws.buf[:cap(ws.buf)]
+				for i := range stale {
+					stale[i] = nan
+				}
+				want := c.Clone()
+				GemmWith(Config{Impl: Blocked}, NoTrans, Trans, 0.5, a, b, 1, want)
+				got := c.Clone()
+				GemmPacked(&ws, 0.5, a, &pb, 1, got)
+				if i, j, ok := sameBits(got, want); !ok {
+					t.Fatalf("%d×%d×%d on a NaN-filled workspace: C[%d][%d] = %v, GemmWith %v",
+						m, n, k, i, j, got.At(i, j), want.At(i, j))
+				}
+			}
+		}
 	}
 }
 

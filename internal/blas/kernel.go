@@ -141,9 +141,13 @@ func packBounds() {
 }
 
 // packA copies the mc×kc block of op(A) at (i0, p0) into panels of mr rows
-// in k-major order, zero-padding the final partial panel. The packed
-// layout guarantees stride-one access in the micro-kernel, the portable
-// equivalent of the paper's reformatting of A for the L1P prefetch engine.
+// in k-major order. The packed layout guarantees stride-one access in the
+// micro-kernel, the portable equivalent of the paper's reformatting of A
+// for the L1P prefetch engine. A final partial panel is not padded: its
+// lanes past the live rows keep whatever the buffer held, because no
+// kernel carries them into C — the row kernel reads only live lanes, and
+// microKernelEdge computes dead rows into its stack tile and adds only
+// live ones (TestGemmPackedStaleWorkspace fills them with NaN).
 //
 // Every loop is structured as a cursor advance behind a uint guard so
 // the compiler's prove pass eliminates all per-element bounds checks;
@@ -201,9 +205,6 @@ func packA(a *tensor.Matrix, tA Transpose, i0, p0, mc, kc int, buf []float32) {
 				}
 				copy(d[:rows], src[:rows])
 			}
-		}
-		if rows < mr {
-			padPanel(panel, rows, mr, kc)
 		}
 	}
 }
@@ -363,11 +364,24 @@ func packB(b *tensor.Matrix, tB Transpose, p0, j0, kc, nc int, buf []float32) {
 	}
 }
 
+// rowKernelRows is the most live rows an edge A panel may have for its
+// rows to take the row kernel; an edge with more runs the 8×8 tile over
+// the panel. It is the measured cutover (BenchmarkGemmPackedRows, DESIGN
+// §2): up to six rows the row kernel is faster, at seven the two tie.
+const rowKernelRows = 6
+
 // macroKernel multiplies the packed mc×kc A block by the packed kc×nc B
-// panel, accumulating alpha times the product into C at (ic, jc).
+// panel, accumulating alpha times the product into C at (ic, jc). On
+// AVX2 an edge A panel of at most rowKernelRows rows is computed by the
+// row kernel, each live row once against every column panel; full
+// panels and wider edges take the 8×8 tile.
 //
 //lint:hotpath
 func macroKernel(abuf, bbuf []float32, c *tensor.Matrix, ic, jc, mc, nc, kc int, alpha float32) {
+	if edge := mc % mr; useAVX2 && edge > 0 && edge <= rowKernelRows {
+		mc -= edge
+		macroKernelRows(abuf, bbuf, c, ic, mc, edge, jc, nc, kc, alpha)
+	}
 	for jp := 0; jp < nc; jp += nr {
 		cols := min(nr, nc-jp)
 		bo := (jp / nr) * kc * nr
@@ -392,6 +406,70 @@ func macroKernel(abuf, bbuf []float32, c *tensor.Matrix, ic, jc, mc, nc, kc int,
 			}
 		}
 	}
+}
+
+// macroKernelRows runs the row kernel over the rows live rows of the
+// edge A panel at row ip of the block: each row against the nc/nr full
+// B panels straight into its C row, then against the partial panel, if
+// any, into a stack row that starts at −0 (microKernelEdge's rule) and
+// is added into C over its live columns.
+//
+//lint:hotpath
+func macroKernelRows(abuf, bbuf []float32, c *tensor.Matrix, ic, ip, rows, jc, nc, kc int, alpha float32) {
+	ao := (ip / mr) * kc * mr
+	full, cols := nc/nr, nc%nr
+	bo := full * kc * nr
+	if uint(ao) > uint(len(abuf)) || uint(bo) > uint(len(bbuf)) {
+		packBounds()
+		return
+	}
+	apanel, btail := abuf[ao:], bbuf[bo:]
+	negZero := math.Float32frombits(1 << 31)
+	for r := 0; r < rows; r++ {
+		coff := (ic+ip+r)*c.Stride + jc
+		if uint(coff) > uint(len(c.Data)) {
+			packBounds()
+			return
+		}
+		crow := c.Data[coff:]
+		microKernelRow(kc, r, full, apanel, bbuf, crow, alpha)
+		if cols == 0 {
+			continue
+		}
+		var row [nr]float32
+		for j := range row {
+			row[j] = negZero
+		}
+		microKernelRow(kc, r, 1, apanel, btail, row[:], alpha)
+		if uint(full*nr) > uint(len(crow)) {
+			packBounds()
+			return
+		}
+		ct := crow[full*nr:]
+		for j := 0; j < cols && j < len(ct) && j < nr; j++ {
+			ct[j] += row[j]
+		}
+	}
+}
+
+// microKernelRow is the row kernel: c[:8·panels] += alpha·Σp ap[8p+r]·Bj[p]
+// over panels full B panels of kc k-steps each, laid end to end in bp,
+// for lane r of a packed A panel. Its guards are the whole
+// memory-safety argument for the assembly, as microKernel's are for the
+// tile: lane r is one of the panel's eight, the A panel holds kc
+// k-steps, C's row holds the panels' columns and bp holds panels·kc·8
+// floats (uint compares, so a negative argument fails too). Each C
+// element gets the tile's operations in the tile's order, so the result
+// is the tile's bit for bit. It runs only under useAVX2.
+//
+//lint:hotpath
+func microKernelRow(kc, r, panels int, ap, bp, c []float32, alpha float32) {
+	if uint(r) >= mr || uint(kc) > uint(len(ap))/mr || uint(panels) > uint(len(c))/nr ||
+		panels > 0 && uint(kc) > uint(len(bp))/(nr*uint(panels)) {
+		packBounds()
+		return
+	}
+	kernelRowAVX2(kc, r, panels, ap, bp, c, alpha)
 }
 
 // microKernel is the register-blocked inner kernel: C8×8 += alpha·A8×kc·Bkc×8
@@ -470,12 +548,15 @@ func microKernelGo(kc int, ap, bp, c []float32, ldc int, alpha float32) {
 
 // microKernelEdge handles partial tiles at the matrix fringe — the
 // "matrices with dimensions that do not lend themselves to full
-// SIMDization" case the paper tunes for — on the same kernel: the packed
-// panels are zero-padded, so it computes the full tile into a stack tile
-// and adds only the rows×cols region that exists in C. The tile starts
-// at −0, the identity of IEEE addition (+0 would turn a −0 product into
-// +0), so it holds alpha·acc bit for bit and C sees exactly the
-// operations a full tile applies.
+// SIMDization" case the paper tunes for — on the same kernel: it computes
+// the full tile into a stack tile and adds only the rows×cols region
+// that exists in C, so neither the A panel's dead lanes nor the B
+// panel's zero padding reaches C. The tile starts at −0, the identity of
+// IEEE addition (+0 would turn a −0 product into +0), so it holds
+// alpha·acc bit for bit and C sees exactly the operations a full tile
+// applies. On AVX2 it takes the edges the row kernel does not: A panels
+// of more than rowKernelRows rows, and full 8-row panels against a
+// partial column panel; without AVX2 it takes every edge.
 //
 //lint:hotpath
 func microKernelEdge(kc int, ap, bp, c []float32, ldc, rows, cols int, alpha float32) {

@@ -30,6 +30,13 @@ func hasAVX2() bool {
 //go:noescape
 func kernelAVX2(kc int, a, b, c []float32, ldc int, alpha float32)
 
+// kernelRowAVX2 is microKernelRow's body in AVX2 (kernel_amd64.s): one
+// C row against panels B panels. Like kernelAVX2 it checks nothing;
+// microKernelRow's guards are its contract.
+//
+//go:noescape
+func kernelRowAVX2(kc, r, panels int, a, b, c []float32, alpha float32)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax uint32)

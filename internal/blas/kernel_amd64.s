@@ -97,6 +97,108 @@ store:
 	VZEROUPPER
 	RET
 
+// func kernelRowAVX2(kc, r, panels int, a, b, c []float32, alpha float32)
+//
+// One C row × panels full B panels: c[8j:8j+8] += alpha·Σp a[8p+r]·Bj[p]
+// for j < panels, Bj being the packed panel at b + j·kc·8 floats and
+// a[8p+r] lane r of a packed A panel. Four panels at a time accumulate
+// in Y0–Y3, the rest one at a time in Y0. Each accumulator starts at +0
+// and takes the multiply then the add of every k step in order, with
+// the operands in kernelAVX2's order, so each C element sees the IEEE
+// operations the 8×8 tile applies to it. The Go caller has
+// bounds-checked every address this touches (microKernelRow in
+// kernel.go).
+TEXT ·kernelRowAVX2(SB), NOSPLIT, $0-100
+	MOVQ kc+0(FP), CX
+	MOVQ r+8(FP), AX
+	MOVQ panels+16(FP), BX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	MOVQ c_base+72(FP), DI
+	LEAQ (SI)(AX*4), SI   // lane r
+	MOVQ CX, R9
+	SHLQ $5, R9           // one B panel: kc·8 floats
+	LEAQ (R9)(R9*2), R13  // three B panels
+	VBROADCASTSS alpha+96(FP), Y15
+
+quad:
+	CMPQ   BX, $4
+	JLT    single
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ   SI, R10
+	MOVQ   DX, R11
+	MOVQ   CX, R14
+	TESTQ  R14, R14
+	JLE    quadstore
+
+quadloop:
+	VBROADCASTSS (R10), Y4
+	VMULPS       (R11), Y4, Y5
+	VADDPS       Y5, Y0, Y0
+	VMULPS       (R11)(R9*1), Y4, Y6
+	VADDPS       Y6, Y1, Y1
+	VMULPS       (R11)(R9*2), Y4, Y7
+	VADDPS       Y7, Y2, Y2
+	VMULPS       (R11)(R13*1), Y4, Y8
+	VADDPS       Y8, Y3, Y3
+	ADDQ         $32, R10
+	ADDQ         $32, R11
+	DECQ         R14
+	JNZ          quadloop
+
+quadstore:
+	VMULPS  Y15, Y0, Y0
+	VADDPS  (DI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	VMULPS  Y15, Y1, Y1
+	VADDPS  32(DI), Y1, Y1
+	VMOVUPS Y1, 32(DI)
+	VMULPS  Y15, Y2, Y2
+	VADDPS  64(DI), Y2, Y2
+	VMOVUPS Y2, 64(DI)
+	VMULPS  Y15, Y3, Y3
+	VADDPS  96(DI), Y3, Y3
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, DI
+	LEAQ    (DX)(R9*4), DX
+	SUBQ    $4, BX
+	JMP     quad
+
+single:
+	TESTQ  BX, BX
+	JLE    done
+	VXORPS Y0, Y0, Y0
+	MOVQ   SI, R10
+	MOVQ   DX, R11
+	MOVQ   CX, R14
+	TESTQ  R14, R14
+	JLE    singlestore
+
+singleloop:
+	VBROADCASTSS (R10), Y4
+	VMULPS       (R11), Y4, Y5
+	VADDPS       Y5, Y0, Y0
+	ADDQ         $32, R10
+	ADDQ         $32, R11
+	DECQ         R14
+	JNZ          singleloop
+
+singlestore:
+	VMULPS  Y15, Y0, Y0
+	VADDPS  (DI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    R9, DX
+	DECQ    BX
+	JMP     single
+
+done:
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

@@ -9,17 +9,21 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestKernelBitIdentity holds the AVX2 kernel to the portable one bit for
-// bit on the same packed panels, over every fringe shape: production
-// macroKernel (full tiles and the −0 stack tile of the fringe) against
-// microKernelGo applied tile by tile through an 8×8 scratch copy of C,
-// which needs no −0 rule. C holds −0 entries and op(A) a zero row, so a
-// +0-initialised tile (−0 + +0 = +0) would show.
+// TestKernelBitIdentity holds the AVX2 kernels to the portable one bit
+// for bit on the same packed panels, over every fringe shape: production
+// macroKernel (full tiles, the −0 stack tile of the fringe, and the row
+// kernel with its −0 stack row for edges of at most rowKernelRows rows)
+// against microKernelGo applied tile by tile through an 8×8 scratch copy
+// of C, which needs no −0 rule. C holds −0 entries and op(A) a zero row,
+// so a +0-initialised tile or row (−0 + +0 = +0) would show. The widths
+// 32–64 give the row kernel its four-panel body, a one-to-three-panel
+// tail and a partial panel behind them.
 func TestKernelBitIdentity(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 on this machine: microKernelGo is the only kernel")
 	}
 	dims := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 100, 255, 256, 257}
+	widths := append(dims[:len(dims):len(dims)], 32, 40, 56, 64)
 	depths := []int{1, 7, 255, 256, 257, 384}
 	scalars := []float32{1, 0, -1, 0.5, 0.7}
 	trans := [][2]Transpose{{NoTrans, NoTrans}, {Trans, NoTrans}, {NoTrans, Trans}, {Trans, Trans}}
@@ -29,7 +33,7 @@ func TestKernelBitIdentity(t *testing.T) {
 	// read, so they rotate through the shape table rather than multiply it.
 	var i int
 	for _, m := range dims {
-		for _, n := range dims {
+		for _, n := range widths {
 			for _, k := range depths {
 				tA, tB := trans[i%4][0], trans[i%4][1]
 				alpha, beta := scalars[i%5], scalars[(i/5)%5]

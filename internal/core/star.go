@@ -167,5 +167,10 @@ func (s *star) failure(op string, errs []error) error {
 	if suspects == nil {
 		return nil
 	}
+	if s.comm.Closed() {
+		// The master's own endpoint is gone, so every worker's op failed
+		// for that reason: naming them would evict healthy ranks.
+		return fmt.Errorf("core: %s: the master's transport is closed: %w", op, mpi.ErrClosed)
+	}
 	return &rankFailure{op: op, suspects: suspects}
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/hf"
 	"repro/internal/mpi"
 	"repro/internal/tensor"
 )
@@ -145,6 +147,54 @@ func TestMasterSurrendersOnSilentWorker(t *testing.T) {
 				t.Errorf("master returned after %v, before the %v op deadline", took, deadline)
 			}
 		})
+	}
+}
+
+// TestMasterOwnTransportClosed closes the master's own endpoint after
+// its first HF iteration, under the zero-budget default and under an
+// elastic budget of 1, on both fabrics. Every worker's next op then
+// fails, but because of the master: the run must end within the op
+// deadline in the master's own error, wrapping mpi.ErrClosed, and must
+// neither evict (no *SurrenderError) nor name a healthy worker.
+func TestMasterOwnTransportClosed(t *testing.T) {
+	const deadline = 2 * time.Second
+	for _, fabric := range []FabricKind{FabricInproc, FabricTCP} {
+		for _, budget := range []int{-1, 1} {
+			t.Run(fmt.Sprintf("%v/budget=%d", fabric, budget), func(t *testing.T) {
+				p := testProblem(t, CrossEntropy)
+				cfg := fastHF()
+				ts := testTransports(t, fabric, 3)
+				workers := []<-chan runOut{startAttached(ts[1], Problem{}, cfg), startAttached(ts[2], Problem{}, cfg)}
+				var closedAt time.Time
+				cfg.Log = func(s hf.IterStats) {
+					if s.Iter == 1 {
+						closedAt = time.Now()
+						ts[0].Close()
+					}
+				}
+				pol := FaultPolicy{FaultConfig: mpi.FaultConfig{OpDeadline: deadline}, MaxEvictions: budget}
+				var o runOut
+				select {
+				case o = <-startAttached(ts[0], p, cfg, WithFaults(pol)):
+				case <-time.After(deadline + 5*time.Second):
+					t.Fatal("master still running after its transport closed")
+				}
+				if took := time.Since(closedAt); closedAt.IsZero() || took > deadline {
+					t.Errorf("master returned %v after its transport closed, want under the %v op deadline", took, deadline)
+				}
+				var surrender *SurrenderError
+				var rf *rankFailure
+				if o.res != nil || !errors.Is(o.err, mpi.ErrClosed) || errors.As(o.err, &surrender) || errors.As(o.err, &rf) ||
+					strings.Contains(o.err.Error(), "rank") {
+					t.Fatalf("result %v, err %v: want the master's own mpi.ErrClosed, no eviction and no rank named", o.res != nil, o.err)
+				}
+				// The workers are parked on a master that is gone.
+				for r, w := range workers {
+					ts[r+1].Close()
+					<-w
+				}
+			})
+		}
 	}
 }
 

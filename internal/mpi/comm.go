@@ -76,6 +76,12 @@ func (c *Comm) SetPhase(name string) { c.prof.SetPhase(name) }
 // Close shuts down the underlying transport.
 func (c *Comm) Close() error { return c.t.Close() }
 
+// Closed reports whether this rank's own endpoint has been closed, by
+// Close or underneath the Comm; false when the transport cannot say
+// (see ClosedReporter). A failed op on an endpoint that is not closed
+// is the peer's failure.
+func (c *Comm) Closed() bool { return closed(c.t) }
+
 // --- point-to-point ---
 
 // SendBytes sends a tagged byte message to dst (profiled as p2p).

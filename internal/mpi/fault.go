@@ -64,6 +64,21 @@ type DeadlineRecver interface {
 	RecvTimeout(src, tag int, d time.Duration) (Message, error)
 }
 
+// ClosedReporter is the optional Transport capability that tells a
+// closed endpoint from a dead peer: Closed reports whether this rank's
+// own endpoint has been closed. Both transports implement it, and
+// FaultTransport forwards it.
+type ClosedReporter interface {
+	Closed() bool
+}
+
+// closed reports whether t says its own endpoint is closed; false when
+// t cannot say.
+func closed(t Transport) bool {
+	cr, ok := t.(ClosedReporter)
+	return ok && cr.Closed()
+}
+
 // WriteDeadliner is the optional Transport capability for bounding
 // individual frame writes (implemented by the TCP transport).
 type WriteDeadliner interface {
@@ -499,3 +514,7 @@ func (f *FaultTransport) SetWriteDeadline(d time.Duration) {
 
 // Close implements Transport.
 func (f *FaultTransport) Close() error { return f.t.Close() }
+
+// Closed implements ClosedReporter when the underlying transport does; a
+// kill closes that transport, so a killed rank reports closed.
+func (f *FaultTransport) Closed() bool { return closed(f.t) }

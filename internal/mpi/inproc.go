@@ -68,6 +68,9 @@ func (t *inprocTransport) RecvTimeout(src, tag int, d time.Duration) (Message, e
 	return t.fabric.boxes[t.rank].getTimeout(src, tag, d)
 }
 
+// Closed implements ClosedReporter.
+func (t *inprocTransport) Closed() bool { return t.fabric.boxes[t.rank].isClosed() }
+
 func (t *inprocTransport) Close() error {
 	t.fabric.boxes[t.rank].close()
 	// Mirror TCP death semantics: peers blocked on a Recv from this rank

@@ -115,6 +115,13 @@ func (m *mailbox) getTimeout(src, tag int, d time.Duration) (Message, error) {
 	}
 }
 
+// isClosed reports whether close has run.
+func (m *mailbox) isClosed() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.closed
+}
+
 func (m *mailbox) close() {
 	m.mu.Lock()
 	m.closed = true

@@ -139,6 +139,39 @@ func TestRecvAfterCloseErrors(t *testing.T) {
 	}
 }
 
+// TestClosedReportsOwnEndpoint: Comm.Closed is true once this rank's own
+// endpoint closes, and a peer's closure (a dead peer) does not set it,
+// on both fabrics and through a fault-injecting wrapper.
+func TestClosedReportsOwnEndpoint(t *testing.T) {
+	check := func(t *testing.T, ts []Transport) {
+		t.Helper()
+		c0 := NewComm(InjectFaults(ts[0], &FaultSchedule{}))
+		c1 := NewComm(ts[1])
+		if c0.Closed() || c1.Closed() {
+			t.Fatal("a fresh endpoint reports closed")
+		}
+		c1.Close()
+		if c0.Closed() || !c1.Closed() {
+			t.Fatalf("after rank 1 closes: rank 0 closed=%v, rank 1 closed=%v; want false, true", c0.Closed(), c1.Closed())
+		}
+		c0.Close()
+		if !c0.Closed() {
+			t.Fatal("rank 0 closed its endpoint but does not report closed")
+		}
+	}
+	t.Run("inproc", func(t *testing.T) {
+		f := NewInprocFabric(2)
+		check(t, []Transport{f.Transport(0), f.Transport(1)})
+	})
+	t.Run("tcp", func(t *testing.T) {
+		ts, err := ConnectTCPLocal(2)
+		if err != nil {
+			t.Fatalf("ConnectTCPLocal: %v", err)
+		}
+		check(t, ts)
+	})
+}
+
 func TestBcastAllSizesAllRoots(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
 		for root := 0; root < n; root++ {

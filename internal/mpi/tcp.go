@@ -230,6 +230,9 @@ func (t *tcpTransport) RecvTimeout(src, tag int, d time.Duration) (Message, erro
 	return t.box.getTimeout(src, tag, d)
 }
 
+// Closed implements ClosedReporter.
+func (t *tcpTransport) Closed() bool { return t.box.isClosed() }
+
 func (t *tcpTransport) Close() error {
 	t.closeOnce.Do(func() {
 		t.box.close()
